@@ -29,7 +29,6 @@ from .families import (
     DeformationFamily,
     conservation_check,
     zero_fiber_forces_origin_check,
-    critical_locus_report,
     greuel_conditions,
     splitting_check,
     radical_implies_axis_check,
@@ -47,7 +46,7 @@ from .germs import (
     multiplicity,
 )
 from .poly import format_poly
-from .problem import parse_problem
+from .problem import parse_problem, parse_samples
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -131,7 +130,7 @@ def run_problem(problem):
         code = _run_family_analyze(problem, lines, data)
 
     elif kind == "greuel-check":
-        code = _run_greuel(problem, lines, data)
+        _run_greuel(_family(problem), problem, lines, data)
 
     return lines, data, code
 
@@ -157,13 +156,11 @@ def _run_family_analyze(problem, lines, data):
     data["samples"] = [str(s) for s in samples]
 
     if fam.kind == fam_mod.FUNCTION:
-        mu0 = function_on_icis_milnor(fam.specialize(0), problem.budget)
-        lines.append(f"mu_f_at_0: {mu0}  [local colength of <phi> + J(f, phi)]")
-        data["mu_f_at_0"] = mu0
+        lines.append(f"mu_f_at_0: {fam.mu0}  [local colength of <phi> + J(f, phi)]")
+        data["mu_f_at_0"] = fam.mu0
         sample_data = []
-        converged = True
         for t0 in samples:
-            r = critical_locus_report(fam, t0, problem.budget)
+            r = fam.report(t0)
             lines.append(
                 f"sample t={_frac(t0)}: mu_origin={r.local_mu_origin} "
                 f"total={r.total_colength} off_origin={r.off_origin_budget} "
@@ -178,28 +175,18 @@ def _run_family_analyze(problem, lines, data):
                 "distinct_points": r.distinct_points,
                 "converges_to_origin": r.converges_to_origin,
             })
-            converged = converged and r.converges_to_origin
         data["samples_report"] = sample_data
-        if converged:
-            cons = conservation_check(fam, samples, problem.budget)
+        if fam.certificate:
+            cons = conservation_check(fam, samples)
             lines.append(f"conservation: {cons}  [total at each sample vs mu at t=0]")
             data["conservation"] = cons
         else:
             lines.append("conservation: INCONCLUSIVE  [no convergence certificate]")
             data["conservation"] = None
             code = EXIT_INCONCLUSIVE
+        _run_greuel(fam, problem, lines, data)
 
-        rep = greuel_conditions(fam, probes=_probes(problem), samples=samples,
-                                step_budget=problem.budget)
-        _render_greuel(rep, lines, data)
-        t44, t44d = radical_implies_axis_check(fam, problem.budget)
-        lines.append(f"radical_implies_axis: {t44}")
-        data["radical_implies_axis"] = {"verdict": t44, **_jsonable(t44d)}
-        c41, c41d = zero_fiber_forces_origin_check(fam, samples, problem.budget)
-        lines.append(f"zero_fiber_forces_origin: {c41}")
-        data["zero_fiber_forces_origin"] = {"verdict": c41, "details": _jsonable(c41d)}
-
-    split = splitting_check(fam, samples, problem.budget)
+    split = splitting_check(fam, samples)
     lines.append(
         f"splitting: {split.verdict}  [base fiber mu {split.base_fiber_mu}; "
         + "; ".join(
@@ -228,11 +215,11 @@ def _run_family_analyze(problem, lines, data):
     return code
 
 
-def _probes(problem):
-    return [CurveProbe(components) for components in problem.probes]
-
-
-def _render_greuel(rep, lines, data):
+def _run_greuel(fam, problem, lines, data):
+    """Condition flags, probe evidence and the two theorem checks: the
+    whole greuel-check report and the function part of family-analyze."""
+    probes = [CurveProbe(components) for components in problem.probes]
+    rep = greuel_conditions(fam, probes=probes, samples=problem.samples)
     lines.append(f"cond1_mu_constant: {rep.cond1_mu_constant}  "
                  f"[mu at origin {rep.mu_origin_base} vs samples "
                  f"{{{', '.join(f'{_frac(k)}: {v}' for k, v in sorted(rep.mu_origin_samples.items()))}}}]")
@@ -265,24 +252,24 @@ def _render_greuel(rep, lines, data):
             for pr in rep.curve_probes
         ],
     }
-
-
-def _run_greuel(problem, lines, data):
-    fam = _family(problem)
-    rep = greuel_conditions(fam, probes=_probes(problem), samples=problem.samples,
-                            step_budget=problem.budget)
-    _render_greuel(rep, lines, data)
-    t44, t44d = radical_implies_axis_check(fam, problem.budget)
+    t44, t44d = radical_implies_axis_check(fam)
     lines.append(f"radical_implies_axis: {t44}")
     data["radical_implies_axis"] = {"verdict": t44, **_jsonable(t44d)}
-    c41, c41d = zero_fiber_forces_origin_check(fam, problem.samples, problem.budget)
+    c41, c41d = zero_fiber_forces_origin_check(fam, problem.samples)
     lines.append(f"zero_fiber_forces_origin: {c41}")
     data["zero_fiber_forces_origin"] = {"verdict": c41, "details": _jsonable(c41d)}
-    return EXIT_OK
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 3, not argparse's 2, which
+    means inconclusive here."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error[usage]: {message}\n")
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="icis",
         description="Exact singularity invariants and deformation-family checks",
     )
@@ -291,13 +278,15 @@ def main(argv=None):
     run_p.add_argument("file")
     run_p.add_argument("--json", action="store_true", dest="emit_json")
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--samples", type=str, default=None,
-                       help="comma-separated rationals, e.g. 1,1/2")
+    run_p.add_argument("--samples", default=None,
+                       help="comma-separated nonzero rationals, e.g. 1,1/2")
     run_p.add_argument("--budget", type=int, default=None)
     check_p = sub.add_parser("check", help="parse and validate FILE only")
     check_p.add_argument("file")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.budget is not None and args.budget < 0:
+        parser.error("--budget must be non-negative")
 
     try:
         with open(args.file, "rb") as fh:
@@ -308,6 +297,8 @@ def main(argv=None):
 
     try:
         problem = parse_problem(text)
+        if args.command == "run" and args.samples is not None:
+            problem.samples = parse_samples(args.samples)
     except ProblemFileError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -320,8 +311,6 @@ def main(argv=None):
         problem.seed = args.seed
     if args.budget is not None:
         problem.budget = args.budget
-    if args.samples is not None:
-        problem.samples = tuple(Fraction(part) for part in args.samples.split(","))
 
     started = time.monotonic()
     try:

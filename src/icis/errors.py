@@ -59,6 +59,13 @@ class UnsupportedInputError(IcisError):
     code = "unsupported-input"
 
 
+class InvalidInputError(IcisError, ValueError):
+    """An input outside the domain of the computation, such as a germ
+    that does not vanish at the origin or a zero direction vector."""
+
+    code = "invalid-input"
+
+
 class InconclusiveError(IcisError):
     """A verdict cannot be reached honestly (e.g. the critical points of
     a family do not all converge to the origin, so affine totals do not

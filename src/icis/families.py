@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import inf
 
 from . import basis as _basis
-from .errors import InconclusiveError, NonIsolatedError
+from .errors import InconclusiveError, InvalidInputError, NonIsolatedError
 from .germs import GermFunction, IcisPresentation, function_on_icis_milnor, icis_milnor
 from .ideals import (
     IdealPresentation,
     distinct_point_count,
+    elimination_ideal,
     jacobian_matrix,
     maximal_minors,
     radical_membership,
@@ -44,7 +46,12 @@ DEFAULT_SAMPLES = (Fraction(1), Fraction(1, 2))
 @dataclass
 class DeformationFamily:
     """F(t, x) deforming a function germ on a fixed ICIS, or Phi(t, x)
-    deforming the ICIS itself; specializing at t = 0 reproduces the base."""
+    deforming the ICIS itself; specializing at t = 0 reproduces the base.
+
+    The quantities the checks share are computed once, on first use,
+    under ``step_budget``: the parametric critical ideal and its minors,
+    the convergence certificate, mu at t = 0, cond5, cond6, and one
+    critical-locus report per sample (``report``)."""
 
     ring: tuple
     param: str
@@ -53,6 +60,7 @@ class DeformationFamily:
     F: Polynomial = None
     Phi: tuple = None
     step_budget: int = _basis.DEFAULT_BUDGET
+    reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def x_ring(self):
@@ -62,7 +70,7 @@ class DeformationFamily:
     def function_deformation(cls, ring, param, phi, F, step_budget=_basis.DEFAULT_BUDGET):
         ring = tuple(ring)
         if param not in ring:
-            raise ValueError(f"parameter {param!r} not in ring {ring}")
+            raise InvalidInputError(f"parameter {param!r} not in ring {ring}")
         x_ring = tuple(v for v in ring if v != param)
         base = IcisPresentation(x_ring, [p.in_ring(x_ring) for p in phi], step_budget)
         F = F.in_ring(ring)
@@ -75,7 +83,7 @@ class DeformationFamily:
     def space_deformation(cls, ring, param, Phi, step_budget=_basis.DEFAULT_BUDGET):
         ring = tuple(ring)
         if param not in ring:
-            raise ValueError(f"parameter {param!r} not in ring {ring}")
+            raise InvalidInputError(f"parameter {param!r} not in ring {ring}")
         x_ring = tuple(v for v in ring if v != param)
         Phi = tuple(p.in_ring(ring) for p in Phi)
         phi0 = [p.subs({param: 0}, target_ring=x_ring) for p in Phi]
@@ -90,27 +98,67 @@ class DeformationFamily:
             return GermFunction(f, self.base)
         return [p.subs({self.param: t0}, target_ring=self.x_ring) for p in self.Phi]
 
-    # -- parametric ideals ------------------------------------------------
+    # -- quantities shared by the checks ------------------------------------
 
+    @cached_property
+    def minors(self):
+        """Maximal minors of the Jacobian of (F, phi) in the x-variables."""
+        J = relative_jacobian_ideal(self.F, list(self.base.phi), self.param)
+        return list(J.generators)
+
+    @cached_property
     def parametric_critical_ideal(self):
         """<phi> + J(f_t, phi) in the (t, x)-ring; its zero set is
         {(t, x) : x is a critical point of f_t}."""
         if self.kind != FUNCTION:
             raise ValueError("critical ideal is defined for function deformations")
-        J = relative_jacobian_ideal(self.F, list(self.base.phi), self.param)
         phi_lift = [p.in_ring(self.ring) for p in self.base.phi]
-        return IdealPresentation(self.ring, phi_lift + list(J.generators))
+        return IdealPresentation(self.ring, phi_lift + self.minors)
 
-    def relative_minors(self):
-        J = relative_jacobian_ideal(self.F, list(self.base.phi), self.param)
-        return list(J.generators)
+    @cached_property
+    def certificate(self):
+        """Convergence certificate of the parametric critical ideal; it
+        does not depend on the sample."""
+        return converges_to_origin(
+            self.parametric_critical_ideal, self.param, self.x_ring, self.step_budget
+        )
+
+    @cached_property
+    def mu0(self):
+        """Milnor number of the base member f_0 on the base ICIS."""
+        return function_on_icis_milnor(self.specialize(0), self.step_budget)
+
+    @cached_property
+    def cond5(self):
+        """dF/dt lies in the radical of <phi> + J."""
+        return radical_membership(
+            self.F.diff(self.param), self.parametric_critical_ideal, self.step_budget
+        )
+
+    @cached_property
+    def cond6(self):
+        """The zero set of <phi> + J is the parameter axis."""
+        I = self.parametric_critical_ideal
+        return all(
+            radical_membership(Polynomial.variable(self.ring, xv), I, self.step_budget)
+            for xv in self.x_ring
+        ) and all(
+            g.subs({xv: 0 for xv in self.x_ring}, target_ring=self.ring).is_zero()
+            for g in I.generators
+        )
+
+    def report(self, t0):
+        """``critical_locus_report`` at t0, computed once per sample."""
+        t0 = Fraction(t0)
+        if t0 not in self.reports:
+            self.reports[t0] = critical_locus_report(self, t0)
+        return self.reports[t0]
 
     def parametric_fiber_singular_ideal(self):
         """Singular points of the fibers: adds F itself (function kind)
         or uses the deformed equations (space kind)."""
         if self.kind == FUNCTION:
-            I = self.parametric_critical_ideal()
-            return I.plus([self.F])
+            return self.parametric_critical_ideal.plus([self.F])
         maps = list(self.Phi)
         x_vars = list(self.x_ring)
         minors = maximal_minors(jacobian_matrix(maps, x_vars))
@@ -141,9 +189,11 @@ class CurveProbe:
     def __post_init__(self):
         for name, comp in self.components.items():
             if comp.ring != ("s",):
-                raise ValueError(f"probe component for {name!r} must be univariate in s")
+                raise InvalidInputError(
+                    f"probe component for {name!r} must be univariate in s"
+                )
             if comp.constant_term() != 0:
-                raise ValueError("probe must pass through the origin at s = 0")
+                raise InvalidInputError("probe must pass through the origin at s = 0")
 
     def pullback(self, f):
         s_ring = ("s",)
@@ -201,53 +251,42 @@ def _is_pure_power(g):
 
 def converges_to_origin(parametric_ideal, param, x_vars, step_budget=_basis.DEFAULT_BUDGET):
     """Certificate that every point of the parametric locus collapses to
-    the origin as the parameter goes to 0: for each coordinate, the
-    eliminant in (t, x_i) specialized at t = 0 is a pure power of x_i."""
-    from .ideals import elimination_ideal
-    from .poly import gcd as poly_gcd
-
+    the origin as the parameter goes to 0: for each coordinate x_i, some
+    generator g of the eliminant in (t, x_i) specializes at t = 0 to a
+    nonzero pure power of x_i of the full x_i-degree of g, so the roots
+    of g(t, x_i) stay bounded and no branch escapes to infinity."""
     for xv in x_vars:
         E = elimination_ideal(parametric_ideal, [param, xv], step_budget)
-        at_zero = []
+        i = E.ring.index(xv)
         for g in E.generators:
             g0 = g.subs({param: 0}, target_ring=(xv,))
-            if not g0.is_zero():
-                at_zero.append(g0)
-        if not at_zero:
-            return False
-        g = at_zero[0]
-        for h in at_zero[1:]:
-            g = poly_gcd(g, h, step_budget)
-        if not _is_pure_power(g):
+            if _is_pure_power(g0) and g0.total_degree() == max(e[i] for e in g.terms):
+                break
+        else:
             return False
     return True
 
 
-def critical_locus_report(fam, t0, step_budget=None):
-    """Exact accounting of the critical locus of the member at t0."""
-    budget = step_budget or fam.step_budget
+def critical_locus_report(fam, t0):
+    """Exact accounting of the critical locus of the member at t0;
+    ``fam.report(t0)`` keeps one per sample."""
+    budget = fam.step_budget
     t0 = Fraction(t0)
-    germ = fam.specialize(t0)
-    I = germ.critical_ideal()
-    order = grevlex(fam.x_ring)
-    total = I.colength(order, budget)
+    I = fam.specialize(t0).critical_ideal()
+    total = I.colength(grevlex(fam.x_ring), budget)
     if total == inf:
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
     local = I.colength(negdegrevlex(fam.x_ring), budget)
     distinct = distinct_point_count(I, budget) if total > 0 else 0
-    conv = converges_to_origin(
-        fam.parametric_critical_ideal(), fam.param, fam.x_ring, budget
-    )
-    return CriticalLocusReport(t0, I, total, local, distinct, conv)
+    return CriticalLocusReport(t0, I, total, local, distinct, fam.certificate)
 
 
-def conservation_check(fam, samples=DEFAULT_SAMPLES, step_budget=None):
+def conservation_check(fam, samples=DEFAULT_SAMPLES):
     """Total colength at each sampled parameter equals the Milnor number
     of the base member; requires the convergence certificate."""
-    budget = step_budget or fam.step_budget
-    mu0 = function_on_icis_milnor(fam.specialize(0), budget)
-    reports = [critical_locus_report(fam, t0, budget) for t0 in samples]
-    if not all(r.converges_to_origin for r in reports):
+    mu0 = fam.mu0
+    reports = [fam.report(t0) for t0 in samples]
+    if not fam.certificate:
         raise InconclusiveError(
             "critical points do not all converge to the origin; affine totals "
             "do not represent Milnor-ball totals"
@@ -306,11 +345,11 @@ def _total_on_fiber(jac_gens, f, ring, step_budget):
     raise NonIsolatedError("fiber-total power iteration did not stabilize")
 
 
-def splitting_check(fam, samples=DEFAULT_SAMPLES, step_budget=None):
+def splitting_check(fam, samples=DEFAULT_SAMPLES):
     """No-coalescence check: when the total fiber Milnor number stays
     equal to the base value, there must be exactly one singular point
     and it must carry the full Milnor number."""
-    budget = step_budget or fam.step_budget
+    budget = fam.step_budget
     x_ring = fam.x_ring
     order = grevlex(x_ring)
 
@@ -391,7 +430,7 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES, step_budget=None):
     )
 
 
-def greuel_conditions(fam, probes=(), samples=DEFAULT_SAMPLES, step_budget=None):
+def greuel_conditions(fam, probes=(), samples=DEFAULT_SAMPLES):
     """Evaluate the implemented Greuel-type conditions.
 
     cond1: the Milnor number at the origin is constant along sampled
@@ -400,115 +439,76 @@ def greuel_conditions(fam, probes=(), samples=DEFAULT_SAMPLES, step_budget=None)
     necessary-condition evidence for the valuation inequalities."""
     if fam.kind != FUNCTION:
         raise ValueError("Greuel conditions apply to function deformations")
-    budget = step_budget or fam.step_budget
-    I = fam.parametric_critical_ideal()
-    minors = fam.relative_minors()
-
-    mu0 = function_on_icis_milnor(fam.specialize(0), budget)
-    sample_mu = {}
-    totals = {}
-    conv = None
-    for t0 in samples:
-        r = critical_locus_report(fam, t0, budget)
-        sample_mu[r.t0] = r.local_mu_origin
-        totals[r.t0] = r.total_colength
-        conv = r.converges_to_origin if conv is None else (conv and r.converges_to_origin)
-    cond1 = all(m == mu0 for m in sample_mu.values())
+    mu0 = fam.mu0
+    reports = [fam.report(t0) for t0 in samples]
+    sample_mu = {r.t0: r.local_mu_origin for r in reports}
 
     dFdt = fam.F.diff(fam.param)
-    cond5 = radical_membership(dFdt, I, budget)
-
-    cond6 = all(
-        radical_membership(Polynomial.variable(fam.ring, xv), I, budget)
-        for xv in fam.x_ring
-    ) and all(
-        g.subs({xv: 0 for xv in fam.x_ring}, target_ring=fam.ring).is_zero()
-        for g in I.generators
-    )
-
     probe_results = []
     for probe in probes:
         on_variety = all(
             probe.pullback(p.in_ring(fam.ring)).is_zero() for p in fam.base.phi
         )
         num = order_of_vanishing(probe.pullback(dFdt))
-        den = min(order_of_vanishing(probe.pullback(g)) for g in minors)
+        den = min(order_of_vanishing(probe.pullback(g)) for g in fam.minors)
         probe_results.append(
             ProbeResult(probe, num, den, num > den, num >= den, on_variety)
         )
 
     return GreuelConditionsReport(
-        cond1_mu_constant=cond1,
-        cond5_radical=cond5,
-        cond6_variety=cond6,
+        cond1_mu_constant=all(m == mu0 for m in sample_mu.values()),
+        cond5_radical=fam.cond5,
+        cond6_variety=fam.cond6,
         curve_probes=probe_results,
-        implications_ok=not (cond5 and not cond6),
+        implications_ok=not (fam.cond5 and not fam.cond6),
         mu_origin_base=mu0,
         mu_origin_samples=sample_mu,
-        totals=totals,
-        converges_to_origin=conv if conv is not None else True,
+        totals={r.t0: r.total_colength for r in reports},
+        converges_to_origin=fam.certificate,
     )
 
 
-def radical_implies_axis_check(fam, step_budget=None):
+def radical_implies_axis_check(fam):
     """If dF/dt is in the radical of <phi> + J then the zero set of J is
     the parameter axis; checked instance-wise."""
-    budget = step_budget or fam.step_budget
-    I = fam.parametric_critical_ideal()
-    dFdt = fam.F.diff(fam.param)
-    cond5 = radical_membership(dFdt, I, budget)
-    if not cond5:
+    if not fam.cond5:
         return VERIFIED, {"cond5": False, "cond6": None}
-    cond6 = all(
-        radical_membership(Polynomial.variable(fam.ring, xv), I, budget)
-        for xv in fam.x_ring
-    ) and all(
-        g.subs({xv: 0 for xv in fam.x_ring}, target_ring=fam.ring).is_zero()
-        for g in I.generators
-    )
-    details = {"cond5": True, "cond6": cond6}
-    if cond6:
+    details = {"cond5": True, "cond6": fam.cond6}
+    if fam.cond6:
         return VERIFIED, details
     # an apparent counterexample can only be an affine artifact unless the
     # affine locus is certified to represent the germ at the origin
-    if not converges_to_origin(I, fam.param, fam.x_ring, budget):
+    if not fam.certificate:
         details["certificate"] = False
         return INCONCLUSIVE, details
     return VIOLATION, details
 
 
-def zero_fiber_forces_origin_check(fam, samples=DEFAULT_SAMPLES, step_budget=None):
+def zero_fiber_forces_origin_check(fam, samples=DEFAULT_SAMPLES):
     """If every critical point of every member lies on its zero fiber
     (F vanishes on the critical locus), then each member's only critical
     point is the origin."""
-    budget = step_budget or fam.step_budget
-    I = fam.parametric_critical_ideal()
-    hypothesis = radical_membership(fam.F, I, budget)
+    hypothesis = radical_membership(fam.F, fam.parametric_critical_ideal, fam.step_budget)
     details = {"hypothesis": hypothesis, "samples": {}}
     if not hypothesis:
         return VACUOUS, details
     conclusion = True
     for t0 in samples:
-        t0 = Fraction(t0)
-        germ = fam.specialize(t0)
-        crit = germ.critical_ideal()
-        total = crit.colength(grevlex(fam.x_ring), budget)
-        if total == inf:
-            raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
-        if total == 0:
-            details["samples"][t0] = {"count": 0, "at_origin": True}
+        r = fam.report(t0)
+        if r.total_colength == 0:
+            details["samples"][r.t0] = {"count": 0, "at_origin": True}
             continue
-        count = distinct_point_count(crit, budget)
         at_origin = all(
-            _is_pure_power(univariate_eliminant(crit, v, budget)) for v in fam.x_ring
+            _is_pure_power(univariate_eliminant(r.critical_ideal, v, fam.step_budget))
+            for v in fam.x_ring
         )
-        details["samples"][t0] = {"count": count, "at_origin": at_origin}
-        conclusion = conclusion and count == 1 and at_origin
+        details["samples"][r.t0] = {"count": r.distinct_points, "at_origin": at_origin}
+        conclusion = conclusion and r.distinct_points == 1 and at_origin
     if conclusion:
         return VERIFIED, details
     # same caveat as the implication check: an affine extra critical point
     # refutes the germ statement only under the convergence certificate
-    if not converges_to_origin(I, fam.param, fam.x_ring, budget):
+    if not fam.certificate:
         details["certificate"] = False
         return INCONCLUSIVE, details
     return VIOLATION, details

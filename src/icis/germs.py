@@ -13,6 +13,7 @@ from math import inf
 from . import basis as _basis
 from .errors import (
     GenericityError,
+    InvalidInputError,
     NonIsolatedError,
     UnsupportedInputError,
     ZeroInputError,
@@ -51,10 +52,10 @@ class IcisPresentation:
         self.step_budget = step_budget
         n, p = len(self.ring), len(self.phi)
         if not 1 <= p <= n:
-            raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
+            raise InvalidInputError(f"need 1 <= p <= n, got p={p}, n={n}")
         for f in self.phi:
             if f.constant_term() != 0:
-                raise ValueError(f"{f} does not vanish at the origin")
+                raise InvalidInputError(f"{f} does not vanish at the origin")
         if check and self.singular_colength() == inf:
             raise NonIsolatedError("singular locus is not isolated at the origin")
 
@@ -92,7 +93,7 @@ class GermFunction:
     def __post_init__(self):
         self.f = self.f.in_ring(self.base.ring)
         if self.f.constant_term() != 0:
-            raise ValueError("function germ must vanish at the origin")
+            raise InvalidInputError("function germ must vanish at the origin")
 
     def critical_ideal(self):
         """<phi> plus the maximal minors of the Jacobian of (f, phi)."""
@@ -108,13 +109,13 @@ class LineDirection:
     def __post_init__(self):
         object.__setattr__(self, "v", tuple(Fraction(c) for c in self.v))
         if all(c == 0 for c in self.v):
-            raise ValueError("direction vector must be nonzero")
+            raise InvalidInputError("direction vector must be nonzero")
 
 
 def hypersurface_milnor(f, step_budget=_basis.DEFAULT_BUDGET):
     """Local colength of the ideal of all partials of f."""
     if f.constant_term() != 0:
-        raise ValueError("germ must vanish at the origin")
+        raise InvalidInputError("germ must vanish at the origin")
     partials = [f.diff(v) for v in f.ring]
     I = IdealPresentation(f.ring, partials)
     mu = I.colength(negdegrevlex(f.ring), step_budget)
@@ -135,7 +136,7 @@ def milnor_at_point(g, point, step_budget=_basis.DEFAULT_BUDGET):
     """Milnor number of g.f on V(phi) at a rational point of the variety."""
     point = {v: Fraction(c) for v, c in point.items()}
     if not g.base.contains(point):
-        raise ValueError(f"point {point} is not on the variety")
+        raise InvalidInputError(f"point {point} is not on the variety")
     base = g.base.translated(point)
     ring = g.base.ring
     shift = {v: Polynomial.variable(ring, v) + point.get(v, Fraction(0)) for v in ring}
@@ -230,7 +231,7 @@ def multiplicity(delta):
     if delta.is_zero():
         raise ZeroInputError("multiplicity of 0")
     if delta.constant_term() != 0:
-        raise ValueError("unit input: hypersurface must pass through the origin")
+        raise InvalidInputError("unit input: hypersurface must pass through the origin")
     return lowest_degree_form(delta).total_degree()
 
 
@@ -238,9 +239,9 @@ def line_intersection_number(delta, L):
     """Order of vanishing of delta along the parametrized line s -> s*v;
     +inf when the line lies inside the hypersurface."""
     if delta.constant_term() != 0:
-        raise ValueError("hypersurface must pass through the origin")
+        raise InvalidInputError("hypersurface must pass through the origin")
     if len(L.v) != len(delta.ring):
-        raise ValueError("direction dimension does not match the target ring")
+        raise InvalidInputError("direction dimension does not match the target ring")
     s_ring = ("s",)
     s = Polynomial.variable(s_ring, "s")
     comp = delta.subs({u: c * s for u, c in zip(delta.ring, L.v)}, target_ring=s_ring)

@@ -152,6 +152,8 @@ class _ExprParser:
                 den_tok = self.peek()
                 if den_tok.type != "INT":
                     self.fail("expected integer denominator")
+                if int(den_tok.value) == 0:
+                    self.fail("zero denominator")
                 self.take()
                 return Polynomial.constant(self.ring, Fraction(num, int(den_tok.value)))
             return Polynomial.constant(self.ring, num)
@@ -254,7 +256,7 @@ class _FileParser:
         elif word == "kind":
             self.kind_statement()
         elif word == "samples":
-            self.problem.samples = tuple(self.rational_list())
+            self.problem.samples = self.samples()
         elif word == "seed":
             self.problem.seed = int(self.expect("INT").value)
         elif word == "budget":
@@ -302,6 +304,18 @@ class _FileParser:
             out.append(self.rational())
         return out
 
+    def samples(self):
+        """Nonzero rationals: t = 0 is the base member itself."""
+        tok = self.peek()
+        samples = tuple(self.rational_list())
+        if 0 in samples:
+            raise ProblemSyntaxError(
+                "samples must be nonzero: t = 0 is the base member itself",
+                tok.line,
+                tok.column,
+            )
+        return samples
+
     def rational(self):
         sign = 1
         if self.peek().type == "-":
@@ -310,8 +324,10 @@ class _FileParser:
         num = int(self.expect("INT").value)
         if self.peek().type == "/":
             self.take()
-            den = int(self.expect("INT").value)
-            return Fraction(sign * num, den)
+            den_tok = self.expect("INT")
+            if int(den_tok.value) == 0:
+                self.fail("zero denominator", den_tok)
+            return Fraction(sign * num, int(den_tok.value))
         return Fraction(sign * num)
 
     def probe_statement(self, tok):
@@ -387,3 +403,12 @@ def parse_problem(text):
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     return _FileParser(tokenize(text)).parse()
+
+
+def parse_samples(text):
+    """A sample list in the problem-file grammar (``1, 1/2``), as given
+    to ``icis run --samples``."""
+    parser = _FileParser(tokenize(text))
+    samples = parser.samples()
+    parser.expect("EOF")
+    return samples

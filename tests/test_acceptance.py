@@ -96,7 +96,7 @@ def test_criterion_3_radical_membership_refuted(capsys):
 
     # independent certificate: the witness curve lies inside V(<phi> + J)
     # with y-component not identically zero, while dF/dt survives on it
-    I = fam.parametric_critical_ideal()
+    I = fam.parametric_critical_ideal
     for g in I.generators:
         assert probe.pullback(g).is_zero()
     assert not probe.components["y"].is_zero()

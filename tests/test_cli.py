@@ -9,9 +9,52 @@ from icis.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
+_CUSP_FAMILY = "ring t, x, y;\nparam t;\nkind family-analyze;\n"
+
+# bad inputs written to a temporary directory by test_input_errors_are_3
+INVALID_INPUTS = {
+    "milnor_unit.icis": "ring x, y;\nf = x^2 + y^2 + 1;\nkind milnor;\n",
+    "icis_milnor_unit.icis": "ring x, y;\nphi = x^2 + 1, y^2;\nkind icis-milnor;\n",
+    "function_milnor_unit.icis":
+        "ring x, y;\nphi = x^2 - y^3;\nf = x + 1;\nkind function-milnor;\n",
+    "family_unit_phi.icis": _CUSP_FAMILY + "phi = x^2 - y^3 + 1;\nF = x + t*y;\n",
+    "family_unit_F.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y + 1;\n",
+    "line_unit_delta.icis":
+        "ring u, v;\ndelta = u^2 + v^3 + 1;\ndirection 1, 0;\nkind generic-line;\n",
+    "line_zero_direction.icis":
+        "ring u, v;\ndelta = u^2 + v^3;\ndirection 0, 0;\nkind generic-line;\n",
+    "line_direction_length.icis":
+        "ring u, v;\ndelta = u^2 + v^3;\ndirection 1, 0, 1;\nkind generic-line;\n",
+    "samples_zero_denominator.icis":
+        _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y;\nsamples 1/0;\n",
+    "samples_zero.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y;\nsamples 1, 0;\n",
+    "budget_negative.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y;\nbudget -1;\n",
+}
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls to the named functions, wrapped in every icis module
+    that holds them."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in sys.modules.items() if n == "icis" or n.startswith("icis.")]
+    for name in names:
+        original = next(vars(m)[name] for m in modules if name in vars(m))
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
 
 def run_cli(*argv, capsys=None):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors, as the shell sees them
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -94,10 +137,31 @@ class TestExitCodes:
             ("bad_unbound.icis", "unbound-name"),
             ("bad_missing_param.icis", "missing-parameter"),
             ("nonisolated.icis", "non-isolated"),
+            ("milnor_unit.icis", "invalid-input"),
+            ("icis_milnor_unit.icis", "invalid-input"),
+            ("function_milnor_unit.icis", "invalid-input"),
+            ("family_unit_phi.icis", "invalid-input"),
+            ("family_unit_F.icis", "invalid-input"),
+            ("line_unit_delta.icis", "invalid-input"),
+            ("line_zero_direction.icis", "invalid-input"),
+            ("line_direction_length.icis", "invalid-input"),
+            ("samples_zero_denominator.icis", "syntax-error"),
+            ("samples_zero.icis", "syntax-error"),
+            ("budget_negative.icis", "syntax-error"),
+            ("ex43_23.icis --samples abc", "syntax-error"),
+            ("ex43_23.icis --samples 1/0", "syntax-error"),
+            ("ex43_23.icis --samples 1,0", "syntax-error"),
+            ("ex43_23.icis --budget -1", "usage"),
+            ("ex43_23.icis --budget abc", "usage"),
         ],
     )
-    def test_input_errors_are_3(self, capsys, name, code_fragment):
-        code, out, err = run_cli("run", str(FIXTURES / name), capsys=capsys)
+    def test_input_errors_are_3(self, tmp_path, capsys, name, code_fragment):
+        file, *flags = name.split()
+        path = FIXTURES / file
+        if file in INVALID_INPUTS:
+            path = tmp_path / file
+            path.write_text(INVALID_INPUTS[file])
+        code, out, err = run_cli("run", str(path), *flags, capsys=capsys)
         assert code == 3
         assert code_fragment in err
 
@@ -114,6 +178,34 @@ class TestExitCodes:
     def test_missing_file_is_3(self, capsys):
         code, _, err = run_cli("run", str(FIXTURES / "does_not_exist.icis"), capsys=capsys)
         assert code == 3
+
+
+class TestSinglePass:
+    def test_family_quantities_are_computed_once(self, monkeypatch, capsys):
+        counts = _count_calls(
+            monkeypatch,
+            ("converges_to_origin", "radical_membership", "function_on_icis_milnor"),
+        )
+        code, _, _ = run_cli("run", str(FIXTURES / "ex43_23.icis"), capsys=capsys)
+        assert code == 0
+        # one certificate each for the critical and the fiber-singular
+        # ideal; cond5, cond6 (stops at x) and the zero-fiber hypothesis
+        assert counts == {
+            "converges_to_origin": 2,
+            "radical_membership": 3,
+            "function_on_icis_milnor": 1,
+        }
+
+    def test_greuel_check_is_the_family_analyze_middle(self, capsys):
+        def greuel_block(out):
+            lines = out.splitlines()
+            start = next(i for i, l in enumerate(lines) if l.startswith("cond1_mu_constant:"))
+            end = next(i for i, l in enumerate(lines) if l.startswith("zero_fiber_forces_origin:"))
+            return lines[start:end + 1]
+
+        _, greuel, _ = run_cli("run", str(FIXTURES / "greuel_cusp.icis"), capsys=capsys)
+        _, analyze, _ = run_cli("run", str(FIXTURES / "ex43_23.icis"), capsys=capsys)
+        assert greuel_block(greuel) == greuel_block(analyze)
 
 
 class TestCheck:

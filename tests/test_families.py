@@ -113,6 +113,14 @@ class TestConvergenceCertificate:
         I = IdealPresentation(RING, (x - 1, y))
         assert not converges_to_origin(I, "t", ("x", "y"))
 
+    def test_branch_escaping_to_infinity_refused(self):
+        # the critical point x = -2/(3t) leaves every ball as t -> 0, yet
+        # the (t, x) eliminant x(2 + 3tx) still specializes to a pure power
+        fam = DeformationFamily.function_deformation(RING, "t", [y], x**2 + t * x**3)
+        assert not converges_to_origin(fam.parametric_critical_ideal, "t", ("x", "y"))
+        with pytest.raises(InconclusiveError):
+            conservation_check(fam)
+
     def test_conservation_requires_certificate(self):
         # critical points sit at x = +/- 1 for every t: totals are affine
         # only, so the conservation question is refused, not answered
