@@ -12,7 +12,15 @@ from .poly import (
     squarefree_part,
 )
 from .orders import elimination_order, grevlex, lex, negdegrevlex
-from .basis import StandardBasis, colength, complete_basis, is_zero_dimensional, normal_form, s_polynomial
+from .basis import (
+    StandardBasis,
+    colength,
+    complete_basis,
+    is_zero_dimensional,
+    normal_form,
+    s_polynomial,
+    step_budget,
+)
 from .ideals import (
     IdealPresentation,
     distinct_point_count,

@@ -2,13 +2,19 @@
 
 Global orders use Buchberger's algorithm with the product and chain
 criteria; local orders use Mora's weak normal form with ecart-minimal
-reducer selection (the tangent-cone algorithm).  Every reduction step
-counts against an explicit budget: running out raises, it never returns
-a truncated answer.
+reducer selection (the tangent-cone algorithm).
+
+Every reduction step counts against a step budget: running out raises
+``BudgetExhaustedError``, it never returns a truncated answer.  Inside a
+``with step_budget(limit):`` block every completion and normal form
+charges one shared budget, so the limit caps the whole block; outside
+any block each call gets a fresh budget of ``DEFAULT_BUDGET`` steps.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import inf
 
@@ -30,6 +36,27 @@ class _Budget:
             raise BudgetExhaustedError()
         self.remaining -= 1
         self.spent += 1
+
+
+_active_budget = ContextVar("icis_step_budget", default=None)
+
+
+@contextmanager
+def step_budget(limit=DEFAULT_BUDGET):
+    """Charge every reduction step inside the block to one budget of
+    ``limit`` steps; yields it (``.spent`` counts the steps so far).
+    The previous budget is restored on every exit path."""
+    budget = _Budget(limit)
+    token = _active_budget.set(budget)
+    try:
+        yield budget
+    finally:
+        _active_budget.reset(token)
+
+
+def _current_budget():
+    budget = _active_budget.get()
+    return _Budget(DEFAULT_BUDGET) if budget is None else budget
 
 
 @dataclass(frozen=True)
@@ -124,7 +151,7 @@ def _reduce_mora(f, gens, order, budget):
     return h
 
 
-def normal_form(f, sb, step_budget=DEFAULT_BUDGET):
+def normal_form(f, sb):
     """Normal form of f against a completed basis.
 
     Zero iff f lies in the ideal (the localized ideal for local orders,
@@ -133,16 +160,18 @@ def normal_form(f, sb, step_budget=DEFAULT_BUDGET):
         raise ValueError("normal form requires a completed basis")
     if f.is_zero() or not sb.generators:
         return f
-    budget = _Budget(step_budget)
+    budget = _current_budget()
     if sb.order.is_global:
         return _reduce_global(f, sb.generators, sb.order, budget)
     return _reduce_mora(f, sb.generators, sb.order, budget)
 
 
-def complete_basis(generators, order, step_budget=DEFAULT_BUDGET):
+def complete_basis(generators, order):
     """Run Buchberger (global) or the tangent-cone loop (local) to a
-    completed standard basis; the result is minimalized and monic."""
-    budget = _Budget(step_budget)
+    completed standard basis; the result is minimalized and monic.
+    ``steps_used`` counts the steps this completion spent."""
+    budget = _current_budget()
+    start = budget.spent
     reduce = _reduce_global if order.is_global else _reduce_mora
     G = []
     seen = set()
@@ -208,7 +237,7 @@ def complete_basis(generators, order, step_budget=DEFAULT_BUDGET):
     idx = sorted(range(len(G)), key=lambda i: order.key(lms[i]))
     G = [G[i] for i in idx]
     lms = [lms[i] for i in idx]
-    return StandardBasis(order, tuple(G), tuple(lms), True, budget.spent)
+    return StandardBasis(order, tuple(G), tuple(lms), True, budget.spent - start)
 
 
 def _minimal_indices(lms):
@@ -233,12 +262,15 @@ def staircase(sb):
 
 
 def is_zero_dimensional(sb):
-    """True iff the quotient is finite-dimensional: every variable occurs
-    to a pure power among the leading monomials."""
+    """True iff the quotient is finite-dimensional: the ideal is the
+    unit ideal, or every variable occurs to a pure power among the
+    leading monomials."""
     if not sb.completed:
         raise ValueError("requires a completed basis")
     n = len(sb.ring)
     gens = staircase(sb)
+    if (0,) * n in gens:
+        return True
     for i in range(n):
         if not any(m[i] > 0 and all(m[j] == 0 for j in range(n) if j != i) for m in gens):
             return False

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import inf
 
 from . import families as fam_mod
+from .basis import step_budget
 from .errors import (
     BudgetExhaustedError,
     IcisError,
@@ -87,30 +88,29 @@ def run_problem(problem):
         lines.append(f"{name}: {shown}")
         data.setdefault("bindings", {})[name] = [format_poly(p) for p in polys]
 
-    budget = problem.budget
     code = EXIT_OK
 
     if kind == "milnor":
         f = problem.bindings["f"][0]
-        mu = hypersurface_milnor(f, budget)
+        mu = hypersurface_milnor(f)
         lines.append(f"mu: {mu}  [local colength of the partial-derivative ideal]")
         data["mu"] = mu
 
     elif kind == "icis-milnor":
-        X = IcisPresentation(problem.ring, problem.bindings["phi"], budget)
-        mu = icis_milnor(X, seed=problem.seed, step_budget=budget)
+        X = IcisPresentation(problem.ring, problem.bindings["phi"])
+        mu = icis_milnor(X, seed=problem.seed)
         lines.append(f"mu: {mu}  [telescoped colength chain, seed {problem.seed}]")
         data["mu"] = mu
 
     elif kind == "function-milnor":
-        X = IcisPresentation(problem.ring, problem.bindings["phi"], budget)
+        X = IcisPresentation(problem.ring, problem.bindings["phi"])
         g = GermFunction(problem.bindings["f"][0], X)
-        mu = function_on_icis_milnor(g, budget)
+        mu = function_on_icis_milnor(g)
         lines.append(f"mu: {mu}  [local colength of <phi> + J(f, phi)]")
         data["mu"] = mu
 
     elif kind == "discriminant":
-        d = discriminant(problem.bindings["phi"], budget)
+        d = discriminant(problem.bindings["phi"])
         lines.append(f"discriminant: {format_poly(d)}  [reduced eliminant of the "
                      "graph-plus-critical ideal]")
         data["discriminant"] = format_poly(d)
@@ -141,12 +141,9 @@ def _family(problem):
         x_ring = tuple(v for v in problem.ring if v != problem.param)
         phi_x = [p.in_ring(x_ring) for p in phi]
         return DeformationFamily.function_deformation(
-            problem.ring, problem.param, phi_x, problem.bindings["F"][0],
-            problem.budget,
+            problem.ring, problem.param, phi_x, problem.bindings["F"][0]
         )
-    return DeformationFamily.space_deformation(
-        problem.ring, problem.param, phi, problem.budget
-    )
+    return DeformationFamily.space_deformation(problem.ring, problem.param, phi)
 
 
 def _run_family_analyze(problem, lines, data):
@@ -314,7 +311,8 @@ def main(argv=None):
 
     started = time.monotonic()
     try:
-        lines, data, code = run_problem(problem)
+        with step_budget(problem.budget) as budget:
+            lines, data, code = run_problem(problem)
     except BudgetExhaustedError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -331,6 +329,7 @@ def main(argv=None):
     if args.emit_json:
         print(json.dumps(_jsonable(data), sort_keys=True))
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+    print(f"steps: {budget.spent}", file=sys.stderr)
     return code
 
 

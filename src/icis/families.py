@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import inf
 
-from . import basis as _basis
 from .errors import InconclusiveError, InvalidInputError, NonIsolatedError
 from .germs import GermFunction, IcisPresentation, function_on_icis_milnor, icis_milnor
 from .ideals import (
@@ -24,9 +23,9 @@ from .ideals import (
     elimination_ideal,
     jacobian_matrix,
     maximal_minors,
+    radical_eliminant,
     radical_membership,
     relative_jacobian_ideal,
-    univariate_eliminant,
 )
 from .orders import grevlex, negdegrevlex
 from .poly import Polynomial, order_of_vanishing
@@ -49,9 +48,9 @@ class DeformationFamily:
     deforming the ICIS itself; specializing at t = 0 reproduces the base.
 
     The quantities the checks share are computed once, on first use,
-    under ``step_budget``: the parametric critical ideal and its minors,
-    the convergence certificate, mu at t = 0, cond5, cond6, and one
-    critical-locus report per sample (``report``)."""
+    under the step budget active then: the parametric critical ideal and
+    its minors, the convergence certificate, mu at t = 0, cond5, cond6,
+    and one critical-locus report per sample (``report``)."""
 
     ring: tuple
     param: str
@@ -59,7 +58,6 @@ class DeformationFamily:
     base: IcisPresentation
     F: Polynomial = None
     Phi: tuple = None
-    step_budget: int = _basis.DEFAULT_BUDGET
     reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -67,28 +65,28 @@ class DeformationFamily:
         return tuple(v for v in self.ring if v != self.param)
 
     @classmethod
-    def function_deformation(cls, ring, param, phi, F, step_budget=_basis.DEFAULT_BUDGET):
+    def function_deformation(cls, ring, param, phi, F):
         ring = tuple(ring)
         if param not in ring:
             raise InvalidInputError(f"parameter {param!r} not in ring {ring}")
         x_ring = tuple(v for v in ring if v != param)
-        base = IcisPresentation(x_ring, [p.in_ring(x_ring) for p in phi], step_budget)
+        base = IcisPresentation(x_ring, [p.in_ring(x_ring) for p in phi])
         F = F.in_ring(ring)
-        fam = cls(ring, param, FUNCTION, base, F=F, step_budget=step_budget)
+        fam = cls(ring, param, FUNCTION, base, F=F)
         # the base member at t = 0 must be a genuine germ
         fam.specialize(0)
         return fam
 
     @classmethod
-    def space_deformation(cls, ring, param, Phi, step_budget=_basis.DEFAULT_BUDGET):
+    def space_deformation(cls, ring, param, Phi):
         ring = tuple(ring)
         if param not in ring:
             raise InvalidInputError(f"parameter {param!r} not in ring {ring}")
         x_ring = tuple(v for v in ring if v != param)
         Phi = tuple(p.in_ring(ring) for p in Phi)
         phi0 = [p.subs({param: 0}, target_ring=x_ring) for p in Phi]
-        base = IcisPresentation(x_ring, phi0, step_budget)
-        return cls(ring, param, SPACE, base, Phi=Phi, step_budget=step_budget)
+        base = IcisPresentation(x_ring, phi0)
+        return cls(ring, param, SPACE, base, Phi=Phi)
 
     def specialize(self, t0):
         """Exact substitution t -> t0."""
@@ -119,28 +117,24 @@ class DeformationFamily:
     def certificate(self):
         """Convergence certificate of the parametric critical ideal; it
         does not depend on the sample."""
-        return converges_to_origin(
-            self.parametric_critical_ideal, self.param, self.x_ring, self.step_budget
-        )
+        return converges_to_origin(self.parametric_critical_ideal, self.param, self.x_ring)
 
     @cached_property
     def mu0(self):
         """Milnor number of the base member f_0 on the base ICIS."""
-        return function_on_icis_milnor(self.specialize(0), self.step_budget)
+        return function_on_icis_milnor(self.specialize(0))
 
     @cached_property
     def cond5(self):
         """dF/dt lies in the radical of <phi> + J."""
-        return radical_membership(
-            self.F.diff(self.param), self.parametric_critical_ideal, self.step_budget
-        )
+        return radical_membership(self.F.diff(self.param), self.parametric_critical_ideal)
 
     @cached_property
     def cond6(self):
         """The zero set of <phi> + J is the parameter axis."""
         I = self.parametric_critical_ideal
         return all(
-            radical_membership(Polynomial.variable(self.ring, xv), I, self.step_budget)
+            radical_membership(Polynomial.variable(self.ring, xv), I)
             for xv in self.x_ring
         ) and all(
             g.subs({xv: 0 for xv in self.x_ring}, target_ring=self.ring).is_zero()
@@ -244,23 +238,18 @@ class SplittingReport:
     reason: str
 
 
-def _is_pure_power(g):
-    """c * x^k for some k >= 0 (a single term)."""
-    return not g.is_zero() and len(g.terms) == 1
-
-
-def converges_to_origin(parametric_ideal, param, x_vars, step_budget=_basis.DEFAULT_BUDGET):
+def converges_to_origin(parametric_ideal, param, x_vars):
     """Certificate that every point of the parametric locus collapses to
     the origin as the parameter goes to 0: for each coordinate x_i, some
     generator g of the eliminant in (t, x_i) specializes at t = 0 to a
     nonzero pure power of x_i of the full x_i-degree of g, so the roots
     of g(t, x_i) stay bounded and no branch escapes to infinity."""
     for xv in x_vars:
-        E = elimination_ideal(parametric_ideal, [param, xv], step_budget)
+        E = elimination_ideal(parametric_ideal, [param, xv])
         i = E.ring.index(xv)
         for g in E.generators:
             g0 = g.subs({param: 0}, target_ring=(xv,))
-            if _is_pure_power(g0) and g0.total_degree() == max(e[i] for e in g.terms):
+            if len(g0.terms) == 1 and g0.total_degree() == max(e[i] for e in g.terms):
                 break
         else:
             return False
@@ -270,14 +259,13 @@ def converges_to_origin(parametric_ideal, param, x_vars, step_budget=_basis.DEFA
 def critical_locus_report(fam, t0):
     """Exact accounting of the critical locus of the member at t0;
     ``fam.report(t0)`` keeps one per sample."""
-    budget = fam.step_budget
     t0 = Fraction(t0)
     I = fam.specialize(t0).critical_ideal()
-    total = I.colength(grevlex(fam.x_ring), budget)
+    total = I.colength(grevlex(fam.x_ring))
     if total == inf:
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
-    local = I.colength(negdegrevlex(fam.x_ring), budget)
-    distinct = distinct_point_count(I, budget) if total > 0 else 0
+    local = I.colength(negdegrevlex(fam.x_ring))
+    distinct = distinct_point_count(I)
     return CriticalLocusReport(t0, I, total, local, distinct, fam.certificate)
 
 
@@ -294,26 +282,15 @@ def conservation_check(fam, samples=DEFAULT_SAMPLES):
     return all(r.total_colength == mu0 for r in reports)
 
 
-def _rational_point_from_eliminants(I, step_budget):
+def _rational_point_from_eliminants(I):
     """Coordinates of the unique point of a zero-dimensional variety with
-    exactly one distinct point: each squarefree eliminant is linear."""
+    exactly one distinct point: each radical eliminant is linear, v - c."""
     point = {}
     for v in I.ring:
-        g = univariate_eliminant(I, v, step_budget)
-        from .ideals import _squarefree_univariate
-
-        g = _squarefree_univariate(g)
+        g = radical_eliminant(I, v)
         if g.total_degree() != 1:
             return None
-        # c1 * v + c0 = 0
-        i = g.ring.index(v)
-        c1 = c0 = Fraction(0)
-        for e, c in g.terms.items():
-            if e[i] == 1:
-                c1 = c
-            else:
-                c0 = c
-        point[v] = -c0 / c1
+        point[v] = -g.constant_term()
     return point
 
 
@@ -326,7 +303,7 @@ def _fiber_presentation(fam, t0):
     return fam.specialize(t0)
 
 
-def _total_on_fiber(jac_gens, f, ring, step_budget):
+def _total_on_fiber(jac_gens, f, ring):
     """Sum of local colengths of <jac_gens> over the points of the fiber
     f = 0 only: adjoin rising powers of f until the colength stabilizes,
     which kills the primary components at points off the fiber."""
@@ -335,7 +312,7 @@ def _total_on_fiber(jac_gens, f, ring, step_budget):
     prev = None
     power = f
     for _ in range(64):
-        c = base.plus([power]).colength(order, step_budget)
+        c = base.plus([power]).colength(order)
         if c == inf:
             raise NonIsolatedError("fiber total is not finite")
         if c == prev:
@@ -349,17 +326,11 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
     """No-coalescence check: when the total fiber Milnor number stays
     equal to the base value, there must be exactly one singular point
     and it must carry the full Milnor number."""
-    budget = fam.step_budget
     x_ring = fam.x_ring
     order = grevlex(x_ring)
 
-    base_eqs = _fiber_presentation(fam, 0)
-    base_pres = IcisPresentation(x_ring, base_eqs, budget)
-    base_mu = icis_milnor(base_pres, step_budget=budget)
-
-    conv = converges_to_origin(
-        fam.parametric_fiber_singular_ideal(), fam.param, x_ring, budget
-    )
+    base_mu = icis_milnor(IcisPresentation(x_ring, _fiber_presentation(fam, 0)))
+    conv = converges_to_origin(fam.parametric_fiber_singular_ideal(), fam.param, x_ring)
 
     results = []
     inconclusive = False
@@ -368,27 +339,25 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
         eqs = _fiber_presentation(fam, t0)
         minors = maximal_minors(jacobian_matrix(eqs, list(x_ring)))
         sing = IdealPresentation(x_ring, list(eqs) + minors)
-        c = sing.colength(order, budget)
+        c = sing.colength(order)
         if c == inf:
             raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
         if c == 0:
             results.append(SplittingSample(t0, 0, 0, None, None))
             continue
-        count = distinct_point_count(sing, budget)
+        count = distinct_point_count(sing)
         total = point = point_mu = None
         if fam.kind == SPACE and len(fam.Phi) == 1:
             # hypersurface family: affine Jacobian colength restricted
             # to the zero fiber
             phi_t = eqs[0]
             jac = [phi_t.diff(v) for v in x_ring]
-            total = _total_on_fiber(jac, phi_t, x_ring, budget)
+            total = _total_on_fiber(jac, phi_t, x_ring)
         if count == 1:
-            point = _rational_point_from_eliminants(sing, budget)
+            point = _rational_point_from_eliminants(sing)
             if point is not None and all(g.eval(point) == 0 for g in eqs):
-                shifted = IcisPresentation(x_ring, eqs, budget).translated(point)
-                point_mu = icis_milnor(
-                    IcisPresentation(x_ring, shifted.phi, budget), step_budget=budget
-                )
+                shifted = IcisPresentation(x_ring, eqs).translated(point)
+                point_mu = icis_milnor(IcisPresentation(x_ring, shifted.phi))
                 if total is None:
                     total = point_mu
         if total is None:
@@ -488,7 +457,7 @@ def zero_fiber_forces_origin_check(fam, samples=DEFAULT_SAMPLES):
     """If every critical point of every member lies on its zero fiber
     (F vanishes on the critical locus), then each member's only critical
     point is the origin."""
-    hypothesis = radical_membership(fam.F, fam.parametric_critical_ideal, fam.step_budget)
+    hypothesis = radical_membership(fam.F, fam.parametric_critical_ideal)
     details = {"hypothesis": hypothesis, "samples": {}}
     if not hypothesis:
         return VACUOUS, details
@@ -499,7 +468,7 @@ def zero_fiber_forces_origin_check(fam, samples=DEFAULT_SAMPLES):
             details["samples"][r.t0] = {"count": 0, "at_origin": True}
             continue
         at_origin = all(
-            _is_pure_power(univariate_eliminant(r.critical_ideal, v, fam.step_budget))
+            radical_eliminant(r.critical_ideal, v) == Polynomial.variable((v,), v)
             for v in fam.x_ring
         )
         details["samples"][r.t0] = {"count": r.distinct_points, "at_origin": at_origin}

@@ -44,12 +44,10 @@ class IcisPresentation:
 
     ring: tuple
     phi: tuple
-    step_budget: int = _basis.DEFAULT_BUDGET
 
-    def __init__(self, ring, phi, step_budget=_basis.DEFAULT_BUDGET, check=True):
+    def __init__(self, ring, phi, check=True):
         self.ring = tuple(ring)
         self.phi = tuple(p.in_ring(self.ring) for p in phi)
-        self.step_budget = step_budget
         n, p = len(self.ring), len(self.phi)
         if not 1 <= p <= n:
             raise InvalidInputError(f"need 1 <= p <= n, got p={p}, n={n}")
@@ -68,7 +66,7 @@ class IcisPresentation:
         return IdealPresentation(self.ring, list(self.phi) + minors)
 
     def singular_colength(self):
-        return self.singular_ideal().colength(negdegrevlex(self.ring), self.step_budget)
+        return self.singular_ideal().colength(negdegrevlex(self.ring))
 
     def contains(self, point):
         return all(p.eval(point) == 0 for p in self.phi)
@@ -80,7 +78,7 @@ class IcisPresentation:
             for v in self.ring
         }
         moved = [p.subs(shift, target_ring=self.ring) for p in self.phi]
-        return IcisPresentation(self.ring, moved, self.step_budget, check=False)
+        return IcisPresentation(self.ring, moved, check=False)
 
 
 @dataclass
@@ -112,27 +110,27 @@ class LineDirection:
             raise InvalidInputError("direction vector must be nonzero")
 
 
-def hypersurface_milnor(f, step_budget=_basis.DEFAULT_BUDGET):
+def hypersurface_milnor(f):
     """Local colength of the ideal of all partials of f."""
     if f.constant_term() != 0:
         raise InvalidInputError("germ must vanish at the origin")
     partials = [f.diff(v) for v in f.ring]
     I = IdealPresentation(f.ring, partials)
-    mu = I.colength(negdegrevlex(f.ring), step_budget)
+    mu = I.colength(negdegrevlex(f.ring))
     if mu == inf:
         raise NonIsolatedError(f"non-isolated singularity: {f}")
     return mu
 
 
-def function_on_icis_milnor(g, step_budget=_basis.DEFAULT_BUDGET):
+def function_on_icis_milnor(g):
     """dim of O_n / (<phi> + J(f, phi)) in the local ring at 0."""
-    mu = g.critical_ideal().colength(negdegrevlex(g.base.ring), step_budget)
+    mu = g.critical_ideal().colength(negdegrevlex(g.base.ring))
     if mu == inf:
         raise NonIsolatedError("function has non-isolated singularity on the ICIS")
     return mu
 
 
-def milnor_at_point(g, point, step_budget=_basis.DEFAULT_BUDGET):
+def milnor_at_point(g, point):
     """Milnor number of g.f on V(phi) at a rational point of the variety."""
     point = {v: Fraction(c) for v, c in point.items()}
     if not g.base.contains(point):
@@ -142,7 +140,7 @@ def milnor_at_point(g, point, step_budget=_basis.DEFAULT_BUDGET):
     shift = {v: Polynomial.variable(ring, v) + point.get(v, Fraction(0)) for v in ring}
     f_moved = g.f.subs(shift, target_ring=ring)
     f_moved = f_moved - f_moved.constant_term()
-    return function_on_icis_milnor(GermFunction(f_moved, base), step_budget)
+    return function_on_icis_milnor(GermFunction(f_moved, base))
 
 
 def _recombine(phi, rng):
@@ -159,7 +157,7 @@ def _recombine(phi, rng):
     return out
 
 
-def icis_milnor(X, seed=0, step_budget=_basis.DEFAULT_BUDGET):
+def icis_milnor(X, seed=0):
     """Milnor number of an ICIS via the telescoped colength chain:
     mu(X_{k-1}) + mu(X_k) = colength(<phi_1..phi_{k-1}> + minors of the
     Jacobian of (phi_1..phi_k)), starting from mu(C^n) = 0.
@@ -172,7 +170,7 @@ def icis_milnor(X, seed=0, step_budget=_basis.DEFAULT_BUDGET):
     for attempt in range(MAX_RECOMBINATION_RETRIES + 1):
         phi = list(X.phi) if attempt == 0 else _recombine(list(X.phi), rng)
         try:
-            return _chain_milnor(phi, X.ring, step_budget)
+            return _chain_milnor(phi, X.ring)
         except GenericityError as exc:
             last_failure = exc
     raise GenericityError(
@@ -180,12 +178,12 @@ def icis_milnor(X, seed=0, step_budget=_basis.DEFAULT_BUDGET):
     )
 
 
-def _chain_milnor(phi, ring, step_budget):
+def _chain_milnor(phi, ring):
     mu = 0
     for k in range(1, len(phi) + 1):
         minors = maximal_minors(jacobian_matrix(phi[:k], list(ring)))
         I = IdealPresentation(ring, phi[: k - 1] + minors)
-        c = I.colength(negdegrevlex(ring), step_budget)
+        c = I.colength(negdegrevlex(ring))
         if c == inf:
             raise GenericityError(f"infinite colength at chain stage {k}")
         mu = c - mu
@@ -198,7 +196,7 @@ def _target_ring(p):
     return tuple(f"u{i+1}" for i in range(p))
 
 
-def discriminant(phis, step_budget=_basis.DEFAULT_BUDGET):
+def discriminant(phis):
     """Reduced equation of the discriminant: image of the critical set
     of the map phi, computed by eliminating the source variables from
     the graph-plus-critical ideal."""
@@ -215,14 +213,14 @@ def discriminant(phis, step_budget=_basis.DEFAULT_BUDGET):
         Polynomial.variable(big, u) - f.in_ring(big) for u, f in zip(targets, phis)
     ] + [m.in_ring(big) for m in minors]
     I = IdealPresentation(big, gens)
-    E = elimination_ideal(I, targets, step_budget)
+    E = elimination_ideal(I, targets)
     gens = [g for g in E.generators if not g.is_zero()]
     if not gens:
         raise UnsupportedInputError("discriminant eliminant is zero: not a hypersurface")
-    sb = _basis.complete_basis(gens, grevlex(targets), step_budget)
+    sb = _basis.complete_basis(gens, grevlex(targets))
     if len(sb.generators) != 1:
         raise UnsupportedInputError("discriminant eliminant is not principal")
-    return squarefree_part(sb.generators[0], step_budget)
+    return squarefree_part(sb.generators[0])
 
 
 def multiplicity(delta):

@@ -30,16 +30,16 @@ class IdealPresentation:
         self.generators = tuple(gens)
         self._cache = {}
 
-    def basis(self, order, step_budget=_basis.DEFAULT_BUDGET):
+    def basis(self, order):
         key = (order.kind, getattr(order, "eliminate", None))
         hit = self._cache.get(key)
         if hit is None:
-            hit = _basis.complete_basis(self.generators, order, step_budget)
+            hit = _basis.complete_basis(self.generators, order)
             self._cache[key] = hit
         return hit
 
-    def colength(self, order, step_budget=_basis.DEFAULT_BUDGET):
-        return _basis.colength(self.basis(order, step_budget))
+    def colength(self, order):
+        return _basis.colength(self.basis(order))
 
     def plus(self, extra):
         return IdealPresentation(self.ring, list(self.generators) + list(extra))
@@ -102,7 +102,7 @@ def relative_jacobian_ideal(F, phis, t):
     return IdealPresentation(ring, minors)
 
 
-def elimination_ideal(I, keep, step_budget=_basis.DEFAULT_BUDGET):
+def elimination_ideal(I, keep):
     """Generators of the intersection of I with the subring in the kept
     variables, presented over the kept-variable ring."""
     keep = [v for v in I.ring if v in set(keep)]
@@ -110,7 +110,7 @@ def elimination_ideal(I, keep, step_budget=_basis.DEFAULT_BUDGET):
     if not eliminate:
         return IdealPresentation(keep, list(I.generators))
     order = elimination_order(I.ring, eliminate)
-    sb = I.basis(order, step_budget)
+    sb = I.basis(order)
     kept = [
         g.in_ring(tuple(keep))
         for g in sb.generators
@@ -119,7 +119,7 @@ def elimination_ideal(I, keep, step_budget=_basis.DEFAULT_BUDGET):
     return IdealPresentation(tuple(keep), kept)
 
 
-def radical_membership(f, I, step_budget=_basis.DEFAULT_BUDGET):
+def radical_membership(f, I):
     """f in the radical of I, i.e. f vanishes on V(I) over the closure.
 
     Decided by adjoining a fresh variable z and testing whether
@@ -134,50 +134,40 @@ def radical_membership(f, I, step_budget=_basis.DEFAULT_BUDGET):
     one = Polynomial.constant(big, 1)
     gens = [g.in_ring(big) for g in I.generators]
     gens.append(one - z * f.in_ring(big))
-    sb = _basis.complete_basis(gens, grevlex(big), step_budget)
+    sb = _basis.complete_basis(gens, grevlex(big))
     return any(g.is_constant() and not g.is_zero() for g in sb.generators)
 
 
-def univariate_eliminant(I, var, step_budget=_basis.DEFAULT_BUDGET):
+def univariate_eliminant(I, var):
     """Generator of the elimination ideal of I in the single variable
-    ``var``; zero polynomial when the elimination ideal is trivial."""
-    E = elimination_ideal(I, [var], step_budget)
+    ``var``; zero polynomial when the elimination ideal is trivial.  The
+    reduced basis holds at most one generator in ``var`` alone."""
+    E = elimination_ideal(I, [var])
     if not E.generators:
         return Polynomial.zero((var,))
-    g = E.generators[0]
-    for h in E.generators[1:]:
-        g = poly_gcd(g, h, step_budget)
-    return g
+    return E.generators[0]
 
 
-def _squarefree_univariate(g):
-    d = None
-    for v in g.ring:
-        dv = g.diff(v)
-        if not dv.is_zero():
-            d = dv
-    if d is None:
+def radical_eliminant(I, var):
+    """Monic generator of the radical of the elimination ideal of I in
+    ``var``: the eliminant g divided by gcd(g, g'); zero when the
+    elimination ideal is trivial."""
+    g = univariate_eliminant(I, var)
+    if g.is_zero():
         return g
-    return divexact(g, poly_gcd(g, d))
+    return divexact(g, poly_gcd(g, g.diff(var)))
 
 
-def distinct_point_count(I, step_budget=_basis.DEFAULT_BUDGET):
+def distinct_point_count(I):
     """Number of distinct points of V(I) over the algebraic closure.
 
-    Adjoins the squarefree part of each per-variable eliminant (the
-    zero-dimensional radical over a perfect field) and takes the
-    colength of the result."""
-    sb = I.basis(grevlex(I.ring), step_budget)
-    if not _basis.is_zero_dimensional(sb):
-        raise NonIsolatedError("distinct_point_count needs a zero-dimensional ideal")
-    extra = []
-    for v in I.ring:
-        g = univariate_eliminant(I, v, step_budget)
-        if g.is_zero():
-            raise NonIsolatedError(f"trivial eliminant in {v!r}")
-        extra.append(_squarefree_univariate(g).in_ring(I.ring))
-    rad = I.plus(extra)
-    c = rad.colength(grevlex(I.ring), step_budget)
+    Adjoins the radical eliminant of each variable (the zero-dimensional
+    radical over a perfect field) and takes the colength of the result."""
+    order = grevlex(I.ring)
+    c = I.colength(order)
     if c == inf:
-        raise NonIsolatedError("radical not zero-dimensional")
-    return c
+        raise NonIsolatedError("distinct_point_count needs a zero-dimensional ideal")
+    if c == 0:
+        return 0
+    extra = [radical_eliminant(I, v).in_ring(I.ring) for v in I.ring]
+    return I.plus(extra).colength(order)

@@ -358,7 +358,7 @@ def _poly_rem_univariate(a, b, i):
     return r
 
 
-def gcd(f, g, step_budget=10**6):
+def gcd(f, g):
     """Multivariate gcd over the rationals.
 
     Univariate inputs use the Euclidean algorithm; the general case goes
@@ -388,7 +388,7 @@ def gcd(f, g, step_budget=10**6):
     one = Polynomial.constant(big, 1)
     gens = [w * f.in_ring(big), (one - w) * g.in_ring(big)]
     order = elimination_order(big, [tag])
-    sb = _basis.complete_basis(gens, order, step_budget)
+    sb = _basis.complete_basis(gens, order)
     candidates = [p for p in sb.generators if tag not in p.variables_used()]
     if not candidates:
         raise ValueError("lcm elimination returned no generator")
@@ -404,7 +404,7 @@ def _monic(f):
     return f * (1 / lc)
 
 
-def squarefree_part(f, step_budget=10**6):
+def squarefree_part(f):
     """Generator of the radical of <f>: f divided by gcd(f, all partials),
     leading coefficient normalized to 1 under grevlex.  Valid over a
     field of characteristic zero."""
@@ -414,5 +414,5 @@ def squarefree_part(f, step_budget=10**6):
     for v in sorted(f.variables_used()):
         d = f.diff(v)
         if not d.is_zero():
-            g = gcd(g, d, step_budget)
+            g = gcd(g, d)
     return _monic(divexact(f, g))

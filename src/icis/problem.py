@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .basis import DEFAULT_BUDGET
 from .errors import MissingParameterError, ProblemSyntaxError, UnboundNameError
 from .poly import Polynomial
 
@@ -210,7 +211,7 @@ class ProblemFile:
     bindings: dict = field(default_factory=dict)
     samples: tuple = (Fraction(1), Fraction(1, 2))
     seed: int = 0
-    budget: int = 10**6
+    budget: int = DEFAULT_BUDGET
     direction: tuple = None
     probes: list = field(default_factory=list)
 

@@ -12,6 +12,7 @@ from icis.basis import (
     normal_form,
     staircase,
     staircase_colength_bruteforce,
+    step_budget,
 )
 from icis.errors import BudgetExhaustedError
 from icis.orders import grevlex, negdegrevlex
@@ -49,8 +50,29 @@ class TestCompleteBasis:
             a * b * c + b * c * d + c * d * a + d * a * b,
             a * b * c * d - 1,
         ]
-        with pytest.raises(BudgetExhaustedError):
-            complete_basis(gens, grevlex(R4), step_budget=10)
+        with step_budget(10), pytest.raises(BudgetExhaustedError):
+            complete_basis(gens, grevlex(R4))
+
+    def test_step_budget_is_shared_by_the_block(self):
+        gens = [x**3 - 2 * x * y, x**2 * y - 2 * y**2 + x]
+        alone = complete_basis(gens, grevlex(R)).steps_used
+        assert alone > 0
+        with step_budget() as budget:
+            first = complete_basis(gens, grevlex(R))
+            second = complete_basis(gens, grevlex(R))
+        # each completion reports its own steps; the block charges both
+        assert first.steps_used == second.steps_used == alone
+        assert budget.spent == 2 * alone
+        with step_budget(2 * alone - 1), pytest.raises(BudgetExhaustedError):
+            complete_basis(gens, grevlex(R))
+            complete_basis(gens, grevlex(R))
+
+    def test_step_budget_is_reset_on_exit(self):
+        gens = [x**3 - 2 * x * y, x**2 * y - 2 * y**2 + x]
+        with pytest.raises(BudgetExhaustedError), step_budget(0):
+            complete_basis(gens, grevlex(R))
+        # no exhausted budget is left behind for calls outside the block
+        assert complete_basis(gens, grevlex(R)).completed
 
     def test_deterministic(self):
         gens = [x**3 - 2 * x * y, x**2 * y - 2 * y**2 + x]

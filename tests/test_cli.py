@@ -268,6 +268,30 @@ class TestFlags:
         assert "budget-exhausted" in err
 
 
+class TestRunBudget:
+    @staticmethod
+    def steps(err):
+        return int(next(l for l in err.splitlines() if l.startswith("steps: "))[7:])
+
+    def test_budget_caps_the_whole_run(self, capsys):
+        path = str(FIXTURES / "ex43_23.icis")
+        code, out, err = run_cli("run", path, capsys=capsys)
+        assert code == 0
+        assert "steps" not in out
+        n = self.steps(err)
+        assert n > 0
+        code, _, err = run_cli("run", path, "--budget", str(n), capsys=capsys)
+        assert code == 0
+        assert self.steps(err) == n
+        code, _, err = run_cli("run", path, "--budget", str(n - 1), capsys=capsys)
+        assert code == 4
+        assert "budget-exhausted" in err
+        # the exhausted budget does not leak into the next in-process run
+        code, _, err = run_cli("run", path, capsys=capsys)
+        assert code == 0
+        assert self.steps(err) == n
+
+
 class TestDeterminism:
     def test_stdout_is_byte_identical_across_runs(self, capsys):
         results = []

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from icis.basis import complete_basis, normal_form
+from icis.basis import complete_basis, is_zero_dimensional, normal_form
 from icis.errors import NonIsolatedError
 from icis.ideals import (
     IdealPresentation,
@@ -11,6 +11,7 @@ from icis.ideals import (
     elimination_ideal,
     jacobian_matrix,
     maximal_minors,
+    radical_eliminant,
     radical_membership,
     relative_jacobian_ideal,
     univariate_eliminant,
@@ -141,6 +142,32 @@ class TestDistinctPoints:
         I = IdealPresentation(R, (x,))
         with pytest.raises(NonIsolatedError):
             distinct_point_count(I)
+
+    def test_unit_ideal_has_no_points(self):
+        I = IdealPresentation(R, (x - 1, x))
+        assert is_zero_dimensional(I.basis(grevlex(R)))
+        assert I.colength(grevlex(R)) == 0
+        assert distinct_point_count(I) == 0
+
+
+class TestRadicalEliminant:
+    # the eliminants live in the one-variable rings
+    X = Polynomial.variable(("x",), "x")
+    Y = Polynomial.variable(("y",), "y")
+
+    def test_repeated_roots_count_once(self):
+        # x-eliminant x^2 (x - 1)^3 has the radical x^2 - x
+        I = IdealPresentation(R, (x**2 * (x - 1) ** 3, y**2))
+        assert radical_eliminant(I, "x") == self.X**2 - self.X
+        assert radical_eliminant(I, "y") == self.Y
+
+    def test_single_point_is_linear(self):
+        I = IdealPresentation(R, ((2 * x - 1) ** 2, (y + 3) ** 3))
+        assert radical_eliminant(I, "x") == self.X - Fraction(1, 2)
+        assert radical_eliminant(I, "y") == self.Y + 3
+
+    def test_trivial_elimination_ideal(self):
+        assert radical_eliminant(IdealPresentation(R, (x,)), "y").is_zero()
 
 
 class TestIdealPresentation:
