@@ -4,8 +4,8 @@
 computes the problem described in FILE and prints a deterministic
 report; ``icis check FILE`` only parses and validates.
 
-Exit codes: 0 computed (including VACUOUS verdicts), 2 inconclusive,
-3 input error, 4 budget exhausted.
+Exit codes: 0 computed (including VACUOUS verdicts), 2 some printed
+verdict is INCONCLUSIVE, 3 input error, 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ def run_problem(problem):
         code = _run_family_analyze(problem, lines, data)
 
     elif kind == "greuel-check":
-        _run_greuel(_family(problem), problem, lines, data)
+        if _run_greuel(_family(problem), problem, lines, data):
+            code = EXIT_INCONCLUSIVE
 
     return lines, data, code
 
@@ -181,7 +182,8 @@ def _run_family_analyze(problem, lines, data):
             lines.append("conservation: INCONCLUSIVE  [no convergence certificate]")
             data["conservation"] = None
             code = EXIT_INCONCLUSIVE
-        _run_greuel(fam, problem, lines, data)
+        if _run_greuel(fam, problem, lines, data):
+            code = EXIT_INCONCLUSIVE
 
     split = splitting_check(fam, samples)
     lines.append(
@@ -214,7 +216,8 @@ def _run_family_analyze(problem, lines, data):
 
 def _run_greuel(fam, problem, lines, data):
     """Condition flags, probe evidence and the two theorem checks: the
-    whole greuel-check report and the function part of family-analyze."""
+    whole greuel-check report and the function part of family-analyze.
+    Returns whether a printed verdict is INCONCLUSIVE."""
     probes = [CurveProbe(components) for components in problem.probes]
     rep = greuel_conditions(fam, probes=probes, samples=problem.samples)
     lines.append(f"cond1_mu_constant: {rep.cond1_mu_constant}  "
@@ -255,6 +258,7 @@ def _run_greuel(fam, problem, lines, data):
     c41, c41d = zero_fiber_forces_origin_check(fam, problem.samples)
     lines.append(f"zero_fiber_forces_origin: {c41}")
     data["zero_fiber_forces_origin"] = {"verdict": c41, "details": _jsonable(c41d)}
+    return fam_mod.INCONCLUSIVE in (t44, c41)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

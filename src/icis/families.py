@@ -16,7 +16,13 @@ from functools import cached_property
 from math import inf
 
 from .errors import InconclusiveError, InvalidInputError, NonIsolatedError
-from .germs import GermFunction, IcisPresentation, function_on_icis_milnor, icis_milnor
+from .germs import (
+    GermFunction,
+    IcisPresentation,
+    function_on_icis_milnor,
+    icis_milnor,
+    translate,
+)
 from .ideals import (
     IdealPresentation,
     distinct_point_count,
@@ -162,7 +168,6 @@ class DeformationFamily:
 @dataclass
 class CriticalLocusReport:
     t0: Fraction
-    critical_ideal: IdealPresentation
     total_colength: int
     local_mu_origin: int
     distinct_points: int
@@ -266,7 +271,7 @@ def critical_locus_report(fam, t0):
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
     local = I.colength(negdegrevlex(fam.x_ring))
     distinct = distinct_point_count(I)
-    return CriticalLocusReport(t0, I, total, local, distinct, fam.certificate)
+    return CriticalLocusReport(t0, total, local, distinct, fam.certificate)
 
 
 def conservation_check(fam, samples=DEFAULT_SAMPLES):
@@ -280,18 +285,6 @@ def conservation_check(fam, samples=DEFAULT_SAMPLES):
             "do not represent Milnor-ball totals"
         )
     return all(r.total_colength == mu0 for r in reports)
-
-
-def _rational_point_from_eliminants(I):
-    """Coordinates of the unique point of a zero-dimensional variety with
-    exactly one distinct point: each radical eliminant is linear, v - c."""
-    point = {}
-    for v in I.ring:
-        g = radical_eliminant(I, v)
-        if g.total_degree() != 1:
-            return None
-        point[v] = -g.constant_term()
-    return point
 
 
 def _fiber_presentation(fam, t0):
@@ -327,8 +320,6 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
     equal to the base value, there must be exactly one singular point
     and it must carry the full Milnor number."""
     x_ring = fam.x_ring
-    order = grevlex(x_ring)
-
     base_mu = icis_milnor(IcisPresentation(x_ring, _fiber_presentation(fam, 0)))
     conv = converges_to_origin(fam.parametric_fiber_singular_ideal(), fam.param, x_ring)
 
@@ -339,27 +330,25 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
         eqs = _fiber_presentation(fam, t0)
         minors = maximal_minors(jacobian_matrix(eqs, list(x_ring)))
         sing = IdealPresentation(x_ring, list(eqs) + minors)
-        c = sing.colength(order)
-        if c == inf:
+        if sing.colength(grevlex(x_ring)) == inf:
             raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
-        if c == 0:
-            results.append(SplittingSample(t0, 0, 0, None, None))
-            continue
         count = distinct_point_count(sing)
         total = point = point_mu = None
-        if fam.kind == SPACE and len(fam.Phi) == 1:
+        if count == 0:
+            total = 0
+        elif fam.kind == SPACE and len(fam.Phi) == 1:
             # hypersurface family: affine Jacobian colength restricted
             # to the zero fiber
             phi_t = eqs[0]
             jac = [phi_t.diff(v) for v in x_ring]
             total = _total_on_fiber(jac, phi_t, x_ring)
         if count == 1:
-            point = _rational_point_from_eliminants(sing)
-            if point is not None and all(g.eval(point) == 0 for g in eqs):
-                shifted = IcisPresentation(x_ring, eqs).translated(point)
-                point_mu = icis_milnor(IcisPresentation(x_ring, shifted.phi))
-                if total is None:
-                    total = point_mu
+            # a lone point over the algebraic closure is rational (its
+            # conjugates are points too): each radical eliminant is v - c
+            point = {v: -radical_eliminant(sing, v).constant_term() for v in x_ring}
+            point_mu = icis_milnor(IcisPresentation(x_ring, translate(eqs, point)))
+            if total is None:
+                total = point_mu
         if total is None:
             inconclusive = True
         results.append(SplittingSample(t0, count, total, point, point_mu))
@@ -464,15 +453,11 @@ def zero_fiber_forces_origin_check(fam, samples=DEFAULT_SAMPLES):
     conclusion = True
     for t0 in samples:
         r = fam.report(t0)
-        if r.total_colength == 0:
-            details["samples"][r.t0] = {"count": 0, "at_origin": True}
-            continue
-        at_origin = all(
-            radical_eliminant(r.critical_ideal, v) == Polynomial.variable((v,), v)
-            for v in fam.x_ring
-        )
+        # the affine total equals the local colength at 0 exactly when
+        # every critical point is the origin
+        at_origin = r.off_origin_budget == 0
         details["samples"][r.t0] = {"count": r.distinct_points, "at_origin": at_origin}
-        conclusion = conclusion and r.distinct_points == 1 and at_origin
+        conclusion = conclusion and at_origin
     if conclusion:
         return VERIFIED, details
     # same caveat as the implication check: an affine extra critical point

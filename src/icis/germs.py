@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
-from . import basis as _basis
 from .errors import (
     GenericityError,
     InvalidInputError,
@@ -24,7 +23,7 @@ from .ideals import (
     jacobian_matrix,
     maximal_minors,
 )
-from .orders import grevlex, negdegrevlex
+from .orders import negdegrevlex
 from .poly import (
     Polynomial,
     lowest_degree_form,
@@ -73,12 +72,15 @@ class IcisPresentation:
 
     def translated(self, point):
         """Presentation of the same variety with ``point`` moved to 0."""
-        shift = {
-            v: Polynomial.variable(self.ring, v) + Fraction(point.get(v, 0))
-            for v in self.ring
-        }
-        moved = [p.subs(shift, target_ring=self.ring) for p in self.phi]
-        return IcisPresentation(self.ring, moved, check=False)
+        return IcisPresentation(self.ring, translate(self.phi, point), check=False)
+
+
+def translate(polys, point):
+    """The polynomials p(x + point), which move ``point`` to the origin;
+    coordinates missing from ``point`` are 0."""
+    ring = polys[0].ring
+    shift = {v: Polynomial.variable(ring, v) + Fraction(point.get(v, 0)) for v in ring}
+    return [p.subs(shift, target_ring=ring) for p in polys]
 
 
 @dataclass
@@ -136,11 +138,8 @@ def milnor_at_point(g, point):
     if not g.base.contains(point):
         raise InvalidInputError(f"point {point} is not on the variety")
     base = g.base.translated(point)
-    ring = g.base.ring
-    shift = {v: Polynomial.variable(ring, v) + point.get(v, Fraction(0)) for v in ring}
-    f_moved = g.f.subs(shift, target_ring=ring)
-    f_moved = f_moved - f_moved.constant_term()
-    return function_on_icis_milnor(GermFunction(f_moved, base))
+    (f_moved,) = translate([g.f], point)
+    return function_on_icis_milnor(GermFunction(f_moved - f_moved.constant_term(), base))
 
 
 def _recombine(phi, rng):
@@ -213,14 +212,13 @@ def discriminant(phis):
         Polynomial.variable(big, u) - f.in_ring(big) for u, f in zip(targets, phis)
     ] + [m.in_ring(big) for m in minors]
     I = IdealPresentation(big, gens)
+    # E.generators is the reduced grevlex basis of the elimination ideal
     E = elimination_ideal(I, targets)
-    gens = [g for g in E.generators if not g.is_zero()]
-    if not gens:
+    if not E.generators:
         raise UnsupportedInputError("discriminant eliminant is zero: not a hypersurface")
-    sb = _basis.complete_basis(gens, grevlex(targets))
-    if len(sb.generators) != 1:
+    if len(E.generators) != 1:
         raise UnsupportedInputError("discriminant eliminant is not principal")
-    return squarefree_part(sb.generators[0])
+    return squarefree_part(E.generators[0])
 
 
 def multiplicity(delta):

@@ -271,10 +271,15 @@ class _FileParser:
         self.expect(";")
 
     def ring_statement(self):
-        names = [self.expect("IDENT").value]
-        while self.peek().type == ",":
+        names = []
+        while True:
+            tok = self.expect("IDENT")
+            if tok.value in names:
+                self.fail("repeated ring variable", tok)
+            names.append(tok.value)
+            if self.peek().type != ",":
+                break
             self.take()
-            names.append(self.expect("IDENT").value)
         self.problem.ring = tuple(names)
 
     def param_statement(self, tok):

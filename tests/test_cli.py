@@ -29,7 +29,11 @@ INVALID_INPUTS = {
         _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y;\nsamples 1/0;\n",
     "samples_zero.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y;\nsamples 1, 0;\n",
     "budget_negative.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y;\nbudget -1;\n",
+    "ring_repeated.icis": "ring x, x;\nf = x^3;\nkind milnor;\n",
 }
+
+# a space family whose one singular point moves with t: the cusp at (t, 0)
+MOVING_CUSP = _CUSP_FAMILY + "phi = y^2 - (x - t)^3;\n"
 
 
 def _count_calls(monkeypatch, names):
@@ -122,12 +126,35 @@ class TestRun:
         assert "splitting: VACUOUS" in out
         assert "t=1: count=2 total=2" in out
 
+    def test_space_family_moving_point(self, tmp_path, capsys):
+        path = tmp_path / "moving_cusp.icis"
+        path.write_text(MOVING_CUSP)
+        code, out, _ = run_cli("run", str(path), "--json", capsys=capsys)
+        assert code == 0
+        assert (
+            "splitting: CONSISTENT-WITH-THEOREM  [base fiber mu 2; "
+            "t=1: count=1 total=2; t=1/2: count=1 total=2]" in out
+        )
+        samples = json.loads(out.splitlines()[-1])["splitting"]["samples"]
+        assert [s["point_mu"] for s in samples] == ["2", "2"]
+
 
 class TestExitCodes:
     def test_inconclusive_is_2(self, capsys):
         code, out, _ = run_cli("run", str(FIXTURES / "inconclusive.icis"), capsys=capsys)
         assert code == 2
         assert "conservation: INCONCLUSIVE" in out
+        assert "radical_implies_axis: INCONCLUSIVE" in out
+
+    def test_inconclusive_greuel_verdict_is_2(self, tmp_path, capsys):
+        # conservation is not printed by greuel-check; the one
+        # INCONCLUSIVE verdict alone sets the exit code
+        path = tmp_path / "greuel_inconclusive.icis"
+        path.write_text(
+            "ring t, x, y;\nparam t;\nphi = y;\nF = x^3 - x^2;\nkind greuel-check;\n"
+        )
+        code, out, _ = run_cli("run", str(path), capsys=capsys)
+        assert code == 2
         assert "radical_implies_axis: INCONCLUSIVE" in out
 
     @pytest.mark.parametrize(
@@ -148,6 +175,7 @@ class TestExitCodes:
             ("samples_zero_denominator.icis", "syntax-error"),
             ("samples_zero.icis", "syntax-error"),
             ("budget_negative.icis", "syntax-error"),
+            ("ring_repeated.icis", "syntax-error"),
             ("ex43_23.icis --samples abc", "syntax-error"),
             ("ex43_23.icis --samples 1/0", "syntax-error"),
             ("ex43_23.icis --samples 1,0", "syntax-error"),

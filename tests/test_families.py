@@ -3,8 +3,9 @@ from math import inf
 
 import pytest
 
-from icis.errors import InconclusiveError
+from icis.errors import InconclusiveError, NonIsolatedError
 from icis.families import (
+    CONSISTENT,
     CurveProbe,
     DeformationFamily,
     conservation_check,
@@ -171,3 +172,24 @@ class TestSplitting:
             for sample in rep.samples:
                 if sample.total_fiber_mu == rep.base_fiber_mu:
                     assert sample.singular_count == 1
+
+    @pytest.mark.parametrize("extra", [(), ("z",)], ids=["plane-curve", "space-curve"])
+    def test_singular_point_moving_with_t(self, extra):
+        # the cusp of y^2 = (x - t)^3 sits at (t, 0), away from the origin
+        # (SPACE_CASES keep their singular points at the origin); with z
+        # the fiber is an ICIS of two equations, whose total is point_mu
+        ring = RING + extra
+        Phi = [(y**2 - (x - t) ** 3).in_ring(ring)]
+        Phi += [Polynomial.variable(ring, v) for v in extra]
+        rep = splitting_check(DeformationFamily.space_deformation(ring, "t", Phi))
+        assert rep.verdict == CONSISTENT
+        assert rep.base_fiber_mu == 2
+        for sm in rep.samples:
+            assert (sm.singular_count, sm.total_fiber_mu, sm.point_mu) == (1, 2, 2)
+            assert sm.point == {"x": sm.t0, "y": 0, **dict.fromkeys(extra, 0)}
+
+    def test_non_isolated_fiber_names_its_sample(self):
+        # the fiber x^2 = 0 at t = 1 is singular along the y-axis
+        fam = DeformationFamily.space_deformation(RING, "t", [x**2 + y**3 - t * y**3])
+        with pytest.raises(NonIsolatedError, match="fiber at t=1 "):
+            splitting_check(fam)

@@ -119,6 +119,11 @@ class TestProblemFiles:
             parse_problem("ring x, y;\nf = x + ;\nkind milnor;\n")
         assert exc.value.line == 2
 
+    def test_repeated_ring_variable(self):
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem("ring x, y,\n  x;\nf = x^3;\nkind milnor;\n")
+        assert (exc.value.line, exc.value.column) == (2, 3)
+
     def test_bytes_input(self):
         p = parse_problem(b"ring x, y;\nf = x;\nkind milnor;\n")
         assert p.kind == "milnor"
