@@ -101,8 +101,8 @@ def _ecart(f, order):
     return f.total_degree() - sum(lm)
 
 
-def _reduce_global(f, gens, order, budget, tail=True):
-    """Ordinary multivariate division, fully reduced when tail is set."""
+def _reduce_global(f, gens, order, budget):
+    """Ordinary multivariate division, fully reduced."""
     lms = [g.leading(order) for g in gens]
     remainder = Polynomial.zero(f.ring)
     h = f
@@ -114,8 +114,6 @@ def _reduce_global(f, gens, order, budget, tail=True):
                 hit = (g, lm_g, lc_g)
                 break
         if hit is None:
-            if not tail:
-                return remainder + h
             remainder = remainder + Polynomial.monomial(f.ring, lm_h, lc_h)
             h = h - Polynomial.monomial(f.ring, lm_h, lc_h)
         else:

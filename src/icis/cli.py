@@ -55,10 +55,6 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-def _frac(x):
-    return str(x)
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -70,9 +66,7 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, int):
-        return str(value)  # exact decimal string, no float anywhere
-    return str(value)
+    return str(value)  # ints as exact decimal strings, no float anywhere
 
 
 def run_problem(problem):
@@ -160,7 +154,7 @@ def _run_family_analyze(problem, lines, data):
         for t0 in samples:
             r = fam.report(t0)
             lines.append(
-                f"sample t={_frac(t0)}: mu_origin={r.local_mu_origin} "
+                f"sample t={t0}: mu_origin={r.local_mu_origin} "
                 f"total={r.total_colength} off_origin={r.off_origin_budget} "
                 f"distinct_points={r.distinct_points} "
                 f"converges_to_origin={r.converges_to_origin}"
@@ -189,7 +183,7 @@ def _run_family_analyze(problem, lines, data):
     lines.append(
         f"splitting: {split.verdict}  [base fiber mu {split.base_fiber_mu}; "
         + "; ".join(
-            f"t={_frac(s.t0)}: count={s.singular_count} total={s.total_fiber_mu}"
+            f"t={s.t0}: count={s.singular_count} total={s.total_fiber_mu}"
             for s in split.samples
         )
         + f"] {split.reason}"
@@ -222,7 +216,7 @@ def _run_greuel(fam, problem, lines, data):
     rep = greuel_conditions(fam, probes=probes, samples=problem.samples)
     lines.append(f"cond1_mu_constant: {rep.cond1_mu_constant}  "
                  f"[mu at origin {rep.mu_origin_base} vs samples "
-                 f"{{{', '.join(f'{_frac(k)}: {v}' for k, v in sorted(rep.mu_origin_samples.items()))}}}]")
+                 f"{{{', '.join(f'{k}: {v}' for k, v in sorted(rep.mu_origin_samples.items()))}}}]")
     lines.append(f"cond5_radical: {rep.cond5_radical}  [dF/dt in rad(<phi> + J)]")
     lines.append(f"cond6_variety: {rep.cond6_variety}  [v(<phi> + J) equals the "
                  "parameter axis]")

@@ -6,7 +6,7 @@ generic-line test."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 

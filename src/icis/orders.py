@@ -9,7 +9,7 @@ u < v implies u*w < v*w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

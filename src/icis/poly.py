@@ -225,7 +225,6 @@ class Polynomial:
     def in_ring(self, new_ring):
         """Re-express over another ring containing all used variables."""
         new_ring = tuple(new_ring)
-        pos = {}
         for v in self.variables_used():
             if v not in new_ring:
                 raise UnknownVariableError(f"{v!r} not in target ring {new_ring}")
@@ -331,17 +330,10 @@ def _univariate_in(f):
 
 def _gcd_univariate(f, g, var):
     i = f.ring.index(var)
-
-    def norm(p):
-        if p.is_zero():
-            return p
-        _, lc = p.leading(grevlex(p.ring))
-        return p * (1 / lc)
-
     a, b = f, g
     while not b.is_zero():
         a, b = b, _poly_rem_univariate(a, b, i)
-    return norm(a)
+    return _monic(a)
 
 
 def _poly_rem_univariate(a, b, i):

@@ -1,7 +1,30 @@
-"""Problem-file parser: a line-oriented declaration language with a
-recursive-descent polynomial grammar.
+"""Problem-file parser: one recursive-descent parser over one token list,
+for problem files, standalone expressions and sample lists.
 
-Statements end with ``;``::
+Grammar (``#`` starts a comment that runs to the end of the line)::
+
+    file      := { statement ';' }
+    statement := 'ring' IDENT { ',' IDENT }
+               | 'param' IDENT
+               | 'kind' IDENT { '-' IDENT }
+               | 'samples' rational { ',' rational }
+               | 'direction' rational { ',' rational }
+               | 'seed' INT
+               | 'budget' INT
+               | 'probe' IDENT '=' expr { ',' IDENT '=' expr }
+               | IDENT '=' expr { ',' expr }
+    rational  := ['-'] INT ['/' INT]
+    expr      := ['+' | '-'] product { ('+' | '-') product }
+    product   := atom { '*' atom | factor }
+    atom      := INT ['/' INT] | factor
+    factor    := (IDENT | '(' expr ')') ['^' INT]
+    INT       := ASCII digits 0-9
+
+``IDENT '=' expr`` binds a name (``f``, ``phi``, ``F``, ``delta``) to
+polynomials over the ring.  Every statement except ``probe`` appears at
+most once.  Ring variables are distinct, and so are the components of
+one probe, which are ring variables given as polynomials in ``s``.
+Denominators and samples are nonzero.  Example::
 
     ring t, x, y;
     param t;
@@ -24,17 +47,17 @@ from .basis import DEFAULT_BUDGET
 from .errors import MissingParameterError, ProblemSyntaxError, UnboundNameError
 from .poly import Polynomial
 
-KINDS = (
-    "milnor",
-    "icis-milnor",
-    "function-milnor",
-    "discriminant",
-    "generic-line",
-    "family-analyze",
-    "greuel-check",
-)
-
-_PARAM_KINDS = ("family-analyze", "greuel-check")
+# each kind and the statements it requires, in the order they are checked
+KINDS = {
+    "milnor": ("f",),
+    "icis-milnor": ("phi",),
+    "function-milnor": ("phi", "f"),
+    "discriminant": ("phi",),
+    "generic-line": ("delta", "direction"),
+    # without an F binding, phi itself carries the parameter
+    "family-analyze": ("param", "phi"),
+    "greuel-check": ("param", "phi", "F"),
+}
 
 
 @dataclass
@@ -46,6 +69,7 @@ class Token:
 
 
 _SYMBOLS = set(";,=+-*^()/")
+_DIGITS = set("0123456789")
 
 
 def tokenize(text):
@@ -67,9 +91,9 @@ def tokenize(text):
             while i < len(text) and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("INT", text[i:j], line, col))
             col += j - i
@@ -93,116 +117,6 @@ def tokenize(text):
     return tokens
 
 
-class _ExprParser:
-    """expr := ['+'|'-'] product { ('+'|'-') product }
-    product := atom { '*' atom | atom-juxtaposed }
-    atom := INT ['/' INT] | IDENT ['^' INT] | '(' expr ')'
-    """
-
-    def __init__(self, tokens, pos, ring, allowed):
-        self.tokens = tokens
-        self.pos = pos
-        self.ring = ring
-        self.allowed = allowed
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        shown = tok.value or "end of input"
-        raise ProblemSyntaxError(f"{message} (got {shown!r})", tok.line, tok.column)
-
-    def parse_expr(self):
-        sign = 1
-        if self.peek().type in ("+", "-"):
-            if self.take().type == "-":
-                sign = -1
-        result = self.parse_product() * sign
-        while self.peek().type in ("+", "-"):
-            op = self.take().type
-            rhs = self.parse_product()
-            result = result + rhs if op == "+" else result - rhs
-        return result
-
-    def parse_product(self):
-        result = self.parse_atom()
-        while True:
-            tok = self.peek()
-            if tok.type == "*":
-                self.take()
-                result = result * self.parse_atom()
-            elif tok.type in ("IDENT", "("):
-                # implicit multiplication: 3x, 2(x+y)
-                result = result * self.parse_atom()
-            else:
-                return result
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok.type == "INT":
-            self.take()
-            num = int(tok.value)
-            if self.peek().type == "/":
-                self.take()
-                den_tok = self.peek()
-                if den_tok.type != "INT":
-                    self.fail("expected integer denominator")
-                if int(den_tok.value) == 0:
-                    self.fail("zero denominator")
-                self.take()
-                return Polynomial.constant(self.ring, Fraction(num, int(den_tok.value)))
-            return Polynomial.constant(self.ring, num)
-        if tok.type == "IDENT":
-            self.take()
-            if tok.value not in self.allowed:
-                raise UnboundNameError(
-                    f"unbound name {tok.value!r}; ring variables are "
-                    f"{', '.join(self.ring)}",
-                    tok.line,
-                    tok.column,
-                )
-            base = Polynomial.variable(self.ring, tok.value)
-            if self.peek().type == "^":
-                self.take()
-                exp_tok = self.peek()
-                if exp_tok.type != "INT":
-                    self.fail("expected integer exponent")
-                self.take()
-                return base ** int(exp_tok.value)
-            return base
-        if tok.type == "(":
-            self.take()
-            inner = self.parse_expr()
-            if self.peek().type != ")":
-                self.fail("expected ')'")
-            self.take()
-            if self.peek().type == "^":
-                self.take()
-                exp_tok = self.peek()
-                if exp_tok.type != "INT":
-                    self.fail("expected integer exponent")
-                self.take()
-                return inner ** int(exp_tok.value)
-            return inner
-        self.fail("expected a polynomial term")
-
-
-def parse_expression(text, ring):
-    """Parse a standalone polynomial expression over the given ring."""
-    tokens = tokenize(text)
-    parser = _ExprParser(tokens, 0, tuple(ring), set(ring))
-    poly = parser.parse_expr()
-    if parser.peek().type != "EOF":
-        parser.fail("trailing input after expression")
-    return poly
-
-
 @dataclass
 class ProblemFile:
     ring: tuple = ()
@@ -216,11 +130,14 @@ class ProblemFile:
     probes: list = field(default_factory=list)
 
 
-class _FileParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+class _Parser:
+    """One cursor over the tokens of ``text``; one method per grammar rule."""
+
+    def __init__(self, text):
+        self.tokens = tokenize(text)
         self.pos = 0
         self.problem = ProblemFile()
+        self.seen = set()  # statement words, for repeats and requirements
 
     def peek(self):
         return self.tokens[self.pos]
@@ -230,16 +147,27 @@ class _FileParser:
         self.pos += 1
         return tok
 
+    def accept(self, type_):
+        """Take the next token if it has this type."""
+        return self.take() if self.peek().type == type_ else None
+
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         shown = tok.value or "end of input"
         raise ProblemSyntaxError(f"{message} (got {shown!r})", tok.line, tok.column)
 
-    def expect(self, type_):
-        tok = self.peek()
-        if tok.type != type_:
-            self.fail(f"expected {type_!r}")
+    def expect(self, type_, what=None):
+        if self.peek().type != type_:
+            self.fail(f"expected {what or repr(type_)}")
         return self.take()
+
+    def comma_list(self, item):
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
+
+    # -- statements ------------------------------------------------------
 
     def parse(self):
         while self.peek().type != "EOF":
@@ -250,70 +178,62 @@ class _FileParser:
     def statement(self):
         tok = self.expect("IDENT")
         word = tok.value
+        if word in self.seen and word != "probe":
+            self.fail("repeated statement", tok)
+        self.seen.add(word)
+        p = self.problem
         if word == "ring":
-            self.ring_statement()
+            names = []
+            self.comma_list(
+                lambda: names.append(self.distinct_name(names, "ring variable").value))
+            p.ring = tuple(names)
         elif word == "param":
-            self.param_statement(tok)
+            p.param = self.ring_variable("parameter")
         elif word == "kind":
-            self.kind_statement()
+            p.kind = self.kind()
         elif word == "samples":
-            self.problem.samples = self.samples()
-        elif word == "seed":
-            self.problem.seed = int(self.expect("INT").value)
-        elif word == "budget":
-            self.problem.budget = int(self.expect("INT").value)
+            p.samples = self.samples()
         elif word == "direction":
-            self.problem.direction = tuple(self.rational_list())
+            p.direction = tuple(self.comma_list(self.rational))
+        elif word in ("seed", "budget"):
+            setattr(p, word, int(self.expect("INT").value))
+        elif not p.ring:
+            self.fail("binding or probe before ring declaration", tok)
         elif word == "probe":
-            self.probe_statement(tok)
+            p.probes.append(self.probe())
         else:
-            self.binding_statement(tok)
+            self.expect("=")
+            p.bindings[word] = self.comma_list(lambda: self.expr(p.ring))
         self.expect(";")
 
-    def ring_statement(self):
-        names = []
-        while True:
-            tok = self.expect("IDENT")
-            if tok.value in names:
-                self.fail("repeated ring variable", tok)
-            names.append(tok.value)
-            if self.peek().type != ",":
-                break
-            self.take()
-        self.problem.ring = tuple(names)
+    def distinct_name(self, taken, what):
+        """An IDENT token whose name is not in ``taken``."""
+        tok = self.expect("IDENT")
+        if tok.value in taken:
+            self.fail(f"repeated {what}", tok)
+        return tok
 
-    def param_statement(self, tok):
-        name_tok = self.expect("IDENT")
-        if name_tok.value not in self.problem.ring:
-            raise UnboundNameError(
-                f"parameter {name_tok.value!r} is not a ring variable",
-                name_tok.line,
-                name_tok.column,
-            )
-        self.problem.param = name_tok.value
+    def ring_variable(self, what, taken=()):
+        tok = self.distinct_name(taken, what)
+        if tok.value not in self.problem.ring:
+            raise UnboundNameError(f"{what} {tok.value!r} is not a ring variable",
+                                   tok.line, tok.column)
+        return tok.value
 
-    def kind_statement(self):
+    def kind(self):
         parts = [self.expect("IDENT").value]
-        while self.peek().type == "-":
-            self.take()
+        while self.accept("-"):
             parts.append(self.expect("IDENT").value)
         kind = "-".join(parts)
         if kind not in KINDS:
             tok = self.tokens[self.pos - 1]
             self.fail(f"unknown kind {kind!r}; valid kinds: {', '.join(KINDS)}", tok)
-        self.problem.kind = kind
-
-    def rational_list(self):
-        out = [self.rational()]
-        while self.peek().type == ",":
-            self.take()
-            out.append(self.rational())
-        return out
+        return kind
 
     def samples(self):
         """Nonzero rationals: t = 0 is the base member itself."""
         tok = self.peek()
-        samples = tuple(self.rational_list())
+        samples = tuple(self.comma_list(self.rational))
         if 0 in samples:
             raise ProblemSyntaxError(
                 "samples must be nonzero: t = 0 is the base member itself",
@@ -322,99 +242,109 @@ class _FileParser:
             )
         return samples
 
-    def rational(self):
-        sign = 1
-        if self.peek().type == "-":
-            self.take()
-            sign = -1
-        num = int(self.expect("INT").value)
-        if self.peek().type == "/":
-            self.take()
-            den_tok = self.expect("INT")
-            if int(den_tok.value) == 0:
-                self.fail("zero denominator", den_tok)
-            return Fraction(sign * num, int(den_tok.value))
-        return Fraction(sign * num)
-
-    def probe_statement(self, tok):
-        if not self.problem.ring:
-            self.fail("probe before ring declaration", tok)
-        probe_ring = ("s",)
+    def probe(self):
         components = {}
-        while True:
-            name_tok = self.expect("IDENT")
-            if name_tok.value not in self.problem.ring:
-                raise UnboundNameError(
-                    f"probe component {name_tok.value!r} is not a ring variable",
-                    name_tok.line,
-                    name_tok.column,
-                )
-            self.expect("=")
-            parser = _ExprParser(self.tokens, self.pos, probe_ring, {"s"})
-            components[name_tok.value] = parser.parse_expr()
-            self.pos = parser.pos
-            if self.peek().type == ",":
-                self.take()
-                continue
-            break
-        self.problem.probes.append(components)
 
-    def binding_statement(self, tok):
-        name = tok.value
-        if not self.problem.ring:
-            self.fail("binding before ring declaration", tok)
-        self.expect("=")
-        polys = []
-        while True:
-            parser = _ExprParser(self.tokens, self.pos, self.problem.ring,
-                                  set(self.problem.ring))
-            polys.append(parser.parse_expr())
-            self.pos = parser.pos
-            if self.peek().type == ",":
-                self.take()
-                continue
-            break
-        self.problem.bindings[name] = polys
+        def component():
+            name = self.ring_variable("probe component", components)
+            self.expect("=")
+            components[name] = self.expr(("s",))
+
+        self.comma_list(component)
+        return components
 
     def validate(self):
         p = self.problem
-        if p.kind is None:
-            raise ProblemSyntaxError("missing 'kind' declaration")
-        if not p.ring:
-            raise ProblemSyntaxError("missing 'ring' declaration")
-        if p.kind in _PARAM_KINDS and p.param is None:
-            raise MissingParameterError(
-                f"kind {p.kind!r} requires a 'param' declaration"
-            )
-        required = {
-            "milnor": ["f"],
-            "icis-milnor": ["phi"],
-            "function-milnor": ["phi", "f"],
-            "discriminant": ["phi"],
-            "generic-line": ["delta"],
-            "family-analyze": ["phi"],
-            "greuel-check": ["phi", "F"],
-        }[p.kind]
-        for name in required:
-            if name not in p.bindings:
-                raise UnboundNameError(f"kind {p.kind!r} requires a binding for {name!r}")
-        if p.kind == "family-analyze" and "F" not in p.bindings:
-            # space deformation: phi itself carries the parameter
-            pass
-        if p.kind == "generic-line" and p.direction is None:
-            raise UnboundNameError("kind 'generic-line' requires a 'direction'")
+        for word in ("kind", "ring"):
+            if word not in self.seen:
+                raise ProblemSyntaxError(f"missing {word!r} declaration")
+        for word in KINDS[p.kind]:
+            if word not in self.seen:
+                error = MissingParameterError if word == "param" else UnboundNameError
+                raise error(f"kind {p.kind!r} requires {word!r}")
+
+    # -- numbers and polynomials -------------------------------------------
+
+    def rational(self):
+        sign = -1 if self.accept("-") else 1
+        num = int(self.expect("INT").value)
+        if not self.accept("/"):
+            return Fraction(sign * num)
+        den = self.expect("INT", "integer denominator")
+        if int(den.value) == 0:
+            self.fail("zero denominator", den)
+        return Fraction(sign * num, int(den.value))
+
+    def expr(self, ring):
+        sign = -1 if self.peek().type == "-" else 1
+        if self.peek().type in ("+", "-"):
+            self.take()
+        result = self.product(ring) * sign
+        while self.peek().type in ("+", "-"):
+            op = self.take().type
+            rhs = self.product(ring)
+            result = result + rhs if op == "+" else result - rhs
+        return result
+
+    def product(self, ring):
+        result = self.atom(ring)
+        while True:
+            if self.accept("*"):
+                result = result * self.atom(ring)
+            elif self.peek().type in ("IDENT", "("):
+                # implicit multiplication: 3x, 2(x+y)
+                result = result * self.factor(ring)
+            else:
+                return result
+
+    def atom(self, ring):
+        if self.peek().type == "INT":
+            return Polynomial.constant(ring, self.rational())
+        return self.factor(ring)
+
+    def factor(self, ring):
+        tok = self.peek()
+        if self.accept("IDENT"):
+            if tok.value not in ring:
+                raise UnboundNameError(
+                    f"unbound name {tok.value!r}; ring variables are {', '.join(ring)}",
+                    tok.line,
+                    tok.column,
+                )
+            base = Polynomial.variable(ring, tok.value)
+        elif self.accept("("):
+            base = self.expr(ring)
+            self.expect(")")
+        else:
+            self.fail("expected a polynomial term")
+        if self.accept("^"):
+            return base ** int(self.expect("INT", "integer exponent").value)
+        return base
 
 
 def parse_problem(text):
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return _FileParser(tokenize(text)).parse()
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lines = text[:exc.start].decode("utf-8").split("\n")
+            raise ProblemSyntaxError(
+                "invalid UTF-8 byte", len(lines), len(lines[-1]) + 1) from None
+    return _Parser(text).parse()
+
+
+def parse_expression(text, ring):
+    """Parse a standalone polynomial expression over the given ring."""
+    parser = _Parser(text)
+    poly = parser.expr(tuple(ring))
+    parser.expect("EOF", "end of expression")
+    return poly
 
 
 def parse_samples(text):
     """A sample list in the problem-file grammar (``1, 1/2``), as given
     to ``icis run --samples``."""
-    parser = _FileParser(tokenize(text))
+    parser = _Parser(text)
     samples = parser.samples()
-    parser.expect("EOF")
+    parser.expect("EOF", "end of input")
     return samples

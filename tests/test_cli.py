@@ -30,6 +30,10 @@ INVALID_INPUTS = {
     "samples_zero.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y;\nsamples 1, 0;\n",
     "budget_negative.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y;\nbudget -1;\n",
     "ring_repeated.icis": "ring x, x;\nf = x^3;\nkind milnor;\n",
+    "superscript_digit.icis": "ring x, y;\nf = x^\u00b2 + y^2;\nkind milnor;\n",
+    "binding_repeated.icis": "ring x, y;\nf = x^2 + y^2;\nf = x^3;\nkind milnor;\n",
+    "probe_component_repeated.icis": _CUSP_FAMILY
+        + "phi = x^2 - y^3;\nF = x + t*y;\nprobe t = s, x = s^3, x = s^5, y = s^2;\n",
 }
 
 # a space family whose one singular point moves with t: the cusp at (t, 0)
@@ -176,6 +180,9 @@ class TestExitCodes:
             ("samples_zero.icis", "syntax-error"),
             ("budget_negative.icis", "syntax-error"),
             ("ring_repeated.icis", "syntax-error"),
+            ("superscript_digit.icis", "syntax-error"),
+            ("binding_repeated.icis", "syntax-error"),
+            ("probe_component_repeated.icis", "syntax-error"),
             ("ex43_23.icis --samples abc", "syntax-error"),
             ("ex43_23.icis --samples 1/0", "syntax-error"),
             ("ex43_23.icis --samples 1,0", "syntax-error"),

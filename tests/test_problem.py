@@ -124,6 +124,48 @@ class TestProblemFiles:
             parse_problem("ring x, y,\n  x;\nf = x^3;\nkind milnor;\n")
         assert (exc.value.line, exc.value.column) == (2, 3)
 
+    def test_non_ascii_digit_position(self):
+        # str.isdigit accepts "\u00b2", which int() then rejects
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem("ring x, y;\nf = x^\u00b2 + y^2;\nkind milnor;\n")
+        assert (exc.value.line, exc.value.column) == (2, 7)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("ring x, y;\nf = x^2 + y^2;\nf = x^3;\nkind milnor;\n", (3, 1)),
+            ("ring x, y;\nf = x^3;\nkind milnor;\nkind icis-milnor;\n", (4, 1)),
+            ("ring x, y;\nf = x^2 + y^3;\nkind milnor; ring y, x;\n", (3, 14)),
+            ("ring t, x;\nparam t;\nparam x;\nphi = x^2;\nkind family-analyze;\n", (3, 1)),
+            ("ring x, y;\nf = x^3;\nseed 1;\nseed 2;\nkind milnor;\n", (4, 1)),
+        ],
+        ids=["binding", "kind", "ring", "param", "seed"],
+    )
+    def test_repeated_statement(self, text, position):
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem(text)
+        assert (exc.value.line, exc.value.column) == position
+
+    def test_probe_may_repeat(self):
+        p = parse_problem(
+            "ring t, x, y;\nparam t;\nphi = x^2 - y^3;\nF = x + t*y;\nkind greuel-check;\n"
+            "probe t = s, x = s^3, y = s^2;\nprobe t = s^2, x = s^3, y = s^2;\n"
+        )
+        assert len(p.probes) == 2
+
+    def test_repeated_probe_component(self):
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem(
+                "ring t, x, y;\nparam t;\nphi = x^2 - y^3;\nF = x + t*y;\nkind greuel-check;\n"
+                "probe t = s, x = s^3, x = s^5, y = s^2;\n"
+            )
+        assert (exc.value.line, exc.value.column) == (6, 23)
+
+    def test_invalid_utf8_position(self):
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem(b"ring x, y;\nf = x^2 \xff+ y^2;\nkind milnor;\n")
+        assert (exc.value.line, exc.value.column) == (2, 9)
+
     def test_bytes_input(self):
         p = parse_problem(b"ring x, y;\nf = x;\nkind milnor;\n")
         assert p.kind == "milnor"
