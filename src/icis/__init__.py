@@ -1,5 +1,5 @@
 """Exact computer algebra for isolated complete intersection
-singularities: Milnor numbers via standard bases, discriminant and
+singularities: Milnor numbers as local colengths, discriminant and
 generic-line tests, and deformation-family theorem checks."""
 
 from .poly import (
@@ -17,6 +17,7 @@ from .basis import (
     colength,
     complete_basis,
     is_zero_dimensional,
+    local_colength,
     normal_form,
     s_polynomial,
     step_budget,

@@ -1,14 +1,20 @@
 """Standard-basis engines and colength computation.
 
 Global orders use Buchberger's algorithm with the product and chain
-criteria; local orders use Mora's weak normal form with ecart-minimal
-reducer selection (the tangent-cone algorithm).
+criteria.  Local orders use Lazard's method: Buchberger on the
+homogenized generators under a global order, then dehomogenization;
+normal forms against a local basis are Mora's weak normal form.
 
-Every reduction step counts against a step budget: running out raises
-``BudgetExhaustedError``, it never returns a truncated answer.  Inside a
-``with step_budget(limit):`` block every completion and normal form
-charges one shared budget, so the limit caps the whole block; outside
-any block each call gets a fresh budget of ``DEFAULT_BUDGET`` steps.
+``local_colength`` computes dim O/I at the origin by truncated linear
+algebra; Lazard's method decides the ideals whose truncations do not
+stabilize.
+
+Every reduction step and row elimination counts against a step budget:
+running out raises ``BudgetExhaustedError``, it never returns a
+truncated answer.  Inside a ``with step_budget(limit):`` block every
+completion, normal form and local colength charges one shared budget,
+so the limit caps the whole block; outside any block each call gets a
+fresh budget of ``DEFAULT_BUDGET`` steps.
 """
 
 from __future__ import annotations
@@ -16,12 +22,23 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from math import inf
+from functools import lru_cache
+from itertools import chain
+from math import comb, gcd, inf, lcm
 
 from .errors import BudgetExhaustedError, ZeroInputError
+from .orders import homogenized, negdegrevlex
 from .poly import Polynomial
 
 DEFAULT_BUDGET = 10**6
+# Truncations of local_colength with more columns than this go to
+# Lazard's method alone; on the benchmark corpus the largest truncation
+# that stabilized had 680 columns.
+MONOMIAL_CAP = 5000
+# A step of Lazard's method (a reduction over Q) took 30 to 75 times as
+# long as a row elimination of local_colength on the benchmark corpus;
+# Lazard's loans are counted in its own steps.
+LAZARD_STEP_RATIO = 64
 
 
 class _Budget:
@@ -34,6 +51,28 @@ class _Budget:
     def step(self):
         if self.remaining <= 0:
             raise BudgetExhaustedError()
+        self.remaining -= 1
+        self.spent += 1
+
+
+class _LoanExhausted(Exception):
+    """A loan of steps ran out; the lender's own budget may not have."""
+
+
+class _Loan(_Budget):
+    """Up to ``limit`` steps lent out of ``lender``, which is charged
+    for each of them."""
+
+    __slots__ = ("lender",)
+
+    def __init__(self, limit, lender):
+        super().__init__(limit)
+        self.lender = lender
+
+    def step(self):
+        if self.remaining <= 0:
+            raise _LoanExhausted()
+        self.lender.step()
         self.remaining -= 1
         self.spent += 1
 
@@ -165,19 +204,38 @@ def normal_form(f, sb):
 
 
 def complete_basis(generators, order):
-    """Run Buchberger (global) or the tangent-cone loop (local) to a
-    completed standard basis; the result is minimalized and monic.
+    """Run Buchberger (global) or Lazard's method (local) to a completed
+    standard basis; the result is minimalized and monic.
     ``steps_used`` counts the steps this completion spent."""
     budget = _current_budget()
     start = budget.spent
-    reduce = _reduce_global if order.is_global else _reduce_mora
+    if order.is_global:
+        G = _buchberger(generators, order, budget)
+        # inter-reduce tails for a canonical reduced basis
+        G = [_monic(_reduce_global(g, G[:i] + G[i + 1:], order, budget), order)
+             for i, g in enumerate(G)]
+    else:
+        G = _lazard(generators, order, budget)
+    lms = [g.leading(order)[0] for g in G]
+    idx = sorted(range(len(G)), key=lambda i: order.key(lms[i]))
+    G = [G[i] for i in idx]
+    lms = [lms[i] for i in idx]
+    return StandardBasis(order, tuple(G), tuple(lms), True, budget.spent - start)
+
+
+def _monic(g, order):
+    _, lc = g.leading(order)
+    return g * (1 / lc)
+
+
+def _buchberger(generators, order, budget):
+    """Minimal monic standard basis under a global order."""
     G = []
     seen = set()
     for g in generators:
         if g.is_zero():
             continue
-        _, lc = g.leading(order)
-        g = g * (1 / lc)
+        g = _monic(g, order)
         if g not in seen:
             seen.add(g)
             G.append(g)
@@ -205,37 +263,32 @@ def complete_basis(generators, order):
             continue
         if chain_skippable(i, j):
             continue
-        h = reduce(s_polynomial(G[i], G[j], order), G, order, budget)
+        h = _reduce_global(s_polynomial(G[i], G[j], order), G, order, budget)
         if h.is_zero():
             continue
-        _, lc = h.leading(order)
-        h = h * (1 / lc)
+        h = _monic(h, order)
         G.append(h)
         lms.append(h.leading(order)[0])
         k = len(G) - 1
         pairs.update((i2, k) for i2 in range(k))
+    return [G[i] for i in _minimal_indices(lms)]
 
-    # minimalize: drop generators whose leading monomial is redundant
-    keep = _minimal_indices(lms)
-    G = [G[i] for i in keep]
-    lms = [lms[i] for i in keep]
 
-    if order.is_global and G:
-        # inter-reduce tails for a canonical reduced basis
-        reduced = []
-        for i, g in enumerate(G):
-            others = G[:i] + G[i + 1:]
-            if others:
-                g = _reduce_global(g, others, order, budget)
-            _, lc = g.leading(order)
-            reduced.append(g * (1 / lc))
-        G = reduced
-        lms = [g.leading(order)[0] for g in G]
-
-    idx = sorted(range(len(G)), key=lambda i: order.key(lms[i]))
-    G = [G[i] for i in idx]
-    lms = [lms[i] for i in idx]
-    return StandardBasis(order, tuple(G), tuple(lms), True, budget.spent - start)
+def _lazard(generators, order, budget):
+    """Minimal monic standard basis under the local degree order
+    ``order``: the dehomogenized basis of the homogenized generators
+    (Lazard 1983; Greuel-Pfister, section 1.7)."""
+    ring = order.ring
+    tag = "_h"
+    while tag in ring:
+        tag += "_"
+    hom = [Polynomial(ring + (tag,), {e + (g.total_degree() - sum(e),): c
+                                      for e, c in g.terms.items()})
+           for g in generators]
+    # setting h = 1 merges no terms, as each g is homogeneous
+    G = [_monic(Polynomial(ring, {e[:-1]: c for e, c in g.terms.items()}), order)
+         for g in _buchberger(hom, homogenized(ring + (tag,)), budget)]
+    return [G[i] for i in _minimal_indices([g.leading(order)[0] for g in G])]
 
 
 def _minimal_indices(lms):
@@ -317,14 +370,132 @@ def _count_standard(gens, bounds):
     return count
 
 
-def staircase_colength_bruteforce(monomials, ring_size):
-    """Independent combinatorial oracle: count lattice points under the
-    staircase of a monomial ideal by direct enumeration."""
-    gens = [tuple(m) for m in monomials]
-    bounds = []
-    for i in range(ring_size):
-        pures = [m[i] for m in gens if m[i] > 0 and all(m[j] == 0 for j in range(ring_size) if j != i)]
-        if not pures:
-            return inf
-        bounds.append(min(pures))
-    return _count_standard(gens, bounds)
+def local_colength(gens, ring):
+    """dim O/I for the ideal I of ``gens`` in the local ring O at the
+    origin: an int, or +inf when I is not primary to the maximal ideal m.
+
+    c_k = dim Q[x]/(I + m^k) is read off one fraction-free integer
+    elimination of the multiples x^a*g truncated below degree K.  At the
+    first k with c_k = c_(k+1), m^k lies in I + m^(k+1), so Nakayama's
+    lemma gives m^k in I*O and c_k is exact.  K starts at the largest
+    generator order plus 3 and grows by half.
+
+    No truncation stabilizes when I is not m-primary, while Lazard's
+    method decides every ideal.  So after each truncation that does not
+    stabilize, Lazard's method may spend that truncation's row
+    eliminations over ``LAZARD_STEP_RATIO`` of its own steps, about as
+    long in time.  A loan of no steps is tried only after a truncation
+    without eliminations: it settles ideals such as <x> in two variables,
+    which need no reduction.  Past ``MONOMIAL_CAP`` columns Lazard's
+    method gets the whole budget."""
+    ring = tuple(ring)
+    n = len(ring)
+    int_gens = [_primitive(g) for g in gens if not g.is_zero()]
+    budget = _current_budget()
+    K = max((min(map(sum, g)) for g in int_gens), default=0) + 3
+    while comb(n + K - 1, n) <= MONOMIAL_CAP:
+        start = budget.spent
+        c = _truncated_colength(int_gens, n, K, budget)
+        if c is not None:
+            return c
+        spent = budget.spent - start
+        if spent == 0 or spent >= LAZARD_STEP_RATIO:
+            try:
+                loan = _Loan(spent // LAZARD_STEP_RATIO, budget)
+                return _lazard_colength(gens, ring, loan)
+            except _LoanExhausted:
+                pass
+        K += K // 2
+    return _lazard_colength(gens, ring, budget)
+
+
+def _lazard_colength(gens, ring, budget):
+    token = _active_budget.set(budget)
+    try:
+        return colength(complete_basis(gens, negdegrevlex(ring)))
+    finally:
+        _active_budget.reset(token)
+
+
+def _primitive(g):
+    """Coefficients of g scaled to coprime integers."""
+    den = lcm(*(c.denominator for c in g.terms.values()))
+    ints = {e: int(c * den) for e, c in g.terms.items()}
+    content = gcd(*ints.values())
+    return {e: v // content for e, v in ints.items()}
+
+
+@lru_cache(maxsize=64)
+def _columns(n, K):
+    """The monomials of degree < K in n variables as codes sum e_i*K^i,
+    one tuple per degree, each largest first under the local order (the
+    code orders like the reversed exponent tuple); and each code's
+    column."""
+    units = [K**i for i in range(n)]
+    by_degree = [(0,)]
+    for _ in range(1, K):
+        by_degree.append(tuple(sorted({c + u for c in by_degree[-1] for u in units})))
+    index = {c: j for j, c in enumerate(chain.from_iterable(by_degree))}
+    return by_degree, index
+
+
+def _truncated_colength(int_gens, n, K, budget):
+    """c_k for the first k < K with c_k = c_(k+1), or None; ``int_gens``
+    are the generators with coprime integer coefficients.
+
+    Columns are the monomials of degree < K, lowest degree first, so a
+    row's lowest column is its local leading monomial.  The rows x^a*g
+    whose lowest column has degree d are built and eliminated degree by
+    degree; no later row can add a pivot of degree <= d, and
+    c_(d+1) = c_d exactly when every monomial of degree d is a pivot."""
+    by_degree, index = _columns(n, K)
+    coded = []  # (order, [(degree, code, coefficient)]) per generator
+    for g in int_gens:
+        terms = [(sum(e), sum(k * K**i for i, k in enumerate(e)), c) for e, c in g.items()]
+        coded.append((min(t[0] for t in terms), [t for t in terms if t[0] < K]))
+    pivots = {}
+    below = 0  # columns of degree < d
+    found = 0  # pivots of degree < d
+    for d, codes in enumerate(by_degree):
+        rows = []
+        for order, terms in coded:
+            if order <= d:
+                # x^a*g with |a| = d - order, truncated below degree K
+                kept = [(code, c) for deg, code, c in terms if deg + d - order < K]
+                rows += ({index[a + code]: c for code, c in kept} for a in by_degree[d - order])
+        rows.sort(key=min)
+        for row in rows:
+            _eliminate(row, pivots, budget)
+        end = below + len(codes)
+        at_d = sum(1 for j in range(below, end) if j in pivots)
+        if at_d == len(codes):
+            return below - found
+        below, found = end, found + at_d
+    return None
+
+
+def _eliminate(row, pivots, budget):
+    """Reduce an integer row by the pivot rows, each keyed by its lowest
+    column, and keep what is left as a new pivot row."""
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            pivots[lead] = row
+            return
+        budget.step()
+        a, b = piv[lead], row[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        new = {j: a * v for j, v in row.items()}
+        for j, v in piv.items():
+            w = new.get(j, 0) - b * v
+            if w:
+                new[j] = w
+            else:
+                del new[j]
+        if new:
+            g = gcd(*new.values())
+            if g != 1:
+                new = {j: v // g for j, v in new.items()}
+        row = new

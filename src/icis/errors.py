@@ -97,3 +97,10 @@ class UnboundNameError(ProblemFileError):
 
 class MissingParameterError(ProblemFileError):
     code = "missing-parameter"
+
+
+class ExpansionTooLargeError(ProblemFileError):
+    """A product or power in the problem file expands too far to be
+    computed at parse time."""
+
+    code = "expansion-too-large"

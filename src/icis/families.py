@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import inf
 
+from .basis import local_colength
 from .errors import InconclusiveError, InvalidInputError, NonIsolatedError
 from .germs import (
     GermFunction,
@@ -33,7 +34,7 @@ from .ideals import (
     radical_membership,
     relative_jacobian_ideal,
 )
-from .orders import grevlex, negdegrevlex
+from .orders import grevlex
 from .poly import Polynomial, order_of_vanishing
 
 FUNCTION = "function-deformation"
@@ -269,7 +270,7 @@ def critical_locus_report(fam, t0):
     total = I.colength(grevlex(fam.x_ring))
     if total == inf:
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
-    local = I.colength(negdegrevlex(fam.x_ring))
+    local = local_colength(I.generators, fam.x_ring)
     distinct = distinct_point_count(I)
     return CriticalLocusReport(t0, total, local, distinct, fam.certificate)
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
+from .basis import local_colength
 from .errors import (
     GenericityError,
     InvalidInputError,
@@ -23,7 +24,6 @@ from .ideals import (
     jacobian_matrix,
     maximal_minors,
 )
-from .orders import negdegrevlex
 from .poly import (
     Polynomial,
     lowest_degree_form,
@@ -65,7 +65,7 @@ class IcisPresentation:
         return IdealPresentation(self.ring, list(self.phi) + minors)
 
     def singular_colength(self):
-        return self.singular_ideal().colength(negdegrevlex(self.ring))
+        return local_colength(self.singular_ideal().generators, self.ring)
 
     def contains(self, point):
         return all(p.eval(point) == 0 for p in self.phi)
@@ -116,9 +116,7 @@ def hypersurface_milnor(f):
     """Local colength of the ideal of all partials of f."""
     if f.constant_term() != 0:
         raise InvalidInputError("germ must vanish at the origin")
-    partials = [f.diff(v) for v in f.ring]
-    I = IdealPresentation(f.ring, partials)
-    mu = I.colength(negdegrevlex(f.ring))
+    mu = local_colength([f.diff(v) for v in f.ring], f.ring)
     if mu == inf:
         raise NonIsolatedError(f"non-isolated singularity: {f}")
     return mu
@@ -126,7 +124,7 @@ def hypersurface_milnor(f):
 
 def function_on_icis_milnor(g):
     """dim of O_n / (<phi> + J(f, phi)) in the local ring at 0."""
-    mu = g.critical_ideal().colength(negdegrevlex(g.base.ring))
+    mu = local_colength(g.critical_ideal().generators, g.base.ring)
     if mu == inf:
         raise NonIsolatedError("function has non-isolated singularity on the ICIS")
     return mu
@@ -181,8 +179,7 @@ def _chain_milnor(phi, ring):
     mu = 0
     for k in range(1, len(phi) + 1):
         minors = maximal_minors(jacobian_matrix(phi[:k], list(ring)))
-        I = IdealPresentation(ring, phi[: k - 1] + minors)
-        c = I.colength(negdegrevlex(ring))
+        c = local_colength(phi[: k - 1] + minors, ring)
         if c == inf:
             raise GenericityError(f"infinite colength at chain stage {k}")
         mu = c - mu

@@ -1,4 +1,5 @@
-"""Monomial orders: global, local and elimination-block.
+"""Monomial orders: global, local, elimination-block, and the global
+order on homogenized polynomials that Lazard's method uses.
 
 An order is bound to a ring (an ordered tuple of variable names) and
 exposes a ``key`` function on exponent tuples; larger key means larger
@@ -72,6 +73,22 @@ class NegDegRevLex(MonomialOrder):
 
 
 @dataclass(frozen=True)
+class Homogenized(MonomialOrder):
+    """Global order on (x, h) for Lazard's method: total degree, then
+    the h-exponent, then revlex on x.  On a homogeneous polynomial it
+    picks the term whose x-part leads under the local degree order."""
+
+    kind: str = "homogenized"
+
+    @property
+    def is_global(self):
+        return True
+
+    def key(self, exps):
+        return (sum(exps), exps[-1], _revlex_tail(exps[:-1]))
+
+
+@dataclass(frozen=True)
 class Block(MonomialOrder):
     """Elimination order: compare the eliminated block first (grevlex),
     then the kept block.  A standard basis under this order intersected
@@ -101,6 +118,12 @@ def grevlex(ring):
 
 def negdegrevlex(ring):
     return NegDegRevLex(tuple(ring))
+
+
+def homogenized(ring):
+    """The order for Lazard's method; the last variable of ``ring`` is
+    the homogenizing one."""
+    return Homogenized(tuple(ring))
 
 
 def elimination_order(ring, eliminate):

@@ -35,7 +35,9 @@ Denominators and samples are nonzero.  Example::
     probe t = -3/2*s, x = s^3, y = s^2;
 
 Every syntax or binding error carries the line/column of the offending
-token and a machine-readable code.
+token and a machine-readable code.  Expressions are expanded as they are
+parsed; a product or power that would take more than
+``MAX_PRODUCT_TERMS`` term products is refused at its operator.
 """
 
 from __future__ import annotations
@@ -44,8 +46,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .basis import DEFAULT_BUDGET
-from .errors import MissingParameterError, ProblemSyntaxError, UnboundNameError
+from .errors import (
+    ExpansionTooLargeError,
+    MissingParameterError,
+    ProblemSyntaxError,
+    UnboundNameError,
+)
 from .poly import Polynomial
+
+# Term products allowed in one product or power step of a parsed
+# expression; (x + y + z)^64 would need 314,721 in its last squaring.
+MAX_PRODUCT_TERMS = 100_000
 
 # each kind and the statements it requires, in the order they are checked
 KINDS = {
@@ -289,13 +300,25 @@ class _Parser:
     def product(self, ring):
         result = self.atom(ring)
         while True:
+            tok = self.peek()
             if self.accept("*"):
-                result = result * self.atom(ring)
-            elif self.peek().type in ("IDENT", "("):
+                result = self.multiply(result, self.atom(ring), tok)
+            elif tok.type in ("IDENT", "("):
                 # implicit multiplication: 3x, 2(x+y)
-                result = result * self.factor(ring)
+                result = self.multiply(result, self.factor(ring), tok)
             else:
                 return result
+
+    def multiply(self, a, b, tok):
+        """a * b, refused at ``tok`` when it would take more than
+        MAX_PRODUCT_TERMS term products: expanding is not budgeted."""
+        if len(a.terms) * len(b.terms) > MAX_PRODUCT_TERMS:
+            raise ExpansionTooLargeError(
+                f"expansion needs more than {MAX_PRODUCT_TERMS} term products",
+                tok.line,
+                tok.column,
+            )
+        return a * b
 
     def atom(self, ring):
         if self.peek().type == "INT":
@@ -317,9 +340,19 @@ class _Parser:
             self.expect(")")
         else:
             self.fail("expected a polynomial term")
-        if self.accept("^"):
-            return base ** int(self.expect("INT", "integer exponent").value)
-        return base
+        tok = self.peek()
+        if not self.accept("^"):
+            return base
+        k = int(self.expect("INT", "integer exponent").value)
+        # square-and-multiply, each product checked
+        result = Polynomial.constant(ring, 1)
+        while k:
+            if k & 1:
+                result = self.multiply(result, base, tok)
+            k >>= 1
+            if k:
+                base = self.multiply(base, base, tok)
+        return result
 
 
 def parse_problem(text):

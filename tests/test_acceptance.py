@@ -10,7 +10,7 @@ from math import inf
 
 import pytest
 
-from icis.basis import colength, complete_basis, staircase_colength_bruteforce
+from icis.basis import colength, complete_basis
 from icis.families import (
     CurveProbe,
     DeformationFamily,
@@ -35,6 +35,7 @@ from icis.orders import grevlex, negdegrevlex
 from icis.poly import Polynomial, order_of_vanishing
 
 from family_suite import FUNCTION_CASES, SPACE_CASES
+from staircase_oracle import staircase_colength_bruteforce
 
 GRID = [(2, 3), (2, 5), (3, 4), (3, 5)]
 SAMPLES = (Fraction(1), Fraction(1, 2))

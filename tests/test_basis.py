@@ -2,21 +2,22 @@ import random
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from icis.basis import (
     colength,
     complete_basis,
     is_zero_dimensional,
+    local_colength,
     normal_form,
     staircase,
-    staircase_colength_bruteforce,
     step_budget,
 )
 from icis.errors import BudgetExhaustedError
 from icis.orders import grevlex, negdegrevlex
 from icis.poly import Polynomial
+from staircase_oracle import staircase_colength_bruteforce
 
 R = ("x", "y")
 x = Polynomial.variable(R, "x")
@@ -184,3 +185,55 @@ class TestStaircase:
         for e in standard:
             m = Polynomial.monomial(R, e, 1)
             assert normal_form(m, basis) == m
+
+
+def _vanishing_polys(nvars, max_exp):
+    """Strategy: lists of polynomials with no constant term, as lists of
+    (exponents, coefficient) pairs."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars).filter(any)
+    term = st.tuples(exps, st.integers(-3, 3).filter(bool))
+    return st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=2)
+
+
+def _build(ring, polys):
+    return [Polynomial(ring, dict(terms)) for terms in polys]
+
+
+class TestLocalColength:
+    """The truncated-linear-algebra engine against the grevlex engine."""
+
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(1, 4), min_size=n, max_size=n),
+                _vanishing_polys(n, 3),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_affine_colength_on_primary_ideals(self, case):
+        # pure powers x_i^a_i put V(I) at the origin alone: the local and
+        # the affine colength agree
+        n, powers, polys = case
+        ring = ("x", "y", "z")[:n]
+        gens = [Polynomial.monomial(ring, tuple(a if j == i else 0 for j in range(n)), 1)
+                for i, a in enumerate(powers)] + _build(ring, polys)
+        affine = colength(complete_basis(gens, grevlex(ring)))
+        assert local_colength(gens, ring) == affine
+
+    @given(_vanishing_polys(2, 3), _vanishing_polys(2, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_bounded_by_affine_colength(self, first, second):
+        # the origin is one of finitely many points of V(I)
+        gens = _build(R, first + second)
+        affine = colength(complete_basis(gens, grevlex(R)))
+        assume(affine != inf)
+        assert local_colength(gens, R) <= affine
+
+    def test_not_primary_is_inf(self):
+        assert local_colength([x**2, x * y], R) == inf
+        assert local_colength([], R) == inf
+
+    def test_unit_ideal(self):
+        assert local_colength([x - 1, y], R) == 0

@@ -34,6 +34,7 @@ INVALID_INPUTS = {
     "binding_repeated.icis": "ring x, y;\nf = x^2 + y^2;\nf = x^3;\nkind milnor;\n",
     "probe_component_repeated.icis": _CUSP_FAMILY
         + "phi = x^2 - y^3;\nF = x + t*y;\nprobe t = s, x = s^3, x = s^5, y = s^2;\n",
+    "power_too_large.icis": "ring x, y, z;\nf = (x + y + z)^120;\nkind milnor;\n",
 }
 
 # a space family whose one singular point moves with t: the cusp at (t, 0)
@@ -183,6 +184,7 @@ class TestExitCodes:
             ("superscript_digit.icis", "syntax-error"),
             ("binding_repeated.icis", "syntax-error"),
             ("probe_component_repeated.icis", "syntax-error"),
+            ("power_too_large.icis --budget 10", "expansion-too-large"),
             ("ex43_23.icis --samples abc", "syntax-error"),
             ("ex43_23.icis --samples 1/0", "syntax-error"),
             ("ex43_23.icis --samples 1,0", "syntax-error"),

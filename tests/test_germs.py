@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from icis.basis import step_budget
 from icis.errors import NonIsolatedError, UnsupportedInputError
 from icis.germs import (
     GermFunction,
@@ -52,6 +53,24 @@ class TestHypersurfaceMilnor:
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError):
             hypersurface_milnor(x**2 + 1)
+
+    def test_perturbed_brieskorn(self):
+        # not semi-quasihomogeneous; Mora's tangent-cone loop never
+        # finished on it
+        f = x3**3 + y3**4 + z3**5 - 9 * x3 * y3 * z3**2 + 3 * x3**2 * y3**2 * z3**2
+        assert hypersurface_milnor(f) == 23
+
+    def test_truncation_past_the_column_cap(self):
+        # the truncation would need more than MONOMIAL_CAP columns, so
+        # Lazard's method decides
+        assert hypersurface_milnor(x**200 + y**2) == 199
+
+    def test_dense_nonisolated_is_decided_cheaply(self):
+        # a double curve: no truncation stabilizes, and Lazard's method
+        # settles it on a loan of steps long before the column cap
+        f = (x**2 - y**3) ** 2 * (x + y**2 + 3 * x * y)
+        with step_budget(10**4), pytest.raises(NonIsolatedError):
+            hypersurface_milnor(f)
 
 
 class TestFunctionOnIcisMilnor:
@@ -106,6 +125,14 @@ class TestIcisMilnor:
     def test_nonisolated_rejected(self):
         with pytest.raises(NonIsolatedError):
             IcisPresentation(R3, (x3 * y3,))
+
+    def test_four_variables(self):
+        # Mora's tangent-cone loop ran past 30 s on the chain of this ICIS
+        R4 = ("w", "x", "y", "z")
+        w4, x4, y4, z4 = (Polynomial.variable(R4, n) for n in R4)
+        X = IcisPresentation(R4, (w4**2 + x4**3 + y4 * z4 + x4 * y4 * z4,
+                                  x4 * y4 + z4**3 + w4**3 + w4 * x4 * z4))
+        assert icis_milnor(X) == 14
 
     def test_nonzero_at_origin_rejected(self):
         with pytest.raises(ValueError):

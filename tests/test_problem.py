@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from icis.errors import (
+    ExpansionTooLargeError,
     MissingParameterError,
     ProblemSyntaxError,
     UnboundNameError,
@@ -165,6 +166,25 @@ class TestProblemFiles:
         with pytest.raises(ProblemSyntaxError) as exc:
             parse_problem(b"ring x, y;\nf = x^2 \xff+ y^2;\nkind milnor;\n")
         assert (exc.value.line, exc.value.column) == (2, 9)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("ring x, y, z;\nf = (x + y + z)^120;\nkind milnor;\n", (2, 16)),
+            ("ring x, y;\nf = (x + y)^400 * (x - y)^400;\nkind milnor;\n", (2, 17)),
+            ("ring x, y;\nf = (x + y + 1)^30 (x - y + 1)^30;\nkind milnor;\n", (2, 20)),
+        ],
+        ids=["power", "product", "implicit-product"],
+    )
+    def test_expansion_bound_position(self, text, position):
+        # expanding is not charged to the step budget: refused, not slow
+        with pytest.raises(ExpansionTooLargeError) as exc:
+            parse_problem(text)
+        assert (exc.value.line, exc.value.column) == position
+
+    def test_expansion_below_bound(self):
+        p = parse_problem("ring x, y;\nf = (x + y)^40;\nkind milnor;\n")
+        assert len(p.bindings["f"][0].terms) == 41
 
     def test_bytes_input(self):
         p = parse_problem(b"ring x, y;\nf = x;\nkind milnor;\n")
