@@ -1,9 +1,12 @@
 """Standard-basis engines and colength computation.
 
 Global orders use Buchberger's algorithm with the product and chain
-criteria.  Local orders use Lazard's method: Buchberger on the
-homogenized generators under a global order, then dehomogenization;
-normal forms against a local basis are Mora's weak normal form.
+criteria.  Pairs are taken lowest lcm degree first from a heap (the
+normal selection strategy), and reduction works in place on a term dict
+of exponent tuples to Fractions, with the monomials' order keys cached.
+Local orders use Lazard's method: Buchberger on the homogenized
+generators under a global order, then dehomogenization; normal forms
+against a local basis are Mora's weak normal form.
 
 ``local_colength`` computes dim O/I at the origin by truncated linear
 algebra; Lazard's method decides the ideals whose truncations do not
@@ -23,8 +26,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import chain
-from math import comb, gcd, inf, lcm
+from math import comb, gcd, inf, lcm, prod
 
 from .errors import BudgetExhaustedError, ZeroInputError
 from .orders import homogenized, negdegrevlex
@@ -119,20 +123,61 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def _quotient(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def _monomul(poly, exps, coeff):
     return poly * Polynomial.monomial(poly.ring, exps, coeff)
+
+
+class _Keys(dict):
+    """order.key of each monomial, computed on first lookup."""
+
+    def __init__(self, order):
+        super().__init__()
+        self.key = order.key
+
+    def __missing__(self, exps):
+        k = self[exps] = self.key(exps)
+        return k
+
+
+def _reducers(gens, keys):
+    """(leading monomial, leading coefficient, other terms) per generator."""
+    out = []
+    for g in gens:
+        lm = max(g.terms, key=keys.__getitem__)
+        out.append((lm, g.terms[lm], [(e, c) for e, c in g.terms.items() if e != lm]))
+    return out
+
+
+def _add_shifted(h, tail, shift, q):
+    """h += q * x^shift * tail, in place on the term dict h."""
+    for e, c in tail:
+        e = tuple(a + b for a, b in zip(e, shift))
+        v = h.get(e)
+        v = q * c if v is None else v + q * c
+        if v:
+            h[e] = v
+        else:
+            del h[e]
+
+
+def _s_terms(r, s, lcm):
+    """Terms of spoly for two reducers; their leading terms cancel."""
+    h = {}
+    _add_shifted(h, r[2], _quotient(lcm, r[0]), 1 / r[1])
+    _add_shifted(h, s[2], _quotient(lcm, s[0]), -1 / s[1])
+    return h
 
 
 def s_polynomial(f, g, order):
     """spoly(f, g): the leading terms of both scalings cancel."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("s_polynomial of zero polynomial")
-    lm_f, lc_f = f.leading(order)
-    lm_g, lc_g = g.leading(order)
-    lcm = _lcm(lm_f, lm_g)
-    a = _monomul(f, tuple(l - m for l, m in zip(lcm, lm_f)), 1 / lc_f)
-    b = _monomul(g, tuple(l - m for l, m in zip(lcm, lm_g)), 1 / lc_g)
-    return a - b
+    r, s = _reducers([f, g], _Keys(order))
+    return Polynomial(f.ring, _s_terms(r, s, _lcm(r[0], s[0])))
 
 
 def _ecart(f, order):
@@ -140,25 +185,22 @@ def _ecart(f, order):
     return f.total_degree() - sum(lm)
 
 
-def _reduce_global(f, gens, order, budget):
-    """Ordinary multivariate division, fully reduced."""
-    lms = [g.leading(order) for g in gens]
-    remainder = Polynomial.zero(f.ring)
-    h = f
-    while not h.is_zero():
-        lm_h, lc_h = h.leading(order)
-        hit = None
-        for g, (lm_g, lc_g) in zip(gens, lms):
+def _reduce_global(h, reducers, keys, budget):
+    """Ordinary multivariate division of the term dict h, fully reduced,
+    by the first reducer whose leading monomial divides; h is used up.
+    Returns the remainder's term dict."""
+    remainder = {}
+    while h:
+        lm_h = max(h, key=keys.__getitem__)
+        lc_h = h.pop(lm_h)
+        for lm_g, lc_g, tail in reducers:
             if _divides(lm_g, lm_h):
-                hit = (g, lm_g, lc_g)
                 break
-        if hit is None:
-            remainder = remainder + Polynomial.monomial(f.ring, lm_h, lc_h)
-            h = h - Polynomial.monomial(f.ring, lm_h, lc_h)
         else:
-            budget.step()
-            g, lm_g, lc_g = hit
-            h = h - _monomul(g, tuple(a - b for a, b in zip(lm_h, lm_g)), lc_h / lc_g)
+            remainder[lm_h] = lc_h
+            continue
+        budget.step()
+        _add_shifted(h, tail, _quotient(lm_h, lm_g), -lc_h / lc_g)
     return remainder
 
 
@@ -184,7 +226,7 @@ def _reduce_mora(f, gens, order, budget):
         if ec_g > _ecart(h, order):
             pool.append((h, (lm_h, lc_h), _ecart(h, order)))
         budget.step()
-        h = h - _monomul(g, tuple(a - b for a, b in zip(lm_h, lm_g)), lc_h / lc_g)
+        h = h - _monomul(g, _quotient(lm_h, lm_g), lc_h / lc_g)
     return h
 
 
@@ -199,7 +241,9 @@ def normal_form(f, sb):
         return f
     budget = _current_budget()
     if sb.order.is_global:
-        return _reduce_global(f, sb.generators, sb.order, budget)
+        keys = _Keys(sb.order)
+        reducers = _reducers(sb.generators, keys)
+        return Polynomial(f.ring, _reduce_global(dict(f.terms), reducers, keys, budget))
     return _reduce_mora(f, sb.generators, sb.order, budget)
 
 
@@ -211,8 +255,12 @@ def complete_basis(generators, order):
     start = budget.spent
     if order.is_global:
         G = _buchberger(generators, order, budget)
-        # inter-reduce tails for a canonical reduced basis
-        G = [_monic(_reduce_global(g, G[:i] + G[i + 1:], order, budget), order)
+        # inter-reduce tails for a canonical reduced basis; G is minimal
+        # and monic, so each leading term survives with coefficient 1
+        keys = _Keys(order)
+        reducers = _reducers(G, keys)
+        G = [Polynomial(g.ring, _reduce_global(dict(g.terms), reducers[:i] + reducers[i + 1:],
+                                               keys, budget))
              for i, g in enumerate(G)]
     else:
         G = _lazard(generators, order, budget)
@@ -229,7 +277,9 @@ def _monic(g, order):
 
 
 def _buchberger(generators, order, budget):
-    """Minimal monic standard basis under a global order."""
+    """Minimal monic standard basis under a global order.  Pairs wait in
+    a heap keyed by (degree of their lcm, i, j), the lcm computed once
+    when the pair is made (the normal selection strategy)."""
     G = []
     seen = set()
     for g in generators:
@@ -239,38 +289,38 @@ def _buchberger(generators, order, budget):
         if g not in seen:
             seen.add(g)
             G.append(g)
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    lms = [g.leading(order)[0] for g in G]
+    keys = _Keys(order)
+    reducers = _reducers(G, keys)
+    lms = [r[0] for r in reducers]
+    pairs = []
     done = set()
 
-    def chain_skippable(i, j):
-        l = _lcm(lms[i], lms[j])
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if _divides(lms[k], l):
-                if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                    return True
-        return False
+    def add_pairs(j):
+        for i in range(j):
+            lcm = _lcm(lms[i], lms[j])
+            heappush(pairs, (sum(lcm), i, j, lcm))
 
+    for j in range(len(G)):
+        add_pairs(j)
     while pairs:
-        i, j = min(pairs, key=lambda p: (sum(_lcm(lms[p[0]], lms[p[1]])), p))
-        pairs.discard((i, j))
+        _, i, j, lcm = heappop(pairs)
         done.add((i, j))
-        lcm = _lcm(lms[i], lms[j])
         # product criterion: coprime leading monomials reduce to zero
         if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
             continue
-        if chain_skippable(i, j):
+        # chain criterion: some lm_k divides the lcm, (i, k) and (j, k)
+        # done; (k, k) never is, so k is neither i nor j
+        if any((min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               and _divides(lms[k], lcm) for k in range(len(G))):
             continue
-        h = _reduce_global(s_polynomial(G[i], G[j], order), G, order, budget)
-        if h.is_zero():
+        h = _reduce_global(_s_terms(reducers[i], reducers[j], lcm), reducers, keys, budget)
+        if not h:
             continue
-        h = _monic(h, order)
-        G.append(h)
-        lms.append(h.leading(order)[0])
-        k = len(G) - 1
-        pairs.update((i2, k) for i2 in range(k))
+        lm = max(h, key=keys.__getitem__)
+        G.append(Polynomial(G[i].ring, h) * (1 / h[lm]))
+        reducers += _reducers(G[-1:], keys)
+        lms.append(lm)
+        add_pairs(len(G) - 1)
     return [G[i] for i in _minimal_indices(lms)]
 
 
@@ -351,23 +401,23 @@ def colength(sb):
 
 
 def _count_standard(gens, bounds):
+    """Monomials below ``bounds`` that no generator divides.  The box is
+    cut at the generators' exponents in each coordinate; within a cell
+    each generator divides every point or none, so each cell counts by
+    the product of its interval lengths.  ``live`` holds the generators
+    that divide the cell's points in the coordinates fixed so far."""
     n = len(bounds)
-    count = 0
-    point = [0] * n
 
-    def rec(i):
-        nonlocal count
+    def rec(i, live):
+        if not live:
+            return prod(bounds[i:])
         if i == n:
-            if not any(_divides(m, tuple(point)) for m in gens):
-                count += 1
-            return
-        for e in range(bounds[i]):
-            point[i] = e
-            rec(i + 1)
-        point[i] = 0
+            return 0
+        cuts = sorted({0, bounds[i]} | {m[i] for m in live if m[i] < bounds[i]})
+        return sum((hi - lo) * rec(i + 1, [m for m in live if m[i] <= lo])
+                   for lo, hi in zip(cuts, cuts[1:]))
 
-    rec(0)
-    return count
+    return rec(0, gens)
 
 
 def local_colength(gens, ring):

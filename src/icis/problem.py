@@ -172,6 +172,16 @@ class _Parser:
             self.fail(f"expected {what or repr(type_)}")
         return self.take()
 
+    def integer(self, what=None):
+        """The value of an INT token; one longer than the interpreter
+        converts (``sys.get_int_max_str_digits``) is a syntax error."""
+        tok = self.expect("INT", what)
+        try:
+            return int(tok.value)
+        except ValueError:
+            raise ProblemSyntaxError(f"integer of {len(tok.value)} digits is too long",
+                                     tok.line, tok.column) from None
+
     def comma_list(self, item):
         out = [item()]
         while self.accept(","):
@@ -207,7 +217,7 @@ class _Parser:
         elif word == "direction":
             p.direction = tuple(self.comma_list(self.rational))
         elif word in ("seed", "budget"):
-            setattr(p, word, int(self.expect("INT").value))
+            setattr(p, word, self.integer())
         elif not p.ring:
             self.fail("binding or probe before ring declaration", tok)
         elif word == "probe":
@@ -278,13 +288,14 @@ class _Parser:
 
     def rational(self):
         sign = -1 if self.accept("-") else 1
-        num = int(self.expect("INT").value)
+        num = self.integer()
         if not self.accept("/"):
             return Fraction(sign * num)
-        den = self.expect("INT", "integer denominator")
-        if int(den.value) == 0:
-            self.fail("zero denominator", den)
-        return Fraction(sign * num, int(den.value))
+        tok = self.peek()
+        den = self.integer("integer denominator")
+        if den == 0:
+            self.fail("zero denominator", tok)
+        return Fraction(sign * num, den)
 
     def expr(self, ring):
         sign = -1 if self.peek().type == "-" else 1
@@ -343,7 +354,7 @@ class _Parser:
         tok = self.peek()
         if not self.accept("^"):
             return base
-        k = int(self.expect("INT", "integer exponent").value)
+        k = self.integer("integer exponent")
         # square-and-multiply, each product checked
         result = Polynomial.constant(ring, 1)
         while k:

@@ -143,6 +143,16 @@ class TestColength:
         assert not is_zero_dimensional(basis)
         assert colength(basis) == inf
 
+    def test_large_exponents_closed_form(self):
+        # x^a, y^b, z^c, xyz leave the abc box monomials minus the
+        # (a-1)(b-1)(c-1) multiples of xyz, far too many to enumerate
+        ring = ("x", "y", "z")
+        a, b, c = 10**6, 10**7 + 3, 999
+        gens = [Polynomial.monomial(ring, e, 1)
+                for e in ((a, 0, 0), (0, b, 0), (0, 0, c), (1, 1, 1))]
+        basis = complete_basis(gens, grevlex(ring))
+        assert colength(basis) == a * b * c - (a - 1) * (b - 1) * (c - 1)
+
     def test_random_monomial_ideals_match_bruteforce(self):
         rng = random.Random(12345)
         for _ in range(30):

@@ -2,6 +2,7 @@ import io
 import json
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -35,6 +36,8 @@ INVALID_INPUTS = {
     "probe_component_repeated.icis": _CUSP_FAMILY
         + "phi = x^2 - y^3;\nF = x + t*y;\nprobe t = s, x = s^3, x = s^5, y = s^2;\n",
     "power_too_large.icis": "ring x, y, z;\nf = (x + y + z)^120;\nkind milnor;\n",
+    # past the interpreter's 4,300-digit limit on int()
+    "coefficient_too_long.icis": "ring x, y;\nf = " + "7" * 5000 + "x^2 + y^2;\nkind milnor;\n",
 }
 
 # a space family whose one singular point moves with t: the cusp at (t, 0)
@@ -185,6 +188,7 @@ class TestExitCodes:
             ("binding_repeated.icis", "syntax-error"),
             ("probe_component_repeated.icis", "syntax-error"),
             ("power_too_large.icis --budget 10", "expansion-too-large"),
+            ("coefficient_too_long.icis", "syntax-error"),
             ("ex43_23.icis --samples abc", "syntax-error"),
             ("ex43_23.icis --samples 1/0", "syntax-error"),
             ("ex43_23.icis --samples 1,0", "syntax-error"),
@@ -211,6 +215,18 @@ class TestExitCodes:
         code, _, err = run_cli("run", str(f), capsys=capsys)
         assert code == 4
         assert "budget-exhausted" in err
+
+    def test_large_exponent_colength_is_fast(self, tmp_path, capsys):
+        # the standard monomials are counted per cell of the staircase,
+        # not one by one: 2,999,999 of them, and no step is spent
+        path = tmp_path / "big.icis"
+        path.write_text("ring x, y;\nf = x^3000000 + y^2;\nkind milnor;\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("run", str(path), "--budget", "10", capsys=capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert "mu: 2999999  [" in out
+        assert "steps: 0" in err
 
     def test_missing_file_is_3(self, capsys):
         code, _, err = run_cli("run", str(FIXTURES / "does_not_exist.icis"), capsys=capsys)

@@ -186,6 +186,14 @@ class TestProblemFiles:
         p = parse_problem("ring x, y;\nf = (x + y)^40;\nkind milnor;\n")
         assert len(p.bindings["f"][0].terms) == 41
 
+    def test_too_long_integer_position(self):
+        # int() refuses more than 4,300 digits; the parser reports where
+        digits = "3" * 5000
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem(f"ring x, y;\nf = x^2 + {digits}*y^2;\nkind milnor;\n")
+        assert (exc.value.line, exc.value.column) == (2, 11)
+        assert digits not in str(exc.value)
+
     def test_bytes_input(self):
         p = parse_problem(b"ring x, y;\nf = x;\nkind milnor;\n")
         assert p.kind == "milnor"

@@ -1,6 +1,7 @@
-"""Differential oracle: reduced grevlex bases from ``complete_basis``
-against ``sympy.groebner`` on seeded random ideals.  sympy is a test
-dependency only."""
+"""Differential oracle: reduced grevlex and lex bases from
+``complete_basis``, elimination ideals and normal forms against
+``sympy.groebner`` and ``sympy.reduced`` on seeded random ideals.  sympy
+is a test dependency only."""
 
 import random
 from fractions import Fraction
@@ -8,8 +9,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from icis.basis import complete_basis
-from icis.orders import grevlex
+from icis.basis import complete_basis, normal_form
+from icis.ideals import IdealPresentation, elimination_ideal
+from icis.orders import grevlex, lex
 from icis.poly import Polynomial
 
 R = ("x", "y", "z")
@@ -17,14 +19,14 @@ SYMBOLS = sympy.symbols(R)
 SEEDS = range(15)
 
 
-def _random_ideal(rng):
-    """Two or three generators in x, y, z with exponents at most 2 and
-    small integer coefficients."""
+def _random_ideal(rng, max_exp=2):
+    """Two or three generators in x, y, z with exponents at most
+    ``max_exp`` and small integer coefficients."""
     gens = []
     for _ in range(rng.randint(2, 3)):
         terms = {}
         for _ in range(rng.randint(2, 4)):
-            exps = tuple(rng.randint(0, 2) for _ in R)
+            exps = tuple(rng.randint(0, max_exp) for _ in R)
             terms[exps] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
         gens.append(sum(
             (Polynomial.monomial(R, e, c) for e, c in terms.items()),
@@ -41,11 +43,11 @@ def _to_sympy(f):
     )
 
 
-def _monic_terms(g):
-    """Terms of a sympy polynomial divided by its grevlex leading
-    coefficient, as a set of (exponents, Fraction) pairs."""
-    p = sympy.Poly(g, *SYMBOLS)
-    lc = p.LC(order="grevlex")
+def _monic_terms(g, order="grevlex", symbols=SYMBOLS):
+    """Terms of a sympy polynomial divided by its leading coefficient
+    under ``order``, as a set of (exponents, Fraction) pairs."""
+    p = sympy.Poly(g, *symbols)
+    lc = p.LC(order=order)
     return frozenset(
         (e, Fraction(int((c / lc).p), int((c / lc).q))) for e, c in p.terms()
     )
@@ -59,3 +61,51 @@ def test_grevlex_basis_matches_sympy(seed):
     assert {frozenset(g.terms.items()) for g in ours.generators} == {
         _monic_terms(g) for g in theirs.exprs
     }
+
+
+def _terms(basis):
+    return {frozenset(g.terms.items()) for g in basis.generators}
+
+
+# Lex bases grow fast: on the exponent-2 ideals of seeds 9 and 12 sympy
+# itself takes 2.5 and 4.7 s, so the lex cases are multilinear.
+LEX_MAX_EXP = 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lex_basis_matches_sympy(seed):
+    gens = _random_ideal(random.Random(seed), LEX_MAX_EXP)
+    ours = complete_basis(gens, lex(R))
+    theirs = sympy.groebner([_to_sympy(g) for g in gens], *SYMBOLS, order="lex")
+    assert _terms(ours) == {_monic_terms(g, "lex") for g in theirs.exprs}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_elimination_ideal_matches_sympy_lex(seed):
+    """I meets Q[y, z] in the ideal of the x-free elements of a lex
+    basis; both sides are compared by their reduced grevlex bases."""
+    gens = _random_ideal(random.Random(seed), LEX_MAX_EXP)
+    kept = R[1:]
+    ours = elimination_ideal(IdealPresentation(R, gens), kept)
+    assert ours.ring == kept
+    lex_basis = sympy.groebner([_to_sympy(g) for g in gens], *SYMBOLS, order="lex")
+    free = [g for g in lex_basis.exprs if SYMBOLS[0] not in g.free_symbols]
+    expected = set()
+    if free:
+        theirs = sympy.groebner(free, *SYMBOLS[1:], order="grevlex")
+        expected = {_monic_terms(g, symbols=SYMBOLS[1:]) for g in theirs.exprs}
+    assert _terms(complete_basis(ours.generators, grevlex(kept))) == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_normal_form_matches_sympy_reduced(seed):
+    """A remainder that no leading monomial divides is unique against a
+    Groebner basis, so full division by either side's basis agrees."""
+    rng = random.Random(seed)
+    basis = complete_basis(_random_ideal(rng), grevlex(R))
+    divisors = [_to_sympy(g) for g in basis.generators]
+    for f in _random_ideal(rng):
+        f = f * f  # degree up to 4, past the leading monomials
+        _, r = sympy.reduced(_to_sympy(f), divisors, *SYMBOLS, order="grevlex")
+        ours = normal_form(f, basis)
+        assert _to_sympy(ours) - r == 0
