@@ -3,10 +3,11 @@
 Global orders use Buchberger's algorithm with the product and chain
 criteria.  Pairs are taken lowest lcm degree first from a heap (the
 normal selection strategy), and reduction works in place on a term dict
-of exponent tuples to Fractions, with the monomials' order keys cached.
-Local orders use Lazard's method: Buchberger on the homogenized
-generators under a global order, then dehomogenization; normal forms
-against a local basis are Mora's weak normal form.
+of exponent tuples to Fractions, with the monomials' order keys cached;
+the multiply-accumulate kernel is ``poly._add_shifted``.  Local orders
+use Lazard's method: Buchberger on the homogenized generators under a
+global order, then dehomogenization.  Normal forms are for global
+orders.
 
 ``local_colength`` computes dim O/I at the origin by truncated linear
 algebra; Lazard's method decides the ideals whose truncations do not
@@ -32,7 +33,7 @@ from math import comb, gcd, inf, lcm, prod
 
 from .errors import BudgetExhaustedError, ZeroInputError
 from .orders import homogenized, negdegrevlex
-from .poly import Polynomial
+from .poly import Polynomial, _add_shifted
 
 DEFAULT_BUDGET = 10**6
 # Truncations of local_colength with more columns than this go to
@@ -127,10 +128,6 @@ def _quotient(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _monomul(poly, exps, coeff):
-    return poly * Polynomial.monomial(poly.ring, exps, coeff)
-
-
 class _Keys(dict):
     """order.key of each monomial, computed on first lookup."""
 
@@ -152,18 +149,6 @@ def _reducers(gens, keys):
     return out
 
 
-def _add_shifted(h, tail, shift, q):
-    """h += q * x^shift * tail, in place on the term dict h."""
-    for e, c in tail:
-        e = tuple(a + b for a, b in zip(e, shift))
-        v = h.get(e)
-        v = q * c if v is None else v + q * c
-        if v:
-            h[e] = v
-        else:
-            del h[e]
-
-
 def _s_terms(r, s, lcm):
     """Terms of spoly for two reducers; their leading terms cancel."""
     h = {}
@@ -178,11 +163,6 @@ def s_polynomial(f, g, order):
         raise ZeroInputError("s_polynomial of zero polynomial")
     r, s = _reducers([f, g], _Keys(order))
     return Polynomial(f.ring, _s_terms(r, s, _lcm(r[0], s[0])))
-
-
-def _ecart(f, order):
-    lm, _ = f.leading(order)
-    return f.total_degree() - sum(lm)
 
 
 def _reduce_global(h, reducers, keys, budget):
@@ -204,47 +184,18 @@ def _reduce_global(h, reducers, keys, budget):
     return remainder
 
 
-def _reduce_mora(f, gens, order, budget):
-    """Mora weak normal form: u*f = result modulo the ideal, u a unit.
-
-    Intermediate results join the reducer pool; among applicable
-    reducers the one with minimal ecart (earliest insertion on ties)
-    is chosen, which is what makes the loop terminate.
-    """
-    pool = [(g, g.leading(order), _ecart(g, order)) for g in gens]
-    h = f
-    while not h.is_zero():
-        lm_h, lc_h = h.leading(order)
-        usable = [
-            (entry[2], idx, entry)
-            for idx, entry in enumerate(pool)
-            if _divides(entry[1][0], lm_h)
-        ]
-        if not usable:
-            break
-        ec_g, _, (g, (lm_g, lc_g), _) = min(usable, key=lambda u: (u[0], u[1]))
-        if ec_g > _ecart(h, order):
-            pool.append((h, (lm_h, lc_h), _ecart(h, order)))
-        budget.step()
-        h = h - _monomul(g, _quotient(lm_h, lm_g), lc_h / lc_g)
-    return h
-
-
 def normal_form(f, sb):
-    """Normal form of f against a completed basis.
-
-    Zero iff f lies in the ideal (the localized ideal for local orders,
-    where this is Mora's weak normal form)."""
+    """Normal form of f against a completed basis under a global order;
+    zero iff f lies in the ideal."""
     if not sb.completed:
         raise ValueError("normal form requires a completed basis")
+    if not sb.order.is_global:
+        raise ValueError("normal form requires a global order")
     if f.is_zero() or not sb.generators:
         return f
-    budget = _current_budget()
-    if sb.order.is_global:
-        keys = _Keys(sb.order)
-        reducers = _reducers(sb.generators, keys)
-        return Polynomial(f.ring, _reduce_global(dict(f.terms), reducers, keys, budget))
-    return _reduce_mora(f, sb.generators, sb.order, budget)
+    keys = _Keys(sb.order)
+    reducers = _reducers(sb.generators, keys)
+    return Polynomial(f.ring, _reduce_global(dict(f.terms), reducers, keys, _current_budget()))
 
 
 def complete_basis(generators, order):

@@ -168,14 +168,15 @@ def _run_family_analyze(problem, lines, data):
                 "converges_to_origin": r.converges_to_origin,
             })
         data["samples_report"] = sample_data
-        if fam.certificate:
+        try:
             cons = conservation_check(fam, samples)
-            lines.append(f"conservation: {cons}  [total at each sample vs mu at t=0]")
-            data["conservation"] = cons
-        else:
+        except InconclusiveError:
             lines.append("conservation: INCONCLUSIVE  [no convergence certificate]")
             data["conservation"] = None
             code = EXIT_INCONCLUSIVE
+        else:
+            lines.append(f"conservation: {cons}  [total at each sample vs mu at t=0]")
+            data["conservation"] = cons
         if _run_greuel(fam, problem, lines, data):
             code = EXIT_INCONCLUSIVE
 

@@ -337,19 +337,17 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
         total = point = point_mu = None
         if count == 0:
             total = 0
+        elif count == 1:
+            # a lone point over the algebraic closure is rational (its
+            # conjugates are points too): each radical eliminant is v - c
+            point = {v: -radical_eliminant(sing, v).constant_term() for v in x_ring}
+            point_mu = total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point)))
         elif fam.kind == SPACE and len(fam.Phi) == 1:
             # hypersurface family: affine Jacobian colength restricted
             # to the zero fiber
             phi_t = eqs[0]
             jac = [phi_t.diff(v) for v in x_ring]
             total = _total_on_fiber(jac, phi_t, x_ring)
-        if count == 1:
-            # a lone point over the algebraic closure is rational (its
-            # conjugates are points too): each radical eliminant is v - c
-            point = {v: -radical_eliminant(sing, v).constant_term() for v in x_ring}
-            point_mu = icis_milnor(IcisPresentation(x_ring, translate(eqs, point)))
-            if total is None:
-                total = point_mu
         if total is None:
             inconclusive = True
         results.append(SplittingSample(t0, count, total, point, point_mu))

@@ -15,27 +15,19 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    ring: tuple[str, ...]
-    kind: str
+    """Each subclass names its ``kind`` and says whether it ``is_global``
+    as class constants, so neither can be set per instance."""
 
-    @property
-    def is_global(self):
-        raise NotImplementedError
+    ring: tuple[str, ...]
 
     def key(self, exps):
         raise NotImplementedError
 
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
-
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
-    kind: str = "lex"
-
-    @property
-    def is_global(self):
-        return True
+    kind = "lex"
+    is_global = True
 
     def key(self, exps):
         return exps
@@ -47,11 +39,8 @@ def _revlex_tail(exps):
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
-    kind: str = "grevlex"
-
-    @property
-    def is_global(self):
-        return True
+    kind = "grevlex"
+    is_global = True
 
     def key(self, exps):
         return (sum(exps), _revlex_tail(exps))
@@ -62,11 +51,8 @@ class NegDegRevLex(MonomialOrder):
     """The local order: lower total degree is larger, so 1 is the largest
     monomial and leading terms pick out lowest-order behaviour at 0."""
 
-    kind: str = "negdegrevlex"
-
-    @property
-    def is_global(self):
-        return False
+    kind = "negdegrevlex"
+    is_global = False
 
     def key(self, exps):
         return (-sum(exps), _revlex_tail(exps))
@@ -78,11 +64,8 @@ class Homogenized(MonomialOrder):
     the h-exponent, then revlex on x.  On a homogeneous polynomial it
     picks the term whose x-part leads under the local degree order."""
 
-    kind: str = "homogenized"
-
-    @property
-    def is_global(self):
-        return True
+    kind = "homogenized"
+    is_global = True
 
     def key(self, exps):
         return (sum(exps), exps[-1], _revlex_tail(exps[:-1]))
@@ -96,11 +79,8 @@ class Block(MonomialOrder):
 
     eliminate: tuple[int, ...] = ()  # positions in ring
     keep: tuple[int, ...] = ()
-    kind: str = "block"
-
-    @property
-    def is_global(self):
-        return True
+    kind = "block"
+    is_global = True
 
     def key(self, exps):
         elim = tuple(exps[i] for i in self.eliminate)

@@ -3,6 +3,11 @@
 A polynomial is a map from exponent tuples to nonzero Fractions over a
 fixed ordered variable list (the ring).  All arithmetic is exact; no
 floating point is used anywhere.
+
+Products, substitution and the standard-basis engine in ``basis`` share
+one in-place multiply-accumulate kernel on term dicts, ``_add_shifted``;
+exact division and the univariate Euclidean remainder share one
+single-divisor division, ``_divmod``.
 """
 
 from __future__ import annotations
@@ -23,15 +28,14 @@ class Polynomial:
         if terms:
             n = len(self.ring)
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff == 0:
+                if not isinstance(coeff, Fraction):
+                    coeff = Fraction(coeff)
+                if not coeff:
                     continue
                 exps = tuple(exps)
-                if len(exps) != n or any(e < 0 for e in exps):
+                if len(exps) != n or min(exps, default=0) < 0:
                     raise ValueError(f"bad exponent vector {exps} for ring {self.ring}")
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if clean[exps] == 0:
-                    del clean[exps]
+                clean[exps] = coeff
         self.terms = clean
         self._hash = None
 
@@ -116,7 +120,8 @@ class Polynomial:
         self._check_ring(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            v = terms.get(e)
+            terms[e] = c if v is None else v + c
         return Polynomial(self.ring, terms)
 
     def __neg__(self):
@@ -133,10 +138,8 @@ class Polynomial:
             return Polynomial(self.ring, {e: k * c for e, k in self.terms.items()})
         self._check_ring(other)
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+        for e, c in self.terms.items():
+            _add_shifted(terms, other.terms.items(), e, c)
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -207,14 +210,16 @@ class Polynomial:
                         f"unbound variable {name!r} missing from target ring"
                     )
                 images[name] = Polynomial.variable(target_ring, name)
-        result = Polynomial.zero(target_ring)
+        one = Polynomial.constant(target_ring, 1)
+        zero = (0,) * len(target_ring)
+        result = {}
         for e, c in self.terms.items():
-            term = Polynomial.constant(target_ring, c)
+            term = one
             for i, k in enumerate(e):
                 if k:
                     term = term * images[self.ring[i]] ** k
-            result = result + term
-        return result
+            _add_shifted(result, term.terms.items(), zero, c)
+        return Polynomial(target_ring, result)
 
     def eval(self, point):
         """Evaluate at a rational point given as {var: scalar}."""
@@ -245,6 +250,40 @@ class Polynomial:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _add_shifted(h, tail, shift, q):
+    """h += q * x^shift * tail, in place on the term dict h; ``tail`` is
+    an iterable of (exponents, coefficient) pairs."""
+    for e, c in tail:
+        e = tuple(a + b for a, b in zip(e, shift))
+        v = h.get(e)
+        v = q * c if v is None else v + q * c
+        if v:
+            h[e] = v
+        else:
+            del h[e]
+
+
+def _divmod(f, g):
+    """(q, r) with f = q*g + r: divide under grevlex for as long as
+    lm(g) divides lm(r), in place on r's term dict."""
+    if g.is_zero():
+        raise ZeroInputError("division by zero polynomial")
+    key = grevlex(f.ring).key
+    lm_g = max(g.terms, key=key)
+    lc_g = g.terms[lm_g]
+    tail = [(e, c) for e, c in g.terms.items() if e != lm_g]
+    q, r = {}, dict(f.terms)
+    while r:
+        lm_r = max(r, key=key)
+        shift = tuple(a - b for a, b in zip(lm_r, lm_g))
+        if min(shift, default=0) < 0:
+            break
+        # lm(r) falls at each step, so every shift is new to q
+        c = q[shift] = r.pop(lm_r) / lc_g
+        _add_shifted(r, tail, shift, -c)
+    return Polynomial(f.ring, q), Polynomial(f.ring, r)
 
 
 def format_poly(f):
@@ -302,22 +341,9 @@ def lowest_degree_form(f):
 
 def divexact(f, g):
     """Exact division f/g; raises if g does not divide f."""
-    if g.is_zero():
-        raise ZeroInputError("division by zero polynomial")
-    if f.is_zero():
-        return f
-    order = grevlex(f.ring)
-    lm_g, lc_g = g.leading(order)
-    q = Polynomial.zero(f.ring)
-    r = f
-    while not r.is_zero():
-        lm_r, lc_r = r.leading(order)
-        quot = tuple(a - b for a, b in zip(lm_r, lm_g))
-        if any(e < 0 for e in quot):
-            raise ValueError("inexact division")
-        t = Polynomial.monomial(f.ring, quot, lc_r / lc_g)
-        q = q + t
-        r = r - t * g
+    q, r = _divmod(f, g)
+    if not r.is_zero():
+        raise ValueError("inexact division")
     return q
 
 
@@ -328,26 +354,10 @@ def _univariate_in(f):
     return None
 
 
-def _gcd_univariate(f, g, var):
-    i = f.ring.index(var)
-    a, b = f, g
+def _gcd_univariate(a, b):
     while not b.is_zero():
-        a, b = b, _poly_rem_univariate(a, b, i)
+        a, b = b, _divmod(a, b)[1]
     return _monic(a)
-
-
-def _poly_rem_univariate(a, b, i):
-    ring = a.ring
-    order = grevlex(ring)
-    lm_b, lc_b = b.leading(order)
-    r = a
-    while not r.is_zero():
-        lm_r, lc_r = r.leading(order)
-        if lm_r[i] < lm_b[i]:
-            break
-        quot = tuple(x - y for x, y in zip(lm_r, lm_b))
-        r = r - Polynomial.monomial(ring, quot, lc_r / lc_b) * b
-    return r
 
 
 def gcd(f, g):
@@ -367,7 +377,7 @@ def gcd(f, g):
         return Polynomial.constant(f.ring, 1)
     uf, ug = _univariate_in(f), _univariate_in(g)
     if uf is not None and uf == ug:
-        return _gcd_univariate(f, g, uf)
+        return _gcd_univariate(f, g)
 
     from . import basis as _basis
     from .orders import elimination_order

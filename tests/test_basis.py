@@ -89,16 +89,10 @@ class TestNormalForm:
         assert normal_form(member, basis).is_zero()
         assert not normal_form(x + y, basis).is_zero()
 
-    def test_local_reduction_keeps_unit_reducibility(self):
+    def test_local_order_is_rejected(self):
         basis = complete_basis([x - x**2], negdegrevlex(R))
-        # locally x - x^2 = x(1 - x), a unit times x, so x reduces to 0
-        assert normal_form(x, basis).is_zero()
-
-    def test_local_monomial_outside_leading_ideal_is_fixed(self):
-        # leading ideal of <x^2 - y^3> locally is <x^2>; y^3 is a standard
-        # monomial, so it must be its own normal form
-        basis = complete_basis([x**2 - y**3], negdegrevlex(R))
-        assert normal_form(y**3, basis) == y**3
+        with pytest.raises(ValueError):
+            normal_form(x, basis)
 
     def test_result_not_divisible_by_leading_monomials(self):
         basis = complete_basis([x**2 + y**2 - 1, x * y - 1], grevlex(R))

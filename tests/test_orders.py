@@ -1,9 +1,10 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from icis.orders import elimination_order, grevlex, lex, negdegrevlex
+from icis.orders import GrevLex, elimination_order, grevlex, lex, negdegrevlex
 
 R = ("x", "y", "z")
 
@@ -86,3 +87,13 @@ def test_orders_are_multiplicative(a, b, c):
             shifted_a = tuple(i + j for i, j in zip(a, c))
             shifted_b = tuple(i + j for i, j in zip(b, c))
             assert greater(order, shifted_a, shifted_b)
+
+
+def test_kind_is_fixed_by_the_class():
+    # IdealPresentation caches bases by order.kind, so a kind must name
+    # one order
+    with pytest.raises(TypeError):
+        GrevLex(R, kind="negdegrevlex")
+    assert grevlex(R).kind == "grevlex"
+    assert grevlex(R) != negdegrevlex(R)
+    assert elimination_order(R, ("x",)) == elimination_order(R, ("x",))

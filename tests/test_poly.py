@@ -48,6 +48,19 @@ def nonzero_polys(draw, **kw):
     return p
 
 
+class TestConstruct:
+    def test_int_coefficient_is_stored_as_fraction(self):
+        f = Polynomial(R, {(1, 0): 3, (0, 1): 0})
+        assert f.terms == {(1, 0): Fraction(3)}
+        assert type(f.terms[(1, 0)]) is Fraction
+
+    def test_bad_exponent_vector_rejected(self):
+        with pytest.raises(ValueError):
+            Polynomial(R, {(1, -1): 1})
+        with pytest.raises(ValueError):
+            Polynomial(R, {(1,): 1})
+
+
 class TestArith:
     def test_cancellation(self):
         assert (x + y) + (x - y) == 2 * x

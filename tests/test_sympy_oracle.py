@@ -1,7 +1,9 @@
 """Differential oracle: reduced grevlex and lex bases from
 ``complete_basis``, elimination ideals and normal forms against
-``sympy.groebner`` and ``sympy.reduced`` on seeded random ideals.  sympy
-is a test dependency only."""
+``sympy.groebner`` and ``sympy.reduced`` on seeded random ideals, and the
+polynomial kernel (products, sums, substitution, exact division,
+univariate gcd) against ``sympy.expand`` and ``sympy.gcd``.  sympy is a
+test dependency only."""
 
 import random
 from fractions import Fraction
@@ -12,7 +14,7 @@ import sympy
 from icis.basis import complete_basis, normal_form
 from icis.ideals import IdealPresentation, elimination_ideal
 from icis.orders import grevlex, lex
-from icis.poly import Polynomial
+from icis.poly import Polynomial, divexact, gcd
 
 R = ("x", "y", "z")
 SYMBOLS = sympy.symbols(R)
@@ -109,3 +111,48 @@ def test_normal_form_matches_sympy_reduced(seed):
         _, r = sympy.reduced(_to_sympy(f), divisors, *SYMBOLS, order="grevlex")
         ours = normal_form(f, basis)
         assert _to_sympy(ours) - r == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_arithmetic_matches_sympy_expand(seed):
+    f, g = _random_ideal(random.Random(seed))[:2]
+    F, G = _to_sympy(f), _to_sympy(g)
+    assert sympy.expand(_to_sympy(f * g) - F * G) == 0
+    assert sympy.expand(_to_sympy(f + g) - (F + G)) == 0
+    assert sympy.expand(_to_sympy(f - g) - (F - G)) == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_subs_matches_sympy_expand(seed):
+    f, g = _random_ideal(random.Random(seed))[:2]
+    X = SYMBOLS[0]
+    ours = f.subs({"x": g})
+    assert sympy.expand(_to_sympy(ours) - _to_sympy(f).subs(X, _to_sympy(g))) == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_divexact_undoes_product(seed):
+    f, g = _random_ideal(random.Random(seed))[:2]
+    assert divexact(f * g, g) == f
+
+
+def _random_univariate(rng, max_deg=4):
+    """A nonconstant polynomial in x alone with small integer
+    coefficients."""
+    deg = rng.randint(1, max_deg)
+    terms = {(k, 0, 0): rng.choice([-3, -2, -1, 0, 1, 2, 3]) for k in range(deg)}
+    terms[(deg, 0, 0)] = rng.choice([-2, -1, 1, 2])
+    return Polynomial(R, terms)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_univariate_gcd_matches_sympy(seed):
+    """A shared factor of degree at least 1 makes every gcd nontrivial;
+    both sides are monic."""
+    rng = random.Random(seed)
+    common = _random_univariate(rng)
+    f = common * _random_univariate(rng)
+    g = common * _random_univariate(rng)
+    X = SYMBOLS[0]
+    theirs = sympy.Poly(sympy.gcd(_to_sympy(f), _to_sympy(g)), X).monic().as_expr()
+    assert sympy.expand(_to_sympy(gcd(f, g)) - theirs) == 0
