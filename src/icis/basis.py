@@ -33,7 +33,7 @@ from math import comb, gcd, inf, lcm, prod
 
 from .errors import BudgetExhaustedError, ZeroInputError
 from .orders import homogenized, negdegrevlex
-from .poly import Polynomial, _add_shifted
+from .poly import Polynomial, _add_shifted, _monic
 
 DEFAULT_BUDGET = 10**6
 # Truncations of local_colength with more columns than this go to
@@ -220,11 +220,6 @@ def complete_basis(generators, order):
     G = [G[i] for i in idx]
     lms = [lms[i] for i in idx]
     return StandardBasis(order, tuple(G), tuple(lms), True, budget.spent - start)
-
-
-def _monic(g, order):
-    _, lc = g.leading(order)
-    return g * (1 / lc)
 
 
 def _buchberger(generators, order, budget):

@@ -10,7 +10,7 @@ from math import inf
 from . import basis as _basis
 from .errors import NonIsolatedError, UnknownVariableError, ZeroInputError
 from .orders import elimination_order, grevlex
-from .poly import Polynomial, gcd as poly_gcd, divexact
+from .poly import Polynomial, squarefree_part
 
 
 @dataclass
@@ -150,12 +150,12 @@ def univariate_eliminant(I, var):
 
 def radical_eliminant(I, var):
     """Monic generator of the radical of the elimination ideal of I in
-    ``var``: the eliminant g divided by gcd(g, g'); zero when the
+    ``var``: the squarefree part of the eliminant; zero when the
     elimination ideal is trivial."""
     g = univariate_eliminant(I, var)
     if g.is_zero():
         return g
-    return divexact(g, poly_gcd(g, g.diff(var)))
+    return squarefree_part(g)
 
 
 def distinct_point_count(I):

@@ -8,6 +8,15 @@ Products, substitution and the standard-basis engine in ``basis`` share
 one in-place multiply-accumulate kernel on term dicts, ``_add_shifted``;
 exact division and the univariate Euclidean remainder share one
 single-divisor division, ``_divmod``.
+
+``squarefree_part`` splits off the content in one variable x and
+recurses on it.  The primitive part p is certified squarefree when p(x, a)
+is, at one of a fixed list of points a of the other variables where the
+leading coefficient in x does not vanish (a univariate Euclid, outside the
+step budget).  Multivariate ``gcd`` is lcm-by-elimination, a block-order
+standard basis charged to the step budget; squarefree parts use it only for
+contents, when no variable has a constant coefficient, and for a
+primitive part that no point certifies.
 """
 
 from __future__ import annotations
@@ -399,22 +408,91 @@ def gcd(f, g):
     return _monic(divexact(f * g, lcm))
 
 
-def _monic(f):
+def _monic(f, order=None):
+    """f scaled to leading coefficient 1 under ``order`` (default
+    grevlex); 0 stays 0."""
     if f.is_zero():
         return f
-    _, lc = f.leading(grevlex(f.ring))
-    return f * (1 / lc)
+    _, lc = f.leading(order or grevlex(f.ring))
+    return f if lc == 1 else f * (1 / lc)
+
+
+# Values c of the certificate points (c, c^2, ..., c^k) for the k
+# variables other than x; fixed, so every run tries the same points.
+_CERTIFICATE_VALUES = (1, -1, 2, -2, 3, -3)
 
 
 def squarefree_part(f):
-    """Generator of the radical of <f>: f divided by gcd(f, all partials),
-    leading coefficient normalized to 1 under grevlex.  Valid over a
-    field of characteristic zero."""
+    """Generator of the radical of <f>, leading coefficient normalized to
+    1 under grevlex.  Valid over a field of characteristic zero.
+
+    f = c*p splits into its content c in one variable x and a primitive
+    part p; rad(f) = rad(c)*rad(p), as every factor of c is free of x and
+    every factor of p involves x.  c is recursed on, and p is certified
+    squarefree by a univariate specialization or divided by gcd(p, dp/dx)."""
     if f.is_zero():
         raise ZeroInputError("squarefree_part of 0")
-    g = f
-    for v in sorted(f.variables_used()):
-        d = f.diff(v)
-        if not d.is_zero():
-            g = gcd(g, d)
-    return _monic(divexact(f, g))
+    return _monic(_radical(f))
+
+
+def _radical(f):
+    """A generator of the radical of <f>, f nonzero, up to a scalar."""
+    used = [i for i in range(len(f.ring)) if any(e[i] for e in f.terms)]
+    if not used:
+        return Polynomial.constant(f.ring, 1)
+    # in an x with a constant coefficient the content is 1: no gcds
+    for i in used:
+        if any(c.is_constant() for c in _coefficients(f, i)):
+            return _radical_primitive(f, i)
+    i = used[0]
+    coeffs = sorted(_coefficients(f, i), key=lambda c: len(c.terms))
+    content = coeffs[0]
+    for c in coeffs[1:]:
+        content = gcd(content, c)
+        if content.is_constant():
+            return _radical_primitive(f, i)
+    return _radical(content) * _radical_primitive(divexact(f, content), i)
+
+
+def _coefficients(f, i):
+    """The coefficients of f as a polynomial in its i-th variable."""
+    out = {}
+    for e, c in f.terms.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return [Polynomial(f.ring, t) for t in out.values()]
+
+
+def _radical_primitive(p, i):
+    """Radical of p, whose content in its i-th variable x is 1.
+
+    p is squarefree when p(x, a) is, at a point a of the other variables
+    with lc_x(p)(a) != 0: every factor of p involves x, so a square factor
+    q^2 would leave q(x, a)^2 with deg q(x, a) >= 1.  The certificate runs
+    outside the step budget; only when no point gives it is p divided by
+    gcd(p, dp/dx): one lcm-by-elimination gcd, or Euclid when x is the
+    only variable of p."""
+    x = p.ring[i]
+    deg = max(e[i] for e in p.terms)
+    others = [k for k in range(len(p.ring)) if k != i and any(e[k] for e in p.terms)]
+    if others:
+        for a in _CERTIFICATE_VALUES:
+            q = _specialize(p, i, {k: a ** (n + 1) for n, k in enumerate(others)})
+            if max((e[i] for e in q.terms), default=-1) < deg:
+                continue  # lc_x(p) vanishes at this point
+            if _gcd_univariate(q, q.diff(x)).is_constant():
+                return p
+    return divexact(p, gcd(p, p.diff(x)))
+
+
+def _specialize(p, i, point):
+    """p with each variable k in ``point`` set to point[k]; the i-th
+    variable stays."""
+    terms = {}
+    for e, c in p.terms.items():
+        for k, a in point.items():
+            if e[k]:
+                c *= a ** e[k]
+        m = tuple(e[i] if k == i else 0 for k in range(len(e)))
+        v = terms.get(m)
+        terms[m] = c if v is None else v + c
+    return Polynomial(p.ring, terms)

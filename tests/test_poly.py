@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from icis import basis, poly
+from icis.basis import step_budget
 from icis.errors import RingMismatchError, UnknownVariableError, ZeroInputError
 from icis.orders import grevlex
 from icis.poly import (
@@ -16,6 +18,7 @@ from icis.poly import (
     order_of_vanishing,
     squarefree_part,
 )
+from icis.problem import parse_expression
 
 R = ("x", "y")
 x = Polynomial.variable(R, "x")
@@ -219,6 +222,44 @@ class TestSquarefree:
     )
     def test_multiplicity_insensitive(self, f, g):
         assert up_to_scalar(squarefree_part(f**2 * g), squarefree_part(f * g))
+
+
+class TestSquarefreeCertificate:
+    """A squarefree input is certified by a univariate specialization,
+    outside the step budget; only a failed certificate takes one gcd."""
+
+    @pytest.fixture
+    def no_basis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("complete_basis called")
+
+        monkeypatch.setattr(basis, "complete_basis", refuse)
+
+    @pytest.mark.parametrize(
+        "ring,text",
+        [
+            (("u", "v"), "4*u^3 + 27*v^2"),
+            # coefficients in x: y, z, y^3 + z^2
+            (("x", "y", "z"), "x^2*y + x*z + y^3 + z^2"),
+        ],
+    )
+    def test_squarefree_input_spends_no_steps(self, no_basis, ring, text):
+        f = parse_expression(text, ring)
+        with step_budget() as b:
+            assert up_to_scalar(squarefree_part(f), f)
+        assert b.spent == 0
+
+    def test_non_squarefree_primitive_input_takes_one_gcd(self, monkeypatch):
+        calls = []
+
+        def counting_gcd(f, g):
+            calls.append((f, g))
+            return gcd(f, g)
+
+        monkeypatch.setattr(poly, "gcd", counting_gcd)
+        f = (x**2 - y**3) ** 2 * (x + y)
+        assert up_to_scalar(squarefree_part(f), (x**2 - y**3) * (x + y))
+        assert len(calls) == 1
 
 
 class TestDivision:

@@ -2,8 +2,8 @@
 ``complete_basis``, elimination ideals and normal forms against
 ``sympy.groebner`` and ``sympy.reduced`` on seeded random ideals, and the
 polynomial kernel (products, sums, substitution, exact division,
-univariate gcd) against ``sympy.expand`` and ``sympy.gcd``.  sympy is a
-test dependency only."""
+gcd) against ``sympy.expand`` and ``sympy.gcd``, and squarefree parts
+against ``sympy.sqf_part``.  sympy is a test dependency only."""
 
 import random
 from fractions import Fraction
@@ -14,7 +14,8 @@ import sympy
 from icis.basis import complete_basis, normal_form
 from icis.ideals import IdealPresentation, elimination_ideal
 from icis.orders import grevlex, lex
-from icis.poly import Polynomial, divexact, gcd
+from icis.poly import Polynomial, divexact, gcd, squarefree_part
+from icis.problem import parse_expression
 
 R = ("x", "y", "z")
 SYMBOLS = sympy.symbols(R)
@@ -156,3 +157,86 @@ def test_univariate_gcd_matches_sympy(seed):
     X = SYMBOLS[0]
     theirs = sympy.Poly(sympy.gcd(_to_sympy(f), _to_sympy(g)), X).monic().as_expr()
     assert sympy.expand(_to_sympy(gcd(f, g)) - theirs) == 0
+
+
+def _random_factor(rng, names):
+    """A nonconstant polynomial in the variables ``names`` of R, each
+    exponent at most 1, with two or three terms."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            exps = tuple(rng.randint(0, 1) if v in names else 0 for v in R)
+            terms[exps] = rng.choice([-3, -2, -1, 1, 2, 3])
+        f = Polynomial(R, terms)
+        if not f.is_constant():
+            return f
+
+
+def _assert_monic_equal(ours, theirs):
+    """ours equals the sympy expression ``theirs`` scaled to leading
+    coefficient 1 under grevlex."""
+    assert frozenset(ours.terms.items()) == _monic_terms(theirs)
+
+
+def _assert_squarefree_part(f):
+    _assert_monic_equal(squarefree_part(f), sympy.sqf_part(_to_sympy(f)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_squarefree_part_matches_sympy(seed, n):
+    """a^2*b*c^3 with c free of x: the cube lives in the content in x.
+    In three variables c is also a multiple of y*z, so no variable has a
+    constant coefficient and the content is taken in x.  a*b*c is
+    squarefree for most seeds."""
+    rng = random.Random(seed)
+    names = R[:n]
+    a, b = _random_factor(rng, names), _random_factor(rng, names)
+    c = _random_factor(rng, names[1:])
+    if n == 3:
+        c = c * parse_expression("y*z", R)
+    _assert_squarefree_part(a**2 * b * c**3)
+    _assert_squarefree_part(a * b * c)
+
+
+# leading coefficients in x that vanish at y = 0, 1, -1, 2 (and z = 4)
+LC_VANISHING = [
+    "((y^3 - y)*x + 1)^2 * (x + y)",
+    "((y^3 - y)*x + 1) * (x + y)",
+    "((y^2 - 1)*(y - 2)*x^2 + y)^2 * (x - y + 3)",
+    "((y^3 - y)*(z - 4)*x + z)^2 * (x + y*z)",
+    "((y^3 - y)*(z - 4)*x + z) * (x + y*z) * (y - 2)^2",
+]
+
+
+@pytest.mark.parametrize("text", LC_VANISHING)
+def test_squarefree_part_where_the_leading_coefficient_vanishes(text):
+    _assert_squarefree_part(parse_expression(text, R))
+
+
+SQUAREFREE = [
+    "4*x^3 + 27*y^2",
+    "x^2*y + y^3*z + x*z^2",
+    "(x*y + z)*(x*z + y)*(y*z + x)",
+    "x*y*z",
+    "x^5 - y^3 + z^7 - x*y*z",
+]
+
+
+@pytest.mark.parametrize("text", SQUAREFREE)
+def test_squarefree_part_of_squarefree_input(text):
+    f = parse_expression(text, R)
+    _assert_squarefree_part(f)
+    assert squarefree_part(f) == f * (1 / f.leading(grevlex(R))[1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_multivariate_gcd_matches_sympy(seed, n):
+    """f and g share a factor in all n variables; both sides are monic."""
+    rng = random.Random(seed)
+    names = R[:n]
+    common = _random_factor(rng, names) * _random_factor(rng, names)
+    f = common * _random_factor(rng, names)
+    g = common * _random_factor(rng, names)
+    _assert_monic_equal(gcd(f, g), sympy.gcd(_to_sympy(f), _to_sympy(g)))
