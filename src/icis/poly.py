@@ -440,9 +440,12 @@ def _radical(f):
     used = [i for i in range(len(f.ring)) if any(e[i] for e in f.terms)]
     if not used:
         return Polynomial.constant(f.ring, 1)
-    # in an x with a constant coefficient the content is 1: no gcds
+    # in an x with a constant coefficient the content is 1: no gcds.  The
+    # coefficient of x^k is constant when x^k is f's only term of degree k
+    # in x.
     for i in used:
-        if any(c.is_constant() for c in _coefficients(f, i)):
+        mixed = {e[i] for e in f.terms if sum(e) != e[i]}
+        if any(e[i] not in mixed for e in f.terms if sum(e) == e[i]):
             return _radical_primitive(f, i)
     i = used[0]
     coeffs = sorted(_coefficients(f, i), key=lambda c: len(c.terms))
@@ -476,23 +479,9 @@ def _radical_primitive(p, i):
     others = [k for k in range(len(p.ring)) if k != i and any(e[k] for e in p.terms)]
     if others:
         for a in _CERTIFICATE_VALUES:
-            q = _specialize(p, i, {k: a ** (n + 1) for n, k in enumerate(others)})
+            q = p.subs({p.ring[k]: a ** (n + 1) for n, k in enumerate(others)})
             if max((e[i] for e in q.terms), default=-1) < deg:
                 continue  # lc_x(p) vanishes at this point
             if _gcd_univariate(q, q.diff(x)).is_constant():
                 return p
     return divexact(p, gcd(p, p.diff(x)))
-
-
-def _specialize(p, i, point):
-    """p with each variable k in ``point`` set to point[k]; the i-th
-    variable stays."""
-    terms = {}
-    for e, c in p.terms.items():
-        for k, a in point.items():
-            if e[k]:
-                c *= a ** e[k]
-        m = tuple(e[i] if k == i else 0 for k in range(len(e)))
-        v = terms.get(m)
-        terms[m] = c if v is None else v + c
-    return Polynomial(p.ring, terms)

@@ -261,6 +261,12 @@ class TestSquarefreeCertificate:
         assert up_to_scalar(squarefree_part(f), (x**2 - y**3) * (x + y))
         assert len(calls) == 1
 
+    def test_pure_power_beside_mixed_terms_is_not_a_constant_coefficient(self):
+        # x and y^2 are terms of f, but the coefficient of x is (y + 1)^2
+        # and that of y^2 is x + 1: the square lives in the content
+        f = (y + 1) ** 2 * (x + 1)
+        assert up_to_scalar(squarefree_part(f), (y + 1) * (x + 1))
+
 
 class TestDivision:
     def test_exact(self):
