@@ -36,6 +36,7 @@ from .germs import (
     IcisPresentation,
     LineDirection,
     discriminant,
+    fiber_milnor_total,
     function_on_icis_milnor,
     hypersurface_milnor,
     icis_milnor,

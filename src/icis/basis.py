@@ -33,7 +33,7 @@ from math import comb, gcd, inf, lcm, prod
 
 from .errors import BudgetExhaustedError, ZeroInputError
 from .orders import homogenized, negdegrevlex
-from .poly import Polynomial, _add_shifted, _monic
+from .poly import Polynomial, _add_shifted, _monic, fresh_variable
 
 DEFAULT_BUDGET = 10**6
 # Truncations of local_colength with more columns than this go to
@@ -275,9 +275,7 @@ def _lazard(generators, order, budget):
     ``order``: the dehomogenized basis of the homogenized generators
     (Lazard 1983; Greuel-Pfister, section 1.7)."""
     ring = order.ring
-    tag = "_h"
-    while tag in ring:
-        tag += "_"
+    tag = fresh_variable(ring, "_h")
     hom = [Polynomial(ring + (tag,), {e + (g.total_degree() - sum(e),): c
                                       for e, c in g.terms.items()})
            for g in generators]
@@ -288,24 +286,27 @@ def _lazard(generators, order, budget):
 
 
 def _minimal_indices(lms):
-    keep = []
-    for i, m in enumerate(lms):
-        redundant = False
-        for j, other in enumerate(lms):
-            if i == j:
-                continue
-            if _divides(other, m) and (other != m or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    return keep
+    """Indices of the monomials no other divides; of equal ones, the first."""
+    return [i for i, m in enumerate(lms)
+            if not any(_divides(o, m) and (o != m or j < i) for j, o in enumerate(lms) if j != i)]
 
 
 def staircase(sb):
     """Minimal generators of the leading-monomial ideal (an antichain)."""
     lms = list(sb.leading_monomials)
     return tuple(lms[i] for i in _minimal_indices(lms))
+
+
+def _pure_power_bounds(gens, n):
+    """For each variable, the least exponent of its pure powers among
+    the monomials ``gens``; None when some variable has none."""
+    bounds = [inf] * n
+    for m in gens:
+        support = [i for i in range(n) if m[i]]
+        if len(support) == 1:
+            (i,) = support
+            bounds[i] = min(bounds[i], m[i])
+    return None if inf in bounds else bounds
 
 
 def is_zero_dimensional(sb):
@@ -316,12 +317,7 @@ def is_zero_dimensional(sb):
         raise ValueError("requires a completed basis")
     n = len(sb.ring)
     gens = staircase(sb)
-    if (0,) * n in gens:
-        return True
-    for i in range(n):
-        if not any(m[i] > 0 and all(m[j] == 0 for j in range(n) if j != i) for m in gens):
-            return False
-    return True
+    return (0,) * n in gens or _pure_power_bounds(gens, n) is not None
 
 
 def colength(sb):
@@ -332,17 +328,11 @@ def colength(sb):
         raise ValueError("requires a completed basis")
     gens = staircase(sb)
     n = len(sb.ring)
-    zero = (0,) * n
-    if any(m == zero for m in gens):
+    if (0,) * n in gens:
         return 0
-    if n == 0:
-        return 1
-    if not is_zero_dimensional(sb):
+    bounds = _pure_power_bounds(gens, n)
+    if bounds is None:
         return inf
-    bounds = []
-    for i in range(n):
-        powers = [m[i] for m in gens if all(m[j] == 0 for j in range(n) if j != i) and m[i] > 0]
-        bounds.append(min(powers))
     return _count_standard(gens, bounds)
 
 

@@ -5,7 +5,9 @@ condition checks with their implications.
 Affine colengths stand in for Milnor-ball totals only when the
 convergence certificate holds (every critical point collapses to the
 origin as the parameter goes to zero); otherwise ball-dependent
-verdicts come back inconclusive rather than wrong.
+verdicts come back inconclusive rather than wrong.  The splitting
+check sums each fiber's Milnor numbers with the Le-Greuel chain of
+``germs``, localized at a lone singular point or on the whole fiber.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import InconclusiveError, InvalidInputError, NonIsolatedError
 from .germs import (
     GermFunction,
     IcisPresentation,
+    fiber_milnor_total,
     function_on_icis_milnor,
     icis_milnor,
     translate,
@@ -297,35 +300,17 @@ def _fiber_presentation(fam, t0):
     return fam.specialize(t0)
 
 
-def _total_on_fiber(jac_gens, f, ring):
-    """Sum of local colengths of <jac_gens> over the points of the fiber
-    f = 0 only: adjoin rising powers of f until the colength stabilizes,
-    which kills the primary components at points off the fiber."""
-    base = IdealPresentation(ring, jac_gens)
-    order = grevlex(ring)
-    prev = None
-    power = f
-    for _ in range(64):
-        c = base.plus([power]).colength(order)
-        if c == inf:
-            raise NonIsolatedError("fiber total is not finite")
-        if c == prev:
-            return c
-        prev = c
-        power = power * f
-    raise NonIsolatedError("fiber-total power iteration did not stabilize")
-
-
 def splitting_check(fam, samples=DEFAULT_SAMPLES):
     """No-coalescence check: when the total fiber Milnor number stays
     equal to the base value, there must be exactly one singular point
-    and it must carry the full Milnor number."""
+    and it must carry the full Milnor number.  A lone singular point is
+    rational: it is moved to the origin for ``icis_milnor``.  Two or more
+    are summed over the closure by ``fiber_milnor_total``."""
     x_ring = fam.x_ring
     base_mu = icis_milnor(IcisPresentation(x_ring, _fiber_presentation(fam, 0)))
     conv = converges_to_origin(fam.parametric_fiber_singular_ideal(), fam.param, x_ring)
 
     results = []
-    inconclusive = False
     for t0 in samples:
         t0 = Fraction(t0)
         eqs = _fiber_presentation(fam, t0)
@@ -334,7 +319,7 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
         if sing.colength(grevlex(x_ring)) == inf:
             raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
         count = distinct_point_count(sing)
-        total = point = point_mu = None
+        point = point_mu = None
         if count == 0:
             total = 0
         elif count == 1:
@@ -342,21 +327,15 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
             # conjugates are points too): each radical eliminant is v - c
             point = {v: -radical_eliminant(sing, v).constant_term() for v in x_ring}
             point_mu = total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point)))
-        elif fam.kind == SPACE and len(fam.Phi) == 1:
-            # hypersurface family: affine Jacobian colength restricted
-            # to the zero fiber
-            phi_t = eqs[0]
-            jac = [phi_t.diff(v) for v in x_ring]
-            total = _total_on_fiber(jac, phi_t, x_ring)
-        if total is None:
-            inconclusive = True
+        else:
+            total = fiber_milnor_total(eqs, x_ring)
         results.append(SplittingSample(t0, count, total, point, point_mu))
 
-    if inconclusive or not conv:
+    if not conv:
         return SplittingReport(
             base_mu, conv, results, INCONCLUSIVE,
-            "fiber totals could not be certified (convergence or "
-            "multi-point totals unavailable)",
+            "no convergence certificate: some singular point may escape the "
+            "Milnor ball as t goes to 0",
         )
     hypothesis = all(r.total_fiber_mu == base_mu for r in results)
     if not hypothesis:

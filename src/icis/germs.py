@@ -1,12 +1,16 @@
 """Invariants of a single singularity germ: Milnor numbers of
 hypersurfaces, of complete intersections (telescoped colength chain),
 and of functions on them; discriminants, multiplicity and the
-generic-line test."""
+generic-line test.  The Le-Greuel chain is localized at the origin
+(``icis_milnor``: local colengths) or on the fiber V(phi), summing its
+singular points (``fiber_milnor_total``: global colengths with rising
+powers of the equations adjoined)."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from math import inf
 
@@ -24,6 +28,7 @@ from .ideals import (
     jacobian_matrix,
     maximal_minors,
 )
+from .orders import grevlex
 from .poly import (
     Polynomial,
     lowest_degree_form,
@@ -155,35 +160,56 @@ def _recombine(phi, rng):
 
 
 def icis_milnor(X, seed=0):
-    """Milnor number of an ICIS via the telescoped colength chain:
-    mu(X_{k-1}) + mu(X_k) = colength(<phi_1..phi_{k-1}> + minors of the
-    Jacobian of (phi_1..phi_k)), starting from mu(C^n) = 0.
+    """Milnor number of an ICIS: the chain localized at the origin."""
+    return _chain_milnor(list(X.phi), X.ring, lambda gens, _: local_colength(gens, X.ring), seed)
 
-    Each truncation must have finite colength; when the given equation
-    order fails, seeded random recombinations of the equations are
-    tried (the chain is valid for a generic choice)."""
+
+def fiber_milnor_total(phi, ring):
+    """Sum of the Milnor numbers of V(phi) at its singular points, which
+    must be isolated, over the closure: the chain localized on V(phi)."""
+    return _chain_milnor(list(phi), ring, partial(_fiber_colength, ring))
+
+
+def _chain_milnor(phi, ring, colength, seed=0):
+    """Le-Greuel chain: mu(X_{k-1}) + mu(X_k) is the colength of
+    <phi_1..phi_{k-1}> + (k x k minors of the Jacobian of phi_1..phi_k),
+    localized by ``colength(gens, [phi_k..phi_p])``, from mu(C^n) = 0.
+    A stage of infinite colength is retried with seeded random
+    recombinations of the equations (the chain holds for a generic choice)."""
     rng = random.Random(seed)
     last_failure = None
     for attempt in range(MAX_RECOMBINATION_RETRIES + 1):
-        phi = list(X.phi) if attempt == 0 else _recombine(list(X.phi), rng)
+        eqs = phi if attempt == 0 else _recombine(phi, rng)
         try:
-            return _chain_milnor(phi, X.ring)
+            mu = 0
+            for k in range(1, len(eqs) + 1):
+                minors = maximal_minors(jacobian_matrix(eqs[:k], list(ring)))
+                c = colength(eqs[: k - 1] + minors, eqs[k - 1:])
+                if c == inf:
+                    raise GenericityError(f"infinite colength at chain stage {k}")
+                mu = c - mu
+            return mu
         except GenericityError as exc:
             last_failure = exc
-    raise GenericityError(
-        f"no recombination gave finite chain colengths: {last_failure}"
-    )
+    raise GenericityError(f"no recombination gave finite chain colengths: {last_failure}")
 
 
-def _chain_milnor(phi, ring):
-    mu = 0
-    for k in range(1, len(phi) + 1):
-        minors = maximal_minors(jacobian_matrix(phi[:k], list(ring)))
-        c = local_colength(phi[: k - 1] + minors, ring)
+def _fiber_colength(ring, gens, rest):
+    """Grevlex colength of <gens> + <r^N for r in rest> at the first N <= 64
+    where it equals its value at N + 1.  Points off V(rest) drop out, and
+    by Nakayama the equal values put each r^N in <gens> at every point of
+    V(rest): the value sums the local colengths of <gens> there."""
+    order = grevlex(ring)
+    powers, prev = list(rest), None
+    for _ in range(64):
+        c = IdealPresentation(ring, gens + powers).colength(order)
         if c == inf:
-            raise GenericityError(f"infinite colength at chain stage {k}")
-        mu = c - mu
-    return mu
+            raise NonIsolatedError("fiber has non-isolated singular points")
+        if c == prev:
+            return c
+        prev = c
+        powers = [q * r for q, r in zip(powers, rest)]
+    raise GenericityError("fiber colength did not stabilize")
 
 
 def _target_ring(p):

@@ -10,7 +10,7 @@ from math import inf
 from . import basis as _basis
 from .errors import NonIsolatedError, UnknownVariableError, ZeroInputError
 from .orders import elimination_order, grevlex
-from .poly import Polynomial, squarefree_part
+from .poly import Polynomial, fresh_variable, squarefree_part
 
 
 @dataclass
@@ -126,9 +126,7 @@ def radical_membership(f, I):
     1 lies in I + <1 - z*f> under a global order."""
     if f.is_zero():
         return True
-    tag = "_z"
-    while tag in I.ring:
-        tag += "_"
+    tag = fresh_variable(I.ring, "_z")
     big = I.ring + (tag,)
     z = Polynomial.variable(big, tag)
     one = Polynomial.constant(big, 1)

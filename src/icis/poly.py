@@ -356,13 +356,6 @@ def divexact(f, g):
     return q
 
 
-def _univariate_in(f):
-    used = f.variables_used()
-    if len(used) == 1:
-        return next(iter(used))
-    return None
-
-
 def _gcd_univariate(a, b):
     while not b.is_zero():
         a, b = b, _divmod(a, b)[1]
@@ -372,7 +365,8 @@ def _gcd_univariate(a, b):
 def gcd(f, g):
     """Multivariate gcd over the rationals.
 
-    Univariate inputs use the Euclidean algorithm; the general case goes
+    A monomial argument gives the monomial of least exponents, and
+    univariate inputs use the Euclidean algorithm; the general case goes
     through lcm-by-elimination (an ideal intersection with one tag
     variable), then exact division of f*g by the lcm.
     """
@@ -384,16 +378,17 @@ def gcd(f, g):
         return _monic(f)
     if f.is_constant() or g.is_constant():
         return Polynomial.constant(f.ring, 1)
-    uf, ug = _univariate_in(f), _univariate_in(g)
-    if uf is not None and uf == ug:
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # a monomial's divisors are monomials: the least exponents
+        exps = [min(col) for col in zip(*f.terms, *g.terms)]
+        return Polynomial.monomial(f.ring, exps)
+    if len(f.variables_used() | g.variables_used()) == 1:
         return _gcd_univariate(f, g)
 
     from . import basis as _basis
     from .orders import elimination_order
 
-    tag = "_w"
-    while tag in f.ring:
-        tag += "_"
+    tag = fresh_variable(f.ring, "_w")
     big = (tag,) + f.ring
     w = Polynomial.variable(big, tag)
     one = Polynomial.constant(big, 1)
@@ -406,6 +401,13 @@ def gcd(f, g):
     lcm = min(candidates, key=lambda p: len(p.terms))
     lcm = lcm.in_ring(f.ring)
     return _monic(divexact(f * g, lcm))
+
+
+def fresh_variable(ring, stem):
+    """``stem``, with underscores appended until it is not in ``ring``."""
+    while stem in ring:
+        stem += "_"
+    return stem
 
 
 def _monic(f, order=None):

@@ -53,9 +53,10 @@ class SpaceCase:
     splitting: str
     sample_counts: tuple = ()
     sample_totals: tuple = ()
+    ring: tuple = RING
 
     def family(self):
-        return DeformationFamily.space_deformation(RING, "t", list(self.Phi))
+        return DeformationFamily.space_deformation(self.ring, "t", list(self.Phi))
 
 
 def _jump(p, q):
@@ -103,6 +104,24 @@ def _quintic_on_hyperplane():
         ring=ring,
     )
 
+
+def _tacnode_in_space(a):
+    """The tacnode y^2 = (x^2 - a*t^2)^2 lifted to the surface z = -x*y
+    in C^3, an ICIS of two equations: each fiber has two nodes, at
+    x = +-sqrt(a)*t, irrational unless a is a square."""
+    ring = ("t", "x", "y", "z")
+    tq, xq, yq, zq = (Polynomial.variable(ring, v) for v in ring)
+    return SpaceCase(
+        name=f"tacnode-in-space-{a}",
+        Phi=(zq + xq * yq, yq**2 - (xq**2 - a * tq**2) ** 2),
+        base_fiber_mu=3,
+        splitting=VACUOUS,
+        sample_counts=(2, 2),
+        sample_totals=(2, 2),
+        ring=ring,
+    )
+
+
 SPACE_CASES = [
     SpaceCase(
         name="quintic-mu-constant",
@@ -144,6 +163,8 @@ SPACE_CASES = [
         sample_counts=(1, 1),
         sample_totals=(1, 1),
     ),
+    _tacnode_in_space(1),
+    _tacnode_in_space(2),
 ]
 
 

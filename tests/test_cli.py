@@ -134,6 +134,16 @@ class TestRun:
         assert "splitting: VACUOUS" in out
         assert "t=1: count=2 total=2" in out
 
+    def test_icis_family_with_two_singular_points(self, capsys):
+        # the tacnode on the surface z = -x*y: two nodes in each fiber
+        path = FIXTURES / "icis_tacnode_splitting.icis"
+        code, out, _ = run_cli("run", str(path), capsys=capsys)
+        assert code == 0
+        assert (
+            "splitting: VACUOUS  [base fiber mu 3; "
+            "t=1: count=2 total=2; t=1/2: count=2 total=2]" in out
+        )
+
     def test_space_family_moving_point(self, tmp_path, capsys):
         path = tmp_path / "moving_cusp.icis"
         path.write_text(MOVING_CUSP)

@@ -6,6 +6,7 @@ import pytest
 from icis.errors import InconclusiveError, NonIsolatedError
 from icis.families import (
     CONSISTENT,
+    VACUOUS,
     CurveProbe,
     DeformationFamily,
     conservation_check,
@@ -16,6 +17,7 @@ from icis.families import (
     splitting_check,
     radical_implies_axis_check,
 )
+from icis.germs import IcisPresentation, icis_milnor, translate
 from icis.ideals import IdealPresentation
 from icis.poly import Polynomial
 
@@ -187,6 +189,39 @@ class TestSplitting:
         for sm in rep.samples:
             assert (sm.singular_count, sm.total_fiber_mu, sm.point_mu) == (1, 2, 2)
             assert sm.point == {"x": sm.t0, "y": 0, **dict.fromkeys(extra, 0)}
+
+    def test_multi_point_totals_match_per_point_oracle(self):
+        # the nodes of the C^3 tacnode sit at (+-t0, 0, 0); the sum of
+        # the local chains there is independent of the fiber chain
+        (case,) = [c for c in SPACE_CASES if c.name == "tacnode-in-space-1"]
+        fam = case.family()
+        rep = splitting_check(fam)
+        for sm in rep.samples:
+            eqs = fam.specialize(sm.t0)
+            points = [{"x": sm.t0}, {"x": -sm.t0}]
+            assert all(f.eval(pt) == 0 for f in eqs for pt in points)
+            oracle = sum(icis_milnor(IcisPresentation(fam.x_ring, translate(eqs, pt)))
+                         for pt in points)
+            assert sm.total_fiber_mu == oracle == 2
+
+    def test_irrational_points_count_over_the_closure(self):
+        # the nodes at x = +-sqrt(2)*t0 have no rational coordinates; the
+        # C^3 form must give the totals of the plane-curve form
+        (case,) = [c for c in SPACE_CASES if c.name == "tacnode-in-space-2"]
+        plane = DeformationFamily.space_deformation(RING, "t", [y**2 - (x**2 - 2 * t**2) ** 2])
+        space_totals = [sm.total_fiber_mu for sm in splitting_check(case.family()).samples]
+        plane_totals = [sm.total_fiber_mu for sm in splitting_check(plane).samples]
+        assert space_totals == plane_totals == [2, 2]
+
+    def test_function_family_with_two_singular_fiber_points(self):
+        # the fiber of x^2*(x - t)^2 on the line y = 0 is a double point
+        # at x = 0 and at x = t, each of Milnor number 1; at t = 0 they
+        # meet in x^4 = 0, of Milnor number 3
+        fam = DeformationFamily.function_deformation(RING, "t", [y], x**2 * (x - t) ** 2)
+        rep = splitting_check(fam)
+        assert rep.verdict == VACUOUS
+        assert rep.base_fiber_mu == 3
+        assert [(sm.singular_count, sm.total_fiber_mu) for sm in rep.samples] == [(2, 2), (2, 2)]
 
     def test_non_isolated_fiber_names_its_sample(self):
         # the fiber x^2 = 0 at t = 1 is singular along the y-axis

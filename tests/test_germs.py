@@ -10,12 +10,14 @@ from icis.germs import (
     IcisPresentation,
     LineDirection,
     discriminant,
+    fiber_milnor_total,
     hypersurface_milnor,
     icis_milnor,
     is_generic_line,
     line_intersection_number,
     milnor_at_point,
     multiplicity,
+    translate,
 )
 from icis.orders import grevlex
 from icis.poly import Polynomial
@@ -137,6 +139,20 @@ class TestIcisMilnor:
     def test_nonzero_at_origin_rejected(self):
         with pytest.raises(ValueError):
             IcisPresentation(R, (x + 1,))
+
+
+class TestFiberMilnorTotal:
+    def test_point_with_tjurina_below_milnor(self):
+        # V(phi) is the curve g = 0 in the plane z = 0 together with the
+        # cusp x^2 = y^3 in the plane z = 1.  g = x^4 + y^5 + x^2*y^3 is
+        # not quasihomogeneous (mu 12, tau 11), so g is not in its own
+        # Jacobian ideal and the powers of phi must be raised until the
+        # colength stabilizes
+        g = x3**4 + y3**5 + x3**2 * y3**3
+        phi = [z3**2 - z3, g + z3 * (x3**2 - y3**3 - g)]
+        oracle = sum(icis_milnor(IcisPresentation(R3, translate(phi, {"z": c})))
+                     for c in (0, 1))
+        assert fiber_milnor_total(phi, R3) == oracle == 14
 
 
 class TestMilnorAtPoint:

@@ -268,6 +268,34 @@ class TestSquarefreeCertificate:
         assert up_to_scalar(squarefree_part(f), (y + 1) * (x + 1))
 
 
+class TestMonomialGcd:
+    """A monomial's gcd with any polynomial is the monomial of least
+    exponents: no standard basis is completed."""
+
+    @pytest.fixture
+    def basis_calls(self, monkeypatch):
+        calls = []
+        original = basis.complete_basis
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(basis, "complete_basis", counting)
+        return calls
+
+    def test_gcd_with_a_monomial_completes_no_basis(self, basis_calls):
+        R3 = ("x", "y", "z")
+        assert gcd(parse_expression("y", R3), parse_expression("x*z^2 + y^3*z", R3)) == 1
+        assert basis_calls == []
+
+    def test_content_of_monomial_coefficients_completes_no_basis(self, basis_calls):
+        # the coefficients of f in x are y, z^2 and y^3*z
+        f = parse_expression("x^2*y + y^3*z + x*z^2", ("x", "y", "z"))
+        assert squarefree_part(f) == f
+        assert basis_calls == []
+
+
 class TestDivision:
     def test_exact(self):
         f = (x + y) * (x**2 - y)

@@ -240,3 +240,19 @@ def test_multivariate_gcd_matches_sympy(seed, n):
     f = common * _random_factor(rng, names)
     g = common * _random_factor(rng, names)
     _assert_monic_equal(gcd(f, g), sympy.gcd(_to_sympy(f), _to_sympy(g)))
+
+
+MONOMIAL_GCD = [
+    ("y", "x*z^2 + y^3*z"),
+    ("3*x^2*y*z^4", "x^3*y^2*z + 5*x*y*z^2 - y*z^3*x^2"),
+    ("-x*y^2", "2*x^2*y^3"),
+    ("x^4*y^2*z", "(x*y + z)^3 * x^2"),
+]
+
+
+@pytest.mark.parametrize("a,b", MONOMIAL_GCD)
+def test_gcd_with_a_monomial_matches_sympy(a, b):
+    f, g = parse_expression(a, R), parse_expression(b, R)
+    theirs = sympy.gcd(_to_sympy(f), _to_sympy(g))
+    _assert_monic_equal(gcd(f, g), theirs)
+    _assert_monic_equal(gcd(g, f), theirs)
