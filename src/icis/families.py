@@ -8,6 +8,14 @@ origin as the parameter goes to zero); otherwise ball-dependent
 verdicts come back inconclusive rather than wrong.  The splitting
 check sums each fiber's Milnor numbers with the Le-Greuel chain of
 ``germs``, localized at a lone singular point or on the whole fiber.
+
+The radical questions on <phi> + J (cond5, cond6 and the zero-fiber
+hypothesis) go through ``DeformationFamily.in_critical_radical``: each
+sample report already holds the zero-dimensional critical ideal of its
+member, whose points are the fiber of V(<phi> + J) over the sample, and
+a function that is not nilpotent there is refuted at once.  Rabinowitsch
+(``ideals.radical_membership``) decides what no sample refutes, so an
+answer never depends on the samples.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .ideals import (
     IdealPresentation,
     distinct_point_count,
     elimination_ideal,
+    is_nilpotent,
     jacobian_matrix,
     maximal_minors,
     radical_eliminant,
@@ -60,7 +69,9 @@ class DeformationFamily:
     The quantities the checks share are computed once, on first use,
     under the step budget active then: the parametric critical ideal and
     its minors, the convergence certificate, mu at t = 0, cond5, cond6,
-    and one critical-locus report per sample (``report``)."""
+    and one critical-locus report per sample (``report``).  The radical
+    questions are refuted on the sample fibers reported so far and
+    decided by Rabinowitsch otherwise (``in_critical_radical``)."""
 
     ring: tuple
     param: str
@@ -134,21 +145,32 @@ class DeformationFamily:
         """Milnor number of the base member f_0 on the base ICIS."""
         return function_on_icis_milnor(self.specialize(0))
 
+    def in_critical_radical(self, f):
+        """f lies in the radical of <phi> + J.  The critical ideal of the
+        member at t0 is <phi> + J with t = t0 substituted (x-derivatives
+        commute with the substitution), so its points are the fiber of
+        V(<phi> + J) over t0: f(t0, x) not nilpotent there puts a point
+        with f != 0 on V(<phi> + J).  Each held report is tried so;
+        Rabinowitsch decides what none refutes."""
+        for r in self.reports.values():
+            if not is_nilpotent(f.subs({self.param: r.t0}, target_ring=self.x_ring), r.ideal):
+                return False
+        return radical_membership(f, self.parametric_critical_ideal)
+
     @cached_property
     def cond5(self):
         """dF/dt lies in the radical of <phi> + J."""
-        return radical_membership(self.F.diff(self.param), self.parametric_critical_ideal)
+        return self.in_critical_radical(self.F.diff(self.param))
 
     @cached_property
     def cond6(self):
         """The zero set of <phi> + J is the parameter axis."""
-        I = self.parametric_critical_ideal
         return all(
-            radical_membership(Polynomial.variable(self.ring, xv), I)
+            self.in_critical_radical(Polynomial.variable(self.ring, xv))
             for xv in self.x_ring
         ) and all(
             g.subs({xv: 0 for xv in self.x_ring}, target_ring=self.ring).is_zero()
-            for g in I.generators
+            for g in self.parametric_critical_ideal.generators
         )
 
     def report(self, t0):
@@ -176,6 +198,7 @@ class CriticalLocusReport:
     local_mu_origin: int
     distinct_points: int
     converges_to_origin: bool
+    ideal: IdealPresentation = field(repr=False, compare=False)
 
     @property
     def off_origin_budget(self):
@@ -275,7 +298,7 @@ def critical_locus_report(fam, t0):
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
     local = local_colength(I.generators, fam.x_ring)
     distinct = distinct_point_count(I)
-    return CriticalLocusReport(t0, total, local, distinct, fam.certificate)
+    return CriticalLocusReport(t0, total, local, distinct, fam.certificate, I)
 
 
 def conservation_check(fam, samples=DEFAULT_SAMPLES):
@@ -423,14 +446,15 @@ def radical_implies_axis_check(fam):
 def zero_fiber_forces_origin_check(fam, samples=DEFAULT_SAMPLES):
     """If every critical point of every member lies on its zero fiber
     (F vanishes on the critical locus), then each member's only critical
-    point is the origin."""
-    hypothesis = radical_membership(fam.F, fam.parametric_critical_ideal)
+    point is the origin.  The sample reports come first, so that they
+    can refute the hypothesis."""
+    reports = [fam.report(t0) for t0 in samples]
+    hypothesis = fam.in_critical_radical(fam.F)
     details = {"hypothesis": hypothesis, "samples": {}}
     if not hypothesis:
         return VACUOUS, details
     conclusion = True
-    for t0 in samples:
-        r = fam.report(t0)
+    for r in reports:
         # the affine total equals the local colength at 0 exactly when
         # every critical point is the origin
         at_origin = r.off_origin_budget == 0

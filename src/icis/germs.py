@@ -175,10 +175,12 @@ def _chain_milnor(phi, ring, colength, seed=0):
     <phi_1..phi_{k-1}> + (k x k minors of the Jacobian of phi_1..phi_k),
     localized by ``colength(gens, [phi_k..phi_p])``, from mu(C^n) = 0.
     A stage of infinite colength is retried with seeded random
-    recombinations of the equations (the chain holds for a generic choice)."""
+    recombinations of the equations (the chain holds for a generic choice);
+    one equation has no recombination but itself, so it is not retried."""
     rng = random.Random(seed)
     last_failure = None
-    for attempt in range(MAX_RECOMBINATION_RETRIES + 1):
+    retries = MAX_RECOMBINATION_RETRIES if len(phi) > 1 else 0
+    for attempt in range(retries + 1):
         eqs = phi if attempt == 0 else _recombine(phi, rng)
         try:
             mu = 0

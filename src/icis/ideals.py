@@ -1,5 +1,6 @@
 """Ideal-level constructions: Jacobian matrices and minors, elimination,
-radical membership and distinct-point counting."""
+radical membership, nilpotency modulo a zero-dimensional ideal and
+distinct-point counting."""
 
 from __future__ import annotations
 
@@ -134,6 +135,25 @@ def radical_membership(f, I):
     gens.append(one - z * f.in_ring(big))
     sb = _basis.complete_basis(gens, grevlex(big))
     return any(g.is_constant() and not g.is_zero() for g in sb.generators)
+
+
+def is_nilpotent(f, I):
+    """f is nilpotent in Q[x]/I for a zero-dimensional I, i.e. f vanishes
+    on the finite set V(I) (Cox-Little-O'Shea, *Using Algebraic Geometry*,
+    ch. 2).  The nilpotency index is at most D = dim Q[x]/I, so f is
+    squared and reduced against I's grevlex basis until the exponent
+    reaches D; the unit ideal (D = 0) makes everything nilpotent."""
+    order = grevlex(I.ring)
+    dim = I.colength(order)
+    if dim == inf:
+        raise NonIsolatedError("is_nilpotent needs a zero-dimensional ideal")
+    sb = I.basis(order)
+    g = _basis.normal_form(f, sb)
+    power = 1
+    while power < dim and not g.is_zero():
+        g = _basis.normal_form(g * g, sb)
+        power *= 2
+    return g.is_zero()
 
 
 def univariate_eliminant(I, var):

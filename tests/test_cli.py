@@ -7,6 +7,7 @@ import time
 import pytest
 
 from icis.cli import main
+from icis.families import DeformationFamily
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -249,15 +250,23 @@ class TestSinglePass:
             monkeypatch,
             ("converges_to_origin", "radical_membership", "function_on_icis_milnor"),
         )
+        radical_tests = []
+        in_radical = DeformationFamily.in_critical_radical
+        monkeypatch.setattr(
+            DeformationFamily, "in_critical_radical",
+            lambda fam, f: radical_tests.append(f) or in_radical(fam, f),
+        )
         code, _, _ = run_cli("run", str(FIXTURES / "ex43_23.icis"), capsys=capsys)
         assert code == 0
         # one certificate each for the critical and the fiber-singular
-        # ideal; cond5, cond6 (stops at x) and the zero-fiber hypothesis
+        # ideal; cond5, cond6 (stops at x) and the zero-fiber hypothesis,
+        # each refuted on a sample fiber without a Rabinowitsch completion
         assert counts == {
             "converges_to_origin": 2,
-            "radical_membership": 3,
+            "radical_membership": 0,
             "function_on_icis_milnor": 1,
         }
+        assert len(radical_tests) == 3
 
     def test_greuel_check_is_the_family_analyze_middle(self, capsys):
         def greuel_block(out):

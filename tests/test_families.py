@@ -3,9 +3,12 @@ from math import inf
 
 import pytest
 
+from icis import families
+from icis.cli import main
 from icis.errors import InconclusiveError, NonIsolatedError
 from icis.families import (
     CONSISTENT,
+    DEFAULT_SAMPLES,
     VACUOUS,
     CurveProbe,
     DeformationFamily,
@@ -18,7 +21,7 @@ from icis.families import (
     radical_implies_axis_check,
 )
 from icis.germs import IcisPresentation, icis_milnor, translate
-from icis.ideals import IdealPresentation
+from icis.ideals import IdealPresentation, is_nilpotent, radical_membership
 from icis.poly import Polynomial
 
 from family_suite import FUNCTION_CASES, RING, SPACE_CASES, t, x, y
@@ -103,6 +106,63 @@ class TestCriticalLocus:
         fam = case.family()
         totals = {critical_locus_report(fam, t0).total_colength for t0 in (1, Fraction(1, 2), 3)}
         assert totals == {12}
+
+
+class TestCriticalRadical:
+    """``in_critical_radical`` refutes on the held sample fibers and
+    leaves the rest to ``radical_membership``."""
+
+    @staticmethod
+    def _questions(fam):
+        # cond5, cond6 and the zero-fiber hypothesis
+        return ([fam.F.diff("t")] + [Polynomial.variable(fam.ring, v) for v in fam.x_ring]
+                + [fam.F])
+
+    @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
+    def test_agrees_with_rabinowitsch(self, case):
+        fam = case.family()
+        for t0 in DEFAULT_SAMPLES:
+            fam.report(t0)
+        I = fam.parametric_critical_ideal
+        for f in self._questions(fam):
+            assert fam.in_critical_radical(f) == radical_membership(f, I), f
+
+    def test_moving_critical_point(self):
+        # the critical points x = 0, t/2, t on y = 0 move with t: a member
+        # of the radical that depends on t is nilpotent on the fiber over
+        # its own sample only
+        fam = DeformationFamily.function_deformation(RING, "t", [y], x**2 * (x - t) ** 2)
+        for t0 in DEFAULT_SAMPLES:
+            fam.report(t0)
+        I = fam.parametric_critical_ideal
+        for f, member in ((x * (x - t) * (2 * x - t), True), (fam.F.diff("t"), False),
+                          (fam.F, False), (x, False)):
+            assert fam.in_critical_radical(f) == radical_membership(f, I) == member, f
+
+    def test_special_samples_fall_back_to_rabinowitsch(self, monkeypatch, tmp_path, capsys):
+        # c(t) = t(t - 1)(2t - 1) vanishes at both default samples, where
+        # the critical locus x(3x + 2c) = 0 shrinks to the origin; for
+        # every other t it holds x = -2c/3 as well, so x is not in the
+        # radical, and only Rabinowitsch can say so
+        fam = DeformationFamily.function_deformation(
+            RING, "t", [y], x**3 + t * (t - 1) * (2 * t - 1) * x**2 + y)
+        for t0 in DEFAULT_SAMPLES:
+            r = fam.report(t0)
+            assert (r.distinct_points, r.off_origin_budget) == (1, 0)
+            assert is_nilpotent(Polynomial.variable(fam.x_ring, "x"), r.ideal)
+
+        calls = []
+        monkeypatch.setattr(
+            families, "radical_membership",
+            lambda f, I: calls.append(f) or radical_membership(f, I),
+        )
+        path = tmp_path / "special.icis"
+        path.write_text("ring t, x, y;\nparam t;\nphi = y;\n"
+                        "F = x^3 + t*(t - 1)*(2*t - 1)*x^2 + y;\nkind greuel-check;\n")
+        main(["run", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("cond6_variety: False") for line in lines)
+        assert Polynomial.variable(RING, "x") in calls
 
 
 class TestConvergenceCertificate:

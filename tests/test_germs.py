@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from icis.basis import step_budget
-from icis.errors import NonIsolatedError, UnsupportedInputError
+from icis import germs
+from icis.basis import local_colength, step_budget
+from icis.errors import GenericityError, NonIsolatedError, UnsupportedInputError
 from icis.germs import (
     GermFunction,
     function_on_icis_milnor,
@@ -139,6 +140,18 @@ class TestIcisMilnor:
     def test_nonzero_at_origin_rejected(self):
         with pytest.raises(ValueError):
             IcisPresentation(R, (x + 1,))
+
+    def test_one_equation_is_not_recombined(self, monkeypatch):
+        # V(x^2) is a double line: its chain stage has infinite colength,
+        # and a single equation has no other recombination to retry
+        calls = []
+        monkeypatch.setattr(
+            germs, "local_colength",
+            lambda gens, ring: calls.append(gens) or local_colength(gens, ring),
+        )
+        with pytest.raises(GenericityError):
+            icis_milnor(IcisPresentation(R, (x**2,), check=False))
+        assert len(calls) == 1
 
 
 class TestFiberMilnorTotal:

@@ -9,6 +9,7 @@ from icis.ideals import (
     determinant,
     distinct_point_count,
     elimination_ideal,
+    is_nilpotent,
     jacobian_matrix,
     maximal_minors,
     radical_eliminant,
@@ -122,6 +123,34 @@ class TestRadicalMembership:
     def test_unit_ideal(self):
         I = IdealPresentation(R, (x, y, Polynomial.constant(R, 1)))
         assert radical_membership(Polynomial.constant(R, 5), I)
+
+
+class TestIsNilpotent:
+    X = ("x",)
+    xu = Polynomial.variable(X, "x")
+
+    @pytest.mark.parametrize("D", range(1, 10))
+    def test_index_exactly_the_dimension(self, D):
+        # x^(D-1) is not in <x^D>, so the squaring must reach exponent D
+        I = IdealPresentation(self.X, (self.xu**D,))
+        assert is_nilpotent(self.xu, I)
+        assert not is_nilpotent(self.xu + 1, I)
+
+    def test_unit_ideal_refutes_nothing(self):
+        I = IdealPresentation(self.X, (self.xu + 1, self.xu))
+        assert I.colength(grevlex(self.X)) == 0
+        assert is_nilpotent(self.xu, I)
+        assert is_nilpotent(self.xu + 1, I)
+
+    def test_two_points(self):
+        I = IdealPresentation(R, (x**2 - x, y**3))
+        assert is_nilpotent(y, I)
+        assert is_nilpotent(x**2 - x + y, I)
+        assert not is_nilpotent(x, I)
+
+    def test_positive_dimensional_rejected(self):
+        with pytest.raises(NonIsolatedError):
+            is_nilpotent(x, IdealPresentation(R, (x**2,)))
 
 
 class TestDistinctPoints:

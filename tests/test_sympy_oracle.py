@@ -2,8 +2,9 @@
 ``complete_basis``, elimination ideals and normal forms against
 ``sympy.groebner`` and ``sympy.reduced`` on seeded random ideals, and the
 polynomial kernel (products, sums, substitution, exact division,
-gcd) against ``sympy.expand`` and ``sympy.gcd``, and squarefree parts
-against ``sympy.sqf_part``.  sympy is a test dependency only."""
+gcd) against ``sympy.expand`` and ``sympy.gcd``, squarefree parts
+against ``sympy.sqf_part``, and radical membership against a
+Rabinowitsch basis of sympy's own.  sympy is a test dependency only."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 import sympy
 
 from icis.basis import complete_basis, normal_form
-from icis.ideals import IdealPresentation, elimination_ideal
+from icis.ideals import IdealPresentation, elimination_ideal, radical_membership
 from icis.orders import grevlex, lex
 from icis.poly import Polynomial, divexact, gcd, squarefree_part
 from icis.problem import parse_expression
@@ -112,6 +113,36 @@ def test_normal_form_matches_sympy_reduced(seed):
         _, r = sympy.reduced(_to_sympy(f), divisors, *SYMBOLS, order="grevlex")
         ours = normal_form(f, basis)
         assert _to_sympy(ours) - r == 0
+
+
+RADICAL_MAX_EXP = 1
+
+
+def _radical_case(seed):
+    """I and f with f in rad(I) by construction on even seeds (the first
+    generator g enters I squared and f is a multiple of g) and a random
+    f on odd seeds."""
+    rng = random.Random(seed)
+    g, *rest = _random_ideal(rng, RADICAL_MAX_EXP)
+    h = _random_ideal(rng, RADICAL_MAX_EXP)[0]
+    if seed % 2:
+        return [g, *rest], h
+    return [g * g, *rest], g * h
+
+
+def test_radical_membership_matches_sympy_rabinowitsch():
+    """f in rad(I) iff 1 lies in I + <1 - w*f>, decided by sympy's own
+    grevlex basis; both answers occur among the seeds."""
+    w = sympy.Symbol("w")
+    answers = set()
+    for seed in SEEDS:
+        gens, f = _radical_case(seed)
+        theirs = sympy.groebner([_to_sympy(g) for g in gens] + [1 - w * _to_sympy(f)],
+                                *SYMBOLS, w, order="grevlex")
+        expected = theirs.exprs == [1]
+        assert radical_membership(f, IdealPresentation(R, gens)) == expected, seed
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
