@@ -19,12 +19,7 @@ from math import inf
 
 from . import families as fam_mod
 from .basis import step_budget
-from .errors import (
-    BudgetExhaustedError,
-    IcisError,
-    InconclusiveError,
-    ProblemFileError,
-)
+from .errors import BudgetExhaustedError, IcisError, ProblemFileError
 from .families import (
     CurveProbe,
     DeformationFamily,
@@ -168,9 +163,8 @@ def _run_family_analyze(problem, lines, data):
                 "converges_to_origin": r.converges_to_origin,
             })
         data["samples_report"] = sample_data
-        try:
-            cons = conservation_check(fam, samples)
-        except InconclusiveError:
+        cons = conservation_check(fam, samples)
+        if cons == fam_mod.INCONCLUSIVE:
             lines.append("conservation: INCONCLUSIVE  [no convergence certificate]")
             data["conservation"] = None
             code = EXIT_INCONCLUSIVE
@@ -315,9 +309,6 @@ def main(argv=None):
     except BudgetExhaustedError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InconclusiveError as exc:
-        print(f"inconclusive[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except IcisError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INPUT

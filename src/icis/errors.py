@@ -66,14 +66,6 @@ class InvalidInputError(IcisError, ValueError):
     code = "invalid-input"
 
 
-class InconclusiveError(IcisError):
-    """A verdict cannot be reached honestly (e.g. the critical points of
-    a family do not all converge to the origin, so affine totals do not
-    stand in for Milnor-ball totals)."""
-
-    code = "inconclusive"
-
-
 class ProblemFileError(IcisError):
     """Base class for problem-file validation failures."""
 

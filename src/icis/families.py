@@ -9,11 +9,16 @@ verdicts come back inconclusive rather than wrong.  The splitting
 check sums each fiber's Milnor numbers with the Le-Greuel chain of
 ``germs``, localized at a lone singular point or on the whole fiber.
 
+Finite point sets are read off one radical per zero-dimensional ideal
+(``IdealPresentation.radical``): a sample report counts its member's
+critical points with it, and the splitting check reads a fiber's lone
+singular point off it.
+
 The radical questions on <phi> + J (cond5, cond6 and the zero-fiber
-hypothesis) go through ``DeformationFamily.in_critical_radical``: each
-sample report already holds the zero-dimensional critical ideal of its
-member, whose points are the fiber of V(<phi> + J) over the sample, and
-a function that is not nilpotent there is refuted at once.  Rabinowitsch
+hypothesis) go through ``DeformationFamily.in_critical_radical``: the
+points of each sample report's critical ideal are the fiber of
+V(<phi> + J) over the sample, and a function that does not reduce to
+zero modulo that ideal's radical is refuted at once.  Rabinowitsch
 (``ideals.radical_membership``) decides what no sample refutes, so an
 answer never depends on the samples.
 """
@@ -26,7 +31,7 @@ from functools import cached_property
 from math import inf
 
 from .basis import local_colength
-from .errors import InconclusiveError, InvalidInputError, NonIsolatedError
+from .errors import InvalidInputError, NonIsolatedError
 from .germs import (
     GermFunction,
     IcisPresentation,
@@ -41,8 +46,8 @@ from .ideals import (
     elimination_ideal,
     is_nilpotent,
     jacobian_matrix,
+    lone_point,
     maximal_minors,
-    radical_eliminant,
     radical_membership,
     relative_jacobian_ideal,
 )
@@ -150,8 +155,9 @@ class DeformationFamily:
         member at t0 is <phi> + J with t = t0 substituted (x-derivatives
         commute with the substitution), so its points are the fiber of
         V(<phi> + J) over t0: f(t0, x) not nilpotent there puts a point
-        with f != 0 on V(<phi> + J).  Each held report is tried so;
-        Rabinowitsch decides what none refutes."""
+        with f != 0 on V(<phi> + J).  Each held report is tried so, on the
+        radical its point count built; Rabinowitsch decides what none
+        refutes."""
         for r in self.reports.values():
             if not is_nilpotent(f.subs({self.param: r.t0}, target_ring=self.x_ring), r.ideal):
                 return False
@@ -303,14 +309,12 @@ def critical_locus_report(fam, t0):
 
 def conservation_check(fam, samples=DEFAULT_SAMPLES):
     """Total colength at each sampled parameter equals the Milnor number
-    of the base member; requires the convergence certificate."""
+    of the base member.  Without the convergence certificate affine
+    totals do not represent Milnor-ball totals: INCONCLUSIVE."""
     mu0 = fam.mu0
     reports = [fam.report(t0) for t0 in samples]
     if not fam.certificate:
-        raise InconclusiveError(
-            "critical points do not all converge to the origin; affine totals "
-            "do not represent Milnor-ball totals"
-        )
+        return INCONCLUSIVE
     return all(r.total_colength == mu0 for r in reports)
 
 
@@ -327,8 +331,9 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
     """No-coalescence check: when the total fiber Milnor number stays
     equal to the base value, there must be exactly one singular point
     and it must carry the full Milnor number.  A lone singular point is
-    rational: it is moved to the origin for ``icis_milnor``.  Two or more
-    are summed over the closure by ``fiber_milnor_total``."""
+    rational and read off the radical (``lone_point``): it is moved to
+    the origin for ``icis_milnor``.  Two or more are summed over the
+    closure by ``fiber_milnor_total``."""
     x_ring = fam.x_ring
     base_mu = icis_milnor(IcisPresentation(x_ring, _fiber_presentation(fam, 0)))
     conv = converges_to_origin(fam.parametric_fiber_singular_ideal(), fam.param, x_ring)
@@ -346,9 +351,7 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
         if count == 0:
             total = 0
         elif count == 1:
-            # a lone point over the algebraic closure is rational (its
-            # conjugates are points too): each radical eliminant is v - c
-            point = {v: -radical_eliminant(sing, v).constant_term() for v in x_ring}
+            point = lone_point(sing)
             point_mu = total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point)))
         else:
             total = fiber_milnor_total(eqs, x_ring)

@@ -256,13 +256,19 @@ def multiplicity(delta):
     return lowest_degree_form(delta).total_degree()
 
 
-def line_intersection_number(delta, L):
-    """Order of vanishing of delta along the parametrized line s -> s*v;
-    +inf when the line lies inside the hypersurface."""
+def _check_line(delta, L):
+    """A line test needs a hypersurface through the origin and a
+    direction in its ambient space."""
     if delta.constant_term() != 0:
         raise InvalidInputError("hypersurface must pass through the origin")
     if len(L.v) != len(delta.ring):
         raise InvalidInputError("direction dimension does not match the target ring")
+
+
+def line_intersection_number(delta, L):
+    """Order of vanishing of delta along the parametrized line s -> s*v;
+    +inf when the line lies inside the hypersurface."""
+    _check_line(delta, L)
     s_ring = ("s",)
     s = Polynomial.variable(s_ring, "s")
     comp = delta.subs({u: c * s for u, c in zip(delta.ring, L.v)}, target_ring=s_ring)
@@ -273,5 +279,6 @@ def is_generic_line(delta, L):
     """A line is generic iff it meets the hypersurface with intersection
     number equal to the multiplicity, i.e. the lowest-degree form does
     not vanish on the direction vector."""
+    _check_line(delta, L)
     form = lowest_degree_form(delta)
     return form.eval(dict(zip(delta.ring, L.v))) != 0

@@ -1,6 +1,13 @@
-"""Ideal-level constructions: Jacobian matrices and minors, elimination,
-radical membership, nilpotency modulo a zero-dimensional ideal and
-distinct-point counting."""
+"""Ideal-level constructions: Jacobian matrices and minors, elimination
+and radical membership.
+
+A zero-dimensional ideal I has one radical, built once and cached
+(``IdealPresentation.radical``): I plus the squarefree part of its
+eliminant in each variable (Seidenberg's lemma).  The questions on the
+finite set V(I) all read it: the number of its points is the radical's
+colength (``distinct_point_count``), f vanishes on it when f reduces to
+zero modulo the radical (``is_nilpotent``), and a lone point is read off
+the radical's reduced basis {v - c_v} (``lone_point``)."""
 
 from __future__ import annotations
 
@@ -41,6 +48,23 @@ class IdealPresentation:
 
     def colength(self, order):
         return _basis.colength(self.basis(order))
+
+    def radical(self):
+        """The radical of a zero-dimensional I: I plus the squarefree part
+        of its eliminant in each variable, over a perfect field
+        (Cox-Little-O'Shea, *Using Algebraic Geometry*, ch. 2 sec. 2).
+        The unit ideal is its own radical."""
+        hit = self._cache.get("radical")
+        if hit is None:
+            c = self.colength(grevlex(self.ring))
+            if c == inf:
+                raise NonIsolatedError("the radical needs a zero-dimensional ideal")
+            hit = self
+            if c:
+                hit = self.plus(squarefree_part(univariate_eliminant(self, v)).in_ring(self.ring)
+                                for v in self.ring)
+            self._cache["radical"] = hit
+        return hit
 
     def plus(self, extra):
         return IdealPresentation(self.ring, list(self.generators) + list(extra))
@@ -139,21 +163,8 @@ def radical_membership(f, I):
 
 def is_nilpotent(f, I):
     """f is nilpotent in Q[x]/I for a zero-dimensional I, i.e. f vanishes
-    on the finite set V(I) (Cox-Little-O'Shea, *Using Algebraic Geometry*,
-    ch. 2).  The nilpotency index is at most D = dim Q[x]/I, so f is
-    squared and reduced against I's grevlex basis until the exponent
-    reaches D; the unit ideal (D = 0) makes everything nilpotent."""
-    order = grevlex(I.ring)
-    dim = I.colength(order)
-    if dim == inf:
-        raise NonIsolatedError("is_nilpotent needs a zero-dimensional ideal")
-    sb = I.basis(order)
-    g = _basis.normal_form(f, sb)
-    power = 1
-    while power < dim and not g.is_zero():
-        g = _basis.normal_form(g * g, sb)
-        power *= 2
-    return g.is_zero()
+    on the finite set V(I): f reduces to zero modulo I's radical."""
+    return _basis.normal_form(f, I.radical().basis(grevlex(I.ring))).is_zero()
 
 
 def univariate_eliminant(I, var):
@@ -166,26 +177,15 @@ def univariate_eliminant(I, var):
     return E.generators[0]
 
 
-def radical_eliminant(I, var):
-    """Monic generator of the radical of the elimination ideal of I in
-    ``var``: the squarefree part of the eliminant; zero when the
-    elimination ideal is trivial."""
-    g = univariate_eliminant(I, var)
-    if g.is_zero():
-        return g
-    return squarefree_part(g)
-
-
 def distinct_point_count(I):
-    """Number of distinct points of V(I) over the algebraic closure.
+    """Number of distinct points of V(I) over the algebraic closure, for
+    a zero-dimensional I: the colength of its radical."""
+    return I.radical().colength(grevlex(I.ring))
 
-    Adjoins the radical eliminant of each variable (the zero-dimensional
-    radical over a perfect field) and takes the colength of the result."""
-    order = grevlex(I.ring)
-    c = I.colength(order)
-    if c == inf:
-        raise NonIsolatedError("distinct_point_count needs a zero-dimensional ideal")
-    if c == 0:
-        return 0
-    extra = [radical_eliminant(I, v).in_ring(I.ring) for v in I.ring]
-    return I.plus(extra).colength(order)
+
+def lone_point(I):
+    """The point of V(I) when it is the only one over the closure.  It is
+    rational, since its conjugates are points too, so the radical is the
+    maximal ideal whose reduced basis is {v - c_v}."""
+    sb = I.radical().basis(grevlex(I.ring))
+    return {v: -g.constant_term() for g in sb.generators for v in g.variables_used()}

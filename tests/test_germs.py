@@ -4,7 +4,12 @@ import pytest
 
 from icis import germs
 from icis.basis import local_colength, step_budget
-from icis.errors import GenericityError, NonIsolatedError, UnsupportedInputError
+from icis.errors import (
+    GenericityError,
+    InvalidInputError,
+    NonIsolatedError,
+    UnsupportedInputError,
+)
 from icis.germs import (
     GermFunction,
     function_on_icis_milnor,
@@ -242,6 +247,16 @@ class TestGenericLines:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             LineDirection((Fraction(0), Fraction(0)))
+
+    @pytest.mark.parametrize("test", [is_generic_line, line_intersection_number])
+    def test_direction_of_wrong_dimension_rejected(self, test):
+        with pytest.raises(InvalidInputError):
+            test(x**2 - y**3, LineDirection((1,)))
+
+    @pytest.mark.parametrize("test", [is_generic_line, line_intersection_number])
+    def test_hypersurface_off_the_origin_rejected(self, test):
+        with pytest.raises(InvalidInputError):
+            test(1 + x, LineDirection((1, 0)))
 
 
 class TestTranslation:

@@ -1,7 +1,12 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 
+from icis import ideals
 from icis.basis import complete_basis, is_zero_dimensional, normal_form
 from icis.errors import NonIsolatedError
 from icis.ideals import (
@@ -11,8 +16,8 @@ from icis.ideals import (
     elimination_ideal,
     is_nilpotent,
     jacobian_matrix,
+    lone_point,
     maximal_minors,
-    radical_eliminant,
     radical_membership,
     relative_jacobian_ideal,
     univariate_eliminant,
@@ -179,24 +184,80 @@ class TestDistinctPoints:
         assert distinct_point_count(I) == 0
 
 
-class TestRadicalEliminant:
-    # the eliminants live in the one-variable rings
-    X = Polynomial.variable(("x",), "x")
-    Y = Polynomial.variable(("y",), "y")
-
+class TestRadical:
     def test_repeated_roots_count_once(self):
         # x-eliminant x^2 (x - 1)^3 has the radical x^2 - x
         I = IdealPresentation(R, (x**2 * (x - 1) ** 3, y**2))
-        assert radical_eliminant(I, "x") == self.X**2 - self.X
-        assert radical_eliminant(I, "y") == self.Y
+        assert I.radical().basis(grevlex(R)).generators == (y, x**2 - x)
 
-    def test_single_point_is_linear(self):
+    def test_single_point_is_maximal(self):
         I = IdealPresentation(R, ((2 * x - 1) ** 2, (y + 3) ** 3))
-        assert radical_eliminant(I, "x") == self.X - Fraction(1, 2)
-        assert radical_eliminant(I, "y") == self.Y + 3
+        assert set(I.radical().basis(grevlex(R)).generators) == {x - Fraction(1, 2), y + 3}
+        assert lone_point(I) == {"x": Fraction(1, 2), "y": -3}
 
-    def test_trivial_elimination_ideal(self):
-        assert radical_eliminant(IdealPresentation(R, (x,)), "y").is_zero()
+    def test_positive_dimension_rejected(self):
+        with pytest.raises(NonIsolatedError):
+            IdealPresentation(R, (x,)).radical()
+
+    def test_unit_ideal_is_its_own_radical(self):
+        I = IdealPresentation(R, (x - 1, x))
+        assert I.radical() is I
+
+    def test_built_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ideals, "univariate_eliminant",
+                            lambda I, v: calls.append(v) or univariate_eliminant(I, v))
+        I = IdealPresentation(R, (x**2 - x, y**3))
+        assert distinct_point_count(I) == 2
+        assert is_nilpotent(y, I) and not is_nilpotent(x, I)
+        assert calls == list(R)
+
+
+def _points(n):
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.lists(st.tuples(*[coord] * n), min_size=1, max_size=3, unique=True)
+
+
+def _random_poly(ring, draw):
+    exps = st.tuples(*[st.integers(0, 2)] * len(ring))
+    terms = draw(st.dictionaries(exps, st.integers(-2, 2).filter(bool), max_size=4))
+    return Polynomial(ring, terms)
+
+
+class TestRadicalOfKnownPoints:
+    """I is a product of powers of the maximal ideals of known rational
+    points, so V(I) is known without a standard basis."""
+
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(st.just(n), _points(n))),
+           st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_points_of_a_product_of_maximal_powers(self, n_points, data):
+        n, points = n_points
+        ring = ("x", "y", "z")[:n]
+        v = [Polynomial.variable(ring, name) for name in ring]
+        # the first point may be fat; the product's generator count grows
+        # with every exponent, and the Groebner basis with it
+        exponents = [data.draw(st.integers(1, 2))] + [1] * (len(points) - 1)
+        I = [Polynomial.constant(ring, 1)]
+        for p, e in zip(points, exponents):
+            # m_p^e is generated by the products of e of the v_i - p_i
+            power = [prod(c) for c in combinations_with_replacement(
+                [vi - pi for vi, pi in zip(v, p)], e)]
+            I = [f * g for f in I for g in power]
+        I = IdealPresentation(ring, I)
+        assert distinct_point_count(I) == len(points)
+        for _ in range(3):
+            f = _random_poly(ring, data.draw)
+            if data.draw(st.booleans()):
+                # a factor v_j - p_j through each point puts f in the
+                # radical, though not in I when a point is fat
+                for p in points:
+                    j = data.draw(st.integers(0, n - 1))
+                    f = f * (v[j] - p[j])
+            expected = all(f.eval(dict(zip(ring, p))) == 0 for p in points)
+            assert is_nilpotent(f, I) == expected
+        if len(points) == 1:
+            assert lone_point(I) == dict(zip(ring, points[0]))
 
 
 class TestIdealPresentation:
