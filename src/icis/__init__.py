@@ -19,7 +19,6 @@ from .basis import (
     is_zero_dimensional,
     local_colength,
     normal_form,
-    s_polynomial,
     step_budget,
 )
 from .ideals import (

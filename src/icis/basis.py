@@ -31,7 +31,7 @@ from heapq import heappop, heappush
 from itertools import chain
 from math import comb, gcd, inf, lcm, prod
 
-from .errors import BudgetExhaustedError, ZeroInputError
+from .errors import BudgetExhaustedError
 from .orders import homogenized, negdegrevlex
 from .poly import Polynomial, _add_shifted, _monic, fresh_variable
 
@@ -155,14 +155,6 @@ def _s_terms(r, s, lcm):
     _add_shifted(h, r[2], _quotient(lcm, r[0]), 1 / r[1])
     _add_shifted(h, s[2], _quotient(lcm, s[0]), -1 / s[1])
     return h
-
-
-def s_polynomial(f, g, order):
-    """spoly(f, g): the leading terms of both scalings cancel."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroInputError("s_polynomial of zero polynomial")
-    r, s = _reducers([f, g], _Keys(order))
-    return Polynomial(f.ring, _s_terms(r, s, _lcm(r[0], s[0])))
 
 
 def _reduce_global(h, reducers, keys, budget):

@@ -128,34 +128,30 @@ def run_problem(problem):
 def _family(problem):
     phi = problem.bindings["phi"]
     if "F" in problem.bindings:
-        x_ring = tuple(v for v in problem.ring if v != problem.param)
-        phi_x = [p.in_ring(x_ring) for p in phi]
         return DeformationFamily.function_deformation(
-            problem.ring, problem.param, phi_x, problem.bindings["F"][0]
+            problem.ring, problem.param, phi, problem.bindings["F"][0], problem.samples
         )
-    return DeformationFamily.space_deformation(problem.ring, problem.param, phi)
+    return DeformationFamily.space_deformation(problem.ring, problem.param, phi, problem.samples)
 
 
 def _run_family_analyze(problem, lines, data):
     fam = _family(problem)
-    samples = problem.samples
     code = EXIT_OK
-    data["samples"] = [str(s) for s in samples]
+    data["samples"] = [str(s) for s in fam.samples]
 
     if fam.kind == fam_mod.FUNCTION:
         lines.append(f"mu_f_at_0: {fam.mu0}  [local colength of <phi> + J(f, phi)]")
         data["mu_f_at_0"] = fam.mu0
         sample_data = []
-        for t0 in samples:
-            r = fam.report(t0)
+        for r in fam.reports:
             lines.append(
-                f"sample t={t0}: mu_origin={r.local_mu_origin} "
+                f"sample t={r.t0}: mu_origin={r.local_mu_origin} "
                 f"total={r.total_colength} off_origin={r.off_origin_budget} "
                 f"distinct_points={r.distinct_points} "
                 f"converges_to_origin={r.converges_to_origin}"
             )
             sample_data.append({
-                "t0": str(t0),
+                "t0": str(r.t0),
                 "mu_origin": r.local_mu_origin,
                 "total_colength": r.total_colength,
                 "off_origin_budget": r.off_origin_budget,
@@ -163,7 +159,7 @@ def _run_family_analyze(problem, lines, data):
                 "converges_to_origin": r.converges_to_origin,
             })
         data["samples_report"] = sample_data
-        cons = conservation_check(fam, samples)
+        cons = conservation_check(fam)
         if cons == fam_mod.INCONCLUSIVE:
             lines.append("conservation: INCONCLUSIVE  [no convergence certificate]")
             data["conservation"] = None
@@ -174,7 +170,7 @@ def _run_family_analyze(problem, lines, data):
         if _run_greuel(fam, problem, lines, data):
             code = EXIT_INCONCLUSIVE
 
-    split = splitting_check(fam, samples)
+    split = splitting_check(fam)
     lines.append(
         f"splitting: {split.verdict}  [base fiber mu {split.base_fiber_mu}; "
         + "; ".join(
@@ -208,7 +204,7 @@ def _run_greuel(fam, problem, lines, data):
     whole greuel-check report and the function part of family-analyze.
     Returns whether a printed verdict is INCONCLUSIVE."""
     probes = [CurveProbe(components) for components in problem.probes]
-    rep = greuel_conditions(fam, probes=probes, samples=problem.samples)
+    rep = greuel_conditions(fam, probes=probes)
     lines.append(f"cond1_mu_constant: {rep.cond1_mu_constant}  "
                  f"[mu at origin {rep.mu_origin_base} vs samples "
                  f"{{{', '.join(f'{k}: {v}' for k, v in sorted(rep.mu_origin_samples.items()))}}}]")
@@ -244,7 +240,7 @@ def _run_greuel(fam, problem, lines, data):
     t44, t44d = radical_implies_axis_check(fam)
     lines.append(f"radical_implies_axis: {t44}")
     data["radical_implies_axis"] = {"verdict": t44, **_jsonable(t44d)}
-    c41, c41d = zero_fiber_forces_origin_check(fam, problem.samples)
+    c41, c41d = zero_fiber_forces_origin_check(fam)
     lines.append(f"zero_fiber_forces_origin: {c41}")
     data["zero_fiber_forces_origin"] = {"verdict": c41, "details": _jsonable(c41d)}
     return fam_mod.INCONCLUSIVE in (t44, c41)

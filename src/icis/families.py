@@ -2,6 +2,9 @@
 conservation of number, splitting detection, and the Greuel-type
 condition checks with their implications.
 
+A ``DeformationFamily`` owns its samples and its fiber equations; every
+check reads the samples, fibers and sample reports off the family.
+
 Affine colengths stand in for Milnor-ball totals only when the
 convergence certificate holds (every critical point collapses to the
 origin as the parameter goes to zero); otherwise ball-dependent
@@ -45,11 +48,10 @@ from .ideals import (
     distinct_point_count,
     elimination_ideal,
     is_nilpotent,
-    jacobian_matrix,
     lone_point,
-    maximal_minors,
     radical_membership,
     relative_jacobian_ideal,
+    singular_ideal,
 )
 from .orders import grevlex
 from .poly import Polynomial, order_of_vanishing
@@ -71,12 +73,15 @@ class DeformationFamily:
     """F(t, x) deforming a function germ on a fixed ICIS, or Phi(t, x)
     deforming the ICIS itself; specializing at t = 0 reproduces the base.
 
-    The quantities the checks share are computed once, on first use,
-    under the step budget active then: the parametric critical ideal and
-    its minors, the convergence certificate, mu at t = 0, cond5, cond6,
-    and one critical-locus report per sample (``report``).  The radical
-    questions are refuted on the sample fibers reported so far and
-    decided by Rabinowitsch otherwise (``in_critical_radical``)."""
+    The family owns its sample parameters and its fiber equations
+    (``fiber_equations``, ``fiber``), so every check reads the same
+    samples and the same fibers.  The quantities the checks share are
+    computed once, on first use, under the step budget active then: the
+    parametric critical ideal and its minors, the convergence
+    certificate, mu at t = 0, cond5, cond6, and the critical-locus
+    report of each sample (``reports``).  The radical questions are
+    refuted on the sample fibers and decided by Rabinowitsch otherwise
+    (``in_critical_radical``)."""
 
     ring: tuple
     param: str
@@ -84,27 +89,27 @@ class DeformationFamily:
     base: IcisPresentation
     F: Polynomial = None
     Phi: tuple = None
-    reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    samples: tuple = DEFAULT_SAMPLES
 
     @property
     def x_ring(self):
         return tuple(v for v in self.ring if v != self.param)
 
     @classmethod
-    def function_deformation(cls, ring, param, phi, F):
+    def function_deformation(cls, ring, param, phi, F, samples=DEFAULT_SAMPLES):
         ring = tuple(ring)
         if param not in ring:
             raise InvalidInputError(f"parameter {param!r} not in ring {ring}")
         x_ring = tuple(v for v in ring if v != param)
-        base = IcisPresentation(x_ring, [p.in_ring(x_ring) for p in phi])
+        base = IcisPresentation(x_ring, phi)
         F = F.in_ring(ring)
-        fam = cls(ring, param, FUNCTION, base, F=F)
+        fam = cls(ring, param, FUNCTION, base, F=F, samples=tuple(map(Fraction, samples)))
         # the base member at t = 0 must be a genuine germ
         fam.specialize(0)
         return fam
 
     @classmethod
-    def space_deformation(cls, ring, param, Phi):
+    def space_deformation(cls, ring, param, Phi, samples=DEFAULT_SAMPLES):
         ring = tuple(ring)
         if param not in ring:
             raise InvalidInputError(f"parameter {param!r} not in ring {ring}")
@@ -112,15 +117,26 @@ class DeformationFamily:
         Phi = tuple(p.in_ring(ring) for p in Phi)
         phi0 = [p.subs({param: 0}, target_ring=x_ring) for p in Phi]
         base = IcisPresentation(x_ring, phi0)
-        return cls(ring, param, SPACE, base, Phi=Phi)
+        return cls(ring, param, SPACE, base, Phi=Phi, samples=tuple(map(Fraction, samples)))
+
+    @cached_property
+    def fiber_equations(self):
+        """Equations of the fibers over the (t, x)-ring: phi with F for a
+        function deformation, Phi for a space deformation."""
+        if self.kind == FUNCTION:
+            return tuple(p.in_ring(self.ring) for p in self.base.phi) + (self.F,)
+        return self.Phi
+
+    def fiber(self, t0):
+        """Equations of the fiber at t0, over the x-ring."""
+        at = {self.param: Fraction(t0)}
+        return [p.subs(at, target_ring=self.x_ring) for p in self.fiber_equations]
 
     def specialize(self, t0):
-        """Exact substitution t -> t0."""
-        t0 = Fraction(t0)
-        if self.kind == FUNCTION:
-            f = self.F.subs({self.param: t0}, target_ring=self.x_ring)
-            return GermFunction(f, self.base)
-        return [p.subs({self.param: t0}, target_ring=self.x_ring) for p in self.Phi]
+        """Exact substitution t -> t0: the member germ of a function
+        deformation, the fiber equations of a space deformation."""
+        eqs = self.fiber(t0)
+        return GermFunction(eqs[-1], self.base) if self.kind == FUNCTION else eqs
 
     # -- quantities shared by the checks ------------------------------------
 
@@ -136,8 +152,7 @@ class DeformationFamily:
         {(t, x) : x is a critical point of f_t}."""
         if self.kind != FUNCTION:
             raise ValueError("critical ideal is defined for function deformations")
-        phi_lift = [p.in_ring(self.ring) for p in self.base.phi]
-        return IdealPresentation(self.ring, phi_lift + self.minors)
+        return IdealPresentation(self.ring, list(self.base.phi) + self.minors)
 
     @cached_property
     def certificate(self):
@@ -150,15 +165,21 @@ class DeformationFamily:
         """Milnor number of the base member f_0 on the base ICIS."""
         return function_on_icis_milnor(self.specialize(0))
 
+    @cached_property
+    def reports(self):
+        """``critical_locus_report`` at each sample, one per distinct t0."""
+        once = {t0: critical_locus_report(self, t0) for t0 in dict.fromkeys(self.samples)}
+        return tuple(once[t0] for t0 in self.samples)
+
     def in_critical_radical(self, f):
         """f lies in the radical of <phi> + J.  The critical ideal of the
         member at t0 is <phi> + J with t = t0 substituted (x-derivatives
         commute with the substitution), so its points are the fiber of
         V(<phi> + J) over t0: f(t0, x) not nilpotent there puts a point
-        with f != 0 on V(<phi> + J).  Each held report is tried so, on the
-        radical its point count built; Rabinowitsch decides what none
+        with f != 0 on V(<phi> + J).  Every sample report is tried so, on
+        the radical its point count built; Rabinowitsch decides what none
         refutes."""
-        for r in self.reports.values():
+        for r in self.reports:
             if not is_nilpotent(f.subs({self.param: r.t0}, target_ring=self.x_ring), r.ideal):
                 return False
         return radical_membership(f, self.parametric_critical_ideal)
@@ -178,23 +199,6 @@ class DeformationFamily:
             g.subs({xv: 0 for xv in self.x_ring}, target_ring=self.ring).is_zero()
             for g in self.parametric_critical_ideal.generators
         )
-
-    def report(self, t0):
-        """``critical_locus_report`` at t0, computed once per sample."""
-        t0 = Fraction(t0)
-        if t0 not in self.reports:
-            self.reports[t0] = critical_locus_report(self, t0)
-        return self.reports[t0]
-
-    def parametric_fiber_singular_ideal(self):
-        """Singular points of the fibers: adds F itself (function kind)
-        or uses the deformed equations (space kind)."""
-        if self.kind == FUNCTION:
-            return self.parametric_critical_ideal.plus([self.F])
-        maps = list(self.Phi)
-        x_vars = list(self.x_ring)
-        minors = maximal_minors(jacobian_matrix(maps, x_vars))
-        return IdealPresentation(self.ring, maps + minors)
 
 
 @dataclass
@@ -255,7 +259,6 @@ class GreuelConditionsReport:
     mu_origin_base: int
     mu_origin_samples: dict
     totals: dict
-    converges_to_origin: bool
 
 
 @dataclass
@@ -296,7 +299,7 @@ def converges_to_origin(parametric_ideal, param, x_vars):
 
 def critical_locus_report(fam, t0):
     """Exact accounting of the critical locus of the member at t0;
-    ``fam.report(t0)`` keeps one per sample."""
+    ``fam.reports`` keeps one per sample."""
     t0 = Fraction(t0)
     I = fam.specialize(t0).critical_ideal()
     total = I.colength(grevlex(fam.x_ring))
@@ -307,27 +310,17 @@ def critical_locus_report(fam, t0):
     return CriticalLocusReport(t0, total, local, distinct, fam.certificate, I)
 
 
-def conservation_check(fam, samples=DEFAULT_SAMPLES):
+def conservation_check(fam):
     """Total colength at each sampled parameter equals the Milnor number
     of the base member.  Without the convergence certificate affine
     totals do not represent Milnor-ball totals: INCONCLUSIVE."""
-    mu0 = fam.mu0
-    reports = [fam.report(t0) for t0 in samples]
+    mu0, reports = fam.mu0, fam.reports
     if not fam.certificate:
         return INCONCLUSIVE
     return all(r.total_colength == mu0 for r in reports)
 
 
-def _fiber_presentation(fam, t0):
-    """Equations cutting the fiber at t0: (phi, f_t) for function
-    deformations, Phi_t for space deformations."""
-    if fam.kind == FUNCTION:
-        germ = fam.specialize(t0)
-        return list(fam.base.phi) + [germ.f]
-    return fam.specialize(t0)
-
-
-def splitting_check(fam, samples=DEFAULT_SAMPLES):
+def splitting_check(fam):
     """No-coalescence check: when the total fiber Milnor number stays
     equal to the base value, there must be exactly one singular point
     and it must carry the full Milnor number.  A lone singular point is
@@ -335,15 +328,13 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
     the origin for ``icis_milnor``.  Two or more are summed over the
     closure by ``fiber_milnor_total``."""
     x_ring = fam.x_ring
-    base_mu = icis_milnor(IcisPresentation(x_ring, _fiber_presentation(fam, 0)))
-    conv = converges_to_origin(fam.parametric_fiber_singular_ideal(), fam.param, x_ring)
+    base_mu = icis_milnor(IcisPresentation(x_ring, fam.fiber(0)))
+    conv = converges_to_origin(singular_ideal(fam.fiber_equations, x_ring), fam.param, x_ring)
 
     results = []
-    for t0 in samples:
-        t0 = Fraction(t0)
-        eqs = _fiber_presentation(fam, t0)
-        minors = maximal_minors(jacobian_matrix(eqs, list(x_ring)))
-        sing = IdealPresentation(x_ring, list(eqs) + minors)
+    for t0 in fam.samples:
+        eqs = fam.fiber(t0)
+        sing = singular_ideal(eqs, x_ring)
         if sing.colength(grevlex(x_ring)) == inf:
             raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
         count = distinct_point_count(sing)
@@ -352,7 +343,9 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
             total = 0
         elif count == 1:
             point = lone_point(sing)
-            point_mu = total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point)))
+            # sing is zero-dimensional, so the moved point is isolated
+            moved = IcisPresentation(x_ring, translate(eqs, point), check=False)
+            point_mu = total = icis_milnor(moved)
         else:
             total = fiber_milnor_total(eqs, x_ring)
         results.append(SplittingSample(t0, count, total, point, point_mu))
@@ -392,7 +385,7 @@ def splitting_check(fam, samples=DEFAULT_SAMPLES):
     )
 
 
-def greuel_conditions(fam, probes=(), samples=DEFAULT_SAMPLES):
+def greuel_conditions(fam, probes=()):
     """Evaluate the implemented Greuel-type conditions.
 
     cond1: the Milnor number at the origin is constant along sampled
@@ -402,8 +395,7 @@ def greuel_conditions(fam, probes=(), samples=DEFAULT_SAMPLES):
     if fam.kind != FUNCTION:
         raise ValueError("Greuel conditions apply to function deformations")
     mu0 = fam.mu0
-    reports = [fam.report(t0) for t0 in samples]
-    sample_mu = {r.t0: r.local_mu_origin for r in reports}
+    sample_mu = {r.t0: r.local_mu_origin for r in fam.reports}
 
     dFdt = fam.F.diff(fam.param)
     probe_results = []
@@ -425,8 +417,7 @@ def greuel_conditions(fam, probes=(), samples=DEFAULT_SAMPLES):
         implications_ok=not (fam.cond5 and not fam.cond6),
         mu_origin_base=mu0,
         mu_origin_samples=sample_mu,
-        totals={r.t0: r.total_colength for r in reports},
-        converges_to_origin=fam.certificate,
+        totals={r.t0: r.total_colength for r in fam.reports},
     )
 
 
@@ -438,35 +429,31 @@ def radical_implies_axis_check(fam):
     details = {"cond5": True, "cond6": fam.cond6}
     if fam.cond6:
         return VERIFIED, details
-    # an apparent counterexample can only be an affine artifact unless the
-    # affine locus is certified to represent the germ at the origin
-    if not fam.certificate:
-        details["certificate"] = False
-        return INCONCLUSIVE, details
-    return VIOLATION, details
+    return _refutation(fam, details)
 
 
-def zero_fiber_forces_origin_check(fam, samples=DEFAULT_SAMPLES):
+def zero_fiber_forces_origin_check(fam):
     """If every critical point of every member lies on its zero fiber
     (F vanishes on the critical locus), then each member's only critical
-    point is the origin.  The sample reports come first, so that they
-    can refute the hypothesis."""
-    reports = [fam.report(t0) for t0 in samples]
+    point is the origin.  The sample reports can refute the hypothesis."""
     hypothesis = fam.in_critical_radical(fam.F)
     details = {"hypothesis": hypothesis, "samples": {}}
     if not hypothesis:
         return VACUOUS, details
-    conclusion = True
-    for r in reports:
+    for r in fam.reports:
         # the affine total equals the local colength at 0 exactly when
         # every critical point is the origin
         at_origin = r.off_origin_budget == 0
         details["samples"][r.t0] = {"count": r.distinct_points, "at_origin": at_origin}
-        conclusion = conclusion and at_origin
-    if conclusion:
+    if all(s["at_origin"] for s in details["samples"].values()):
         return VERIFIED, details
-    # same caveat as the implication check: an affine extra critical point
-    # refutes the germ statement only under the convergence certificate
+    return _refutation(fam, details)
+
+
+def _refutation(fam, details):
+    """A counterexample found on the affine locus refutes the germ
+    statement only under the convergence certificate; without it, it
+    may be an affine artifact."""
     if not fam.certificate:
         details["certificate"] = False
         return INCONCLUSIVE, details

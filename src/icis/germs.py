@@ -24,9 +24,11 @@ from .errors import (
 )
 from .ideals import (
     IdealPresentation,
+    critical_ideal,
     elimination_ideal,
     jacobian_matrix,
     maximal_minors,
+    singular_ideal,
 )
 from .orders import grevlex
 from .poly import (
@@ -66,8 +68,7 @@ class IcisPresentation:
         return len(self.ring) - len(self.phi)
 
     def singular_ideal(self):
-        minors = maximal_minors(jacobian_matrix(list(self.phi), list(self.ring)))
-        return IdealPresentation(self.ring, list(self.phi) + minors)
+        return singular_ideal(self.phi, self.ring)
 
     def singular_colength(self):
         return local_colength(self.singular_ideal().generators, self.ring)
@@ -101,10 +102,8 @@ class GermFunction:
             raise InvalidInputError("function germ must vanish at the origin")
 
     def critical_ideal(self):
-        """<phi> plus the maximal minors of the Jacobian of (f, phi)."""
-        maps = [self.f] + list(self.base.phi)
-        minors = maximal_minors(jacobian_matrix(maps, list(self.base.ring)))
-        return IdealPresentation(self.base.ring, list(self.base.phi) + minors)
+        """<phi> plus the maximal minors of the Jacobian of (phi, f)."""
+        return critical_ideal(self.base.phi, self.f, self.base.ring)
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,8 @@ def _chain_milnor(phi, ring, colength, seed=0):
         try:
             mu = 0
             for k in range(1, len(eqs) + 1):
-                minors = maximal_minors(jacobian_matrix(eqs[:k], list(ring)))
-                c = colength(eqs[: k - 1] + minors, eqs[k - 1:])
+                stage = critical_ideal(eqs[: k - 1], eqs[k - 1], ring)
+                c = colength(list(stage.generators), eqs[k - 1:])
                 if c == inf:
                     raise GenericityError(f"infinite colength at chain stage {k}")
                 mu = c - mu

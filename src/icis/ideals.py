@@ -1,9 +1,13 @@
 """Ideal-level constructions: Jacobian matrices and minors, elimination
 and radical membership.
 
+Critical and singular ideals have one builder, ``critical_ideal``; a
+singular ideal is the critical ideal of its last equation, plus it.
+
 A zero-dimensional ideal I has one radical, built once and cached
-(``IdealPresentation.radical``): I plus the squarefree part of its
-eliminant in each variable (Seidenberg's lemma).  The questions on the
+(``IdealPresentation.radical``): I plus the squarefree part of each
+eliminant with a repeated factor (Seidenberg's lemma), or I itself when
+there is none.  The questions on the
 finite set V(I) all read it: the number of its points is the radical's
 colength (``distinct_point_count``), f vanishes on it when f reduces to
 zero modulo the radical (``is_nilpotent``), and a lone point is read off
@@ -53,7 +57,8 @@ class IdealPresentation:
         """The radical of a zero-dimensional I: I plus the squarefree part
         of its eliminant in each variable, over a perfect field
         (Cox-Little-O'Shea, *Using Algebraic Geometry*, ch. 2 sec. 2).
-        The unit ideal is its own radical."""
+        Only parts of lower degree than their eliminant are adjoined; with
+        none, I is its own radical, as is the unit ideal."""
         hit = self._cache.get("radical")
         if hit is None:
             c = self.colength(grevlex(self.ring))
@@ -61,8 +66,14 @@ class IdealPresentation:
                 raise NonIsolatedError("the radical needs a zero-dimensional ideal")
             hit = self
             if c:
-                hit = self.plus(squarefree_part(univariate_eliminant(self, v)).in_ring(self.ring)
-                                for v in self.ring)
+                shrunk = []
+                for v in self.ring:
+                    e = univariate_eliminant(self, v)
+                    r = squarefree_part(e)
+                    if r.total_degree() < e.total_degree():
+                        shrunk.append(r.in_ring(self.ring))
+                if shrunk:
+                    hit = self.plus(shrunk)
             self._cache["radical"] = hit
         return hit
 
@@ -113,6 +124,20 @@ def maximal_minors(matrix):
         sub = [[row[j] for j in col_idx] for row in matrix]
         out.append(determinant(sub))
     return out
+
+
+def critical_ideal(phi, f, variables):
+    """<phi> plus the maximal minors of the Jacobian of (phi, f) in
+    ``variables``, over f's ring: the critical points of f on V(phi)."""
+    phi = list(phi)
+    return IdealPresentation(f.ring, phi + maximal_minors(jacobian_matrix(phi + [f], variables)))
+
+
+def singular_ideal(eqs, variables):
+    """<eqs> plus the maximal minors of their Jacobian in ``variables``:
+    the singular points of V(eqs)."""
+    *phi, f = eqs
+    return critical_ideal(phi, f, variables).plus([f])
 
 
 def relative_jacobian_ideal(F, phis, t):

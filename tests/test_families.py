@@ -22,7 +22,15 @@ from icis.families import (
     radical_implies_axis_check,
 )
 from icis.germs import IcisPresentation, icis_milnor, translate
-from icis.ideals import IdealPresentation, is_nilpotent, radical_membership
+from icis.ideals import (
+    IdealPresentation,
+    is_nilpotent,
+    jacobian_matrix,
+    maximal_minors,
+    radical_membership,
+    singular_ideal,
+)
+from icis.orders import grevlex
 from icis.poly import Polynomial
 
 from family_suite import FUNCTION_CASES, RING, SPACE_CASES, t, x, y
@@ -122,8 +130,6 @@ class TestCriticalRadical:
     @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
     def test_agrees_with_rabinowitsch(self, case):
         fam = case.family()
-        for t0 in DEFAULT_SAMPLES:
-            fam.report(t0)
         I = fam.parametric_critical_ideal
         for f in self._questions(fam):
             assert fam.in_critical_radical(f) == radical_membership(f, I), f
@@ -133,8 +139,6 @@ class TestCriticalRadical:
         # of the radical that depends on t is nilpotent on the fiber over
         # its own sample only
         fam = DeformationFamily.function_deformation(RING, "t", [y], x**2 * (x - t) ** 2)
-        for t0 in DEFAULT_SAMPLES:
-            fam.report(t0)
         I = fam.parametric_critical_ideal
         for f, member in ((x * (x - t) * (2 * x - t), True), (fam.F.diff("t"), False),
                           (fam.F, False), (x, False)):
@@ -147,8 +151,7 @@ class TestCriticalRadical:
         # radical, and only Rabinowitsch can say so
         fam = DeformationFamily.function_deformation(
             RING, "t", [y], x**3 + t * (t - 1) * (2 * t - 1) * x**2 + y)
-        for t0 in DEFAULT_SAMPLES:
-            r = fam.report(t0)
+        for r in fam.reports:
             assert (r.distinct_points, r.off_origin_budget) == (1, 0)
             assert is_nilpotent(Polynomial.variable(fam.x_ring, "x"), r.ideal)
 
@@ -287,3 +290,67 @@ class TestSplitting:
         fam = DeformationFamily.space_deformation(RING, "t", [x**2 + y**3 - t * y**3])
         with pytest.raises(NonIsolatedError, match="fiber at t=1 "):
             splitting_check(fam)
+
+
+class TestFamilyOwnsItsSamples:
+    SAMPLES = (Fraction(2), Fraction(1, 3))
+
+    def test_default_samples(self):
+        assert FUNCTION_CASES[0].family().samples == DEFAULT_SAMPLES
+        assert SPACE_CASES[0].family().samples == DEFAULT_SAMPLES
+
+    def test_every_check_reads_the_family_samples(self):
+        case = next(c for c in FUNCTION_CASES if c.name == "trivial-x-on-cusp")
+        fam = DeformationFamily.function_deformation(
+            case.ring, "t", list(case.phi), case.F, samples=(2, Fraction(1, 3)))
+        assert fam.samples == self.SAMPLES
+        assert tuple(r.t0 for r in fam.reports) == self.SAMPLES
+        assert tuple(sm.t0 for sm in splitting_check(fam).samples) == self.SAMPLES
+        assert tuple(greuel_conditions(fam).mu_origin_samples) == self.SAMPLES
+        verdict, details = zero_fiber_forces_origin_check(fam)
+        assert verdict == case.zero_fiber
+        assert tuple(details["samples"]) == self.SAMPLES
+
+    def test_space_family_samples(self):
+        case = SPACE_CASES[0]
+        fam = DeformationFamily.space_deformation(
+            case.ring, "t", list(case.Phi), samples=self.SAMPLES)
+        assert tuple(sm.t0 for sm in splitting_check(fam).samples) == self.SAMPLES
+
+    @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
+    def test_theorem_verdicts_do_not_depend_on_call_order(self, case):
+        # the radical questions refute on every sample report, whether or
+        # not an earlier check has asked for the reports
+        fresh = case.family()
+        first = (radical_implies_axis_check(fresh), zero_fiber_forces_origin_check(fresh))
+        fam = case.family()
+        greuel_conditions(fam)
+        assert (radical_implies_axis_check(fam), zero_fiber_forces_origin_check(fam)) == first
+
+
+def _inline_fiber(fam, t0):
+    """The fiber equations as each check used to build them."""
+    if fam.kind == families.FUNCTION:
+        return list(fam.base.phi) + [fam.specialize(t0).f]
+    return fam.specialize(t0)
+
+
+@pytest.mark.parametrize("case", FUNCTION_CASES + SPACE_CASES, ids=_case_id)
+def test_fiber_singular_ideal_matches_inline_construction(case):
+    fam = case.family()
+    x_ring = fam.x_ring
+    order = grevlex(x_ring)
+    for t0 in (0,) + fam.samples:
+        eqs = _inline_fiber(fam, t0)
+        inline = IdealPresentation(x_ring, eqs + maximal_minors(jacobian_matrix(eqs, x_ring)))
+        built = singular_ideal(fam.fiber(t0), x_ring)
+        assert set(built.basis(order).generators) == set(inline.basis(order).generators), t0
+    # the parametric ideal of the splitting check's convergence certificate
+    if fam.kind == families.FUNCTION:
+        inline = fam.parametric_critical_ideal.plus([fam.F])
+    else:
+        inline = IdealPresentation(fam.ring, list(fam.Phi)
+                                   + maximal_minors(jacobian_matrix(fam.Phi, x_ring)))
+    built = singular_ideal(fam.fiber_equations, x_ring)
+    order = grevlex(fam.ring)
+    assert set(built.basis(order).generators) == set(inline.basis(order).generators)

@@ -259,6 +259,21 @@ class TestRadicalOfKnownPoints:
         if len(points) == 1:
             assert lone_point(I) == dict(zip(ring, points[0]))
 
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(st.just(n), _points(n))))
+    @settings(max_examples=15, deadline=None)
+    def test_product_of_distinct_maximal_ideals_is_its_own_radical(self, n_points):
+        # every eliminant of a radical ideal is squarefree, so nothing is
+        # adjoined and the basis I already has is reused
+        n, points = n_points
+        ring = ("x", "y", "z")[:n]
+        v = [Polynomial.variable(ring, name) for name in ring]
+        I = [Polynomial.constant(ring, 1)]
+        for p in points:
+            I = [f * (vi - pi) for f in I for vi, pi in zip(v, p)]
+        I = IdealPresentation(ring, I)
+        assert I.radical() is I
+        assert distinct_point_count(I) == len(points)
+
 
 class TestIdealPresentation:
     def test_basis_is_cached(self):
