@@ -28,7 +28,6 @@ from .ideals import (
     jacobian_matrix,
     maximal_minors,
     radical_membership,
-    relative_jacobian_ideal,
 )
 from .germs import (
     GermFunction,

@@ -3,7 +3,9 @@ conservation of number, splitting detection, and the Greuel-type
 condition checks with their implications.
 
 A ``DeformationFamily`` owns its samples and its fiber equations; every
-check reads the samples, fibers and sample reports off the family.
+check reads the samples, fibers and sample reports off the family.  The
+relative Jacobian minors are the parametric critical ideal's generators
+after phi, and a lone singular point's Milnor number is its fiber total.
 
 Affine colengths stand in for Milnor-ball totals only when the
 convergence certificate holds (every critical point collapses to the
@@ -45,12 +47,12 @@ from .germs import (
 )
 from .ideals import (
     IdealPresentation,
+    critical_ideal,
     distinct_point_count,
     elimination_ideal,
     is_nilpotent,
     lone_point,
     radical_membership,
-    relative_jacobian_ideal,
     singular_ideal,
 )
 from .orders import grevlex
@@ -86,10 +88,16 @@ class DeformationFamily:
     ring: tuple
     param: str
     kind: str
-    base: IcisPresentation
+    base: IcisPresentation = None
     F: Polynomial = None
     Phi: tuple = None
     samples: tuple = DEFAULT_SAMPLES
+
+    def __post_init__(self):
+        self.ring = tuple(self.ring)
+        if self.param not in self.ring:
+            raise InvalidInputError(f"parameter {self.param!r} not in ring {self.ring}")
+        self.samples = tuple(map(Fraction, self.samples))
 
     @property
     def x_ring(self):
@@ -97,27 +105,19 @@ class DeformationFamily:
 
     @classmethod
     def function_deformation(cls, ring, param, phi, F, samples=DEFAULT_SAMPLES):
-        ring = tuple(ring)
-        if param not in ring:
-            raise InvalidInputError(f"parameter {param!r} not in ring {ring}")
-        x_ring = tuple(v for v in ring if v != param)
-        base = IcisPresentation(x_ring, phi)
-        F = F.in_ring(ring)
-        fam = cls(ring, param, FUNCTION, base, F=F, samples=tuple(map(Fraction, samples)))
+        fam = cls(ring, param, FUNCTION, samples=samples)
+        fam.base = IcisPresentation(fam.x_ring, phi)
+        fam.F = F.in_ring(fam.ring)
         # the base member at t = 0 must be a genuine germ
         fam.specialize(0)
         return fam
 
     @classmethod
     def space_deformation(cls, ring, param, Phi, samples=DEFAULT_SAMPLES):
-        ring = tuple(ring)
-        if param not in ring:
-            raise InvalidInputError(f"parameter {param!r} not in ring {ring}")
-        x_ring = tuple(v for v in ring if v != param)
-        Phi = tuple(p.in_ring(ring) for p in Phi)
-        phi0 = [p.subs({param: 0}, target_ring=x_ring) for p in Phi]
-        base = IcisPresentation(x_ring, phi0)
-        return cls(ring, param, SPACE, base, Phi=Phi, samples=tuple(map(Fraction, samples)))
+        fam = cls(ring, param, SPACE, samples=samples)
+        fam.Phi = tuple(p.in_ring(fam.ring) for p in Phi)
+        fam.base = IcisPresentation(fam.x_ring, fam.fiber(0))
+        return fam
 
     @cached_property
     def fiber_equations(self):
@@ -141,18 +141,18 @@ class DeformationFamily:
     # -- quantities shared by the checks ------------------------------------
 
     @cached_property
-    def minors(self):
-        """Maximal minors of the Jacobian of (F, phi) in the x-variables."""
-        J = relative_jacobian_ideal(self.F, list(self.base.phi), self.param)
-        return list(J.generators)
-
-    @cached_property
     def parametric_critical_ideal(self):
         """<phi> + J(f_t, phi) in the (t, x)-ring; its zero set is
         {(t, x) : x is a critical point of f_t}."""
         if self.kind != FUNCTION:
             raise ValueError("critical ideal is defined for function deformations")
-        return IdealPresentation(self.ring, list(self.base.phi) + self.minors)
+        *phi, F = self.fiber_equations
+        return critical_ideal(phi, F, self.x_ring)
+
+    @property
+    def minors(self):
+        """The nonzero minors of J(F, phi): the critical ideal after phi."""
+        return self.parametric_critical_ideal.generators[len(self.base.phi):]
 
     @cached_property
     def certificate(self):
@@ -267,7 +267,11 @@ class SplittingSample:
     singular_count: int
     total_fiber_mu: object
     point: dict
-    point_mu: object
+
+    @property
+    def point_mu(self):
+        """The fiber total when one singular point carries it, else None."""
+        return self.total_fiber_mu if self.singular_count == 1 else None
 
 
 @dataclass
@@ -338,17 +342,16 @@ def splitting_check(fam):
         if sing.colength(grevlex(x_ring)) == inf:
             raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
         count = distinct_point_count(sing)
-        point = point_mu = None
+        point = None
         if count == 0:
             total = 0
         elif count == 1:
             point = lone_point(sing)
             # sing is zero-dimensional, so the moved point is isolated
-            moved = IcisPresentation(x_ring, translate(eqs, point), check=False)
-            point_mu = total = icis_milnor(moved)
+            total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point), check=False))
         else:
             total = fiber_milnor_total(eqs, x_ring)
-        results.append(SplittingSample(t0, count, total, point, point_mu))
+        results.append(SplittingSample(t0, count, total, point))
 
     if not conv:
         return SplittingReport(
@@ -368,11 +371,8 @@ def splitting_check(fam):
             base_mu, conv, results, VACUOUS,
             "base fiber is smooth; the theorem concerns singular germs",
         )
-    ok = all(
-        r.singular_count == 1 and (r.point_mu is None or r.point_mu == base_mu)
-        for r in results
-    )
-    if ok:
+    # every total is base_mu here, so a lone point carries all of it
+    if all(r.singular_count == 1 for r in results):
         return SplittingReport(
             base_mu, conv, results, CONSISTENT,
             "constant total Milnor number with a unique singular point "

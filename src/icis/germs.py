@@ -63,10 +63,6 @@ class IcisPresentation:
         if check and self.singular_colength() == inf:
             raise NonIsolatedError("singular locus is not isolated at the origin")
 
-    @property
-    def dimension(self):
-        return len(self.ring) - len(self.phi)
-
     def singular_ideal(self):
         return singular_ideal(self.phi, self.ring)
 
@@ -222,11 +218,12 @@ def _target_ring(p):
 def discriminant(phis):
     """Reduced equation of the discriminant: image of the critical set
     of the map phi, computed by eliminating the source variables from
-    the graph-plus-critical ideal."""
-    phis = list(phis)
-    ring = phis[0].ring
-    p = len(phis)
-    targets = _target_ring(p)
+    the graph-plus-critical ideal.  The source variables are renamed
+    x0, x1, ... (exponents are positional), so none shares a target's
+    name."""
+    ring = tuple(f"x{i}" for i in range(len(phis[0].ring)))
+    phis = [Polynomial(ring, f.terms) for f in phis]
+    targets = _target_ring(len(phis))
     big = ring + targets
     minors = maximal_minors(jacobian_matrix(phis, list(ring)))
     # a minor that is a unit at 0 makes the critical-set germ empty

@@ -2,7 +2,9 @@
 and radical membership.
 
 Critical and singular ideals have one builder, ``critical_ideal``; a
-singular ideal is the critical ideal of its last equation, plus it.
+singular ideal is the critical ideal of its last equation, plus it, and
+the relative Jacobian ideal J(F, phi) of a family is read off the
+critical ideal over the (t, x)-ring in the x-variables.
 
 A zero-dimensional ideal I has one radical, built once and cached
 (``IdealPresentation.radical``): I plus the squarefree part of each
@@ -43,11 +45,10 @@ class IdealPresentation:
         self._cache = {}
 
     def basis(self, order):
-        key = (order.kind, getattr(order, "eliminate", None))
-        hit = self._cache.get(key)
+        hit = self._cache.get(order)
         if hit is None:
             hit = _basis.complete_basis(self.generators, order)
-            self._cache[key] = hit
+            self._cache[order] = hit
         return hit
 
     def colength(self, order):
@@ -138,18 +139,6 @@ def singular_ideal(eqs, variables):
     the singular points of V(eqs)."""
     *phi, f = eqs
     return critical_ideal(phi, f, variables).plus([f])
-
-
-def relative_jacobian_ideal(F, phis, t):
-    """Ideal of maximal minors of the Jacobian of (F, phi_1..phi_p) in
-    all ring variables except the deformation parameter t."""
-    ring = F.ring
-    if t not in ring:
-        raise UnknownVariableError(f"parameter {t!r} not in ring {ring}")
-    x_vars = [v for v in ring if v != t]
-    maps = [F] + [p.in_ring(ring) for p in phis]
-    minors = maximal_minors(jacobian_matrix(maps, x_vars))
-    return IdealPresentation(ring, minors)
 
 
 def elimination_ideal(I, keep):

@@ -52,6 +52,7 @@ from .errors import (
     ProblemSyntaxError,
     UnboundNameError,
 )
+from .families import DEFAULT_SAMPLES
 from .poly import Polynomial
 
 # Term products allowed in one product or power step of a parsed
@@ -134,7 +135,7 @@ class ProblemFile:
     param: str = None
     kind: str = None
     bindings: dict = field(default_factory=dict)
-    samples: tuple = (Fraction(1), Fraction(1, 2))
+    samples: tuple = DEFAULT_SAMPLES
     seed: int = 0
     budget: int = DEFAULT_BUDGET
     direction: tuple = None

@@ -10,6 +10,7 @@ from icis.cli import main
 from icis.families import DeformationFamily
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 _CUSP_FAMILY = "ring t, x, y;\nparam t;\nkind family-analyze;\n"
 
@@ -377,3 +378,21 @@ class TestDeterminism:
         _, out, err = run_cli("run", str(FIXTURES / "milnor_morse.icis"), capsys=capsys)
         assert "elapsed" not in out
         assert "elapsed" in err
+
+
+def _readme_problems():
+    """The ``text`` blocks of README.md: every one is a problem file."""
+    blocks = README.read_text(encoding="utf-8").split("```text\n")[1:]
+    return [block.split("```")[0] for block in blocks]
+
+
+README_PROBLEMS = _readme_problems()
+
+
+@pytest.mark.parametrize("text", README_PROBLEMS,
+                         ids=[f"block{i}" for i in range(len(README_PROBLEMS))])
+def test_readme_problem_runs(text, tmp_path, capsys):
+    path = tmp_path / "readme.icis"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli("run", str(path), capsys=capsys)
+    assert code in (0, 2), err

@@ -291,6 +291,13 @@ class TestSplitting:
         with pytest.raises(NonIsolatedError, match="fiber at t=1 "):
             splitting_check(fam)
 
+    @pytest.mark.parametrize("case", FUNCTION_CASES + SPACE_CASES, ids=_case_id)
+    def test_point_mu_is_the_total_of_a_lone_point(self, case):
+        for sm in splitting_check(case.family()).samples:
+            lone = sm.singular_count == 1
+            assert (sm.point_mu == sm.total_fiber_mu) == lone
+            assert (sm.point is not None) == lone
+
 
 class TestFamilyOwnsItsSamples:
     SAMPLES = (Fraction(2), Fraction(1, 3))

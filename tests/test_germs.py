@@ -215,6 +215,17 @@ class TestDiscriminant:
         with pytest.raises(UnsupportedInputError):
             discriminant([x, y])
 
+    @pytest.mark.parametrize("maps", [
+        lambda a, b: [a**2 + b**3],
+        lambda a, b: [a, b**3 + a * b],
+    ], ids=["hypersurface", "cusp-projection"])
+    def test_source_named_like_the_targets(self, maps):
+        # the targets are named u, v; a source ring (u, v) must not
+        # collide with them and gives the discriminant of its (x, y) twin
+        Ruv = ("u", "v")
+        u, v = (Polynomial.variable(Ruv, n) for n in Ruv)
+        assert discriminant(maps(u, v)) == discriminant(maps(x, y))
+
 
 class TestGenericLines:
     @pytest.fixture()
