@@ -7,7 +7,9 @@ of exponent tuples to Fractions, with the monomials' order keys cached;
 the multiply-accumulate kernel is ``poly._add_shifted``.  Local orders
 use Lazard's method: Buchberger on the homogenized generators under a
 global order, then dehomogenization.  Normal forms are for global
-orders.
+orders, and so is ``minimal_polynomial``, which reads the minimal
+polynomial of a variable off the basis of a zero-dimensional ideal by
+single-variable FGLM.
 
 ``local_colength`` computes dim O/I at the origin by truncated linear
 algebra; Lazard's method decides the ideals whose truncations do not
@@ -16,9 +18,9 @@ stabilize.
 Every reduction step and row elimination counts against a step budget:
 running out raises ``BudgetExhaustedError``, it never returns a
 truncated answer.  Inside a ``with step_budget(limit):`` block every
-completion, normal form and local colength charges one shared budget,
-so the limit caps the whole block; outside any block each call gets a
-fresh budget of ``DEFAULT_BUDGET`` steps.
+completion, normal form, minimal polynomial and local colength charges
+one shared budget, so the limit caps the whole block; outside any block
+each call gets a fresh budget of ``DEFAULT_BUDGET`` steps.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from math import comb, gcd, inf, lcm, prod
 
-from .errors import BudgetExhaustedError
+from .errors import BudgetExhaustedError, NonIsolatedError
 from .orders import homogenized, negdegrevlex
 from .poly import Polynomial, _add_shifted, _monic, fresh_variable
 
@@ -188,6 +191,47 @@ def normal_form(f, sb):
     keys = _Keys(sb.order)
     reducers = _reducers(sb.generators, keys)
     return Polynomial(f.ring, _reduce_global(dict(f.terms), reducers, keys, _current_budget()))
+
+
+def minimal_polynomial(sb, var):
+    """Minimal polynomial of multiplication by ``var`` on Q[x]/I, for
+    the ideal I of a completed basis ``sb`` under a global order: the
+    monic generator of I meeting Q[var], over the ring (var,); 1 for the
+    unit ideal.  A positive-dimensional I raises ``NonIsolatedError``.
+
+    Single-variable FGLM (Faugere-Gianni-Lazard-Mora 1993): the normal
+    form of each power of ``var`` is ``var`` times the last one, reduced
+    against sb, and each is eliminated by the rows of the earlier ones
+    over Q, carrying its combination of powers along.  The first power
+    eliminated to zero gives the dependency; the quotient has dimension
+    colength(sb), so that is within colength + 1 powers."""
+    if not sb.completed or not sb.order.is_global:
+        raise ValueError("minimal polynomial requires a completed basis under a global order")
+    dim = colength(sb)
+    if dim == inf:
+        raise NonIsolatedError("the minimal polynomial needs a zero-dimensional ideal")
+    keys = _Keys(sb.order)
+    reducers = _reducers(sb.generators, keys)
+    budget = _current_budget()
+    zero = (0,) * len(sb.ring)
+    i = sb.ring.index(var)
+    rows = []  # (pivot monomial, row, its combination of powers)
+    nf = _reduce_global({zero: Fraction(1)}, reducers, keys, budget)
+    for k in range(dim + 1):
+        row, combo = dict(nf), {(k,): Fraction(1)}
+        for pivot, prow, pcombo in rows:
+            c = row.get(pivot)
+            if c:
+                budget.step()
+                q = -c / prow[pivot]
+                _add_shifted(row, prow.items(), zero, q)
+                _add_shifted(combo, pcombo.items(), (0,), q)
+        if not row:
+            return Polynomial((var,), combo)
+        rows.append((next(iter(row)), row, combo))
+        nf = _reduce_global({e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in nf.items()},
+                            reducers, keys, budget)
+    raise AssertionError("colength + 1 normal forms are always dependent")
 
 
 def complete_basis(generators, order):

@@ -92,6 +92,7 @@ class DeformationFamily:
     F: Polynomial = None
     Phi: tuple = None
     samples: tuple = DEFAULT_SAMPLES
+    _fibers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ring = tuple(self.ring)
@@ -128,15 +129,21 @@ class DeformationFamily:
         return self.Phi
 
     def fiber(self, t0):
-        """Equations of the fiber at t0, over the x-ring."""
-        at = {self.param: Fraction(t0)}
-        return [p.subs(at, target_ring=self.x_ring) for p in self.fiber_equations]
+        """Equations of the fiber at t0, over the x-ring: a tuple, built
+        once per t0."""
+        t0 = Fraction(t0)
+        hit = self._fibers.get(t0)
+        if hit is None:
+            at = {self.param: t0}
+            hit = self._fibers[t0] = tuple(p.subs(at, target_ring=self.x_ring)
+                                           for p in self.fiber_equations)
+        return hit
 
     def specialize(self, t0):
         """Exact substitution t -> t0: the member germ of a function
-        deformation, the fiber equations of a space deformation."""
+        deformation, a list of the fiber equations of a space deformation."""
         eqs = self.fiber(t0)
-        return GermFunction(eqs[-1], self.base) if self.kind == FUNCTION else eqs
+        return GermFunction(eqs[-1], self.base) if self.kind == FUNCTION else list(eqs)
 
     # -- quantities shared by the checks ------------------------------------
 

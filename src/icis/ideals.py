@@ -9,8 +9,12 @@ critical ideal over the (t, x)-ring in the x-variables.
 A zero-dimensional ideal I has one radical, built once and cached
 (``IdealPresentation.radical``): I plus the squarefree part of each
 eliminant with a repeated factor (Seidenberg's lemma), or I itself when
-there is none.  The questions on the
-finite set V(I) all read it: the number of its points is the radical's
+there is none.  The eliminant in v is the minimal polynomial of
+multiplication by v on Q[x]/I, read off I's cached reduced grevlex basis
+by single-variable FGLM (``univariate_eliminant``), so point accounting
+completes grevlex bases only; block orders serve ``elimination_ideal``.
+The questions on the
+finite set V(I) all read the radical: the number of its points is its
 colength (``distinct_point_count``), f vanishes on it when f reduces to
 zero modulo the radical (``is_nilpotent``), and a lone point is read off
 the radical's reduced basis {v - c_v} (``lone_point``)."""
@@ -59,7 +63,9 @@ class IdealPresentation:
         of its eliminant in each variable, over a perfect field
         (Cox-Little-O'Shea, *Using Algebraic Geometry*, ch. 2 sec. 2).
         Only parts of lower degree than their eliminant are adjoined; with
-        none, I is its own radical, as is the unit ideal."""
+        none, I is its own radical, as is the unit ideal.  The parts are
+        adjoined to I's reduced grevlex basis rather than to I's
+        generators: the same ideal, so the same reduced basis."""
         hit = self._cache.get("radical")
         if hit is None:
             c = self.colength(grevlex(self.ring))
@@ -74,7 +80,8 @@ class IdealPresentation:
                     if r.total_degree() < e.total_degree():
                         shrunk.append(r.in_ring(self.ring))
                 if shrunk:
-                    hit = self.plus(shrunk)
+                    reduced = self.basis(grevlex(self.ring)).generators
+                    hit = IdealPresentation(self.ring, reduced + tuple(shrunk))
             self._cache["radical"] = hit
         return hit
 
@@ -182,13 +189,13 @@ def is_nilpotent(f, I):
 
 
 def univariate_eliminant(I, var):
-    """Generator of the elimination ideal of I in the single variable
-    ``var``; zero polynomial when the elimination ideal is trivial.  The
-    reduced basis holds at most one generator in ``var`` alone."""
-    E = elimination_ideal(I, [var])
-    if not E.generators:
-        return Polynomial.zero((var,))
-    return E.generators[0]
+    """Monic generator of I meeting Q[var], over the ring (var,), for a
+    zero-dimensional I; 1 for the unit ideal.  It is the minimal
+    polynomial of multiplication by ``var`` on Q[x]/I, read off I's cached
+    reduced grevlex basis by single-variable FGLM
+    (``basis.minimal_polynomial``): no elimination order is completed.
+    A positive-dimensional I raises ``NonIsolatedError``."""
+    return _basis.minimal_polynomial(I.basis(grevlex(I.ring)), var)
 
 
 def distinct_point_count(I):

@@ -361,3 +361,40 @@ def test_fiber_singular_ideal_matches_inline_construction(case):
     built = singular_ideal(fam.fiber_equations, x_ring)
     order = grevlex(fam.ring)
     assert set(built.basis(order).generators) == set(inline.basis(order).generators)
+
+
+class TestFiberCache:
+    """A family substitutes each t0 into its fiber equations once."""
+
+    def test_same_tuple_for_equal_parameters(self):
+        fam = SPACE_CASES[0].family()
+        eqs = fam.fiber(Fraction(1, 2))
+        assert isinstance(eqs, tuple)
+        assert fam.fiber(Fraction(2, 4)) is eqs
+        assert fam.fiber(0) is fam.fiber(Fraction(0))
+
+    def test_specialized_list_is_a_copy(self):
+        fam = SPACE_CASES[0].family()
+        eqs = fam.specialize(1)
+        eqs.append(eqs[0])
+        assert len(fam.fiber(1)) == len(fam.fiber_equations)
+
+    @pytest.mark.parametrize("case", FUNCTION_CASES[:3] + SPACE_CASES[:2], ids=_case_id)
+    def test_checks_substitute_each_sample_once(self, case, monkeypatch):
+        fam = case.family()
+        eqs = fam.fiber_equations
+        calls = []
+        original = Polynomial.subs
+
+        def counting(self, bindings, target_ring=None):
+            if any(self is p for p in eqs) and target_ring == fam.x_ring:
+                calls.append(bindings[fam.param])
+            return original(self, bindings, target_ring)
+
+        monkeypatch.setattr(Polynomial, "subs", counting)
+        splitting_check(fam)
+        splitting_check(fam)
+        if fam.kind == families.FUNCTION:
+            conservation_check(fam)
+        # the constructor built the fiber at t = 0
+        assert sorted(calls) == sorted(len(eqs) * [t0 for t0 in set(fam.samples) if t0 != 0])

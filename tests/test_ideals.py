@@ -6,9 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from icis import ideals
-from icis.basis import complete_basis, is_zero_dimensional, normal_form
-from icis.errors import NonIsolatedError
+from icis import basis, ideals
+from icis.basis import complete_basis, is_zero_dimensional, normal_form, step_budget
+from icis.errors import BudgetExhaustedError, NonIsolatedError
 from icis.ideals import (
     IdealPresentation,
     critical_ideal,
@@ -23,7 +23,8 @@ from icis.ideals import (
     univariate_eliminant,
 )
 from icis.orders import grevlex
-from icis.poly import Polynomial
+from icis.poly import Polynomial, squarefree_part
+from icis.problem import parse_expression
 
 R = ("x", "y")
 x = Polynomial.variable(R, "x")
@@ -216,6 +217,102 @@ class TestRadical:
         assert distinct_point_count(I) == 2
         assert is_nilpotent(y, I) and not is_nilpotent(x, I)
         assert calls == list(R)
+
+
+class TestUnivariateEliminant:
+    """The minimal polynomial of multiplication by a variable, read off
+    the cached grevlex basis."""
+
+    def test_positive_dimension_rejected(self):
+        with pytest.raises(NonIsolatedError):
+            univariate_eliminant(IdealPresentation(R, (x,)), "y")
+
+    def test_unit_ideal_gives_one(self):
+        I = IdealPresentation(R, (x - 1, x))
+        assert univariate_eliminant(I, "x") == Polynomial.constant(("x",), 1)
+        assert univariate_eliminant(I, "y") == Polynomial.constant(("y",), 1)
+
+    def test_repeated_and_irrational_roots(self):
+        xx = Polynomial.variable(("x",), "x")
+        yy = Polynomial.variable(("y",), "y")
+        I = IdealPresentation(R, ((x**2 - 2) ** 2, y - x))
+        assert univariate_eliminant(I, "x") == (xx**2 - 2) ** 2
+        assert univariate_eliminant(I, "y") == (yy**2 - 2) ** 2
+
+    def test_charges_the_active_budget(self):
+        I = IdealPresentation(R, ((x**2 - 2) ** 2, y - x))
+        I.basis(grevlex(R))
+        with step_budget() as budget:
+            univariate_eliminant(I, "y")
+        assert budget.spent > 0
+        with pytest.raises(BudgetExhaustedError), step_budget(budget.spent - 1):
+            univariate_eliminant(I, "y")
+
+    def test_reads_the_cached_grevlex_basis(self, kinds):
+        I = IdealPresentation(R, (x**2 - y, y**2 - x))
+        I.basis(grevlex(R))
+        kinds.clear()
+        xx = Polynomial.variable(("x",), "x")
+        assert univariate_eliminant(I, "x") == xx**4 - xx
+        assert kinds == []
+
+
+@pytest.fixture
+def kinds(monkeypatch):
+    """The order kind of every basis completion."""
+    out = []
+    original = basis.complete_basis
+
+    def counting(generators, order):
+        out.append(order.kind)
+        return original(generators, order)
+
+    monkeypatch.setattr(basis, "complete_basis", counting)
+    return out
+
+
+# ideals with repeated roots, irrational points and a lone fat point, in
+# two and three variables
+POINT_IDEALS = [
+    ("x^2*(x - 1)^3", "y^2"),
+    ("(x^2 - 2)^2", "y^3 - x*y", "x*y^2"),
+    ("(2*x - 1)^2", "(y + 3)^3"),
+    ("x^2 + y^2 - 1", "x*y - z", "z^2 - x*z"),
+    ("(x - y)^2", "y^2 - 3", "(z - x)^2*z"),
+    ("(x + y + z)^2", "(y - 1)^2", "z^3"),
+]
+
+
+def _ideal(texts):
+    ring = ("x", "y", "z") if any("z" in t for t in texts) else R
+    return IdealPresentation(ring, [parse_expression(t, ring) for t in texts])
+
+
+class TestPointAccountingWithoutBlockOrders:
+    @pytest.mark.parametrize("texts", POINT_IDEALS)
+    def test_no_block_completion(self, texts, kinds):
+        I = _ideal(texts)
+        distinct_point_count(I)
+        for v in I.ring:
+            is_nilpotent(Polynomial.variable(I.ring, v), I)
+        if distinct_point_count(I) == 1:
+            lone_point(I)
+        assert "grevlex" in kinds
+        assert "block" not in kinds
+
+    @pytest.mark.parametrize("texts", POINT_IDEALS)
+    def test_radical_basis_is_a_fresh_completion(self, texts):
+        # the squarefree parts are taken of the block-order eliminants
+        I = _ideal(texts)
+        adjoined = []
+        for v in I.ring:
+            (e,) = elimination_ideal(I, [v]).generators
+            r = squarefree_part(e)
+            if r.total_degree() < e.total_degree():
+                adjoined.append(r.in_ring(I.ring))
+        assert adjoined
+        fresh = complete_basis(list(I.generators) + adjoined, grevlex(I.ring))
+        assert I.radical().basis(grevlex(I.ring)).generators == fresh.generators
 
 
 def _points(n):

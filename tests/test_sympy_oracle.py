@@ -4,7 +4,9 @@
 polynomial kernel (products, sums, substitution, exact division,
 gcd) against ``sympy.expand`` and ``sympy.gcd``, squarefree parts
 against ``sympy.sqf_part``, and radical membership against a
-Rabinowitsch basis of sympy's own.  sympy is a test dependency only."""
+Rabinowitsch basis of sympy's own, and univariate eliminants of
+zero-dimensional ideals against the one-variable member of a sympy lex
+basis.  sympy is a test dependency only."""
 
 import random
 from fractions import Fraction
@@ -13,7 +15,12 @@ import pytest
 import sympy
 
 from icis.basis import complete_basis, normal_form
-from icis.ideals import IdealPresentation, elimination_ideal, radical_membership
+from icis.ideals import (
+    IdealPresentation,
+    elimination_ideal,
+    radical_membership,
+    univariate_eliminant,
+)
 from icis.orders import grevlex, lex
 from icis.poly import Polynomial, divexact, gcd, squarefree_part
 from icis.problem import parse_expression
@@ -287,3 +294,60 @@ def test_gcd_with_a_monomial_matches_sympy(a, b):
     theirs = sympy.gcd(_to_sympy(f), _to_sympy(g))
     _assert_monic_equal(gcd(f, g), theirs)
     _assert_monic_equal(gcd(g, f), theirs)
+
+
+def _zero_dimensional_ideal(seed, n):
+    """n generators in the first n variables of R, the i-th a pure power
+    of the i-th variable, of degree 2 or 3, plus random terms of lower
+    total degree: the pure powers lead under grevlex, so the ideal is
+    zero-dimensional, and its points are irrational for most seeds.  On
+    odd seeds the first generator enters squared, so the points are
+    fat and the eliminants have repeated roots."""
+    rng = random.Random(seed)
+    ring = R[:n]
+    gens = []
+    for i in range(n):
+        d = rng.randint(2, 3) if n == 2 else 2
+        terms = {tuple(d if j == i else 0 for j in range(3)): 1}
+        for _ in range(rng.randint(2, 3)):
+            e = [0, 0, 0]
+            for _ in range(rng.randint(0, d - 1)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+        gens.append(Polynomial(R, terms).in_ring(ring))
+    if seed % 2:
+        gens[0] = gens[0] * gens[0]
+    return IdealPresentation(ring, gens)
+
+
+def _sympy_eliminant(I, v):
+    """The member of sympy's lex basis in v alone, v last in the order,
+    as monic terms."""
+    symbols = [s for s, name in zip(SYMBOLS, R) if name in I.ring]
+    last = SYMBOLS[R.index(v)]
+    order = [s for s in symbols if s != last] + [last]
+    G = sympy.groebner([_to_sympy(g.in_ring(R)) for g in I.generators], *order, order="lex")
+    (e,) = [g for g in G.exprs if g.free_symbols <= {last}]
+    return frozenset(sympy.Poly(e, last).monic().terms())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_univariate_eliminant_matches_sympy_lex_and_block_elimination(seed, n):
+    """The minimal polynomial of each variable, by FGLM on the grevlex
+    basis, is the one-variable member of sympy's lex basis and the
+    generator of the block-order elimination ideal."""
+    I = _zero_dimensional_ideal(seed, n)
+    repeated = irrational = False
+    for v in I.ring:
+        ours = univariate_eliminant(I, v)
+        assert ours.ring == (v,)
+        assert elimination_ideal(I, [v]).generators == (ours,)
+        theirs = _sympy_eliminant(I, v)
+        assert frozenset((e, sympy.Rational(c.numerator, c.denominator))
+                         for e, c in ours.terms.items()) == theirs
+        factors = sympy.factor_list(sympy.Poly(dict(theirs), sympy.Symbol(v)))[1]
+        repeated |= any(k > 1 for _, k in factors)
+        irrational |= any(f.degree() > 1 for f, _ in factors)
+    assert repeated == bool(seed % 2)
+    assert irrational
