@@ -11,12 +11,11 @@ from .poly import (
     order_of_vanishing,
     squarefree_part,
 )
-from .orders import elimination_order, grevlex, lex, negdegrevlex
+from .orders import elimination_order, grevlex, lex
 from .basis import (
     StandardBasis,
     colength,
     complete_basis,
-    is_zero_dimensional,
     local_colength,
     normal_form,
     step_budget,

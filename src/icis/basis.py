@@ -1,19 +1,21 @@
 """Standard-basis engines and colength computation.
 
-Global orders use Buchberger's algorithm with the product and chain
-criteria.  Pairs are taken lowest lcm degree first from a heap (the
-normal selection strategy), and reduction works in place on a term dict
-of exponent tuples to Fractions, with the monomials' order keys cached;
-the multiply-accumulate kernel is ``poly._add_shifted``.  Local orders
-use Lazard's method: Buchberger on the homogenized generators under a
-global order, then dehomogenization.  Normal forms are for global
-orders, and so is ``minimal_polynomial``, which reads the minimal
-polynomial of a variable off the basis of a zero-dimensional ideal by
-single-variable FGLM.
+Every monomial order in ``orders`` is global (1 is the least
+monomial), and ``complete_basis`` runs Buchberger's algorithm with the
+product and chain criteria.  Pairs are taken lowest lcm degree first
+from a heap (the normal selection strategy), and reduction works in
+place on a term dict of exponent tuples to Fractions, with the
+monomials' order keys cached; the multiply-accumulate kernel is
+``poly._add_shifted``.  ``normal_form`` reduces against a completed
+basis, and ``minimal_polynomial`` reads the minimal polynomial of a
+variable off the basis of a zero-dimensional ideal by single-variable
+FGLM.
 
 ``local_colength`` computes dim O/I at the origin by truncated linear
 algebra; Lazard's method decides the ideals whose truncations do not
-stabilize.
+stabilize.  It completes the homogenized generators under
+``Homogenized`` and reads the local staircase off the leading
+monomials, so no local order is needed.
 
 Every reduction step and row elimination counts against a step budget:
 running out raises ``BudgetExhaustedError``, it never returns a
@@ -35,7 +37,7 @@ from itertools import chain
 from math import comb, gcd, inf, lcm, prod
 
 from .errors import BudgetExhaustedError, NonIsolatedError
-from .orders import homogenized, negdegrevlex
+from .orders import homogenized
 from .poly import Polynomial, _add_shifted, _monic, fresh_variable
 
 DEFAULT_BUDGET = 10**6
@@ -180,12 +182,10 @@ def _reduce_global(h, reducers, keys, budget):
 
 
 def normal_form(f, sb):
-    """Normal form of f against a completed basis under a global order;
-    zero iff f lies in the ideal."""
+    """Normal form of f against a completed basis; zero iff f lies in
+    the ideal."""
     if not sb.completed:
         raise ValueError("normal form requires a completed basis")
-    if not sb.order.is_global:
-        raise ValueError("normal form requires a global order")
     if f.is_zero() or not sb.generators:
         return f
     keys = _Keys(sb.order)
@@ -195,9 +195,9 @@ def normal_form(f, sb):
 
 def minimal_polynomial(sb, var):
     """Minimal polynomial of multiplication by ``var`` on Q[x]/I, for
-    the ideal I of a completed basis ``sb`` under a global order: the
-    monic generator of I meeting Q[var], over the ring (var,); 1 for the
-    unit ideal.  A positive-dimensional I raises ``NonIsolatedError``.
+    the ideal I of a completed basis ``sb``: the monic generator of I
+    meeting Q[var], over the ring (var,); 1 for the unit ideal.  A
+    positive-dimensional I raises ``NonIsolatedError``.
 
     Single-variable FGLM (Faugere-Gianni-Lazard-Mora 1993): the normal
     form of each power of ``var`` is ``var`` times the last one, reduced
@@ -205,8 +205,8 @@ def minimal_polynomial(sb, var):
     over Q, carrying its combination of powers along.  The first power
     eliminated to zero gives the dependency; the quotient has dimension
     colength(sb), so that is within colength + 1 powers."""
-    if not sb.completed or not sb.order.is_global:
-        raise ValueError("minimal polynomial requires a completed basis under a global order")
+    if not sb.completed:
+        raise ValueError("minimal polynomial requires a completed basis")
     dim = colength(sb)
     if dim == inf:
         raise NonIsolatedError("the minimal polynomial needs a zero-dimensional ideal")
@@ -235,22 +235,19 @@ def minimal_polynomial(sb, var):
 
 
 def complete_basis(generators, order):
-    """Run Buchberger (global) or Lazard's method (local) to a completed
-    standard basis; the result is minimalized and monic.
-    ``steps_used`` counts the steps this completion spent."""
+    """Run Buchberger to the reduced standard basis: minimal, monic and
+    tail-reduced.  ``steps_used`` counts the steps this completion
+    spent."""
     budget = _current_budget()
     start = budget.spent
-    if order.is_global:
-        G = _buchberger(generators, order, budget)
-        # inter-reduce tails for a canonical reduced basis; G is minimal
-        # and monic, so each leading term survives with coefficient 1
-        keys = _Keys(order)
-        reducers = _reducers(G, keys)
-        G = [Polynomial(g.ring, _reduce_global(dict(g.terms), reducers[:i] + reducers[i + 1:],
-                                               keys, budget))
-             for i, g in enumerate(G)]
-    else:
-        G = _lazard(generators, order, budget)
+    G = _buchberger(generators, order, budget)
+    # inter-reduce tails for a canonical reduced basis; G is minimal and
+    # monic, so each leading term survives with coefficient 1
+    keys = _Keys(order)
+    reducers = _reducers(G, keys)
+    G = [Polynomial(g.ring, _reduce_global(dict(g.terms), reducers[:i] + reducers[i + 1:],
+                                           keys, budget))
+         for i, g in enumerate(G)]
     lms = [g.leading(order)[0] for g in G]
     idx = sorted(range(len(G)), key=lambda i: order.key(lms[i]))
     G = [G[i] for i in idx]
@@ -259,7 +256,7 @@ def complete_basis(generators, order):
 
 
 def _buchberger(generators, order, budget):
-    """Minimal monic standard basis under a global order.  Pairs wait in
+    """Minimal monic standard basis under ``order``.  Pairs wait in
     a heap keyed by (degree of their lcm, i, j), the lcm computed once
     when the pair is made (the normal selection strategy)."""
     G = []
@@ -306,21 +303,6 @@ def _buchberger(generators, order, budget):
     return [G[i] for i in _minimal_indices(lms)]
 
 
-def _lazard(generators, order, budget):
-    """Minimal monic standard basis under the local degree order
-    ``order``: the dehomogenized basis of the homogenized generators
-    (Lazard 1983; Greuel-Pfister, section 1.7)."""
-    ring = order.ring
-    tag = fresh_variable(ring, "_h")
-    hom = [Polynomial(ring + (tag,), {e + (g.total_degree() - sum(e),): c
-                                      for e, c in g.terms.items()})
-           for g in generators]
-    # setting h = 1 merges no terms, as each g is homogeneous
-    G = [_monic(Polynomial(ring, {e[:-1]: c for e, c in g.terms.items()}), order)
-         for g in _buchberger(hom, homogenized(ring + (tag,)), budget)]
-    return [G[i] for i in _minimal_indices([g.leading(order)[0] for g in G])]
-
-
 def _minimal_indices(lms):
     """Indices of the monomials no other divides; of equal ones, the first."""
     return [i for i, m in enumerate(lms)
@@ -329,7 +311,10 @@ def _minimal_indices(lms):
 
 def staircase(sb):
     """Minimal generators of the leading-monomial ideal (an antichain)."""
-    lms = list(sb.leading_monomials)
+    return _antichain(sb.leading_monomials)
+
+
+def _antichain(lms):
     return tuple(lms[i] for i in _minimal_indices(lms))
 
 
@@ -345,25 +330,20 @@ def _pure_power_bounds(gens, n):
     return None if inf in bounds else bounds
 
 
-def is_zero_dimensional(sb):
-    """True iff the quotient is finite-dimensional: the ideal is the
-    unit ideal, or every variable occurs to a pure power among the
-    leading monomials."""
-    if not sb.completed:
-        raise ValueError("requires a completed basis")
-    n = len(sb.ring)
-    gens = staircase(sb)
-    return (0,) * n in gens or _pure_power_bounds(gens, n) is not None
-
-
 def colength(sb):
     """Number of standard monomials (monomials outside the leading
     ideal); the vector-space dimension of the quotient.  +inf when the
     quotient is infinite-dimensional."""
     if not sb.completed:
         raise ValueError("requires a completed basis")
-    gens = staircase(sb)
-    n = len(sb.ring)
+    return _staircase_colength(sb.leading_monomials, len(sb.ring))
+
+
+def _staircase_colength(lms, n):
+    """Number of monomials in n variables that no monomial of ``lms``
+    divides: 0 when 1 is among them, +inf when some variable has no
+    pure power among them."""
+    gens = _antichain(lms)
     if (0,) * n in gens:
         return 0
     bounds = _pure_power_bounds(gens, n)
@@ -432,11 +412,19 @@ def local_colength(gens, ring):
 
 
 def _lazard_colength(gens, ring, budget):
-    token = _active_budget.set(budget)
-    try:
-        return colength(complete_basis(gens, negdegrevlex(ring)))
-    finally:
-        _active_budget.reset(token)
+    """dim O/I by Lazard's method (Lazard 1983; Greuel-Pfister, section
+    1.7), every step charged to ``budget``: Buchberger on the
+    homogenized generators under ``Homogenized``.  The leading monomial
+    of a homogeneous basis element, without its h-exponent, is the local
+    leading monomial of its dehomogenization (lowest degree, ties by
+    revlex), and these generate the local leading ideal."""
+    tag = fresh_variable(ring, "_h")
+    order = homogenized(ring + (tag,))
+    hom = [Polynomial(order.ring, {e + (g.total_degree() - sum(e),): c
+                                   for e, c in g.terms.items()})
+           for g in gens]
+    lms = [g.leading(order)[0][:-1] for g in _buchberger(hom, order, budget)]
+    return _staircase_colength(lms, len(ring))
 
 
 def _primitive(g):
@@ -450,9 +438,8 @@ def _primitive(g):
 @lru_cache(maxsize=64)
 def _columns(n, K):
     """The monomials of degree < K in n variables as codes sum e_i*K^i,
-    one tuple per degree, each largest first under the local order (the
-    code orders like the reversed exponent tuple); and each code's
-    column."""
+    one tuple per degree, each sorted by code (the code orders like the
+    reversed exponent tuple); and each code's column."""
     units = [K**i for i in range(n)]
     by_degree = [(0,)]
     for _ in range(1, K):

@@ -79,10 +79,11 @@ class DeformationFamily:
     (``fiber_equations``, ``fiber``), so every check reads the same
     samples and the same fibers.  The quantities the checks share are
     computed once, on first use, under the step budget active then: the
-    parametric critical ideal and its minors, the convergence
-    certificate, mu at t = 0, cond5, cond6, and the critical-locus
-    report of each sample (``reports``).  The radical questions are
-    refuted on the sample fibers and decided by Rabinowitsch otherwise
+    fiber at t = 0 as an ICIS (``base_fiber``), the parametric critical
+    ideal and its minors, the convergence certificate, mu at t = 0,
+    cond5, cond6, and the critical-locus report of each sample
+    (``reports``).  The radical questions are refuted on the sample
+    fibers and decided by Rabinowitsch otherwise
     (``in_critical_radical``)."""
 
     ring: tuple
@@ -117,7 +118,7 @@ class DeformationFamily:
     def space_deformation(cls, ring, param, Phi, samples=DEFAULT_SAMPLES):
         fam = cls(ring, param, SPACE, samples=samples)
         fam.Phi = tuple(p.in_ring(fam.ring) for p in Phi)
-        fam.base = IcisPresentation(fam.x_ring, fam.fiber(0))
+        fam.base = fam.base_fiber
         return fam
 
     @cached_property
@@ -138,6 +139,12 @@ class DeformationFamily:
             hit = self._fibers[t0] = tuple(p.subs(at, target_ring=self.x_ring)
                                            for p in self.fiber_equations)
         return hit
+
+    @cached_property
+    def base_fiber(self):
+        """The fiber at t = 0 as an ICIS; its isolation check runs here
+        once.  It is ``base`` for a space deformation."""
+        return IcisPresentation(self.x_ring, self.fiber(0))
 
     def specialize(self, t0):
         """Exact substitution t -> t0: the member germ of a function
@@ -339,7 +346,7 @@ def splitting_check(fam):
     the origin for ``icis_milnor``.  Two or more are summed over the
     closure by ``fiber_milnor_total``."""
     x_ring = fam.x_ring
-    base_mu = icis_milnor(IcisPresentation(x_ring, fam.fiber(0)))
+    base_mu = icis_milnor(fam.base_fiber)
     conv = converges_to_origin(singular_ideal(fam.fiber_equations, x_ring), fam.param, x_ring)
 
     results = []

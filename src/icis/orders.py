@@ -1,11 +1,12 @@
-"""Monomial orders: global, local, elimination-block, and the global
-order on homogenized polynomials that Lazard's method uses.
+"""Monomial orders: lex, grevlex, elimination-block, and the order on
+homogenized polynomials that Lazard's method uses.
 
 An order is bound to a ring (an ordered tuple of variable names) and
 exposes a ``key`` function on exponent tuples; larger key means larger
 monomial.  All keys are built from the total degree and (reversed,
-negated) exponents, so every order here is multiplicative:
-u < v implies u*w < v*w.
+negated) exponents, so every order here is multiplicative (u < v
+implies u*w < v*w) and global (1 is the least monomial), as Buchberger,
+normal forms and ``basis.minimal_polynomial`` need.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Each subclass names its ``kind`` and says whether it ``is_global``
-    as class constants, so neither can be set per instance."""
+    """Each subclass names its ``kind`` as a class constant, so it cannot
+    be set per instance, and makes every monomial other than 1 larger
+    than 1."""
 
     ring: tuple[str, ...]
 
@@ -27,7 +29,6 @@ class MonomialOrder:
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
     kind = "lex"
-    is_global = True
 
     def key(self, exps):
         return exps
@@ -40,32 +41,19 @@ def _revlex_tail(exps):
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
     kind = "grevlex"
-    is_global = True
 
     def key(self, exps):
         return (sum(exps), _revlex_tail(exps))
 
 
 @dataclass(frozen=True)
-class NegDegRevLex(MonomialOrder):
-    """The local order: lower total degree is larger, so 1 is the largest
-    monomial and leading terms pick out lowest-order behaviour at 0."""
-
-    kind = "negdegrevlex"
-    is_global = False
-
-    def key(self, exps):
-        return (-sum(exps), _revlex_tail(exps))
-
-
-@dataclass(frozen=True)
 class Homogenized(MonomialOrder):
-    """Global order on (x, h) for Lazard's method: total degree, then
-    the h-exponent, then revlex on x.  On a homogeneous polynomial it
-    picks the term whose x-part leads under the local degree order."""
+    """Order on (x, h) for Lazard's method: total degree, then the
+    h-exponent, then revlex on x.  On a homogeneous polynomial it picks
+    the term of lowest x-degree, ties broken by revlex on x: the local
+    leading term of the polynomial at h = 1."""
 
     kind = "homogenized"
-    is_global = True
 
     def key(self, exps):
         return (sum(exps), exps[-1], _revlex_tail(exps[:-1]))
@@ -80,7 +68,6 @@ class Block(MonomialOrder):
     eliminate: tuple[int, ...] = ()  # positions in ring
     keep: tuple[int, ...] = ()
     kind = "block"
-    is_global = True
 
     def key(self, exps):
         elim = tuple(exps[i] for i in self.eliminate)
@@ -94,10 +81,6 @@ def lex(ring):
 
 def grevlex(ring):
     return GrevLex(tuple(ring))
-
-
-def negdegrevlex(ring):
-    return NegDegRevLex(tuple(ring))
 
 
 def homogenized(ring):

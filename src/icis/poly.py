@@ -189,45 +189,49 @@ class Polynomial:
 
         Unbound variables must exist in the target ring and map to
         themselves.  The result lives in ``target_ring`` (defaults to the
-        ring of the first polynomial image, else this ring).
+        ring of the first polynomial image, else this ring).  A scalar
+        scales each term's coefficient; only polynomial images are
+        multiplied out.
         """
-        images = {}
-        for name, val in bindings.items():
+        for name in bindings:
             if name not in self.ring:
                 raise UnknownVariableError(f"{name!r} not in ring {self.ring}")
-            images[name] = val
         if target_ring is None:
-            for val in images.values():
-                if isinstance(val, Polynomial):
-                    target_ring = val.ring
-                    break
-            else:
-                target_ring = self.ring
+            target_ring = next((v.ring for v in bindings.values() if isinstance(v, Polynomial)),
+                               self.ring)
         target_ring = tuple(target_ring)
-        for name, val in images.items():
+        # per variable: its position in the target ring when unbound, else its image
+        slots = []
+        for name in self.ring:
+            val = bindings.get(name)
             if isinstance(val, Polynomial):
                 if val.ring != target_ring:
                     raise RingMismatchError(
                         f"image of {name!r} lives in {val.ring}, expected {target_ring}"
                     )
+            elif name in bindings:
+                val = Fraction(val)
+            elif name in target_ring:
+                val = target_ring.index(name)
             else:
-                images[name] = Polynomial.constant(target_ring, val)
-        for name in self.ring:
-            if name not in images:
-                if name not in target_ring:
-                    raise UnknownVariableError(
-                        f"unbound variable {name!r} missing from target ring"
-                    )
-                images[name] = Polynomial.variable(target_ring, name)
-        one = Polynomial.constant(target_ring, 1)
-        zero = (0,) * len(target_ring)
+                raise UnknownVariableError(f"unbound variable {name!r} missing from target ring")
+            slots.append(val)
+        one = (((0,) * len(target_ring), 1),)
         result = {}
         for e, c in self.terms.items():
-            term = one
-            for i, k in enumerate(e):
-                if k:
-                    term = term * images[self.ring[i]] ** k
-            _add_shifted(result, term.terms.items(), zero, c)
+            place = [0] * len(target_ring)
+            image = None
+            for val, k in zip(slots, e):
+                if not k:
+                    continue
+                if isinstance(val, int):
+                    place[val] = k
+                elif isinstance(val, Fraction):
+                    c *= val**k
+                else:
+                    image = val**k if image is None else image * val**k
+            if c:  # a zero scalar drops the term
+                _add_shifted(result, one if image is None else image.terms.items(), place, c)
         return Polynomial(target_ring, result)
 
     def eval(self, point):

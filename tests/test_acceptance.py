@@ -10,7 +10,7 @@ from math import inf
 
 import pytest
 
-from icis.basis import colength, complete_basis
+from icis.basis import _lazard_colength, colength, complete_basis, step_budget
 from icis.families import (
     CurveProbe,
     DeformationFamily,
@@ -30,8 +30,7 @@ from icis.germs import (
     milnor_at_point,
     multiplicity,
 )
-from icis.ideals import IdealPresentation
-from icis.orders import grevlex, negdegrevlex
+from icis.orders import grevlex
 from icis.poly import Polynomial, order_of_vanishing
 
 from family_suite import FUNCTION_CASES, SPACE_CASES
@@ -224,7 +223,9 @@ def test_criterion_8_engine_oracles(capsys):
     ]
     for phi in fixtures:
         X = IcisPresentation(R, phi)
-        direct = IdealPresentation(R, phi).colength(negdegrevlex(R))
+        # Lazard's method alone, without local_colength's truncations
+        with step_budget() as budget:
+            direct = _lazard_colength(phi, R, budget)
         assert direct != inf
         assert icis_milnor(X) == direct - 1
 

@@ -1,22 +1,24 @@
 import random
 from math import inf
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from icis.basis import (
+    _lazard_colength,
     colength,
     complete_basis,
-    is_zero_dimensional,
     local_colength,
     normal_form,
     staircase,
     step_budget,
 )
 from icis.errors import BudgetExhaustedError
-from icis.orders import grevlex, negdegrevlex
+from icis.orders import grevlex
 from icis.poly import Polynomial
+from icis.problem import parse_problem
 from staircase_oracle import staircase_colength_bruteforce
 
 R = ("x", "y")
@@ -30,11 +32,6 @@ class TestCompleteBasis:
         assert basis.completed
         # reduced basis of a zero-dimensional ideal of 2 points
         assert colength(basis) == 2
-
-    def test_local_plane_curve(self):
-        basis = complete_basis([x**2 - y**3], negdegrevlex(R))
-        assert basis.completed
-        assert basis.leading_monomials == ((2, 0),)
 
     def test_zero_ideal(self):
         basis = complete_basis([Polynomial.zero(R)], grevlex(R))
@@ -89,11 +86,6 @@ class TestNormalForm:
         assert normal_form(member, basis).is_zero()
         assert not normal_form(x + y, basis).is_zero()
 
-    def test_local_order_is_rejected(self):
-        basis = complete_basis([x - x**2], negdegrevlex(R))
-        with pytest.raises(ValueError):
-            normal_form(x, basis)
-
     def test_result_not_divisible_by_leading_monomials(self):
         basis = complete_basis([x**2 + y**2 - 1, x * y - 1], grevlex(R))
         r = normal_form(x**5 + y**5, basis)
@@ -119,14 +111,6 @@ class TestNormalForm:
 
 
 class TestColength:
-    def test_morse_point(self):
-        basis = complete_basis([2 * x, 2 * y], negdegrevlex(R))
-        assert colength(basis) == 1
-
-    def test_cusp_jacobian(self):
-        basis = complete_basis([3 * x**2, 2 * y], negdegrevlex(R))
-        assert colength(basis) == 2
-
     def test_monomial_box(self):
         basis = complete_basis([x**3, y**4], grevlex(R))
         assert colength(basis) == 12
@@ -134,7 +118,6 @@ class TestColength:
 
     def test_not_zero_dimensional(self):
         basis = complete_basis([x**2], grevlex(R))
-        assert not is_zero_dimensional(basis)
         assert colength(basis) == inf
 
     def test_large_exponents_closed_form(self):
@@ -241,3 +224,54 @@ class TestLocalColength:
 
     def test_unit_ideal(self):
         assert local_colength([x - 1, y], R) == 0
+
+
+def lazard_colength(gens, ring):
+    with step_budget() as budget:
+        return _lazard_colength(gens, ring, budget)
+
+
+class TestLazardColength:
+    """Lazard's method, which local_colength runs on its step loans,
+    against local_colength and against known values."""
+
+    @pytest.mark.parametrize("gens, expected", [
+        ([2 * x, 2 * y], 1),  # Morse point
+        ([3 * x**2, 2 * y], 2),  # cusp Jacobian
+        ([x**2 - y**3, y**4], 8),  # the local leading monomial is x^2
+        ([x - x**2, y], 1),  # 1 - x is a unit at 0; the affine colength is 2
+        ([x**2 - y**3], inf),  # a plane curve is not m-primary
+    ])
+    def test_known_local_colengths(self, gens, expected):
+        assert lazard_colength(gens, R) == expected
+        assert local_colength(gens, R) == expected
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_local_colength_on_primary_germs(self, seed):
+        # x_i^a_i (1 - x_i) put V(I) in {0, 1}^n: the origin is isolated,
+        # and the points off it make the local and the affine colength differ
+        rng = random.Random(seed)
+        n = rng.randint(2, 3)
+        ring = ("x", "y", "z")[:n]
+        gens = []
+        for i in range(n):
+            e = tuple(rng.randint(1, 3) if j == i else 0 for j in range(n))
+            v = Polynomial.variable(ring, ring[i])
+            gens.append(Polynomial.monomial(ring, e, 1) * (1 - v))
+        for _ in range(rng.randint(1, 2)):
+            gens.append(Polynomial(ring, {
+                tuple(rng.randint(0, 2) for _ in ring): rng.choice([-2, -1, 1, 3])
+                for _ in range(rng.randint(1, 3))
+            }) * Polynomial.variable(ring, "x"))
+        local = local_colength(gens, ring)
+        assert local != inf
+        assert lazard_colength(gens, ring) == local
+        assert local <= colength(complete_basis(gens, grevlex(ring)))
+
+    def test_non_isolated_fixture_is_inf(self):
+        text = (Path(__file__).parent / "fixtures" / "nonisolated.icis").read_text()
+        problem = parse_problem(text)
+        (f,) = problem.bindings["f"]
+        jacobian = [f.diff(v) for v in problem.ring]
+        assert lazard_colength(jacobian, problem.ring) == inf
+        assert local_colength(jacobian, problem.ring) == inf

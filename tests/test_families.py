@@ -1,10 +1,11 @@
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 
-from icis import families
-from icis.cli import main
+from icis import basis, families, germs
+from icis.cli import main, run_problem
 from icis.errors import NonIsolatedError
 from icis.families import (
     CONSISTENT,
@@ -32,6 +33,7 @@ from icis.ideals import (
 )
 from icis.orders import grevlex
 from icis.poly import Polynomial
+from icis.problem import parse_problem
 
 from family_suite import FUNCTION_CASES, RING, SPACE_CASES, t, x, y
 
@@ -398,3 +400,35 @@ class TestFiberCache:
             conservation_check(fam)
         # the constructor built the fiber at t = 0
         assert sorted(calls) == sorted(len(eqs) * [t0 for t0 in set(fam.samples) if t0 != 0])
+
+
+class TestBaseFiberOnce:
+    """A family holds its fiber at t = 0 as one ICIS, so its isolation
+    check runs once."""
+
+    def test_space_base_is_the_base_fiber(self):
+        fam = SPACE_CASES[0].family()
+        assert fam.base is fam.base_fiber
+        assert fam.base.phi == fam.fiber(0)
+
+    # the base fiber's isolation check, then its Milnor chain (one stage
+    # per equation); each sample fiber has two singular points, which
+    # fiber_milnor_total sums without local colengths
+    @pytest.mark.parametrize("name, calls", [
+        ("space_tacnode.icis", 2),
+        ("icis_tacnode_splitting.icis", 3),
+    ])
+    def test_local_colength_calls(self, name, calls, monkeypatch):
+        counted = []
+
+        def counting(gens, ring):
+            counted.append(tuple(gens))
+            return basis.local_colength(gens, ring)
+
+        monkeypatch.setattr(germs, "local_colength", counting)
+        monkeypatch.setattr(families, "local_colength", counting)
+        text = (Path(__file__).parent / "fixtures" / name).read_text()
+        run_problem(parse_problem(text))
+        assert len(counted) == calls
+        # the base fiber's singular ideal is checked once
+        assert len(set(counted)) == len(counted)

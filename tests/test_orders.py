@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from icis.orders import GrevLex, elimination_order, grevlex, lex, negdegrevlex
+from icis.orders import (
+    Block,
+    GrevLex,
+    Homogenized,
+    Lex,
+    MonomialOrder,
+    elimination_order,
+    grevlex,
+    homogenized,
+    lex,
+)
 
 R = ("x", "y", "z")
 
@@ -25,35 +35,10 @@ class TestGrevLex:
 
     def test_global(self):
         order = grevlex(R)
-        assert order.is_global
         one = (0, 0, 0)
         for e in itertools.product(range(3), repeat=3):
             if e != one:
                 assert greater(order, e, one)
-
-
-class TestNegDegRevLex:
-    def test_low_degree_wins(self):
-        assert greater(negdegrevlex(R), (1, 0, 0), (0, 2, 0))
-
-    def test_local(self):
-        order = negdegrevlex(R)
-        assert not order.is_global
-        one = (0, 0, 0)
-        for e in itertools.product(range(3), repeat=3):
-            if e != one:
-                assert greater(order, one, e)
-
-    @given(
-        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
-        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_reverses_grevlex_on_degree(self, a, b):
-        if sum(a) == sum(b):
-            assert greater(grevlex(R), a, b) == greater(negdegrevlex(R), a, b)
-        else:
-            assert greater(negdegrevlex(R), a, b) == (sum(a) < sum(b))
 
 
 class TestLex:
@@ -68,11 +53,33 @@ class TestElimination:
     def test_eliminated_block_dominates(self):
         order = elimination_order(R, ("x",))
         assert greater(order, (1, 0, 0), (0, 9, 9))
-        assert order.is_global
 
     def test_within_kept_block(self):
         order = elimination_order(R, ("x",))
         assert greater(order, (0, 2, 0), (0, 1, 0))
+
+
+# one order of each MonomialOrder subclass
+ORDERS = {
+    Lex: lex(R),
+    GrevLex: grevlex(R),
+    Homogenized: homogenized(R),
+    Block: elimination_order(R, ("x",)),
+}
+
+
+def test_orders_cover_every_subclass():
+    assert set(MonomialOrder.__subclasses__()) == set(ORDERS)
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=lambda o: o.kind)
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)))
+@settings(max_examples=100, deadline=None)
+def test_every_order_is_global(order, e):
+    # normal_form and minimal_polynomial need 1 below every other monomial
+    one = (0, 0, 0)
+    if e != one:
+        assert greater(order, e, one)
 
 
 @given(
@@ -82,7 +89,7 @@ class TestElimination:
 )
 @settings(max_examples=100, deadline=None)
 def test_orders_are_multiplicative(a, b, c):
-    for order in (grevlex(R), negdegrevlex(R), lex(R), elimination_order(R, ("x",))):
+    for order in ORDERS.values():
         if greater(order, a, b):
             shifted_a = tuple(i + j for i, j in zip(a, c))
             shifted_b = tuple(i + j for i, j in zip(b, c))
@@ -93,7 +100,7 @@ def test_kind_is_fixed_by_the_class():
     # IdealPresentation caches bases by order.kind, so a kind must name
     # one order
     with pytest.raises(TypeError):
-        GrevLex(R, kind="negdegrevlex")
+        GrevLex(R, kind="lex")
     assert grevlex(R).kind == "grevlex"
-    assert grevlex(R) != negdegrevlex(R)
+    assert grevlex(R) != lex(R)
     assert elimination_order(R, ("x",)) == elimination_order(R, ("x",))

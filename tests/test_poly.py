@@ -136,6 +136,22 @@ class TestSubstitute:
         got = F.subs({"t": Fraction(1, 2)}, target_ring=R)
         assert got == x + Fraction(1, 2) * y
 
+    @given(
+        polys(ring=("t", "x", "y"), max_terms=6),
+        st.dictionaries(st.sampled_from(["t", "x", "y"]), coeffs() | st.integers(-3, 3),
+                        min_size=1),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scalars_act_as_constant_polynomials(self, f, scalars, drop_bound):
+        # scalars scale coefficients; as constant images they are
+        # multiplied out like any polynomial image
+        target = tuple(v for v in f.ring if not (drop_bound and v in scalars))
+        constants = {v: Polynomial.constant(target, c) for v, c in scalars.items()}
+        got = f.subs(scalars, target_ring=target)
+        assert got == f.subs(constants, target_ring=target)
+        assert got.ring == target
+
     @given(polys(), polys())
     @settings(max_examples=40, deadline=None)
     def test_homomorphism(self, f, g):
