@@ -148,7 +148,7 @@ def _run_family_analyze(problem, lines, data):
                 f"sample t={r.t0}: mu_origin={r.local_mu_origin} "
                 f"total={r.total_colength} off_origin={r.off_origin_budget} "
                 f"distinct_points={r.distinct_points} "
-                f"converges_to_origin={r.converges_to_origin}"
+                f"converges_to_origin={fam.certificate}"
             )
             sample_data.append({
                 "t0": str(r.t0),
@@ -156,7 +156,7 @@ def _run_family_analyze(problem, lines, data):
                 "total_colength": r.total_colength,
                 "off_origin_budget": r.off_origin_budget,
                 "distinct_points": r.distinct_points,
-                "converges_to_origin": r.converges_to_origin,
+                "converges_to_origin": fam.certificate,
             })
         data["samples_report"] = sample_data
         cons = conservation_check(fam)
@@ -203,29 +203,31 @@ def _run_greuel(fam, problem, lines, data):
     """Condition flags, probe evidence and the two theorem checks: the
     whole greuel-check report and the function part of family-analyze.
     Returns whether a printed verdict is INCONCLUSIVE."""
-    probes = [CurveProbe(components) for components in problem.probes]
-    rep = greuel_conditions(fam, probes=probes)
-    lines.append(f"cond1_mu_constant: {rep.cond1_mu_constant}  "
-                 f"[mu at origin {rep.mu_origin_base} vs samples "
-                 f"{{{', '.join(f'{k}: {v}' for k, v in sorted(rep.mu_origin_samples.items()))}}}]")
-    lines.append(f"cond5_radical: {rep.cond5_radical}  [dF/dt in rad(<phi> + J)]")
-    lines.append(f"cond6_variety: {rep.cond6_variety}  [v(<phi> + J) equals the "
+    t44, t44d = radical_implies_axis_check(fam)
+    implications_ok = t44 == fam_mod.VERIFIED
+    probes = greuel_conditions(fam, probes=[CurveProbe(c) for c in problem.probes])
+    mu_samples = {r.t0: r.local_mu_origin for r in fam.reports}
+    lines.append(f"cond1_mu_constant: {fam.cond1}  "
+                 f"[mu at origin {fam.mu0} vs samples "
+                 f"{{{', '.join(f'{k}: {v}' for k, v in sorted(mu_samples.items()))}}}]")
+    lines.append(f"cond5_radical: {fam.cond5}  [dF/dt in rad(<phi> + J)]")
+    lines.append(f"cond6_variety: {fam.cond6}  [v(<phi> + J) equals the "
                  "parameter axis]")
-    lines.append(f"implications_ok: {rep.implications_ok}  [not (cond5 and not cond6)]")
-    for i, pr in enumerate(rep.curve_probes):
+    lines.append(f"implications_ok: {implications_ok}  [not (cond5 and not cond6)]")
+    for i, pr in enumerate(probes):
         lines.append(
             f"probe[{i}]: nu(dF/dt.gamma)={pr.numerator_order} "
             f"min nu(g_i.gamma)={pr.denominator_order} strict={pr.strict} "
             f"weak={pr.weak} on_variety={pr.on_variety}"
         )
     data["greuel"] = {
-        "cond1_mu_constant": rep.cond1_mu_constant,
-        "cond5_radical": rep.cond5_radical,
-        "cond6_variety": rep.cond6_variety,
-        "implications_ok": rep.implications_ok,
-        "mu_origin_base": rep.mu_origin_base,
-        "mu_origin_samples": {str(k): v for k, v in rep.mu_origin_samples.items()},
-        "totals": {str(k): _jsonable(v) for k, v in rep.totals.items()},
+        "cond1_mu_constant": fam.cond1,
+        "cond5_radical": fam.cond5,
+        "cond6_variety": fam.cond6,
+        "implications_ok": implications_ok,
+        "mu_origin_base": fam.mu0,
+        "mu_origin_samples": {str(k): v for k, v in mu_samples.items()},
+        "totals": {str(r.t0): _jsonable(r.total_colength) for r in fam.reports},
         "probes": [
             {
                 "nu_numerator": _jsonable(pr.numerator_order),
@@ -234,10 +236,9 @@ def _run_greuel(fam, problem, lines, data):
                 "weak": pr.weak,
                 "on_variety": pr.on_variety,
             }
-            for pr in rep.curve_probes
+            for pr in probes
         ],
     }
-    t44, t44d = radical_implies_axis_check(fam)
     lines.append(f"radical_implies_axis: {t44}")
     data["radical_implies_axis"] = {"verdict": t44, **_jsonable(t44d)}
     c41, c41d = zero_fiber_forces_origin_check(fam)

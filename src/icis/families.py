@@ -3,9 +3,11 @@ conservation of number, splitting detection, and the Greuel-type
 condition checks with their implications.
 
 A ``DeformationFamily`` owns its samples and its fiber equations; every
-check reads the samples, fibers and sample reports off the family.  The
-relative Jacobian minors are the parametric critical ideal's generators
-after phi, and a lone singular point's Milnor number is its fiber total.
+check reads the samples, fibers, sample reports, cond1, cond5, cond6 and
+the convergence certificate off the family; ``greuel_conditions`` adds
+the curve-probe evidence.  The relative Jacobian minors are the
+parametric critical ideal's generators after phi, and a lone singular
+point's Milnor number is its fiber total.
 
 Affine colengths stand in for Milnor-ball totals only when the
 convergence certificate holds (every critical point collapses to the
@@ -80,10 +82,10 @@ class DeformationFamily:
     samples and the same fibers.  The quantities the checks share are
     computed once, on first use, under the step budget active then: the
     fiber at t = 0 as an ICIS (``base_fiber``), the parametric critical
-    ideal and its minors, the convergence certificate, mu at t = 0,
-    cond5, cond6, and the critical-locus report of each sample
-    (``reports``).  The radical questions are refuted on the sample
-    fibers and decided by Rabinowitsch otherwise
+    ideal and its minors, the convergence certificate (only when read),
+    mu at t = 0, cond1, cond5, cond6, and the critical-locus report of
+    each sample (``reports``).  The radical questions are refuted on the
+    sample fibers and decided by Rabinowitsch otherwise
     (``in_critical_radical``)."""
 
     ring: tuple
@@ -199,6 +201,11 @@ class DeformationFamily:
         return radical_membership(f, self.parametric_critical_ideal)
 
     @cached_property
+    def cond1(self):
+        """mu at the origin is mu0 at every sample."""
+        return all(r.local_mu_origin == self.mu0 for r in self.reports)
+
+    @cached_property
     def cond5(self):
         """dF/dt lies in the radical of <phi> + J."""
         return self.in_critical_radical(self.F.diff(self.param))
@@ -221,7 +228,6 @@ class CriticalLocusReport:
     total_colength: int
     local_mu_origin: int
     distinct_points: int
-    converges_to_origin: bool
     ideal: IdealPresentation = field(repr=False, compare=False)
 
     @property
@@ -261,18 +267,6 @@ class ProbeResult:
     strict: bool
     weak: bool
     on_variety: bool
-
-
-@dataclass
-class GreuelConditionsReport:
-    cond1_mu_constant: bool
-    cond5_radical: bool
-    cond6_variety: bool
-    curve_probes: list
-    implications_ok: bool
-    mu_origin_base: int
-    mu_origin_samples: dict
-    totals: dict
 
 
 @dataclass
@@ -325,7 +319,7 @@ def critical_locus_report(fam, t0):
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
     local = local_colength(I.generators, fam.x_ring)
     distinct = distinct_point_count(I)
-    return CriticalLocusReport(t0, total, local, distinct, fam.certificate, I)
+    return CriticalLocusReport(t0, total, local, distinct, I)
 
 
 def conservation_check(fam):
@@ -400,39 +394,21 @@ def splitting_check(fam):
 
 
 def greuel_conditions(fam, probes=()):
-    """Evaluate the implemented Greuel-type conditions.
-
-    cond1: the Milnor number at the origin is constant along sampled
-    parameters.  cond5: dF/dt lies in the radical of <phi> + J.  cond6:
-    the zero set of <phi> + J is the parameter axis.  Curve probes give
-    necessary-condition evidence for the valuation inequalities."""
+    """Curve-probe evidence for the valuation inequalities, one
+    ``ProbeResult`` per probe; the conditions themselves are
+    ``fam.cond1``, ``fam.cond5`` and ``fam.cond6``."""
     if fam.kind != FUNCTION:
         raise ValueError("Greuel conditions apply to function deformations")
-    mu0 = fam.mu0
-    sample_mu = {r.t0: r.local_mu_origin for r in fam.reports}
-
     dFdt = fam.F.diff(fam.param)
-    probe_results = []
+    results = []
     for probe in probes:
         on_variety = all(
             probe.pullback(p.in_ring(fam.ring)).is_zero() for p in fam.base.phi
         )
         num = order_of_vanishing(probe.pullback(dFdt))
         den = min(order_of_vanishing(probe.pullback(g)) for g in fam.minors)
-        probe_results.append(
-            ProbeResult(probe, num, den, num > den, num >= den, on_variety)
-        )
-
-    return GreuelConditionsReport(
-        cond1_mu_constant=all(m == mu0 for m in sample_mu.values()),
-        cond5_radical=fam.cond5,
-        cond6_variety=fam.cond6,
-        curve_probes=probe_results,
-        implications_ok=not (fam.cond5 and not fam.cond6),
-        mu_origin_base=mu0,
-        mu_origin_samples=sample_mu,
-        totals={r.t0: r.total_colength for r in fam.reports},
-    )
+        results.append(ProbeResult(probe, num, den, num > den, num >= den, on_variety))
+    return results
 
 
 def radical_implies_axis_check(fam):

@@ -21,10 +21,12 @@ Grammar (``#`` starts a comment that runs to the end of the line)::
     INT       := ASCII digits 0-9
 
 ``IDENT '=' expr`` binds a name (``f``, ``phi``, ``F``, ``delta``) to
-polynomials over the ring.  Every statement except ``probe`` appears at
-most once.  Ring variables are distinct, and so are the components of
-one probe, which are ring variables given as polynomials in ``s``.
-Denominators and samples are nonzero.  Example::
+polynomials over the ring; ``f``, ``F`` and ``delta`` take one each,
+and a kind takes only the bindings it reads (``KINDS``, ``OPTIONAL``).
+Every statement except ``probe`` appears at most once.  Ring variables
+are distinct, and so are the components of one probe, which are ring
+variables given as polynomials in ``s``.  Denominators and samples are
+nonzero.  Example::
 
     ring t, x, y;
     param t;
@@ -70,6 +72,10 @@ KINDS = {
     "family-analyze": ("param", "phi"),
     "greuel-check": ("param", "phi", "F"),
 }
+# bindings a kind reads without requiring them
+OPTIONAL = {"family-analyze": ("F",)}
+# bindings that hold one polynomial
+SINGLE = ("f", "F", "delta")
 
 
 @dataclass
@@ -150,6 +156,7 @@ class _Parser:
         self.pos = 0
         self.problem = ProblemFile()
         self.seen = set()  # statement words, for repeats and requirements
+        self.bound = {}  # binding name -> its token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -225,6 +232,7 @@ class _Parser:
             p.probes.append(self.probe())
         else:
             self.expect("=")
+            self.bound[word] = tok
             p.bindings[word] = self.comma_list(lambda: self.expr(p.ring))
         self.expect(";")
 
@@ -284,6 +292,11 @@ class _Parser:
             if word not in self.seen:
                 error = MissingParameterError if word == "param" else UnboundNameError
                 raise error(f"kind {p.kind!r} requires {word!r}")
+        for name, tok in self.bound.items():
+            if name not in KINDS[p.kind] + OPTIONAL.get(p.kind, ()):
+                self.fail(f"kind {p.kind!r} reads no such binding", tok)
+            if name in SINGLE and len(p.bindings[name]) > 1:
+                self.fail("binding takes one polynomial", tok)
 
     # -- numbers and polynomials -------------------------------------------
 

@@ -14,8 +14,9 @@ from icis.basis import _lazard_colength, colength, complete_basis, step_budget
 from icis.families import (
     CurveProbe,
     DeformationFamily,
+    VERIFIED,
     critical_locus_report,
-    greuel_conditions,
+    radical_implies_axis_check,
     splitting_check,
 )
 from icis.germs import (
@@ -83,7 +84,7 @@ def test_criterion_2_conservation_identity(capsys):
             rep = critical_locus_report(fam, t0)
             assert rep.total_colength == p * q - p
             assert rep.off_origin_budget == q - p
-            assert rep.converges_to_origin is True
+            assert fam.certificate is True
     announce(capsys, "criterion 2 (conservation of the total colength): PASS")
 
 
@@ -91,8 +92,7 @@ def test_criterion_3_radical_membership_refuted(capsys):
     fam = grid_family(2, 3)
     s = Polynomial.variable(("s",), "s")
     probe = CurveProbe({"t": Fraction(-3, 2) * s, "x": s**3, "y": s**2})
-    rep = greuel_conditions(fam, probes=(probe,))
-    assert rep.cond5_radical is False
+    assert fam.cond5 is False
 
     # independent certificate: the witness curve lies inside V(<phi> + J)
     # with y-component not identically zero, while dF/dt survives on it
@@ -108,9 +108,9 @@ def test_criterion_3_radical_membership_refuted(capsys):
 def test_criterion_4_radical_implies_axis_property(capsys):
     assert len(FUNCTION_CASES) + len(SPACE_CASES) >= 8
     for case in FUNCTION_CASES:
-        rep = greuel_conditions(case.family())
-        assert not (rep.cond5_radical and not rep.cond6_variety)
-        assert rep.implications_ok is True
+        fam = case.family()
+        assert not (fam.cond5 and not fam.cond6)
+        assert radical_implies_axis_check(fam)[0] == VERIFIED
     announce(
         capsys,
         f"criterion 4 (no radical-without-axis instance, {len(FUNCTION_CASES)} families): PASS",
@@ -214,12 +214,14 @@ def test_criterion_8_engine_oracles(capsys):
         assert hypersurface_milnor(x ** (k + 1) + y**2) == k
     assert hypersurface_milnor(x**3 + y**5) == 8
 
-    # complete intersections of dimension 0: mu = colength - 1
+    # complete intersections of dimension 0: mu = colength - 1; the
+    # last has the point (1, 0) off the origin (affine colength 6)
     fixtures = [
         (x**2, y**2),
         (x**3, y**2),
         (x**2, y**3),
         (x**2 + y**2, x * y),
+        (x**2 - x**3, y**2),
     ]
     for phi in fixtures:
         X = IcisPresentation(R, phi)

@@ -1,16 +1,21 @@
+import importlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
 import pytest
 
+import icis
 from icis.cli import main
 from icis.families import DeformationFamily
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 README = pathlib.Path(__file__).parents[1] / "README.md"
+PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 
 _CUSP_FAMILY = "ring t, x, y;\nparam t;\nkind family-analyze;\n"
 
@@ -40,6 +45,10 @@ INVALID_INPUTS = {
     "power_too_large.icis": "ring x, y, z;\nf = (x + y + z)^120;\nkind milnor;\n",
     # past the interpreter's 4,300-digit limit on int()
     "coefficient_too_long.icis": "ring x, y;\nf = " + "7" * 5000 + "x^2 + y^2;\nkind milnor;\n",
+    # bindings the kind would silently ignore
+    "f_two_polynomials.icis": "ring x, y;\nf = x^2 + y^2, x^3;\nkind milnor;\n",
+    "F_two_polynomials.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y, y;\n",
+    "family_f_for_F.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nf = x + t*y;\n",
 }
 
 # a space family whose one singular point moves with t: the cusp at (t, 0)
@@ -73,11 +82,41 @@ def run_cli(*argv, capsys=None):
     return code, out, err
 
 
+def _script_target(name):
+    """The ``[project.scripts]`` entry of ``name`` in pyproject.toml, by a
+    line scan (``tomllib`` needs Python 3.11)."""
+    section = None
+    for line in PYPROJECT.read_text().splitlines():
+        if line.startswith("["):
+            section = line.strip()
+        elif section == "[project.scripts]" and line.split("=")[0].strip() == name:
+            return line.split("=", 1)[1].strip().strip('"')
+    return None
+
+
 class TestRun:
     def test_milnor(self, capsys):
         code, out, _ = run_cli("run", str(FIXTURES / "milnor_morse.icis"), capsys=capsys)
         assert code == 0
         assert "mu: 1" in out
+
+    def test_module_entry_point(self):
+        # a separate interpreter runs the module's __main__ guard
+        src = str(pathlib.Path(icis.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "icis.cli", "run", str(FIXTURES / "milnor_morse.icis")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "mu: 1" in proc.stdout
+
+    def test_console_script_target(self):
+        module, attr = _script_target("icis").split(":")
+        target = getattr(importlib.import_module(module), attr)
+        assert callable(target)
+        assert target is main
 
     def test_icis_milnor(self, capsys):
         code, out, _ = run_cli("run", str(FIXTURES / "icis_milnor_pair.icis"), capsys=capsys)
@@ -201,6 +240,9 @@ class TestExitCodes:
             ("probe_component_repeated.icis", "syntax-error"),
             ("power_too_large.icis --budget 10", "expansion-too-large"),
             ("coefficient_too_long.icis", "syntax-error"),
+            ("f_two_polynomials.icis", "syntax-error]: line 2, column 1:"),
+            ("F_two_polynomials.icis", "syntax-error]: line 5, column 1:"),
+            ("family_f_for_F.icis", "syntax-error]: line 5, column 1:"),
             ("ex43_23.icis --samples abc", "syntax-error"),
             ("ex43_23.icis --samples 1/0", "syntax-error"),
             ("ex43_23.icis --samples 1,0", "syntax-error"),
@@ -268,6 +310,14 @@ class TestSinglePass:
             "function_on_icis_milnor": 1,
         }
         assert len(radical_tests) == 3
+
+    def test_certificate_is_computed_when_read(self, monkeypatch, capsys):
+        # greuel-check prints no certificate and its verdicts do not read
+        # one here (ex43_23's family-analyze run above makes 2 calls)
+        counts = _count_calls(monkeypatch, ("converges_to_origin",))
+        code, _, _ = run_cli("run", str(FIXTURES / "greuel_cusp.icis"), capsys=capsys)
+        assert code == 0
+        assert counts == {"converges_to_origin": 0}
 
     def test_greuel_check_is_the_family_analyze_middle(self, capsys):
         def greuel_block(out):
@@ -396,3 +446,15 @@ def test_readme_problem_runs(text, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     code, _, err = run_cli("run", str(path), capsys=capsys)
     assert code in (0, 2), err
+
+
+def test_readme_library_example_runs(capsys):
+    """The ``python`` block of README.md prints what its comments say."""
+    (block,) = [b.split("```")[0]
+                for b in README.read_text(encoding="utf-8").split("```python\n")[1:]]
+    exec(compile(block, "README.md", "exec"), {})
+    mu, spent, values, certificate = capsys.readouterr().out.splitlines()
+    assert mu == "4"
+    assert int(spent) > 0
+    assert values == "4 False False False"
+    assert certificate == "True"

@@ -12,6 +12,7 @@ from icis.families import (
     DEFAULT_SAMPLES,
     INCONCLUSIVE,
     VACUOUS,
+    VERIFIED,
     CurveProbe,
     DeformationFamily,
     conservation_check,
@@ -46,26 +47,26 @@ def _case_id(case):
 
 
 @pytest.fixture(scope="module")
-def greuel_reports():
-    return {case.name: greuel_conditions(case.family()) for case in FUNCTION_CASES}
+def suite_families():
+    return {case.name: case.family() for case in FUNCTION_CASES}
 
 
 class TestGreuelConditions:
     @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
-    def test_condition_flags(self, case, greuel_reports):
-        rep = greuel_reports[case.name]
-        assert rep.cond1_mu_constant == case.cond1
-        assert rep.cond5_radical == case.cond5
-        assert rep.cond6_variety == case.cond6
-        assert rep.mu_origin_base == case.mu_origin_base
-        assert all(v == case.totals for v in rep.totals.values())
+    def test_condition_flags(self, case, suite_families):
+        fam = suite_families[case.name]
+        assert fam.cond1 == case.cond1
+        assert fam.cond5 == case.cond5
+        assert fam.cond6 == case.cond6
+        assert fam.mu0 == case.mu_origin_base
+        assert all(r.total_colength == case.totals for r in fam.reports)
 
     @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
-    def test_radical_implies_variety_condition(self, case, greuel_reports):
+    def test_radical_implies_variety_condition(self, case, suite_families):
         # the implication cond5 => cond6 must never be refuted
-        rep = greuel_reports[case.name]
-        assert rep.implications_ok
-        assert not (rep.cond5_radical and not rep.cond6_variety)
+        fam = suite_families[case.name]
+        assert radical_implies_axis_check(fam)[0] == VERIFIED
+        assert not (fam.cond5 and not fam.cond6)
 
     @pytest.mark.parametrize(
         "case",
@@ -73,10 +74,10 @@ class TestGreuelConditions:
         ids=_case_id,
     )
     def test_mu_constant_iff_variety_condition_when_affine_clean(
-        self, case, greuel_reports
+        self, case, suite_families
     ):
-        rep = greuel_reports[case.name]
-        assert rep.cond1_mu_constant == rep.cond6_variety
+        fam = suite_families[case.name]
+        assert fam.cond1 == fam.cond6
 
     @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
     def test_theorem_verdicts(self, case):
@@ -94,12 +95,13 @@ class TestGreuelConditions:
 class TestCriticalLocus:
     def test_jump_family_accounting(self):
         case = next(c for c in FUNCTION_CASES if c.name == "jump-2-3")
-        rep = critical_locus_report(case.family(), 1)
+        fam = case.family()
+        rep = critical_locus_report(fam, 1)
         assert rep.total_colength == 4
         assert rep.local_mu_origin == 3
         assert rep.off_origin_budget == 1
         assert rep.distinct_points == 2
-        assert rep.converges_to_origin
+        assert fam.certificate
 
     def test_sum_of_local_milnor_numbers(self):
         # 1 Morse point at (-8/27, 4/9) plus mu = 3 at the origin
@@ -204,8 +206,7 @@ class TestCurveProbes:
         probe = CurveProbe(
             {"t": Fraction(-3, 2) * s, "x": s**3, "y": s**2}
         )
-        rep = greuel_conditions(case.family(), probes=(probe,))
-        (res,) = rep.curve_probes
+        (res,) = greuel_conditions(case.family(), probes=(probe,))
         assert res.on_variety
         assert res.numerator_order == 2
         assert res.denominator_order == inf
@@ -315,7 +316,8 @@ class TestFamilyOwnsItsSamples:
         assert fam.samples == self.SAMPLES
         assert tuple(r.t0 for r in fam.reports) == self.SAMPLES
         assert tuple(sm.t0 for sm in splitting_check(fam).samples) == self.SAMPLES
-        assert tuple(greuel_conditions(fam).mu_origin_samples) == self.SAMPLES
+        # cond1 compares mu at the origin over these reports
+        assert fam.cond1 == case.cond1
         verdict, details = zero_fiber_forces_origin_check(fam)
         assert verdict == case.zero_fiber
         assert tuple(details["samples"]) == self.SAMPLES
@@ -333,7 +335,7 @@ class TestFamilyOwnsItsSamples:
         fresh = case.family()
         first = (radical_implies_axis_check(fresh), zero_fiber_forces_origin_check(fresh))
         fam = case.family()
-        greuel_conditions(fam)
+        assert fam.cond1 == case.cond1
         assert (radical_implies_axis_check(fam), zero_fiber_forces_origin_check(fam)) == first
 
 

@@ -147,6 +147,28 @@ class TestProblemFiles:
             parse_problem(text)
         assert (exc.value.line, exc.value.column) == position
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("ring x, y;\nf = x^2 + y^2, x^3;\nkind milnor;\n", (2, 1)),
+            ("ring t, x, y;\nparam t;\nphi = x^2 - y^3;\nF = x + t*y, y;\n"
+             "kind family-analyze;\n", (4, 1)),
+            ("ring t, x, y;\nparam t;\nphi = x^2 - y^3;\nf = x + t*y;\n"
+             "kind family-analyze;\n", (4, 1)),
+            ("ring x, y;\nphi = x^2 - y^3;\nf = x;\nkind milnor;\n", (2, 1)),
+            ("ring u, v;\ndelta = u^2 - v^3, u;\ndirection 0, 1;\nkind generic-line;\n",
+             (2, 1)),
+        ],
+        ids=["f-two-polynomials", "F-two-polynomials", "f-for-F", "unread-phi",
+             "delta-two-polynomials"],
+    )
+    def test_ignored_binding_position(self, text, position):
+        # a binding the kind does not read, or a second polynomial it
+        # would drop, is refused at the binding
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem(text)
+        assert (exc.value.line, exc.value.column) == position
+
     def test_probe_may_repeat(self):
         p = parse_problem(
             "ring t, x, y;\nparam t;\nphi = x^2 - y^3;\nF = x + t*y;\nkind greuel-check;\n"
