@@ -15,11 +15,18 @@ origin as the parameter goes to zero); otherwise ball-dependent
 verdicts come back inconclusive rather than wrong.  The splitting
 check sums each fiber's Milnor numbers with the Le-Greuel chain of
 ``germs``, localized at a lone singular point or on the whole fiber.
+A function family's fibers, X cut by F_t with X = V(phi), read what
+the family holds.  Their singular points are critical points of f_t on
+X, so the family certificate covers them.  The Le-Greuel formula
+mu(X cut by F_t) + mu(X) = mu(f_t on X) gives the base total from mu0,
+and the total of a lone point at the origin from its sample report.
 
 Finite point sets are read off one radical per zero-dimensional ideal
 (``IdealPresentation.radical``): a sample report counts its member's
-critical points with it, and the splitting check reads a fiber's lone
-singular point off it.
+critical points with it, and the splitting check reads a fiber's
+singular points off it.  A function family's fiber points are the
+report's radical cut by F_t (``radical_plus``); a space family's come
+from the fiber's singular ideal.
 
 The radical questions on <phi> + J (cond5, cond6 and the zero-fiber
 hypothesis) go through ``DeformationFamily.in_critical_radical``: the
@@ -338,28 +345,41 @@ def splitting_check(fam):
     and it must carry the full Milnor number.  A lone singular point is
     rational and read off the radical (``lone_point``): it is moved to
     the origin for ``icis_milnor``.  Two or more are summed over the
-    closure by ``fiber_milnor_total``."""
-    x_ring = fam.x_ring
-    base_mu = icis_milnor(fam.base_fiber)
-    conv = converges_to_origin(singular_ideal(fam.fiber_equations, x_ring), fam.param, x_ring)
+    closure by ``fiber_milnor_total``.
 
-    results = []
-    for t0 in fam.samples:
-        eqs = fam.fiber(t0)
-        sing = singular_ideal(eqs, x_ring)
-        if sing.colength(grevlex(x_ring)) == inf:
-            raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
-        count = distinct_point_count(sing)
-        point = None
-        if count == 0:
-            total = 0
-        elif count == 1:
-            point = lone_point(sing)
-            # sing is zero-dimensional, so the moved point is isolated
-            total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point), check=False))
-        else:
-            total = fiber_milnor_total(eqs, x_ring)
-        results.append(SplittingSample(t0, count, total, point))
+    A function family's fiber singular ideal is its sample's critical
+    ideal plus <F_t>, so the family certificate covers its points; only
+    a false one sends the check to the singular ideal's own.  By
+    Le-Greuel, mu(X cut by F_t) = mu(f_t on X) - mu(X) at the origin:
+    the base total is ``mu0`` - mu(X), and a lone point at the origin
+    carries its report's ``local_mu_origin`` - mu(X).  The points are
+    the report's radical cut by F_t (``radical_plus``)."""
+    x_ring = fam.x_ring
+
+    def singular_certificate():
+        return converges_to_origin(singular_ideal(fam.fiber_equations, x_ring), fam.param, x_ring)
+
+    if fam.kind == FUNCTION:
+        if len(fam.fiber_equations) > len(x_ring):
+            raise InvalidInputError("F cuts a zero-dimensional base: its fibers are "
+                                    "not complete intersections")
+        mu_X = icis_milnor(fam.base)
+        base_mu = fam.mu0 - mu_X
+        conv = fam.certificate or singular_certificate()
+        results = [
+            _splitting_sample(fam, r.t0, r.ideal.radical_plus(fam.fiber(r.t0)[-1:]),
+                              r.local_mu_origin - mu_X)
+            for r in fam.reports
+        ]
+    else:
+        base_mu = icis_milnor(fam.base_fiber)
+        conv = singular_certificate()
+        results = []
+        for t0 in fam.samples:
+            sing = singular_ideal(fam.fiber(t0), x_ring)
+            if sing.colength(grevlex(x_ring)) == inf:
+                raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
+            results.append(_splitting_sample(fam, t0, sing))
 
     if not conv:
         return SplittingReport(
@@ -391,6 +411,27 @@ def splitting_check(fam):
         "constant total Milnor number with splitting: this contradicts the "
         "no-coalescence theorem and indicates a computation bug",
     )
+
+
+def _splitting_sample(fam, t0, sing, origin_total=None):
+    """The singular points of the fiber at t0, which are V(sing), and
+    their Milnor total; ``origin_total`` is the total of a lone point at
+    the origin when the caller already has it."""
+    x_ring, eqs = fam.x_ring, fam.fiber(t0)
+    count = distinct_point_count(sing)
+    point = None
+    if count == 0:
+        total = 0
+    elif count == 1:
+        point = lone_point(sing)
+        if origin_total is not None and not any(point.values()):
+            total = origin_total
+        else:
+            # sing is zero-dimensional, so the moved point is isolated
+            total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point), check=False))
+    else:
+        total = fiber_milnor_total(eqs, x_ring)
+    return SplittingSample(t0, count, total, point)
 
 
 def greuel_conditions(fam, probes=()):

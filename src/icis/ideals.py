@@ -17,7 +17,9 @@ The questions on the
 finite set V(I) all read the radical: the number of its points is its
 colength (``distinct_point_count``), f vanishes on it when f reduces to
 zero modulo the radical (``is_nilpotent``), and a lone point is read off
-the radical's reduced basis {v - c_v} (``lone_point``)."""
+the radical's reduced basis {v - c_v} (``lone_point``).  The radical of
+I + <f> is rad(I) + <f> (``radical_plus``), so a cut of I's points
+needs no eliminant of its own."""
 
 from __future__ import annotations
 
@@ -83,6 +85,15 @@ class IdealPresentation:
                     reduced = self.basis(grevlex(self.ring)).generators
                     hit = IdealPresentation(self.ring, reduced + tuple(shrunk))
             self._cache["radical"] = hit
+        return hit
+
+    def radical_plus(self, extra):
+        """The radical of I + <extra> for a zero-dimensional I: rad(I) +
+        <extra>, with no eliminant.  Q[x]/rad(I) is a product of fields,
+        so each of its quotients is reduced and the sum is its own
+        radical; it is cached as such."""
+        hit = self.radical().plus(extra)
+        hit._cache["radical"] = hit
         return hit
 
     def plus(self, extra):

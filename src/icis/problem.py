@@ -21,8 +21,11 @@ Grammar (``#`` starts a comment that runs to the end of the line)::
     INT       := ASCII digits 0-9
 
 ``IDENT '=' expr`` binds a name (``f``, ``phi``, ``F``, ``delta``) to
-polynomials over the ring; ``f``, ``F`` and ``delta`` take one each,
-and a kind takes only the bindings it reads (``KINDS``, ``OPTIONAL``).
+polynomials over the ring; ``f``, ``F`` and ``delta`` take one each.
+A kind takes only the bindings and statements it reads (``KINDS``,
+``OPTIONAL``), apart from ``ring``, ``kind``, ``seed`` and ``budget``:
+``param`` and ``samples`` belong to the family kinds, ``direction`` to
+``generic-line``, and ``probe`` to a function family.
 Every statement except ``probe`` appears at most once.  Ring variables
 are distinct, and so are the components of one probe, which are ring
 variables given as polynomials in ``s``.  Denominators and samples are
@@ -72,8 +75,14 @@ KINDS = {
     "family-analyze": ("param", "phi"),
     "greuel-check": ("param", "phi", "F"),
 }
-# bindings a kind reads without requiring them
-OPTIONAL = {"family-analyze": ("F",)}
+# statements a kind reads without requiring them; a family-analyze run
+# reads a probe only with an F binding
+OPTIONAL = {
+    "family-analyze": ("F", "samples", "probe"),
+    "greuel-check": ("samples", "probe"),
+}
+# statements every kind accepts
+UNIVERSAL = ("ring", "kind", "seed", "budget")
 # bindings that hold one polynomial
 SINGLE = ("f", "F", "delta")
 
@@ -155,7 +164,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.problem = ProblemFile()
-        self.seen = set()  # statement words, for repeats and requirements
+        self.seen = {}  # statement word -> its first token
         self.bound = {}  # binding name -> its token
 
     def peek(self):
@@ -209,7 +218,7 @@ class _Parser:
         word = tok.value
         if word in self.seen and word != "probe":
             self.fail("repeated statement", tok)
-        self.seen.add(word)
+        self.seen.setdefault(word, tok)
         p = self.problem
         if word == "ring":
             names = []
@@ -292,9 +301,13 @@ class _Parser:
             if word not in self.seen:
                 error = MissingParameterError if word == "param" else UnboundNameError
                 raise error(f"kind {p.kind!r} requires {word!r}")
+        read = KINDS[p.kind] + OPTIONAL.get(p.kind, ())
+        for word, tok in self.seen.items():
+            if word not in read + UNIVERSAL:
+                self.fail(f"kind {p.kind!r} reads no {word!r}", tok)
+            if word == "probe" and p.kind == "family-analyze" and "F" not in self.bound:
+                self.fail("a space family (no 'F') reads no 'probe'", tok)
         for name, tok in self.bound.items():
-            if name not in KINDS[p.kind] + OPTIONAL.get(p.kind, ()):
-                self.fail(f"kind {p.kind!r} reads no such binding", tok)
             if name in SINGLE and len(p.bindings[name]) > 1:
                 self.fail("binding takes one polynomial", tok)
 

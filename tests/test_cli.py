@@ -10,6 +10,7 @@ import time
 import pytest
 
 import icis
+from icis import basis, families, germs
 from icis.cli import main
 from icis.families import DeformationFamily
 
@@ -49,6 +50,16 @@ INVALID_INPUTS = {
     "f_two_polynomials.icis": "ring x, y;\nf = x^2 + y^2, x^3;\nkind milnor;\n",
     "F_two_polynomials.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y, y;\n",
     "family_f_for_F.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nf = x + t*y;\n",
+    # statements the kind would silently ignore
+    "milnor_param.icis": "ring t, x;\nparam t;\nf = x^2;\nkind milnor;\n",
+    "milnor_samples.icis": "ring x, y;\nf = x^2 + y^2;\nsamples 2;\nkind milnor;\n",
+    "icis_milnor_direction.icis": "ring x, y;\nphi = x^2, y^2;\ndirection 1, 0;\n"
+        "kind icis-milnor;\n",
+    "space_family_probe.icis": _CUSP_FAMILY
+        + "phi = y^2 - x^3 + t*x;\nprobe t = s, x = s^2, y = s^3;\n",
+    # F on a point: its fibers would need more equations than variables
+    "family_point_base.icis": "ring t, x;\nparam t;\nphi = x;\nF = x^2 + t*x;\n"
+        "kind family-analyze;\n",
 }
 
 # a space family whose one singular point moves with t: the cusp at (t, 0)
@@ -243,6 +254,11 @@ class TestExitCodes:
             ("f_two_polynomials.icis", "syntax-error]: line 2, column 1:"),
             ("F_two_polynomials.icis", "syntax-error]: line 5, column 1:"),
             ("family_f_for_F.icis", "syntax-error]: line 5, column 1:"),
+            ("milnor_param.icis", "syntax-error]: line 2, column 1:"),
+            ("milnor_samples.icis", "syntax-error]: line 3, column 1:"),
+            ("icis_milnor_direction.icis", "syntax-error]: line 3, column 1:"),
+            ("space_family_probe.icis", "syntax-error]: line 5, column 1:"),
+            ("family_point_base.icis", "invalid-input"),
             ("ex43_23.icis --samples abc", "syntax-error"),
             ("ex43_23.icis --samples 1/0", "syntax-error"),
             ("ex43_23.icis --samples 1,0", "syntax-error"),
@@ -299,21 +315,35 @@ class TestSinglePass:
             DeformationFamily, "in_critical_radical",
             lambda fam, f: radical_tests.append(f) or in_radical(fam, f),
         )
+        colengths = []
+
+        def local_colength(gens, ring):
+            colengths.append(tuple(gens))
+            return basis.local_colength(gens, ring)
+
+        monkeypatch.setattr(germs, "local_colength", local_colength)
+        monkeypatch.setattr(families, "local_colength", local_colength)
         code, _, _ = run_cli("run", str(FIXTURES / "ex43_23.icis"), capsys=capsys)
         assert code == 0
-        # one certificate each for the critical and the fiber-singular
-        # ideal; cond5, cond6 (stops at x) and the zero-fiber hypothesis,
+        # one certificate, the critical ideal's: it covers the fiber
+        # singular points, so the splitting check completes none of its
+        # own; cond5, cond6 (stops at x) and the zero-fiber hypothesis,
         # each refuted on a sample fiber without a Rabinowitsch completion
         assert counts == {
-            "converges_to_origin": 2,
+            "converges_to_origin": 1,
             "radical_membership": 0,
             "function_on_icis_milnor": 1,
         }
         assert len(radical_tests) == 3
+        # the base's isolation check, mu0, one per sample report and the
+        # base's Milnor chain; the splitting totals reuse mu0 and the
+        # reports (Le-Greuel), so no generator set is localized twice
+        assert len(colengths) == 5
+        assert len(set(colengths)) == len(colengths)
 
     def test_certificate_is_computed_when_read(self, monkeypatch, capsys):
         # greuel-check prints no certificate and its verdicts do not read
-        # one here (ex43_23's family-analyze run above makes 2 calls)
+        # one here (ex43_23's family-analyze run above makes 1 call)
         counts = _count_calls(monkeypatch, ("converges_to_origin",))
         code, _, _ = run_cli("run", str(FIXTURES / "greuel_cusp.icis"), capsys=capsys)
         assert code == 0

@@ -2,7 +2,9 @@ from fractions import Fraction
 from math import inf
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from icis import basis, families, germs
 from icis.cli import main, run_problem
@@ -13,6 +15,7 @@ from icis.families import (
     INCONCLUSIVE,
     VACUOUS,
     VERIFIED,
+    VIOLATION,
     CurveProbe,
     DeformationFamily,
     conservation_check,
@@ -23,11 +26,13 @@ from icis.families import (
     splitting_check,
     radical_implies_axis_check,
 )
-from icis.germs import IcisPresentation, icis_milnor, translate
+from icis.germs import IcisPresentation, fiber_milnor_total, icis_milnor, translate
 from icis.ideals import (
     IdealPresentation,
+    distinct_point_count,
     is_nilpotent,
     jacobian_matrix,
+    lone_point,
     maximal_minors,
     radical_membership,
     singular_ideal,
@@ -300,6 +305,86 @@ class TestSplitting:
             lone = sm.singular_count == 1
             assert (sm.point_mu == sm.total_fiber_mu) == lone
             assert (sm.point is not None) == lone
+
+
+def _old_path_splitting(fam):
+    """The function-family splitting check computed without the family's
+    values: the fiber-singular ideal's own certificate, each fiber's
+    singular ideal and its radical from its eliminants, and the Milnor
+    chain of the base fiber and of each translated lone point.  Returns
+    (verdict, base total, certificate, [(t0, count, total, point)])."""
+    x_ring = fam.x_ring
+    base_mu = icis_milnor(IcisPresentation(x_ring, fam.fiber(0)))
+    conv = converges_to_origin(singular_ideal(fam.fiber_equations, x_ring), fam.param, x_ring)
+    samples = []
+    for t0 in fam.samples:
+        eqs = fam.fiber(t0)
+        sing = singular_ideal(eqs, x_ring)
+        count = distinct_point_count(sing)
+        point = lone_point(sing) if count == 1 else None
+        if count == 0:
+            total = 0
+        elif count == 1:
+            total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point), check=False))
+        else:
+            total = fiber_milnor_total(eqs, x_ring)
+        samples.append((t0, count, total, point))
+    if not conv:
+        verdict = INCONCLUSIVE
+    elif base_mu == 0 or any(total != base_mu for _, _, total, _ in samples):
+        verdict = VACUOUS
+    else:
+        verdict = CONSISTENT if all(count == 1 for _, count, _, _ in samples) else VIOLATION
+    return verdict, base_mu, conv, samples
+
+
+def _new_path_splitting(fam):
+    rep = splitting_check(fam)
+    samples = [(sm.t0, sm.singular_count, sm.total_fiber_mu, sm.point) for sm in rep.samples]
+    return rep.verdict, rep.base_fiber_mu, rep.converges_to_origin, samples
+
+
+class TestSplittingOldPathOracle:
+    """A function family's splitting check reads the family certificate,
+    mu0 and the sample reports; computed from the fibers alone, the
+    report is the same."""
+
+    def _agree(self, make):
+        assert _new_path_splitting(make()) == _old_path_splitting(make())
+
+    @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
+    def test_family_suite(self, case):
+        self._agree(case.family)
+
+    @pytest.mark.parametrize("F", [x**2 * (x - t) ** 2, x * (x - t) ** 2],
+                             ids=["two-points", "lone-point-at-t"])
+    def test_points_off_the_origin(self, F):
+        self._agree(lambda: DeformationFamily.function_deformation(RING, "t", [y], F))
+
+    def test_false_family_certificate_falls_back(self):
+        # the critical point x = 2/3 of x^3 - x^2 stays put as t goes to 0,
+        # while the fiber's one singular point is the origin
+        text = (Path(__file__).parent / "fixtures" / "inconclusive.icis").read_text()
+        problem = parse_problem(text)
+
+        def make():
+            return DeformationFamily.function_deformation(
+                problem.ring, problem.param, problem.bindings["phi"], problem.bindings["F"][0])
+
+        assert make().certificate is False
+        verdict, _, conv, _ = _new_path_splitting(make())
+        assert (verdict, conv) == (CONSISTENT, True)
+        self._agree(make)
+
+    # with q > p, no line x = -c*t0*y lies on x^p = y^q, so every fiber
+    # is a fat point
+    @given(st.integers(2, 4), st.integers(1, 3), st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]),
+           st.lists(st.sampled_from([1, 2, -1, Fraction(1, 3), Fraction(-3, 2)]),
+                    min_size=1, max_size=2))
+    @settings(max_examples=12, deadline=None)
+    def test_seeded_jump_families(self, p, d, c, samples):
+        self._agree(lambda: DeformationFamily.function_deformation(
+            RING, "t", [x**p - y**(p + d)], x + c * t * y, samples=samples))
 
 
 class TestFamilyOwnsItsSamples:

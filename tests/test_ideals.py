@@ -208,6 +208,24 @@ class TestRadical:
         I = IdealPresentation(R, (x - 1, x))
         assert I.radical() is I
 
+    @pytest.mark.parametrize("f, count", [(x, 1), (x - 1, 1), (y, 2), (x + 1, 0)],
+                             ids=["one-point", "fat-point", "every-point", "no-point"])
+    def test_radical_plus_cuts_the_points(self, f, count, monkeypatch):
+        # V(I) is {0, 1} x {0} with a fat point at x = 1: the cut by f is
+        # the points where f vanishes, and is its own radical with no
+        # eliminant of its own
+        I = IdealPresentation(R, (x**2 * (x - 1) ** 3, y**2))
+        I.radical()
+        calls = []
+        monkeypatch.setattr(ideals, "univariate_eliminant",
+                            lambda I, v: calls.append(v) or univariate_eliminant(I, v))
+        cut = I.radical_plus([f])
+        assert cut.radical() is cut
+        assert distinct_point_count(cut) == count
+        assert calls == []
+        # the radical of I + <f> from its own eliminants counts the same
+        assert distinct_point_count(I.plus([f])) == count
+
     def test_built_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(ideals, "univariate_eliminant",

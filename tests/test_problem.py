@@ -158,16 +158,46 @@ class TestProblemFiles:
             ("ring x, y;\nphi = x^2 - y^3;\nf = x;\nkind milnor;\n", (2, 1)),
             ("ring u, v;\ndelta = u^2 - v^3, u;\ndirection 0, 1;\nkind generic-line;\n",
              (2, 1)),
+            ("ring t, x;\nparam t;\nf = x^2;\nkind milnor;\n", (2, 1)),
+            ("ring x, y;\nf = x^2 + y^2;\nkind milnor;\nsamples 1, 1/2;\n", (4, 1)),
+            ("ring x, y;\nphi = x, y^3 + x*y;\ndirection 1, 0;\nkind discriminant;\n",
+             (3, 1)),
+            ("ring u, v;\ndelta = u^2 - v^3;\ndirection 0, 1;\nsamples 2;\n"
+             "kind generic-line;\n", (4, 1)),
+            ("ring t, x, y;\nparam t;\nphi = x^2 - y^3;\nF = x + t*y;\n"
+             "direction 1, 0;\nkind greuel-check;\n", (5, 1)),
+            ("ring t, x, y;\nparam t;\nphi = y^2 - x^3 + t*x;\nkind family-analyze;\n"
+             "probe t = s, x = s^2, y = s^3;\n", (5, 1)),
+            ("ring x, y;\nphi = x^2 - y^3;\nf = x;\nkind function-milnor;\n"
+             "probe x = s^3, y = s^2;\n", (5, 1)),
         ],
         ids=["f-two-polynomials", "F-two-polynomials", "f-for-F", "unread-phi",
-             "delta-two-polynomials"],
+             "delta-two-polynomials", "param-on-milnor", "samples-on-milnor",
+             "direction-on-discriminant", "samples-on-generic-line",
+             "direction-on-greuel-check", "probe-on-space-family", "probe-on-function-milnor"],
     )
     def test_ignored_binding_position(self, text, position):
-        # a binding the kind does not read, or a second polynomial it
-        # would drop, is refused at the binding
+        # a binding or statement the kind does not read, or a second
+        # polynomial it would drop, is refused at the binding or the
+        # statement's word
         with pytest.raises(ProblemSyntaxError) as exc:
             parse_problem(text)
         assert (exc.value.line, exc.value.column) == position
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ring x, y;\nf = x^2 + y^2;\nkind milnor;\nseed 3;\nbudget 100;\n",
+            "ring x, y;\nphi = x^2, y^2;\nkind icis-milnor;\nseed 3;\n",
+            "ring t, x, y;\nparam t;\nphi = x^2 - y^3;\nF = x + t*y;\nkind greuel-check;\n"
+            "samples 2;\nprobe t = s, x = s^3, y = s^2;\n",
+            "ring t, x, y;\nparam t;\nphi = y^2 - x^3 + t*x;\nkind family-analyze;\n"
+            "samples 2;\n",
+        ],
+        ids=["seed-and-budget-anywhere", "icis-milnor-seed", "greuel-check", "space-family"],
+    )
+    def test_read_statements_are_accepted(self, text):
+        parse_problem(text)
 
     def test_probe_may_repeat(self):
         p = parse_problem(
