@@ -3,13 +3,19 @@
 Every monomial order in ``orders`` is global (1 is the least
 monomial), and ``complete_basis`` runs Buchberger's algorithm with the
 product and chain criteria.  Pairs are taken lowest lcm degree first
-from a heap (the normal selection strategy), and reduction works in
-place on a term dict of exponent tuples to Fractions, with the
-monomials' order keys cached; the multiply-accumulate kernel is
-``poly._add_shifted``.  ``normal_form`` reduces against a completed
-basis, and ``minimal_polynomial`` reads the minimal polynomial of a
-variable off the basis of a zero-dimensional ideal by single-variable
-FGLM.
+from a heap (the normal selection strategy).  Reduction is
+fraction-free (Geddes-Czapor-Labahn, ch. 10): each reducer is a row of
+coprime integer coefficients, and it works in place on a term dict of
+exponent tuples to ints, with the monomials' order keys cached; the
+multiply-accumulate kernel is ``poly._add_shifted``.  Every
+divisibility test is screened first by short exponent vectors
+(``_mask``, Bachmann-Schoenemann 1998).  Rationals appear only at the
+boundary: the generators of a ``StandardBasis`` are monic Fraction
+polynomials, and ``complete_basis``, ``normal_form`` and
+``minimal_polynomial`` divide by a reduction's scale once per result.
+``normal_form`` reduces against a completed basis, and
+``minimal_polynomial`` reads the minimal polynomial of a variable off
+the basis of a zero-dimensional ideal by single-variable FGLM.
 
 ``local_colength`` computes dim O/I at the origin by truncated linear
 algebra; Lazard's method decides the ideals whose truncations do not
@@ -35,10 +41,11 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from math import comb, gcd, inf, lcm, prod
+from operator import le, sub
 
 from .errors import BudgetExhaustedError, NonIsolatedError
 from .orders import homogenized
-from .poly import Polynomial, _add_shifted, _monic, fresh_variable
+from .poly import Polynomial, _add_shifted, fresh_variable
 
 DEFAULT_BUDGET = 10**6
 # Truncations of local_colength with more columns than this go to
@@ -122,63 +129,114 @@ class StandardBasis:
 
 
 def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _quotient(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
+
+
+_NIBBLES = (0, 1, 3, 7, 15)  # the thresholds 1, 2, 4, 8 reached, by bit length
+
+
+def _mask(e):
+    """Short exponent vector of the monomial e (Bachmann-Schoenemann
+    1998): four bits per variable, one for each of the thresholds 1, 2,
+    4 and 8 that its exponent reaches.  If a divides b then
+    _mask(a) & ~_mask(b) == 0, so a nonzero value proves that a does
+    not divide b; and a, b are coprime iff _mask(a) & _mask(b) == 0."""
+    m = 0
+    for i, x in enumerate(e):
+        if x:
+            m |= _NIBBLES[min(x.bit_length(), 4)] << 4 * i
+    return m
 
 
 class _Keys(dict):
-    """order.key of each monomial, computed on first lookup."""
+    """order.key of each monomial, computed on first lookup; ``masks``
+    likewise caches ``_mask``."""
 
     def __init__(self, order):
         super().__init__()
         self.key = order.key
+        self.masks = _Masks()
 
     def __missing__(self, exps):
         k = self[exps] = self.key(exps)
         return k
 
 
+class _Masks(dict):
+    def __missing__(self, exps):
+        m = self[exps] = _mask(exps)
+        return m
+
+
+def _row(terms, keys):
+    """The reducer row (leading monomial, leading coefficient, other
+    terms, mask of the leading monomial) of an integer term dict, scaled
+    to coprime integers with a positive leading coefficient: the same
+    row for every rational multiple of the polynomial."""
+    lm = max(terms, key=keys.__getitem__)
+    content = gcd(*terms.values())
+    if terms[lm] < 0:
+        content = -content
+    return (lm, terms[lm] // content,
+            [(e, c // content) for e, c in terms.items() if e != lm], keys.masks[lm])
+
+
 def _reducers(gens, keys):
-    """(leading monomial, leading coefficient, other terms) per generator."""
-    out = []
-    for g in gens:
-        lm = max(g.terms, key=keys.__getitem__)
-        out.append((lm, g.terms[lm], [(e, c) for e, c in g.terms.items() if e != lm]))
-    return out
+    """The reducer row of each polynomial of ``gens`` (Fraction
+    polynomials, such as the monic generators of a completed basis)."""
+    return [_row(_primitive(g), keys) for g in gens]
 
 
 def _s_terms(r, s, lcm):
-    """Terms of spoly for two reducers; their leading terms cancel."""
+    """Integer terms of the S-polynomial of two reducer rows, times
+    lc_r*lc_s/gcd(lc_r, lc_s); their leading terms cancel."""
+    g = gcd(r[1], s[1])
     h = {}
-    _add_shifted(h, r[2], _quotient(lcm, r[0]), 1 / r[1])
-    _add_shifted(h, s[2], _quotient(lcm, s[0]), -1 / s[1])
+    _add_shifted(h, r[2], _quotient(lcm, r[0]), s[1] // g)
+    _add_shifted(h, s[2], _quotient(lcm, s[0]), -(r[1] // g))
     return h
 
 
 def _reduce_global(h, reducers, keys, budget):
-    """Ordinary multivariate division of the term dict h, fully reduced,
-    by the first reducer whose leading monomial divides; h is used up.
-    Returns the remainder's term dict."""
+    """Ordinary multivariate division of the integer term dict h, fully
+    reduced, by the first reducer row whose leading monomial divides; h
+    is used up.  Fraction-free: before a step cancels c*x^a against a
+    row led by lc, h and the remainder are multiplied by lc/gcd(lc, c).
+    Returns (remainder, scale): the remainder's integer term dict is the
+    product ``scale`` of those factors times the normal form of the h
+    given."""
     remainder = {}
+    scale = 1  # remainder + h == scale * (the h given), modulo the reducers
+    masks = keys.masks
     while h:
         lm_h = max(h, key=keys.__getitem__)
         lc_h = h.pop(lm_h)
-        for lm_g, lc_g, tail in reducers:
-            if _divides(lm_g, lm_h):
+        outside = ~masks[lm_h]
+        for lm_g, lc_g, tail, mask_g in reducers:
+            if not mask_g & outside and _divides(lm_g, lm_h):
                 break
         else:
             remainder[lm_h] = lc_h
             continue
         budget.step()
-        _add_shifted(h, tail, _quotient(lm_h, lm_g), -lc_h / lc_g)
-    return remainder
+        q, r = divmod(lc_h, lc_g)
+        if r:
+            g = gcd(lc_g, lc_h)
+            m, q = lc_g // g, lc_h // g
+            for terms in (h, remainder):
+                for e in terms:
+                    terms[e] *= m
+            scale *= m
+        _add_shifted(h, tail, _quotient(lm_h, lm_g), -q)
+    return remainder, scale
 
 
 def normal_form(f, sb):
@@ -189,8 +247,12 @@ def normal_form(f, sb):
     if f.is_zero() or not sb.generators:
         return f
     keys = _Keys(sb.order)
-    reducers = _reducers(sb.generators, keys)
-    return Polynomial(f.ring, _reduce_global(dict(f.terms), reducers, keys, _current_budget()))
+    ints = _primitive(f)
+    e, c = next(iter(f.terms.items()))
+    k = c / ints[e]  # f = k * ints
+    rem, scale = _reduce_global(ints, _reducers(sb.generators, keys), keys, _current_budget())
+    k /= scale
+    return Polynomial(f.ring, {e: k * v for e, v in rem.items()})
 
 
 def minimal_polynomial(sb, var):
@@ -204,7 +266,9 @@ def minimal_polynomial(sb, var):
     against sb, and each is eliminated by the rows of the earlier ones
     over Q, carrying its combination of powers along.  The first power
     eliminated to zero gives the dependency; the quotient has dimension
-    colength(sb), so that is within colength + 1 powers."""
+    colength(sb), so that is within colength + 1 powers.  The normal
+    forms are reduced as primitive integer term dicts times a rational
+    factor, which is applied once per power."""
     if not sb.completed:
         raise ValueError("minimal polynomial requires a completed basis")
     dim = colength(sb)
@@ -216,9 +280,14 @@ def minimal_polynomial(sb, var):
     zero = (0,) * len(sb.ring)
     i = sb.ring.index(var)
     rows = []  # (pivot monomial, row, its combination of powers)
-    nf = _reduce_global({zero: Fraction(1)}, reducers, keys, budget)
+    nf, factor = {zero: 1}, Fraction(1)  # the normal form is factor * nf
     for k in range(dim + 1):
-        row, combo = dict(nf), {(k,): Fraction(1)}
+        nf, scale = _reduce_global(nf, reducers, keys, budget)
+        content = gcd(*nf.values())
+        if content > 1:
+            nf = {e: v // content for e, v in nf.items()}
+        factor *= Fraction(content, scale)
+        row, combo = {e: factor * v for e, v in nf.items()}, {(k,): Fraction(1)}
         for pivot, prow, pcombo in rows:
             c = row.get(pivot)
             if c:
@@ -229,8 +298,7 @@ def minimal_polynomial(sb, var):
         if not row:
             return Polynomial((var,), combo)
         rows.append((next(iter(row)), row, combo))
-        nf = _reduce_global({e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in nf.items()},
-                            reducers, keys, budget)
+        nf = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in nf.items()}
     raise AssertionError("colength + 1 normal forms are always dependent")
 
 
@@ -240,37 +308,38 @@ def complete_basis(generators, order):
     spent."""
     budget = _current_budget()
     start = budget.spent
-    G = _buchberger(generators, order, budget)
-    # inter-reduce tails for a canonical reduced basis; G is minimal and
-    # monic, so each leading term survives with coefficient 1
     keys = _Keys(order)
-    reducers = _reducers(G, keys)
-    G = [Polynomial(g.ring, _reduce_global(dict(g.terms), reducers[:i] + reducers[i + 1:],
-                                           keys, budget))
-         for i, g in enumerate(G)]
-    lms = [g.leading(order)[0] for g in G]
-    idx = sorted(range(len(G)), key=lambda i: order.key(lms[i]))
-    G = [G[i] for i in idx]
-    lms = [lms[i] for i in idx]
-    return StandardBasis(order, tuple(G), tuple(lms), True, budget.spent - start)
+    rows = _buchberger(generators, keys, budget)
+    # inter-reduce tails for a canonical reduced basis; the basis is
+    # minimal, so each leading term survives, and it is scaled to 1
+    G = {}
+    for i, (lm, lc, tail, _) in enumerate(rows):
+        h = dict(tail)
+        h[lm] = lc
+        rem, _ = _reduce_global(h, rows[:i] + rows[i + 1:], keys, budget)
+        lead = rem[lm]
+        G[lm] = Polynomial(order.ring, {e: Fraction(c, lead) for e, c in rem.items()})
+    lms = sorted(G, key=keys.__getitem__)
+    return StandardBasis(order, tuple(G[m] for m in lms), tuple(lms), True, budget.spent - start)
 
 
-def _buchberger(generators, order, budget):
-    """Minimal monic standard basis under ``order``.  Pairs wait in
-    a heap keyed by (degree of their lcm, i, j), the lcm computed once
-    when the pair is made (the normal selection strategy)."""
-    G = []
+def _buchberger(generators, keys, budget):
+    """Reducer rows of a minimal standard basis under the order of
+    ``keys``.  Pairs wait in a heap keyed by (degree of their lcm, i,
+    j), the lcm computed once when the pair is made (the normal
+    selection strategy)."""
+    rows = []
     seen = set()
     for g in generators:
         if g.is_zero():
             continue
-        g = _monic(g, order)
-        if g not in seen:
-            seen.add(g)
-            G.append(g)
-    keys = _Keys(order)
-    reducers = _reducers(G, keys)
-    lms = [r[0] for r in reducers]
+        r = _row(_primitive(g), keys)
+        key = (r[0], r[1], frozenset(r[2]))
+        if key not in seen:
+            seen.add(key)
+            rows.append(r)
+    lms = [r[0] for r in rows]
+    masks = [r[3] for r in rows]
     pairs = []
     done = set()
 
@@ -279,34 +348,37 @@ def _buchberger(generators, order, budget):
             lcm = _lcm(lms[i], lms[j])
             heappush(pairs, (sum(lcm), i, j, lcm))
 
-    for j in range(len(G)):
+    for j in range(len(rows)):
         add_pairs(j)
     while pairs:
         _, i, j, lcm = heappop(pairs)
         done.add((i, j))
         # product criterion: coprime leading monomials reduce to zero
-        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+        if not masks[i] & masks[j]:
             continue
         # chain criterion: some lm_k divides the lcm, (i, k) and (j, k)
         # done; (k, k) never is, so k is neither i nor j
-        if any((min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-               and _divides(lms[k], lcm) for k in range(len(G))):
+        outside = ~(masks[i] | masks[j])  # the mask of the lcm
+        if any(_divides(lms[k], lcm)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k, m in enumerate(masks) if not m & outside):
             continue
-        h = _reduce_global(_s_terms(reducers[i], reducers[j], lcm), reducers, keys, budget)
+        h, _ = _reduce_global(_s_terms(rows[i], rows[j], lcm), rows, keys, budget)
         if not h:
             continue
-        lm = max(h, key=keys.__getitem__)
-        G.append(Polynomial(G[i].ring, h) * (1 / h[lm]))
-        reducers += _reducers(G[-1:], keys)
-        lms.append(lm)
-        add_pairs(len(G) - 1)
-    return [G[i] for i in _minimal_indices(lms)]
+        rows.append(_row(h, keys))
+        lms.append(rows[-1][0])
+        masks.append(rows[-1][3])
+        add_pairs(len(rows) - 1)
+    return [rows[i] for i in _minimal_indices(lms)]
 
 
 def _minimal_indices(lms):
     """Indices of the monomials no other divides; of equal ones, the first."""
+    masks = [_mask(m) for m in lms]
     return [i for i, m in enumerate(lms)
-            if not any(_divides(o, m) and (o != m or j < i) for j, o in enumerate(lms) if j != i)]
+            if not any(not masks[j] & ~masks[i] and _divides(o, m) and (o != m or j < i)
+                       for j, o in enumerate(lms) if j != i)]
 
 
 def staircase(sb):
@@ -423,14 +495,14 @@ def _lazard_colength(gens, ring, budget):
     hom = [Polynomial(order.ring, {e + (g.total_degree() - sum(e),): c
                                    for e, c in g.terms.items()})
            for g in gens]
-    lms = [g.leading(order)[0][:-1] for g in _buchberger(hom, order, budget)]
+    lms = [r[0][:-1] for r in _buchberger(hom, _Keys(order), budget)]
     return _staircase_colength(lms, len(ring))
 
 
 def _primitive(g):
     """Coefficients of g scaled to coprime integers."""
     den = lcm(*(c.denominator for c in g.terms.values()))
-    ints = {e: int(c * den) for e, c in g.terms.items()}
+    ints = {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
     content = gcd(*ints.values())
     return {e: v // content for e, v in ints.items()}
 

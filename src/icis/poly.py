@@ -5,7 +5,8 @@ fixed ordered variable list (the ring).  All arithmetic is exact; no
 floating point is used anywhere.
 
 Products, substitution and the standard-basis engine in ``basis`` share
-one in-place multiply-accumulate kernel on term dicts, ``_add_shifted``;
+one in-place multiply-accumulate kernel on term dicts, ``_add_shifted``
+(the engine's term dicts hold integers, which it works on unchanged);
 exact division and the univariate Euclidean remainder share one
 single-divisor division, ``_divmod``.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
+from operator import add
 
 from .errors import RingMismatchError, UnknownVariableError, ZeroInputError
 from .orders import grevlex
@@ -269,7 +271,7 @@ def _add_shifted(h, tail, shift, q):
     """h += q * x^shift * tail, in place on the term dict h; ``tail`` is
     an iterable of (exponents, coefficient) pairs."""
     for e, c in tail:
-        e = tuple(a + b for a, b in zip(e, shift))
+        e = tuple(map(add, e, shift))
         v = h.get(e)
         v = q * c if v is None else v + q * c
         if v:
@@ -414,12 +416,11 @@ def fresh_variable(ring, stem):
     return stem
 
 
-def _monic(f, order=None):
-    """f scaled to leading coefficient 1 under ``order`` (default
-    grevlex); 0 stays 0."""
+def _monic(f):
+    """f scaled to leading coefficient 1 under grevlex; 0 stays 0."""
     if f.is_zero():
         return f
-    _, lc = f.leading(order or grevlex(f.ring))
+    _, lc = f.leading(grevlex(f.ring))
     return f if lc == 1 else f * (1 / lc)
 
 

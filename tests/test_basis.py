@@ -1,13 +1,23 @@
 import random
+from collections import defaultdict
+from fractions import Fraction
 from math import inf
+from operator import add
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from icis.basis import (
+    _Budget,
+    _divides,
+    _Keys,
     _lazard_colength,
+    _mask,
+    _reduce_global,
+    _row,
     colength,
     complete_basis,
     local_colength,
@@ -16,9 +26,9 @@ from icis.basis import (
     step_budget,
 )
 from icis.errors import BudgetExhaustedError
-from icis.orders import grevlex
+from icis.orders import grevlex, lex
 from icis.poly import Polynomial
-from icis.problem import parse_problem
+from icis.problem import parse_expression, parse_problem
 from staircase_oracle import staircase_colength_bruteforce
 
 R = ("x", "y")
@@ -72,11 +82,90 @@ class TestCompleteBasis:
         # no exhausted budget is left behind for calls outside the block
         assert complete_basis(gens, grevlex(R)).completed
 
+    def test_generators_equal_up_to_a_scalar_count_once(self):
+        gens = [x**3 - 2 * x * y, x**2 * y - 2 * y**2 + x]
+        alone = complete_basis(gens, grevlex(R))
+        twice = complete_basis(gens + [gens[0] * Fraction(-2, 3)], grevlex(R))
+        assert twice.generators == alone.generators
+        assert twice.steps_used == alone.steps_used
+
     def test_deterministic(self):
         gens = [x**3 - 2 * x * y, x**2 * y - 2 * y**2 + x]
         b1 = complete_basis(gens, grevlex(R))
         b2 = complete_basis(list(reversed(gens)), grevlex(R))
         assert b1.generators == b2.generators
+
+
+# exponents up to 10^6, far past the top mask threshold 8, and small ones
+# around the thresholds 1, 2, 4 and 8
+_exponent = st.one_of(st.integers(0, 10), st.integers(0, 10**6))
+
+
+def _monomials(n, **kwargs):
+    return st.lists(st.tuples(*[_exponent] * n), **kwargs)
+
+
+class TestShortExponentVectors:
+    @given(st.integers(1, 6).flatmap(lambda n: _monomials(n, min_size=3, max_size=3)))
+    @settings(max_examples=300, deadline=None)
+    def test_divisors_pass_the_mask(self, monomials):
+        a, b, d = monomials
+        # a on the even variables and b on the odd ones are coprime
+        evens = tuple(x if i % 2 == 0 else 0 for i, x in enumerate(a))
+        odds = tuple(x if i % 2 else 0 for i, x in enumerate(b))
+        for u, v in [(a, b), (b, a), (a, tuple(map(add, a, d))), (evens, odds)]:
+            if _divides(u, v):
+                assert not _mask(u) & ~_mask(v)
+            # disjoint masks are exactly the coprime pairs
+            assert (not _mask(u) & _mask(v)) == (not any(map(min, u, v)))
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        _monomials(n, min_size=1, max_size=6).map(lambda ms: [m for m in ms if any(m)]),
+        _monomials(n, min_size=3, max_size=3))))
+    @settings(max_examples=200, deadline=None)
+    def test_prefiltered_reduction_matches_a_plain_scan(self, case):
+        """The reduction with masks against the same reduction with every
+        mask 0, which scans the rows plainly.  A marker variable w, last
+        and least under lex, tags the tail of row i as w^(i+1), so each
+        step shows which row it used.  Large exponents can make long
+        chains, so both run on one budget and must stop alike."""
+        lms, targets = case
+        assume(lms)
+        order = lex(tuple(f"x{i}" for i in range(len(lms[0]))) + ("w",))
+
+        def reduce(masked):
+            keys = _Keys(order)
+            if not masked:
+                keys.masks = defaultdict(int)
+            rows = [_row({lm + (0,): 1, (0,) * len(lm) + (i + 1,): 2}, keys)
+                    for i, lm in enumerate(lms)]
+            # a target that some row divides, and two arbitrary ones
+            h = {tuple(map(add, lms[-1], targets[0])) + (0,): 3}
+            h.update({t + (0,): -1 for t in targets[1:]})
+            budget = _Budget(200)
+            try:
+                return _reduce_global(h, rows, keys, budget), budget.spent
+            except BudgetExhaustedError:
+                return h, budget.spent
+
+        assert reduce(True) == reduce(False)
+
+    @pytest.mark.parametrize("texts", [
+        ["x^9 - y^17", "x^20*y - z^3", "y^12*z - x^2"],
+        ["x^9 - y^17 + z", "x^20*y - z^3", "y^10*z^9 - x^16"],
+        ["x^9 - 2/3*y^17", "5/7*x^20*y - z^3", "x*y*z^16 - 1/2"],
+    ])
+    def test_basis_past_the_thresholds_matches_sympy(self, texts):
+        ring = ("x", "y", "z")
+        symbols = sympy.symbols(ring)
+        ours = complete_basis([parse_expression(t, ring) for t in texts], grevlex(ring))
+        assert max(map(max, ours.leading_monomials)) > 8
+        theirs = sympy.groebner([sympy.sympify(t.replace("^", "**")) for t in texts],
+                                *symbols, order="grevlex")
+        monic = [sympy.Poly(g, *symbols) for g in theirs.exprs]
+        monic = [[(e, c / p.LC(order="grevlex")) for e, c in p.terms()] for p in monic]
+        assert {frozenset(g.terms.items()) for g in ours.generators} == {
+            frozenset((e, Fraction(int(c.p), int(c.q))) for e, c in terms) for terms in monic}
 
 
 class TestNormalForm:

@@ -1,9 +1,12 @@
 """Byte-for-byte CLI outputs on every fixture.
 
 ``tests/golden/<fixture>.<variant>.out`` holds the stdout of
-``icis run tests/fixtures/<fixture>.icis`` with the variant's flags, and
-``tests/golden/exit_codes.json`` its exit code.  They pin the ``--json``
-report as well as the plain one; a change that alters either on purpose
+``icis run tests/fixtures/<fixture>.icis`` with the variant's flags,
+``tests/golden/exit_codes.json`` its exit code, and
+``tests/golden/steps.json`` the value of its stderr ``steps:`` line
+(null when it prints none), which pins the reduction sequence; the
+``elapsed:`` line is not recorded.  They pin the ``--json`` report as
+well as the plain one; a change that alters any of them on purpose
 re-records them with the same command."""
 
 import json
@@ -17,6 +20,7 @@ TESTS = pathlib.Path(__file__).parent
 FIXTURES = TESTS / "fixtures"
 GOLDEN = TESTS / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+STEPS = json.loads((GOLDEN / "steps.json").read_text())
 
 VARIANTS = {
     "plain": [],
@@ -30,7 +34,9 @@ VARIANTS = {
 @pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.icis")))
 def test_stdout_and_exit_code(fixture, variant, capsys):
     code = main(["run", str(FIXTURES / f"{fixture}.icis"), *VARIANTS[variant]])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     name = f"{fixture}.{variant}"
     assert code == EXIT_CODES[name]
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    steps = [int(line.split()[1]) for line in err.splitlines() if line.startswith("steps:")]
+    assert steps == ([] if STEPS[name] is None else [STEPS[name]])
