@@ -15,7 +15,9 @@ polynomials, and ``complete_basis``, ``normal_form`` and
 ``minimal_polynomial`` divide by a reduction's scale once per result.
 ``normal_form`` reduces against a completed basis, and
 ``minimal_polynomial`` reads the minimal polynomial of a variable off
-the basis of a zero-dimensional ideal by single-variable FGLM.
+the basis of a zero-dimensional ideal by single-variable FGLM; both
+reduce by the basis's reducer rows, built on first use and kept with
+the ``StandardBasis``.
 
 ``local_colength`` computes dim O/I at the origin by truncated linear
 algebra; Lazard's method decides the ideals whose truncations do not
@@ -37,7 +39,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from math import comb, gcd, inf, lcm, prod
@@ -101,7 +103,12 @@ _active_budget = ContextVar("icis_step_budget", default=None)
 def step_budget(limit=DEFAULT_BUDGET):
     """Charge every reduction step inside the block to one budget of
     ``limit`` steps; yields it (``.spent`` counts the steps so far).
-    The previous budget is restored on every exit path."""
+    The previous budget is restored on every exit path.  ``limit`` must
+    be a non-negative int; it is checked when the block opens."""
+    if not isinstance(limit, int) or isinstance(limit, bool):
+        raise TypeError(f"step budget must be an int, not {type(limit).__name__}")
+    if limit < 0:
+        raise ValueError(f"step budget must be non-negative, not {limit}")
     budget = _Budget(limit)
     token = _active_budget.set(budget)
     try:
@@ -126,6 +133,14 @@ class StandardBasis:
     @property
     def ring(self):
         return self.order.ring
+
+    @cached_property
+    def _reducers(self):
+        """The reducer row of each generator, and the ``_Keys`` of the
+        order they were built with: built on the first normal form or
+        minimal polynomial, kept for the later ones."""
+        keys = _Keys(self.order)
+        return [_row(_primitive(g), keys) for g in self.generators], keys
 
 
 def _lcm(a, b):
@@ -189,12 +204,6 @@ def _row(terms, keys):
             [(e, c // content) for e, c in terms.items() if e != lm], keys.masks[lm])
 
 
-def _reducers(gens, keys):
-    """The reducer row of each polynomial of ``gens`` (Fraction
-    polynomials, such as the monic generators of a completed basis)."""
-    return [_row(_primitive(g), keys) for g in gens]
-
-
 def _s_terms(r, s, lcm):
     """Integer terms of the S-polynomial of two reducer rows, times
     lc_r*lc_s/gcd(lc_r, lc_s); their leading terms cancel."""
@@ -246,11 +255,11 @@ def normal_form(f, sb):
         raise ValueError("normal form requires a completed basis")
     if f.is_zero() or not sb.generators:
         return f
-    keys = _Keys(sb.order)
+    reducers, keys = sb._reducers
     ints = _primitive(f)
     e, c = next(iter(f.terms.items()))
     k = c / ints[e]  # f = k * ints
-    rem, scale = _reduce_global(ints, _reducers(sb.generators, keys), keys, _current_budget())
+    rem, scale = _reduce_global(ints, reducers, keys, _current_budget())
     k /= scale
     return Polynomial(f.ring, {e: k * v for e, v in rem.items()})
 
@@ -274,8 +283,7 @@ def minimal_polynomial(sb, var):
     dim = colength(sb)
     if dim == inf:
         raise NonIsolatedError("the minimal polynomial needs a zero-dimensional ideal")
-    keys = _Keys(sb.order)
-    reducers = _reducers(sb.generators, keys)
+    reducers, keys = sb._reducers
     budget = _current_budget()
     zero = (0,) * len(sb.ring)
     i = sb.ring.index(var)

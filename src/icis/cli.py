@@ -11,6 +11,7 @@ verdict is INCONCLUSIVE, 3 input error, 4 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -255,7 +256,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error[usage]: {message}\n")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first ``main`` call of the
+    process and reused by every later one."""
     parser = _ArgumentParser(
         prog="icis",
         description="Exact singularity invariants and deformation-family checks",
@@ -270,7 +274,11 @@ def main(argv=None):
     run_p.add_argument("--budget", type=int, default=None)
     check_p = sub.add_parser("check", help="parse and validate FILE only")
     check_p.add_argument("file")
+    return parser
 
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "run" and args.budget is not None and args.budget < 0:
         parser.error("--budget must be non-negative")

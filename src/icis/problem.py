@@ -42,13 +42,19 @@ nonzero.  Example::
 Every syntax or binding error carries the line/column of the offending
 token and a machine-readable code.  Expressions are expanded as they are
 parsed; a product or power that would take more than
-``MAX_PRODUCT_TERMS`` term products is refused at its operator.
+``MAX_PRODUCT_TERMS`` term products is refused at its operator.  A power
+of one term is written down directly, without products.  A number that
+no report could print, one with more digits than the interpreter
+converts to text, is refused: in a one-term power at its ``^``, before
+the power is computed, and in a binding or probe at its first token.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .basis import DEFAULT_BUDGET
 from .errors import (
@@ -85,6 +91,17 @@ OPTIONAL = {
 UNIVERSAL = ("ring", "kind", "seed", "budget")
 # bindings that hold one polynomial
 SINGLE = ("f", "F", "delta")
+
+
+def _digit_bound():
+    """10^d for the interpreter's limit of d digits on an int converted
+    to text (``sys.get_int_max_str_digits``), or 0 when there is none."""
+    return _power_of_ten(getattr(sys, "get_int_max_str_digits", lambda: 0)())
+
+
+@lru_cache(maxsize=4)
+def _power_of_ten(d):
+    return 10**d if d else 0
 
 
 @dataclass
@@ -242,7 +259,7 @@ class _Parser:
         else:
             self.expect("=")
             self.bound[word] = tok
-            p.bindings[word] = self.comma_list(lambda: self.expr(p.ring))
+            p.bindings[word] = self.comma_list(lambda: self.polynomial(p.ring))
         self.expect(";")
 
     def distinct_name(self, taken, what):
@@ -287,7 +304,7 @@ class _Parser:
         def component():
             name = self.ring_variable("probe component", components)
             self.expect("=")
-            components[name] = self.expr(("s",))
+            components[name] = self.polynomial(("s",))
 
         self.comma_list(component)
         return components
@@ -323,6 +340,28 @@ class _Parser:
         if den == 0:
             self.fail("zero denominator", tok)
         return Fraction(sign * num, den)
+
+    def polynomial(self, ring):
+        """An expr, refused at its first token when it has a number that
+        cannot be printed (``printable``)."""
+        tok = self.peek()
+        return self.printable(self.expr(ring), tok)
+
+    def printable(self, poly, tok):
+        """poly, refused at ``tok`` when the numerator or denominator of
+        a coefficient, or an exponent, has more digits than the
+        interpreter converts to text (``sys.get_int_max_str_digits``):
+        no report could print it."""
+        bound = _digit_bound()
+        if bound and any(abs(c.numerator) >= bound or c.denominator >= bound
+                         or max(e, default=0) >= bound for e, c in poly.terms.items()):
+            self.too_long(tok)
+        return poly
+
+    def too_long(self, tok):
+        raise ProblemSyntaxError(
+            f"expansion has a number of more than {sys.get_int_max_str_digits()} digits",
+            tok.line, tok.column)
 
     def expr(self, ring):
         sign = -1 if self.peek().type == "-" else 1
@@ -382,6 +421,15 @@ class _Parser:
         if not self.accept("^"):
             return base
         k = self.integer("integer exponent")
+        if len(base.terms) == 1:
+            # one term: (c*x^e)^k = c^k*x^(k*e), no products
+            ((e, c),) = base.terms.items()
+            bound = _digit_bound()
+            if bound and any(k * (abs(n).bit_length() - 1) >= bound.bit_length()
+                             for n in (c.numerator, c.denominator)):
+                # |n|^k >= 2^(k*(bits - 1)) > bound: refused before it is computed
+                self.too_long(tok)
+            return self.printable(Polynomial.monomial(ring, [k * x for x in e], c**k), tok)
         # square-and-multiply, each product checked
         result = Polynomial.constant(ring, 1)
         while k:
@@ -407,7 +455,7 @@ def parse_problem(text):
 def parse_expression(text, ring):
     """Parse a standalone polynomial expression over the given ring."""
     parser = _Parser(text)
-    poly = parser.expr(tuple(ring))
+    poly = parser.polynomial(tuple(ring))
     parser.expect("EOF", "end of expression")
     return poly
 

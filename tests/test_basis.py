@@ -82,6 +82,16 @@ class TestCompleteBasis:
         # no exhausted budget is left behind for calls outside the block
         assert complete_basis(gens, grevlex(R)).completed
 
+    @pytest.mark.parametrize("limit,error", [(None, TypeError), (2.5, TypeError),
+                                             (True, TypeError), (-1, ValueError)])
+    def test_step_budget_limit_is_checked_when_the_block_opens(self, limit, error):
+        # refused before any reduction runs, not at the first step
+        entered = False
+        with pytest.raises(error):
+            with step_budget(limit):
+                entered = True
+        assert not entered
+
     def test_generators_equal_up_to_a_scalar_count_once(self):
         gens = [x**3 - 2 * x * y, x**2 * y - 2 * y**2 + x]
         alone = complete_basis(gens, grevlex(R))
@@ -174,6 +184,21 @@ class TestNormalForm:
         member = (x**2 - y) * y + (y**2 - x) * x
         assert normal_form(member, basis).is_zero()
         assert not normal_form(x + y, basis).is_zero()
+
+    def test_reducer_rows_are_kept_with_the_basis(self):
+        gens = [x**2 - y, y**3 - x * y]
+        basis, fresh = complete_basis(gens, grevlex(R)), complete_basis(gens, grevlex(R))
+        normal_form(x**5 + y**5, basis)
+        rows = basis._reducers
+        g = x**3 * y - 2 * y**4
+        with step_budget() as kept:
+            kept_nf = normal_form(g, basis)
+        with step_budget() as built:
+            built_nf = normal_form(g, fresh)
+        # the second call reuses the rows, with the same result and steps
+        assert basis._reducers is rows
+        assert kept_nf == built_nf
+        assert kept.spent == built.spent > 0
 
     def test_result_not_divisible_by_leading_monomials(self):
         basis = complete_basis([x**2 + y**2 - 1, x * y - 1], grevlex(R))

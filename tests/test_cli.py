@@ -10,7 +10,7 @@ import time
 import pytest
 
 import icis
-from icis import basis, families, germs
+from icis import basis, cli, families, germs
 from icis.cli import main
 from icis.families import DeformationFamily
 
@@ -46,6 +46,10 @@ INVALID_INPUTS = {
     "power_too_large.icis": "ring x, y, z;\nf = (x + y + z)^120;\nkind milnor;\n",
     # past the interpreter's 4,300-digit limit on int()
     "coefficient_too_long.icis": "ring x, y;\nf = " + "7" * 5000 + "x^2 + y^2;\nkind milnor;\n",
+    # built coefficients past that limit, which no report could print
+    "power_coefficient_too_long.icis": "ring x, y;\nf = (2*x)^20000 + y^2;\nkind milnor;\n",
+    "square_coefficient_too_long.icis":
+        "ring x, y;\nf = (x + " + "7" * 4000 + ")^2*x^2 + y^2;\nkind milnor;\n",
     # bindings the kind would silently ignore
     "f_two_polynomials.icis": "ring x, y;\nf = x^2 + y^2, x^3;\nkind milnor;\n",
     "F_two_polynomials.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y, y;\n",
@@ -122,6 +126,25 @@ class TestRun:
         )
         assert proc.returncode == 0, proc.stderr
         assert "mu: 1" in proc.stdout
+
+    def test_import_builds_no_parser(self):
+        # the argument parser is built by the first main call, not at import
+        src = str(pathlib.Path(icis.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import icis.cli; print(icis.cli._parser.cache_info().currsize)"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_one_parser_per_process(self, capsys):
+        for _ in range(2):
+            run_cli("run", str(FIXTURES / "milnor_morse.icis"), capsys=capsys)
+        run_cli("check", str(FIXTURES / "milnor_morse.icis"), capsys=capsys)
+        assert cli._parser.cache_info().misses == 1
+        assert cli._parser.cache_info().hits >= 2
 
     def test_console_script_target(self):
         module, attr = _script_target("icis").split(":")
@@ -251,6 +274,10 @@ class TestExitCodes:
             ("probe_component_repeated.icis", "syntax-error"),
             ("power_too_large.icis --budget 10", "expansion-too-large"),
             ("coefficient_too_long.icis", "syntax-error"),
+            ("power_coefficient_too_long.icis", "syntax-error]: line 2, column 10:"),
+            ("power_coefficient_too_long.icis --json", "syntax-error]: line 2, column 10:"),
+            ("square_coefficient_too_long.icis", "syntax-error]: line 2, column 5:"),
+            ("square_coefficient_too_long.icis --json", "syntax-error]: line 2, column 5:"),
             ("f_two_polynomials.icis", "syntax-error]: line 2, column 1:"),
             ("F_two_polynomials.icis", "syntax-error]: line 5, column 1:"),
             ("family_f_for_F.icis", "syntax-error]: line 5, column 1:"),

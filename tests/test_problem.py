@@ -1,6 +1,9 @@
+import sys
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from icis.errors import (
     ExpansionTooLargeError,
@@ -9,7 +12,7 @@ from icis.errors import (
     UnboundNameError,
 )
 from icis.poly import Polynomial, format_poly
-from icis.problem import parse_expression, parse_problem
+from icis.problem import MAX_PRODUCT_TERMS, parse_expression, parse_problem
 
 R = ("x", "y")
 x = Polynomial.variable(R, "x")
@@ -55,6 +58,20 @@ class TestExpressions:
             parse_expression("x + ^2", R)
         assert exc.value.line == 1
         assert exc.value.column == 5
+
+    @given(
+        num=st.integers(-50, 50).filter(bool),
+        den=st.integers(1, 50),
+        a=st.integers(0, 6),
+        b=st.integers(0, 6),
+        k=st.integers(0, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_term_power(self, num, den, a, b, k):
+        # written down directly, equal to the square-and-multiply power
+        base = Polynomial.monomial(R, (a, b), Fraction(num, den))
+        text = f"({num}/{den}*x^{a}*y^{b})^{k}"
+        assert parse_expression(text, R) == base**k
 
     def test_format_roundtrip(self):
         for f in (x**2 - y**3, Fraction(3, 4) * x * y + 1, -1 * y**5):
@@ -233,6 +250,43 @@ class TestProblemFiles:
         with pytest.raises(ExpansionTooLargeError) as exc:
             parse_problem(text)
         assert (exc.value.line, exc.value.column) == position
+
+    def test_two_term_power_past_the_bound(self):
+        # square-and-multiply ends with (x + y)^488 * (x + y)^512, 489 * 513
+        # term products; a two-term base does not take the one-term rule
+        assert 489 * 513 > MAX_PRODUCT_TERMS
+        with pytest.raises(ExpansionTooLargeError) as exc:
+            parse_problem("ring x, y;\nf = x^2 + (x + y)^1000;\nkind milnor;\n")
+        assert (exc.value.line, exc.value.column) == (2, 18)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            # 2^20000 has 6,021 digits: refused at the ^ before it is computed
+            ("f = (2*x)^20000 + y^2;", (2, 10)),
+            ("f = (3*x)^1000000000000 + y^2;", (2, 10)),
+            ("f = (1/7*x)^10000 + y^2;", (2, 12)),
+            # the exponent (10^4,000 - 1)^2 of x
+            (f"f = (x^{'9' * 4000})^{'9' * 4000} + y^2;", (2, 4009)),
+            # a two-term power is refused as a whole binding
+            (f"f = (x + {'9' * 4000})^2*x^2 + y^2;", (2, 5)),
+            (f"f = x^2 + y^2, {'9' * 3000}*x*{'9' * 3000};", (2, 16)),
+        ],
+        ids=["coefficient", "huge-power", "denominator", "exponent", "binding",
+             "second-binding"],
+    )
+    def test_number_too_long_to_print(self, text, position):
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem(f"ring x, y;\n{text}\nkind milnor;\n")
+        assert (exc.value.line, exc.value.column) == position
+        assert f"more than {sys.get_int_max_str_digits()} digits" in str(exc.value)
+
+    def test_number_at_the_digit_limit(self):
+        # 2^14284 has 4,300 digits, 2^14285 one more
+        p = parse_problem("ring x, y;\nf = (2*x)^14284 + y^2;\nkind milnor;\n")
+        assert p.bindings["f"][0].terms[(14284, 0)] == 2**14284
+        with pytest.raises(ProblemSyntaxError):
+            parse_problem("ring x, y;\nf = (2*x)^14285 + y^2;\nkind milnor;\n")
 
     def test_expansion_below_bound(self):
         p = parse_problem("ring x, y;\nf = (x + y)^40;\nkind milnor;\n")
