@@ -23,7 +23,11 @@ the ``StandardBasis``.
 algebra; Lazard's method decides the ideals whose truncations do not
 stabilize.  It completes the homogenized generators under
 ``Homogenized`` and reads the local staircase off the leading
-monomials, so no local order is needed.
+monomials, so no local order is needed.  The truncation skips the rows
+that the Koszul criterion (Faugere's F5, 2002) shows dependent: x^a*g_j
+when an earlier generator's local leading monomial divides x^a.  Of the
+889 rows that reduced to zero on the hard 4-variable ICIS of
+``tests/test_germs.py``, 281 are left.
 
 Every reduction step and row elimination counts against a step budget:
 running out raises ``BudgetExhaustedError``, it never returns a
@@ -54,10 +58,15 @@ DEFAULT_BUDGET = 10**6
 # Lazard's method alone; on the benchmark corpus the largest truncation
 # that stabilized had 680 columns.
 MONOMIAL_CAP = 5000
-# A step of Lazard's method (a reduction over Q) took 30 to 75 times as
-# long as a row elimination of local_colength on the benchmark corpus;
-# Lazard's loans are counted in its own steps.
-LAZARD_STEP_RATIO = 64
+# A step of Lazard's method (an integer reduction step of Buchberger) took
+# about 8 times as long as a row elimination of local_colength: 46.5
+# against 5.2 us on a 2-core Xeon, over the 219 local_colength calls of
+# the perfbench germs (2 rounds), families (1 round) and hard_germs (8
+# rounds) corpora, seed 1; per-call quartiles 3.4 / 5.7 / 8.9.  Lazard's
+# loans are counted in its own steps.  With ratios from 4 to 8 the hard
+# cases of tests/test_germs.py take 37,330-37,650, 20,423-20,527 and
+# 1,704-1,859 steps.
+LAZARD_STEP_RATIO = 8
 
 
 class _Budget:
@@ -457,10 +466,11 @@ def local_colength(gens, ring):
     origin: an int, or +inf when I is not primary to the maximal ideal m.
 
     c_k = dim Q[x]/(I + m^k) is read off one fraction-free integer
-    elimination of the multiples x^a*g truncated below degree K.  At the
-    first k with c_k = c_(k+1), m^k lies in I + m^(k+1), so Nakayama's
-    lemma gives m^k in I*O and c_k is exact.  K starts at the largest
-    generator order plus 3 and grows by half.
+    elimination of the multiples x^a*g truncated below degree K, less
+    the rows the Koszul criterion drops (``_truncated_colength``).  At
+    the first k with c_k = c_(k+1), m^k lies in I + m^(k+1), so
+    Nakayama's lemma gives m^k in I*O and c_k is exact.  K starts at the
+    largest generator order plus 3 and grows by half.
 
     No truncation stabilizes when I is not m-primary, while Lazard's
     method decides every ideal.  So after each truncation that does not
@@ -536,22 +546,39 @@ def _truncated_colength(int_gens, n, K, budget):
     row's lowest column is its local leading monomial.  The rows x^a*g
     whose lowest column has degree d are built and eliminated degree by
     degree; no later row can add a pivot of degree <= d, and
-    c_(d+1) = c_d exactly when every monomial of degree d is a pivot."""
+    c_(d+1) = c_d exactly when every monomial of degree d is a pivot.
+
+    The Koszul cut: the row x^a*g_j is not built when x^a = x^b*LL_i
+    for the local leading monomial LL_i (the lowest column) of an
+    earlier generator g_i, i < j.  Then
+    x^a*g_j = x^b*g_j*g_i - x^b*(g_i - LL_i)*g_j: rows of g_i, and rows
+    of g_j whose multiplier x^b*t, t a term of g_i - LL_i, comes later in
+    the column order.  Taken by generator, then multiplier from last to
+    first, every skipped row is a combination of earlier rows, of lowest
+    degree >= d; truncation is linear, so every pivot of degree <= d
+    stays.  No regular sequence is needed, so the cut holds for the
+    maximal minors of the ICIS chain too."""
     by_degree, index = _columns(n, K)
-    coded = []  # (order, [(degree, code, coefficient)]) per generator
+    coded = []  # (order, code of the local leading monomial, [(degree, code, coefficient)])
     for g in int_gens:
         terms = [(sum(e), sum(k * K**i for i, k in enumerate(e)), c) for e, c in g.items()]
-        coded.append((min(t[0] for t in terms), [t for t in terms if t[0] < K]))
+        order, lead, _ = min(terms)
+        coded.append((order, lead, [t for t in terms if t[0] < K]))
     pivots = {}
     below = 0  # columns of degree < d
     found = 0  # pivots of degree < d
     for d, codes in enumerate(by_degree):
         rows = []
-        for order, terms in coded:
+        for j, (order, _, terms) in enumerate(coded):
             if order <= d:
-                # x^a*g with |a| = d - order, truncated below degree K
-                kept = [(code, c) for deg, code, c in terms if deg + d - order < K]
-                rows += ({index[a + code]: c for code, c in kept} for a in by_degree[d - order])
+                # x^a*g_j with |a| = m, truncated below degree K; the
+                # Koszul cut skips the a that an earlier generator's
+                # local leading monomial divides
+                m = d - order
+                skip = {lead + b for o, lead, _ in coded[:j] if o <= m for b in by_degree[m - o]}
+                kept = [(code, c) for deg, code, c in terms if deg + m < K]
+                rows += ({index[a + code]: c for code, c in kept}
+                         for a in by_degree[m] if a not in skip)
         rows.sort(key=min)
         for row in rows:
             _eliminate(row, pivots, budget)

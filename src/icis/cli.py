@@ -20,7 +20,7 @@ from math import inf
 
 from . import families as fam_mod
 from .basis import step_budget
-from .errors import BudgetExhaustedError, IcisError, ProblemFileError
+from .errors import AnswerTooLongError, BudgetExhaustedError, IcisError, ProblemFileError
 from .families import (
     CurveProbe,
     DeformationFamily,
@@ -311,18 +311,26 @@ def main(argv=None):
     try:
         with step_budget(problem.budget) as budget:
             lines, data, code = run_problem(problem)
+        elapsed = time.monotonic() - started
+        if args.emit_json:
+            lines.append(json.dumps(_jsonable(data), sort_keys=True))
     except BudgetExhaustedError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except IcisError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    elapsed = time.monotonic() - started
+    except ValueError as exc:
+        # the report writes an answer as text, and an int with more digits
+        # than sys.get_int_max_str_digits() has none
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error[{AnswerTooLongError.code}]: the answer has a number of more than "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return EXIT_INPUT
 
     for line in lines:
         print(line)
-    if args.emit_json:
-        print(json.dumps(_jsonable(data), sort_keys=True))
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     print(f"steps: {budget.spent}", file=sys.stderr)
     return code

@@ -59,6 +59,14 @@ class UnsupportedInputError(IcisError):
     code = "unsupported-input"
 
 
+class AnswerTooLongError(IcisError):
+    """An answer has a number with more digits than the interpreter
+    converts to text (``sys.get_int_max_str_digits``), so no report can
+    print it."""
+
+    code = "answer-too-long"
+
+
 class InvalidInputError(IcisError, ValueError):
     """An input outside the domain of the computation, such as a germ
     that does not vanish at the origin or a zero direction vector."""

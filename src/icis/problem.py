@@ -51,6 +51,7 @@ the power is computed, and in a binding or probe at its first token.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -112,51 +113,37 @@ class Token:
     column: int
 
 
-_SYMBOLS = set(";,=+-*^()/")
-_DIGITS = set("0123456789")
+# One token and the blanks before it.  In a str pattern \w is exactly
+# str.isalnum() or "_", and \s is str.isspace(); an IDENT must also start
+# with a letter (str.isalpha()) or "_", which tokenize checks.  Every
+# character is matched: by the last alternative when no token starts with
+# it, and $ takes the blanks at the end.  Digits are ASCII.
+_TOKEN = re.compile(r"([^\S\n]*)(?:([;,=+\-*^()/])|([0-9]+)|(\w+)|(\n)|(#[^\n]*)|(.)|$)",
+                    re.DOTALL)
 
 
 def tokenize(text):
+    """The tokens of ``text``, each with the line and column (counted in
+    characters, from 1) of its first character, ending with EOF."""
     tokens = []
     line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
+    for blank, symbol, integer, word, newline, _comment, other in _TOKEN.findall(text):
+        col += len(blank)  # and a comment leaves the column where it starts
+        if symbol:
+            tokens.append(Token(symbol, symbol, line, col))
             col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ProblemSyntaxError(f"unexpected character {ch!r}", line, col)
+        elif word:
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ProblemSyntaxError(f"unexpected character {word[0]!r}", line, col)
+            tokens.append(Token("IDENT", word, line, col))
+            col += len(word)
+        elif integer:
+            tokens.append(Token("INT", integer, line, col))
+            col += len(integer)
+        elif newline:
+            line, col = line + 1, 1
+        elif other:
+            raise ProblemSyntaxError(f"unexpected character {other!r}", line, col)
     tokens.append(Token("EOF", "", line, col))
     return tokens
 

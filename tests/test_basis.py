@@ -16,8 +16,10 @@ from icis.basis import (
     _Keys,
     _lazard_colength,
     _mask,
+    _primitive,
     _reduce_global,
     _row,
+    _truncated_colength,
     colength,
     complete_basis,
     local_colength,
@@ -26,10 +28,12 @@ from icis.basis import (
     step_budget,
 )
 from icis.errors import BudgetExhaustedError
+from icis.ideals import critical_ideal
 from icis.orders import grevlex, lex
 from icis.poly import Polynomial
 from icis.problem import parse_expression, parse_problem
 from staircase_oracle import staircase_colength_bruteforce
+from truncation_oracle import first_stable_colength, truncated_colength
 
 R = ("x", "y")
 x = Polynomial.variable(R, "x")
@@ -338,6 +342,62 @@ class TestLocalColength:
 
     def test_unit_ideal(self):
         assert local_colength([x - 1, y], R) == 0
+
+
+@st.composite
+def _seeded_ideals(draw):
+    """(n, ring, generators) in 2 to 4 variables, in a drawn order: pure
+    powers plus vanishing polynomials, with a repeated generator, with a
+    generator that does not vanish at 0, or a stage ideal of the ICIS
+    chain (the maximal minors of a Jacobian, not a regular sequence)."""
+    n = draw(st.integers(2, 4))
+    ring = ("w", "x", "y", "z")[:n]
+    polys = _build(ring, draw(_vanishing_polys(n, 5 - n)))
+    powers = [Polynomial.monomial(ring, tuple(a if j == i else 0 for j in range(n)), 1)
+              for i, a in enumerate(draw(st.lists(st.integers(1, 5 - n), min_size=n,
+                                                   max_size=n)))]
+    shape = draw(st.sampled_from(["primary", "repeated", "unit", "stage"]))
+    if shape == "stage":
+        phi = polys + _build(ring, draw(_vanishing_polys(n, 2)))
+        k = draw(st.integers(1, len(phi)))
+        gens = list(critical_ideal(phi[:k - 1], phi[k - 1], ring).generators)
+        if draw(st.booleans()):
+            gens += powers
+    else:
+        gens = powers + polys
+        if shape == "repeated":
+            gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+        elif shape == "unit":
+            gens.insert(draw(st.integers(0, len(gens))),
+                        polys[0] + draw(st.integers(-3, 3).filter(bool)))
+    return n, ring, draw(st.permutations(gens))
+
+
+class TestTruncationOracle:
+    """Truncated colengths against ``truncation_oracle``: the rank of
+    the dense matrix of every truncated multiple, with no row cut."""
+
+    @given(_seeded_ideals(), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_equals_dense_rank(self, case, K):
+        n, _, gens = case
+        ints = [_primitive(g) for g in gens if not g.is_zero()]
+        expected = first_stable_colength([g.terms for g in gens], n, K)
+        assert _truncated_colength(ints, n, K, _Budget(10**6)) == expected
+
+    @given(_seeded_ideals())
+    @settings(max_examples=40, deadline=None)
+    def test_local_colength_equals_dense_rank(self, case):
+        n, ring, gens = case
+        expected = first_stable_colength([g.terms for g in gens], n, 7 - n)
+        if expected is not None:
+            assert local_colength(gens, ring) == expected
+
+    def test_oracle_known_values(self):
+        assert first_stable_colength([(x**2 - y**3).terms, (y**4).terms], 2, 12) == 8
+        assert first_stable_colength([(x - x**2).terms, y.terms], 2, 4) == 1
+        assert first_stable_colength([(x**2 - y**3).terms], 2, 10) is None
+        assert truncated_colength([(x**2).terms, (x * y).terms], 2, 4) == 5
 
 
 def lazard_colength(gens, ring):

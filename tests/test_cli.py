@@ -50,6 +50,8 @@ INVALID_INPUTS = {
     "power_coefficient_too_long.icis": "ring x, y;\nf = (2*x)^20000 + y^2;\nkind milnor;\n",
     "square_coefficient_too_long.icis":
         "ring x, y;\nf = (x + " + "7" * 4000 + ")^2*x^2 + y^2;\nkind milnor;\n",
+    # an answer past that limit: mu = (A - 1)^2 has about 4,400 digits
+    "answer_too_long.icis": "ring x, y;\nf = x^A + y^A;\nkind milnor;\n".replace("A", "9" * 2200),
     # bindings the kind would silently ignore
     "f_two_polynomials.icis": "ring x, y;\nf = x^2 + y^2, x^3;\nkind milnor;\n",
     "F_two_polynomials.icis": _CUSP_FAMILY + "phi = x^2 - y^3;\nF = x + t*y, y;\n",
@@ -278,6 +280,8 @@ class TestExitCodes:
             ("power_coefficient_too_long.icis --json", "syntax-error]: line 2, column 10:"),
             ("square_coefficient_too_long.icis", "syntax-error]: line 2, column 5:"),
             ("square_coefficient_too_long.icis --json", "syntax-error]: line 2, column 5:"),
+            ("answer_too_long.icis", "answer-too-long]: the answer has a number of more than"),
+            ("answer_too_long.icis --json", "answer-too-long"),
             ("f_two_polynomials.icis", "syntax-error]: line 2, column 1:"),
             ("F_two_polynomials.icis", "syntax-error]: line 5, column 1:"),
             ("family_f_for_F.icis", "syntax-error]: line 5, column 1:"),

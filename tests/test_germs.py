@@ -35,6 +35,9 @@ y = Polynomial.variable(R, "y")
 R3 = ("x", "y", "z")
 x3, y3, z3 = (Polynomial.variable(R3, n) for n in R3)
 
+R4 = ("w", "x", "y", "z")
+w4, x4, y4, z4 = (Polynomial.variable(R4, n) for n in R4)
+
 
 class TestHypersurfaceMilnor:
     @pytest.mark.parametrize("k", range(1, 7))
@@ -63,8 +66,8 @@ class TestHypersurfaceMilnor:
             hypersurface_milnor(x**2 + 1)
 
     def test_perturbed_brieskorn(self):
-        # not semi-quasihomogeneous; Mora's tangent-cone loop never
-        # finished on it
+        # not semi-quasihomogeneous: mu is 23, not the 24 of its Brieskorn
+        # part x^3 + y^4 + z^5
         f = x3**3 + y3**4 + z3**5 - 9 * x3 * y3 * z3**2 + 3 * x3**2 * y3**2 * z3**2
         assert hypersurface_milnor(f) == 23
 
@@ -79,6 +82,30 @@ class TestHypersurfaceMilnor:
         f = (x**2 - y**3) ** 2 * (x + y**2 + 3 * x * y)
         with step_budget(10**4), pytest.raises(NonIsolatedError):
             hypersurface_milnor(f)
+
+
+class TestHardCases:
+    """The hard cases of the local colength engine, each held to the
+    steps the truncation spent when it built every row x^a*g.  Skipping
+    the rows an earlier generator's local leading monomial divides cut
+    them to about a third."""
+
+    def test_non_reduced_germ_is_non_isolated(self):
+        # no truncation stabilizes; Lazard's method decides it on a loan
+        f = (x3**2 - y3**3 + z3**5) ** 2 * (x3 + y3**2 + z3**3)
+        with step_budget(110_326), pytest.raises(NonIsolatedError):
+            hypersurface_milnor(f)
+
+    def test_four_variable_icis(self):
+        X = IcisPresentation(R4, (w4**3 + x4**4 + y4 * z4 + x4 * y4 * z4,
+                                  x4 * y4 + z4**4 + w4**4 + w4 * x4 * z4 - y4**3))
+        with step_budget(62_505):
+            assert icis_milnor(X) == 33
+
+    def test_perturbed_four_variable_brieskorn(self):
+        f = w4**4 + x4**5 + y4**6 + z4**7 - 3 * w4 * x4 * y4 * z4 + 2 * x4**2 * y4**2 * z4**2
+        with step_budget(5_891):
+            assert hypersurface_milnor(f) == 158
 
 
 class TestFunctionOnIcisMilnor:
@@ -135,9 +162,8 @@ class TestIcisMilnor:
             IcisPresentation(R3, (x3 * y3,))
 
     def test_four_variables(self):
-        # Mora's tangent-cone loop ran past 30 s on the chain of this ICIS
-        R4 = ("w", "x", "y", "z")
-        w4, x4, y4, z4 = (Polynomial.variable(R4, n) for n in R4)
+        # a chain of 4-variable stage ideals, each the maximal minors of a
+        # Jacobian: not a regular sequence
         X = IcisPresentation(R4, (w4**2 + x4**3 + y4 * z4 + x4 * y4 * z4,
                                   x4 * y4 + z4**3 + w4**3 + w4 * x4 * z4))
         assert icis_milnor(X) == 14

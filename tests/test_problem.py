@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -12,11 +13,95 @@ from icis.errors import (
     UnboundNameError,
 )
 from icis.poly import Polynomial, format_poly
-from icis.problem import MAX_PRODUCT_TERMS, parse_expression, parse_problem
+from icis.problem import MAX_PRODUCT_TERMS, Token, parse_expression, parse_problem, tokenize
 
 R = ("x", "y")
 x = Polynomial.variable(R, "x")
 y = Polynomial.variable(R, "y")
+
+
+def _scan_by_character(text):
+    """The tokenizer as a per-character loop, kept as the reference for
+    the regular-expression scanner of ``icis.problem.tokenize``."""
+    symbols = set(";,=+-*^()/")
+    digits = set("0123456789")
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if ch in digits:
+            j = i
+            while j < len(text) and text[j] in digits:
+                j += 1
+            tokens.append(Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in symbols:
+            tokens.append(Token(ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise ProblemSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+def _outcome(scan, text):
+    try:
+        return scan(text)
+    except ProblemSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+# the grammar's characters, and others that are letters, digits or blanks
+# to str methods but not to ASCII: superscript and Arabic-Indic digits, a
+# vulgar fraction, an accented letter, a CJK numeral, no-break, line and
+# next-line separators
+_TRICKY = list("xyz_t09 \t\n\r\x0b\x0c#;,=+-*^()/.$\\\u00b2\u0663\u00bd\u00e9\u4e00\u00a0\u2028\x85")
+
+
+class TestTokenizer:
+    @given(st.text(st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_same_tokens_and_errors_as_the_character_loop(self, text):
+        assert _outcome(tokenize, text) == _outcome(_scan_by_character, text)
+
+    def test_character_classes_match_the_str_methods(self):
+        # on every code point, the scanner's \w and \s are the loop's tests
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(re.findall(r"\w", every)) == "".join(
+            ch for ch in every if ch.isalnum() or ch == "_")
+        assert "".join(re.findall(r"\s", every)) == "".join(filter(str.isspace, every))
+
+    def test_positions(self):
+        tokens = tokenize("ring x;  # note\n  f = x2^3;")
+        assert [(t.type, t.value, t.line, t.column) for t in tokens] == [
+            ("IDENT", "ring", 1, 1), ("IDENT", "x", 1, 6), (";", ";", 1, 7),
+            ("IDENT", "f", 2, 3), ("=", "=", 2, 5), ("IDENT", "x2", 2, 7),
+            ("^", "^", 2, 9), ("INT", "3", 2, 10), (";", ";", 2, 11), ("EOF", "", 2, 12)]
 
 
 class TestExpressions:
