@@ -1,12 +1,14 @@
-"""Monomial orders: lex, grevlex, elimination-block, and the order on
-homogenized polynomials that Lazard's method uses.
+"""Monomial orders: lex, grevlex and elimination-block.
 
 An order is bound to a ring (an ordered tuple of variable names) and
 exposes a ``key`` function on exponent tuples; larger key means larger
 monomial.  All keys are built from the total degree and (reversed,
 negated) exponents, so every order here is multiplicative (u < v
 implies u*w < v*w) and global (1 is the least monomial), as Buchberger,
-normal forms and ``basis.minimal_polynomial`` need.
+normal forms and ``basis.minimal_polynomial`` need.  Lazard's method in
+``basis`` needs no order of its own: it eliminates the homogenizing
+variable, which on homogeneous polynomials ranks the terms of lowest
+degree in the other variables first.
 """
 
 from __future__ import annotations
@@ -47,19 +49,6 @@ class GrevLex(MonomialOrder):
 
 
 @dataclass(frozen=True)
-class Homogenized(MonomialOrder):
-    """Order on (x, h) for Lazard's method: total degree, then the
-    h-exponent, then revlex on x.  On a homogeneous polynomial it picks
-    the term of lowest x-degree, ties broken by revlex on x: the local
-    leading term of the polynomial at h = 1."""
-
-    kind = "homogenized"
-
-    def key(self, exps):
-        return (sum(exps), exps[-1], _revlex_tail(exps[:-1]))
-
-
-@dataclass(frozen=True)
 class Block(MonomialOrder):
     """Elimination order: compare the eliminated block first (grevlex),
     then the kept block.  A standard basis under this order intersected
@@ -81,12 +70,6 @@ def lex(ring):
 
 def grevlex(ring):
     return GrevLex(tuple(ring))
-
-
-def homogenized(ring):
-    """The order for Lazard's method; the last variable of ``ring`` is
-    the homogenizing one."""
-    return Homogenized(tuple(ring))
 
 
 def elimination_order(ring, eliminate):

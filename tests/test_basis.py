@@ -29,7 +29,7 @@ from icis.basis import (
 )
 from icis.errors import BudgetExhaustedError
 from icis.ideals import critical_ideal
-from icis.orders import grevlex, lex
+from icis.orders import elimination_order, grevlex, lex
 from icis.poly import Polynomial
 from icis.problem import parse_expression, parse_problem
 from staircase_oracle import staircase_colength_bruteforce
@@ -189,20 +189,21 @@ class TestNormalForm:
         assert normal_form(member, basis).is_zero()
         assert not normal_form(x + y, basis).is_zero()
 
-    def test_reducer_rows_are_kept_with_the_basis(self):
-        gens = [x**2 - y, y**3 - x * y]
-        basis, fresh = complete_basis(gens, grevlex(R)), complete_basis(gens, grevlex(R))
-        normal_form(x**5 + y**5, basis)
-        rows = basis._reducers
-        g = x**3 * y - 2 * y**4
-        with step_budget() as kept:
-            kept_nf = normal_form(g, basis)
-        with step_budget() as built:
-            built_nf = normal_form(g, fresh)
-        # the second call reuses the rows, with the same result and steps
-        assert basis._reducers is rows
-        assert kept_nf == built_nf
-        assert kept.spent == built.spent > 0
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_are_the_primitive_generators_in_order(self, seed):
+        # normal forms and minimal polynomials reduce by the first row
+        # whose leading monomial divides, so a change in the order of the
+        # rows can change their step counts
+        rng = random.Random(seed)
+        ring = ("x", "y", "z")
+        gens = [Polynomial(ring, {tuple(rng.randint(0, 2) for _ in ring):
+                                  Fraction(rng.choice([-3, -1, 2, 4]), rng.choice([1, 2, 5]))
+                                  for _ in range(rng.randint(2, 4))})
+                for _ in range(rng.randint(2, 3))]
+        for order in (grevlex(ring), elimination_order(ring, ["x"])):
+            sb = complete_basis(gens, order)
+            assert len(sb.rows) == len(sb.generators) > 0
+            assert list(sb.rows) == [_row(_primitive(g), sb.keys) for g in sb.generators]
 
     def test_result_not_divisible_by_leading_monomials(self):
         basis = complete_basis([x**2 + y**2 - 1, x * y - 1], grevlex(R))

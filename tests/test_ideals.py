@@ -256,6 +256,16 @@ class TestUnivariateEliminant:
         assert univariate_eliminant(I, "x") == (xx**2 - 2) ** 2
         assert univariate_eliminant(I, "y") == (yy**2 - 2) ** 2
 
+    @pytest.mark.parametrize("gens, var, expected", [
+        # x lies in the ideal: the normal form of x is zero
+        (["x", "y^2"], "x", "x"),
+        # the normal form of y^3 has content 2 and reduces with scale 3
+        (["6*x^2 - 5*x + 1", "y^2 - 4*x*y"], "y", "y^3 - 10/3*y^2 + 8/3*y"),
+    ], ids=["zero-normal-form", "content-and-scale"])
+    def test_integer_normal_forms(self, gens, var, expected):
+        I = IdealPresentation(R, tuple(parse_expression(g, R) for g in gens))
+        assert univariate_eliminant(I, var) == parse_expression(expected, (var,))
+
     def test_charges_the_active_budget(self):
         I = IdealPresentation(R, ((x**2 - 2) ** 2, y - x))
         I.basis(grevlex(R))
