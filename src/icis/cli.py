@@ -74,9 +74,9 @@ def run_problem(problem):
         lines.append(f"param: {problem.param}")
         data["param"] = problem.param
     for name, polys in sorted(problem.bindings.items()):
-        shown = ", ".join(format_poly(p) for p in polys)
-        lines.append(f"{name}: {shown}")
-        data.setdefault("bindings", {})[name] = [format_poly(p) for p in polys]
+        shown = [format_poly(p) for p in polys]
+        lines.append(f"{name}: {', '.join(shown)}")
+        data.setdefault("bindings", {})[name] = shown
 
     code = EXIT_OK
 
@@ -100,10 +100,10 @@ def run_problem(problem):
         data["mu"] = mu
 
     elif kind == "discriminant":
-        d = discriminant(problem.bindings["phi"])
-        lines.append(f"discriminant: {format_poly(d)}  [reduced eliminant of the "
+        d = format_poly(discriminant(problem.bindings["phi"]))
+        lines.append(f"discriminant: {d}  [reduced eliminant of the "
                      "graph-plus-critical ideal]")
-        data["discriminant"] = format_poly(d)
+        data["discriminant"] = d
 
     elif kind == "generic-line":
         delta = problem.bindings["delta"][0]

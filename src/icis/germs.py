@@ -9,7 +9,7 @@ powers of the equations adjoined)."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
 from math import inf
@@ -44,30 +44,62 @@ MAX_RECOMBINATION_RETRIES = 12
 @dataclass
 class IcisPresentation:
     """Germ (X, 0) in (C^n, 0) cut out by p equations, singular only at
-    the origin.  The isolated-singularity certificate (finite local
-    colength of the equations plus the Jacobian minors) is verified at
-    construction."""
+    the origin.
+
+    Isolation is certified at construction by the Le-Greuel chain of phi
+    itself.  Its last stage <phi_1..phi_(p-1)> + (p x p minors) lies in
+    the singular ideal S = <phi> + (p x p minors), so when every stage has
+    finite local colength, so has S.  Only at the first infinite stage is
+    S's own colength computed, and X is rejected when it is infinite.  The
+    stage generators and the local colengths are kept, per equation tuple
+    (``stage``) and per generator tuple (``local_colength``), so
+    ``icis_milnor`` reads the chain of phi at no further cost."""
 
     ring: tuple
     phi: tuple
+    _stages: dict = field(default_factory=dict, repr=False, compare=False)
+    _colengths: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __init__(self, ring, phi, check=True):
         self.ring = tuple(ring)
         self.phi = tuple(p.in_ring(self.ring) for p in phi)
+        self._stages, self._colengths = {}, {}
         n, p = len(self.ring), len(self.phi)
         if not 1 <= p <= n:
             raise InvalidInputError(f"need 1 <= p <= n, got p={p}, n={n}")
         for f in self.phi:
             if f.constant_term() != 0:
                 raise InvalidInputError(f"{f} does not vanish at the origin")
-        if check and self.singular_colength() == inf:
+        if check and not self._chain_is_finite() and self.singular_colength() == inf:
             raise NonIsolatedError("singular locus is not isolated at the origin")
+
+    def stage(self, eqs):
+        """Generators of the chain stage of ``eqs`` (``chain_stage``),
+        built once per tuple of equations."""
+        eqs = tuple(eqs)
+        hit = self._stages.get(eqs)
+        if hit is None:
+            hit = self._stages[eqs] = chain_stage(self.ring, eqs)
+        return hit
+
+    def local_colength(self, gens):
+        """Local colength of <gens> at the origin, computed once per tuple
+        of generators."""
+        gens = tuple(gens)
+        hit = self._colengths.get(gens)
+        if hit is None:
+            hit = self._colengths[gens] = local_colength(gens, self.ring)
+        return hit
+
+    def _chain_is_finite(self):
+        return all(self.local_colength(self.stage(self.phi[:k])) != inf
+                   for k in range(1, len(self.phi) + 1))
 
     def singular_ideal(self):
         return singular_ideal(self.phi, self.ring)
 
     def singular_colength(self):
-        return local_colength(self.singular_ideal().generators, self.ring)
+        return self.local_colength(self.singular_ideal().generators)
 
     def contains(self, point):
         return all(p.eval(point) == 0 for p in self.phi)
@@ -154,21 +186,31 @@ def _recombine(phi, rng):
     return out
 
 
+def chain_stage(ring, eqs):
+    """Generators of the Le-Greuel chain stage of eqs_1..eqs_k:
+    <eqs_1..eqs_(k-1)> + (k x k minors of their Jacobian in ``ring``)."""
+    *phi, f = eqs
+    return critical_ideal(phi, f, ring).generators
+
+
 def icis_milnor(X, seed=0):
-    """Milnor number of an ICIS: the chain localized at the origin."""
-    return _chain_milnor(list(X.phi), X.ring, lambda gens, _: local_colength(gens, X.ring), seed)
+    """Milnor number of an ICIS: the chain localized at the origin.  The
+    stages of phi itself, with their colengths, are the ones X's isolation
+    check computed (``IcisPresentation``), so only a recombined retry
+    localizes new ideals."""
+    return _chain_milnor(list(X.phi), lambda gens, _: X.local_colength(gens), X.stage, seed)
 
 
 def fiber_milnor_total(phi, ring):
     """Sum of the Milnor numbers of V(phi) at its singular points, which
     must be isolated, over the closure: the chain localized on V(phi)."""
-    return _chain_milnor(list(phi), ring, partial(_fiber_colength, ring))
+    return _chain_milnor(list(phi), partial(_fiber_colength, ring), partial(chain_stage, ring))
 
 
-def _chain_milnor(phi, ring, colength, seed=0):
+def _chain_milnor(phi, colength, stage, seed=0):
     """Le-Greuel chain: mu(X_{k-1}) + mu(X_k) is the colength of
-    <phi_1..phi_{k-1}> + (k x k minors of the Jacobian of phi_1..phi_k),
-    localized by ``colength(gens, [phi_k..phi_p])``, from mu(C^n) = 0.
+    ``stage(phi_1..phi_k)``, localized by ``colength(gens, [phi_k..phi_p])``,
+    from mu(C^n) = 0.
     A stage of infinite colength is retried with seeded random
     recombinations of the equations (the chain holds for a generic choice);
     one equation has no recombination but itself, so it is not retried."""
@@ -180,8 +222,7 @@ def _chain_milnor(phi, ring, colength, seed=0):
         try:
             mu = 0
             for k in range(1, len(eqs) + 1):
-                stage = critical_ideal(eqs[: k - 1], eqs[k - 1], ring)
-                c = colength(list(stage.generators), eqs[k - 1:])
+                c = colength(list(stage(eqs[:k])), eqs[k - 1:])
                 if c == inf:
                     raise GenericityError(f"infinite colength at chain stage {k}")
                 mu = c - mu

@@ -58,10 +58,16 @@ class Block(MonomialOrder):
     keep: tuple[int, ...] = ()
     kind = "block"
 
+    def __post_init__(self):
+        # each block's positions last to first, so a key reads its revlex
+        # tail in one pass; not a field, so equality and hashing ignore it
+        object.__setattr__(self, "_reversed", (self.eliminate[::-1], self.keep[::-1]))
+
     def key(self, exps):
-        elim = tuple(exps[i] for i in self.eliminate)
-        kept = tuple(exps[i] for i in self.keep)
-        return ((sum(elim), _revlex_tail(elim)), (sum(kept), _revlex_tail(kept)))
+        elim_rev, keep_rev = self._reversed
+        elim = tuple([-exps[i] for i in elim_rev])
+        kept = tuple([-exps[i] for i in keep_rev])
+        return (-sum(elim), elim, -sum(kept), kept)
 
 
 def lex(ring):

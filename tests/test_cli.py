@@ -68,6 +68,9 @@ INVALID_INPUTS = {
         "kind family-analyze;\n",
 }
 
+# a double surface: ROADMAP's non-reduced germ
+NON_REDUCED = "(x^2 - y^3 + z^5)^2*(x + y^2 + z^3)"
+
 # a space family whose one singular point moves with t: the cusp at (t, 0)
 MOVING_CUSP = _CUSP_FAMILY + "phi = y^2 - (x - t)^3;\n"
 
@@ -307,6 +310,24 @@ class TestExitCodes:
         assert code == 3
         assert code_fragment in err
 
+    # non-isolated ICIS, each held to the steps it spends: the stages of
+    # its Milnor chain up to the first infinite one, then the singular
+    # ideal's colength, which is infinite
+    @pytest.mark.parametrize("ring, phi, steps", [
+        ("x, y, z", "x*y", 16),
+        ("w, x, y, z", "w^2 + x^3 + y*z, x*y", 410),
+        ("x, y, z", "x^2 + y^3 + z^4, (x + y + z)^2*x", 5989),
+        ("w, x, y, z", f"w, {NON_REDUCED}", 10294),
+        ("w, x, y, z", f"{NON_REDUCED}, w", 21667),
+        ("x, y, z", NON_REDUCED, 44102),
+    ])
+    def test_non_isolated_icis_is_3(self, tmp_path, capsys, ring, phi, steps):
+        path = tmp_path / "x.icis"
+        path.write_text(f"ring {ring};\nphi = {phi};\nkind icis-milnor;\n")
+        code, out, err = run_cli("run", str(path), "--budget", str(steps), capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == "error[non-isolated]: singular locus is not isolated at the origin\n"
+
     def test_budget_exhaustion_is_4(self, tmp_path, capsys):
         f = tmp_path / "b.icis"
         f.write_text(
@@ -366,10 +387,11 @@ class TestSinglePass:
             "function_on_icis_milnor": 1,
         }
         assert len(radical_tests) == 3
-        # the base's isolation check, mu0, one per sample report and the
-        # base's Milnor chain; the splitting totals reuse mu0 and the
-        # reports (Le-Greuel), so no generator set is localized twice
-        assert len(colengths) == 5
+        # the base's Milnor chain, which its isolation check computes and
+        # the splitting check reads, mu0 and one per sample report; the
+        # splitting totals reuse mu0 and the reports (Le-Greuel), so no
+        # generator set is localized twice
+        assert len(colengths) == 4
         assert len(set(colengths)) == len(colengths)
 
     def test_certificate_is_computed_when_read(self, monkeypatch, capsys):
@@ -515,7 +537,7 @@ def test_readme_library_example_runs(capsys):
                 for b in README.read_text(encoding="utf-8").split("```python\n")[1:]]
     exec(compile(block, "README.md", "exec"), {})
     mu, spent, values, certificate = capsys.readouterr().out.splitlines()
-    assert mu == "4"
+    assert mu == "3"
     assert int(spent) > 0
     assert values == "4 False False False"
     assert certificate == "True"

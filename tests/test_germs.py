@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
@@ -25,6 +27,7 @@ from icis.germs import (
     multiplicity,
     translate,
 )
+from icis.ideals import singular_ideal
 from icis.orders import grevlex
 from icis.poly import Polynomial
 
@@ -85,10 +88,11 @@ class TestHypersurfaceMilnor:
 
 
 class TestHardCases:
-    """The hard cases of the local colength engine, each held to the
-    steps the truncation spent when it built every row x^a*g.  Skipping
-    the rows an earlier generator's local leading monomial divides cut
-    them to about a third."""
+    """The hard cases of the local colength engine.  The two hypersurfaces
+    are held to the steps the truncation spent when it built every row
+    x^a*g; skipping the rows an earlier generator's local leading monomial
+    divides cut them to about a third.  The ICIS is held to the steps of
+    its Milnor chain alone, which also certifies its isolation."""
 
     def test_non_reduced_germ_is_non_isolated(self):
         # no truncation stabilizes; Lazard's method decides it on a loan
@@ -97,9 +101,11 @@ class TestHardCases:
             hypersurface_milnor(f)
 
     def test_four_variable_icis(self):
-        X = IcisPresentation(R4, (w4**3 + x4**4 + y4 * z4 + x4 * y4 * z4,
-                                  x4 * y4 + z4**4 + w4**4 + w4 * x4 * z4 - y4**3))
-        with step_budget(62_505):
+        # the isolation check computes the chain that icis_milnor reads,
+        # so X is built inside the block
+        with step_budget(6_194):
+            X = IcisPresentation(R4, (w4**3 + x4**4 + y4 * z4 + x4 * y4 * z4,
+                                      x4 * y4 + z4**4 + w4**4 + w4 * x4 * z4 - y4**3))
             assert icis_milnor(X) == 33
 
     def test_perturbed_four_variable_brieskorn(self):
@@ -183,6 +189,87 @@ class TestIcisMilnor:
         with pytest.raises(GenericityError):
             icis_milnor(IcisPresentation(R, (x**2,), check=False))
         assert len(calls) == 1
+
+
+def _random_germ(rng, ring):
+    """Some quadratic monomials and up to three cubic ones, with small
+    coefficients; now and then times the square of a variable, which
+    makes V(g) singular along a hypersurface."""
+    n = len(ring)
+    quadratic = [tuple((i == a) + (i == b) for i in range(n))
+                 for a in range(n) for b in range(a, n)]
+    terms = {e: rng.choice([-2, -1, 1, 1, 2, 3])
+             for e in rng.sample(quadratic, rng.randint(1, len(quadratic)))}
+    for _ in range(rng.randint(0, 3)):
+        e = tuple(rng.randint(0, 3) for _ in ring)
+        if sum(e) == 3:
+            terms[e] = rng.choice([-2, -1, 1, 1, 2, 3])
+    g = Polynomial(ring, terms)
+    if rng.random() < 0.25:
+        v = Polynomial.variable(ring, rng.choice(ring))
+        g = g * v * v
+    return g
+
+
+def _random_icis(seed):
+    """p = 1 or 2 equations in 2 to 4 variables."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    ring = R4[4 - n:]
+    return ring, tuple(_random_germ(rng, ring) for _ in range(rng.randint(1, 2)))
+
+
+class TestIsolationCertificate:
+    """``IcisPresentation`` rejects X exactly when the local colength of
+    its singular ideal is infinite, though it computes that colength only
+    after an infinite stage of X's own Milnor chain."""
+
+    CASES = [_random_icis(seed) for seed in range(40)] + [
+        (R, (x**2, y**2)),  # stage 1, <2x>, is infinite; X is a point
+        (R3, (x3 * y3,)),
+    ]
+
+    def test_cases_hold_both_outcomes(self):
+        # each of p = 1, 2 in each of 2, 3, 4 variables, isolated or not
+        outcomes = {(len(ring), len(phi),
+                     local_colength(singular_ideal(phi, ring).generators, ring) == inf)
+                    for ring, phi in self.CASES}
+        assert len(outcomes) == 12
+
+    @pytest.mark.parametrize("ring, phi", CASES)
+    def test_rejected_iff_singular_colength_is_infinite(self, ring, phi):
+        oracle = local_colength(singular_ideal(phi, ring).generators, ring)
+        if oracle == inf:
+            with pytest.raises(NonIsolatedError,
+                               match="^singular locus is not isolated at the origin$"):
+                IcisPresentation(ring, phi)
+        else:
+            IcisPresentation(ring, phi)
+
+    def test_isolated_input_never_localizes_its_singular_ideal(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            germs, "local_colength",
+            lambda gens, ring: calls.append(tuple(gens)) or local_colength(gens, ring),
+        )
+        X = IcisPresentation(R3, (x3**2 + y3**2 + z3**2, x3 * y3))
+        assert X.singular_ideal().generators not in calls
+        # the two stages of the chain, which icis_milnor reads again
+        assert len(calls) == 2
+        assert icis_milnor(X) == 5
+        assert len(calls) == 2
+
+    def test_infinite_stage_falls_back_to_the_singular_ideal(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            germs, "local_colength",
+            lambda gens, ring: calls.append(tuple(gens)) or local_colength(gens, ring),
+        )
+        X = IcisPresentation(R, (x**2, y**2))
+        assert calls == [(2 * x,), X.singular_ideal().generators]
+        # attempt 0 is read from the memo; the recombined retries are new
+        assert icis_milnor(X) == 3
+        assert calls.count((2 * x,)) == 1
 
 
 class TestFiberMilnorTotal:

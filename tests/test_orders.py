@@ -125,3 +125,29 @@ def test_kind_is_fixed_by_the_class():
     assert grevlex(R).kind == "grevlex"
     assert grevlex(R) != lex(R)
     assert elimination_order(R, ("x",)) == elimination_order(R, ("x",))
+
+
+def _nested_block_key(order, exps):
+    """The block key as nested tuples built by generator expressions: the
+    eliminated block's degree and revlex tail, then the kept block's."""
+    elim = tuple(exps[i] for i in order.eliminate)
+    kept = tuple(exps[i] for i in order.keep)
+    return ((sum(elim), tuple(-e for e in reversed(elim))),
+            (sum(kept), tuple(-e for e in reversed(kept))))
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.sets(st.integers(0, n - 1)),
+    st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=2, max_size=12),
+)))
+@settings(max_examples=300, deadline=None)
+def test_block_key_orders_as_the_nested_key(case):
+    eliminate, vectors = case
+    ring = tuple(f"x{i}" for i in range(len(vectors[0])))
+    order = elimination_order(ring, [ring[i] for i in eliminate])
+    def ranks(key):
+        # the position of each vector in the sorted list, ties sharing one
+        keys = sorted({key(v) for v in vectors})
+        return [keys.index(key(v)) for v in vectors]
+
+    assert ranks(order.key) == ranks(lambda v: _nested_block_key(order, v))
