@@ -25,11 +25,20 @@ stabilize.  It completes the homogenized generators under the
 elimination order of the homogenizing variable and reads the local
 staircase off the leading monomials, so no local order is needed.
 Both the truncation and ``minimal_polynomial`` eliminate integer rows
-with one kernel, ``_eliminate``.  The truncation skips the rows
-that the Koszul criterion (Faugere's F5, 2002) shows dependent: x^a*g_j
-when an earlier generator's local leading monomial divides x^a.  Of the
-889 rows that reduced to zero on the hard 4-variable ICIS of
-``tests/test_germs.py``, 281 are left.
+with one kernel, ``_eliminate``, which reduces a row in place.  The
+truncation skips the rows that the Koszul criterion (Faugere's F5, 2002)
+shows dependent: x^a*g_j when an earlier generator's local leading
+monomial divides x^a.  Of the 889 rows that reduced to zero on the hard
+4-variable ICIS of ``tests/test_germs.py``, 281 are left.
+
+When the generators' local leading monomials LL_j are pairwise coprime,
+the generators are already a local standard basis (Greuel-Pfister,
+section 1.7), and ``local_colength`` counts the staircase of <LL>
+without truncating.  This is the limit of the Koszul cut: a kept row
+x^a*g_j has lowest column x^a*LL_j, and if x^a*LL_j = x^b*LL_k with
+j < k, coprimality gives LL_j | x^b, so the cut already dropped
+x^b*g_k.  So every kept row is a pivot, and for every K the truncation
+counts the standard monomials of <LL> below each degree.
 
 Every reduction step and row elimination counts against a step budget:
 running out raises ``BudgetExhaustedError``, it never returns a
@@ -49,7 +58,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from math import comb, gcd, inf, lcm, prod
-from operator import le, sub
+from operator import itemgetter, le, sub
 
 from .errors import BudgetExhaustedError, NonIsolatedError
 from .orders import elimination_order
@@ -61,13 +70,15 @@ DEFAULT_BUDGET = 10**6
 # that stabilized had 680 columns.
 MONOMIAL_CAP = 5000
 # A step of Lazard's method (an integer reduction step of Buchberger) took
-# about 8 times as long as a row elimination of local_colength: 46.5
-# against 5.2 us on a 2-core Xeon, over the 219 local_colength calls of
-# the perfbench germs (2 rounds), families (1 round) and hard_germs (8
-# rounds) corpora, seed 1; per-call quartiles 3.4 / 5.7 / 8.9.  Lazard's
-# loans are counted in its own steps.  With ratios from 4 to 8 the hard
-# cases of tests/test_germs.py take 37,330-37,650, 20,423-20,527 and
-# 1,704-1,859 steps.
+# about 8 times as long as a row elimination of local_colength under the
+# in-place kernel: 55-61 against 6.8-8.2 us on a 2-core Xeon (two runs),
+# over the 104 of the 190 local_colength calls of the perfbench germs
+# (2 rounds), families (1 round) and hard_germs (8 rounds) corpora, seed
+# 1, that the coprime-staircase certificate leaves to the truncation;
+# per-call quartiles 4.0 / 7.3 / 10.8.  Lazard's loans are counted in its
+# own steps.  With ratios from 4 to 8 the hard cases of
+# tests/test_germs.py take 37,330-37,650, 6,194-6,236 and 1,704-1,859
+# steps, the fewest at 8.
 LAZARD_STEP_RATIO = 8
 
 
@@ -476,9 +487,28 @@ def local_colength(gens, ring):
     long in time.  A loan of no steps is tried only after a truncation
     without eliminations: it settles ideals such as <x> in two variables,
     which need no reduction.  Past ``MONOMIAL_CAP`` columns Lazard's
-    method gets the whole budget."""
+    method gets the whole budget.
+
+    Before any truncation, the generators' local leading monomials LL_j
+    (each the least term in degree, then reversed exponents: the
+    truncation's lowest column) are checked for being pairwise coprime.
+    If they are, the colength is that of the monomial ideal <LL>
+    (``_staircase_colength``), which is what every truncation converges
+    to, and no step is spent.  Proof: a kept row x^a*g_j has lowest
+    column x^a*LL_j.  If x^a*LL_j = x^b*LL_k with j < k, coprimality
+    gives LL_j | x^b, so the Koszul cut already dropped x^b*g_k.  Hence
+    every kept row is a pivot.  A monomial x^c of <LL> is x^a*LL_j for
+    the least j with LL_j | x^c, and no earlier LL_i divides x^a, so that
+    row is kept: the pivots are the monomials of <LL>, and c_k counts the
+    standard monomials of <LL> below degree k, for every K.  So c_k
+    stabilizes at the count of <LL> when it has a pure power of every
+    variable; when one is missing (and 1 is not in <LL>), c_k >= k for
+    all k and I is not m-primary."""
     ring = tuple(ring)
     n = len(ring)
+    leads = _coprime_local_leads(g.terms for g in gens if not g.is_zero())
+    if leads is not None:
+        return _staircase_colength(leads, n)
     int_gens = [_primitive(g) for g in gens if not g.is_zero()]
     budget = _current_budget()
     K = max((min(map(sum, g)) for g in int_gens), default=0) + 3
@@ -496,6 +526,26 @@ def local_colength(gens, ring):
                 pass
         K += K // 2
     return _lazard_colength(gens, ring, budget)
+
+
+def _local_key(e):
+    """Local order of the truncation's columns: degree, then the code
+    sum e_i*K^i, which orders like the reversed exponent tuple."""
+    return sum(e), e[::-1]
+
+
+def _coprime_local_leads(term_dicts):
+    """The local leading monomials of the term dicts when they are
+    pairwise coprime (1 is coprime to every monomial), else None."""
+    leads, seen = [], 0
+    for terms in term_dicts:
+        lead = min(terms, key=_local_key)
+        m = _mask(lead)
+        if m & seen:
+            return None
+        seen |= m
+        leads.append(lead)
+    return leads
 
 
 def _lazard_colength(gens, ring, budget):
@@ -571,19 +621,24 @@ def _truncated_colength(int_gens, n, K, budget):
     found = 0  # pivots of degree < d
     for d, codes in enumerate(by_degree):
         rows = []
-        for j, (order, _, terms) in enumerate(coded):
+        for j, (order, lead, terms) in enumerate(coded):
             if order <= d:
                 # x^a*g_j with |a| = m, truncated below degree K; the
                 # Koszul cut skips the a that an earlier generator's
                 # local leading monomial divides
                 m = d - order
-                skip = {lead + b for o, lead, _ in coded[:j] if o <= m for b in by_degree[m - o]}
+                skip = {ll + b for o, ll, _ in coded[:j] if o <= m for b in by_degree[m - o]}
                 kept = [(code, c) for deg, code, c in terms if deg + m < K]
-                rows += ({index[a + code]: c for code, c in kept}
+                rows += ((index[a + lead], {index[a + code]: c for code, c in kept})
                          for a in by_degree[m] if a not in skip)
-        rows.sort(key=min)
-        for row in rows:
-            _eliminate(row, pivots, budget)
+        # the lowest column of x^a*g_j is that of x^a*LL_j; a row whose
+        # lowest column is free is a pivot as it stands
+        rows.sort(key=itemgetter(0))
+        for lowest, row in rows:
+            if lowest in pivots:
+                _eliminate(row, pivots, budget)
+            else:
+                pivots[lowest] = row
         end = below + len(codes)
         at_d = sum(1 for j in range(below, end) if j in pivots)
         if at_d == len(codes):
@@ -593,9 +648,12 @@ def _truncated_colength(int_gens, n, K, budget):
 
 
 def _eliminate(row, pivots, budget):
-    """Reduce an integer row by the pivot rows, each keyed by its lowest
-    column, and keep what is left as a new pivot row; returns that row,
-    or None when the row reduces to zero."""
+    """Reduce an integer row in place by the pivot rows, each keyed by
+    its lowest column, and keep what is left as a new pivot row; returns
+    that row, or None when the row reduces to zero.  A step clears the
+    lowest column as a*row - b*pivot, a and b the pivot's and the row's
+    coefficients there over their gcd, and divides by the content; the
+    row is scaled only when a is not 1."""
     while row:
         lead = min(row)
         piv = pivots.get(lead)
@@ -606,15 +664,18 @@ def _eliminate(row, pivots, budget):
         a, b = piv[lead], row[lead]
         g = gcd(a, b)
         a, b = a // g, b // g
-        new = {j: a * v for j, v in row.items()}
+        if a != 1:
+            for j in row:
+                row[j] *= a
         for j, v in piv.items():
-            w = new.get(j, 0) - b * v
+            w = row.get(j, 0) - b * v
             if w:
-                new[j] = w
+                row[j] = w
             else:
-                del new[j]
-        if new:
-            g = gcd(*new.values())
+                del row[j]
+        if row:
+            g = gcd(*row.values())
             if g != 1:
-                new = {j: v // g for j, v in new.items()}
-        row = new
+                for j in row:
+                    row[j] //= g
+    return None

@@ -41,7 +41,9 @@ nonzero.  Example::
 
 Every syntax or binding error carries the line/column of the offending
 token and a machine-readable code.  Expressions are expanded as they are
-parsed; a product or power that would take more than
+parsed, into term dicts with the multiply-accumulate kernel of
+``poly._add_shifted``, and each expression becomes one ``Polynomial``
+at its end.  A product or power that would take more than
 ``MAX_PRODUCT_TERMS`` term products is refused at its operator.  A power
 of one term is written down directly, without products.  A number that
 no report could print, one with more digits than the interpreter
@@ -65,7 +67,7 @@ from .errors import (
     UnboundNameError,
 )
 from .families import DEFAULT_SAMPLES
-from .poly import Polynomial
+from .poly import Polynomial, _add_shifted
 
 # Term products allowed in one product or power step of a parsed
 # expression; (x + y + z)^64 would need 314,721 in its last squaring.
@@ -329,36 +331,41 @@ class _Parser:
         return Fraction(sign * num, den)
 
     def polynomial(self, ring):
-        """An expr, refused at its first token when it has a number that
-        cannot be printed (``printable``)."""
+        """An expr as a Polynomial, refused at its first token when it
+        has a number that cannot be printed (``printable``)."""
         tok = self.peek()
-        return self.printable(self.expr(ring), tok)
+        return Polynomial(ring, self.printable(self.expr(ring), tok))
 
-    def printable(self, poly, tok):
-        """poly, refused at ``tok`` when the numerator or denominator of
-        a coefficient, or an exponent, has more digits than the
-        interpreter converts to text (``sys.get_int_max_str_digits``):
-        no report could print it."""
+    def printable(self, terms, tok):
+        """The term dict ``terms``, refused at ``tok`` when the numerator
+        or denominator of a coefficient, or an exponent, has more digits
+        than the interpreter converts to text
+        (``sys.get_int_max_str_digits``): no report could print it."""
         bound = _digit_bound()
         if bound and any(abs(c.numerator) >= bound or c.denominator >= bound
-                         or max(e, default=0) >= bound for e, c in poly.terms.items()):
+                         or max(e, default=0) >= bound for e, c in terms.items()):
             self.too_long(tok)
-        return poly
+        return terms
 
     def too_long(self, tok):
         raise ProblemSyntaxError(
             f"expansion has a number of more than {sys.get_int_max_str_digits()} digits",
             tok.line, tok.column)
 
+    # expr, product, atom and factor expand into term dicts
+    # {exponents: Fraction} with no zero coefficient
+
     def expr(self, ring):
-        sign = -1 if self.peek().type == "-" else 1
+        negate = self.peek().type == "-"
         if self.peek().type in ("+", "-"):
             self.take()
-        result = self.product(ring) * sign
+        result = self.product(ring)
+        if negate:
+            result = {e: -c for e, c in result.items()}
+        zero = (0,) * len(ring)
         while self.peek().type in ("+", "-"):
-            op = self.take().type
-            rhs = self.product(ring)
-            result = result + rhs if op == "+" else result - rhs
+            sign = 1 if self.take().type == "+" else -1
+            _add_shifted(result, self.product(ring).items(), zero, sign)
         return result
 
     def product(self, ring):
@@ -376,17 +383,21 @@ class _Parser:
     def multiply(self, a, b, tok):
         """a * b, refused at ``tok`` when it would take more than
         MAX_PRODUCT_TERMS term products: expanding is not budgeted."""
-        if len(a.terms) * len(b.terms) > MAX_PRODUCT_TERMS:
+        if len(a) * len(b) > MAX_PRODUCT_TERMS:
             raise ExpansionTooLargeError(
                 f"expansion needs more than {MAX_PRODUCT_TERMS} term products",
                 tok.line,
                 tok.column,
             )
-        return a * b
+        product = {}
+        for e, c in a.items():
+            _add_shifted(product, b.items(), e, c)
+        return product
 
     def atom(self, ring):
         if self.peek().type == "INT":
-            return Polynomial.constant(ring, self.rational())
+            c = self.rational()
+            return {(0,) * len(ring): c} if c else {}
         return self.factor(ring)
 
     def factor(self, ring):
@@ -398,7 +409,7 @@ class _Parser:
                     tok.line,
                     tok.column,
                 )
-            base = Polynomial.variable(ring, tok.value)
+            base = {tuple(int(v == tok.value) for v in ring): Fraction(1)}
         elif self.accept("("):
             base = self.expr(ring)
             self.expect(")")
@@ -408,17 +419,17 @@ class _Parser:
         if not self.accept("^"):
             return base
         k = self.integer("integer exponent")
-        if len(base.terms) == 1:
+        if len(base) == 1:
             # one term: (c*x^e)^k = c^k*x^(k*e), no products
-            ((e, c),) = base.terms.items()
+            ((e, c),) = base.items()
             bound = _digit_bound()
             if bound and any(k * (abs(n).bit_length() - 1) >= bound.bit_length()
                              for n in (c.numerator, c.denominator)):
                 # |n|^k >= 2^(k*(bits - 1)) > bound: refused before it is computed
                 self.too_long(tok)
-            return self.printable(Polynomial.monomial(ring, [k * x for x in e], c**k), tok)
+            return self.printable({tuple(k * x for x in e): c**k}, tok)
         # square-and-multiply, each product checked
-        result = Polynomial.constant(ring, 1)
+        result = {(0,) * len(ring): Fraction(1)}
         while k:
             if k & 1:
                 result = self.multiply(result, base, tok)

@@ -1,7 +1,7 @@
 import random
 from collections import defaultdict
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, prod
 from operator import add
 from pathlib import Path
 
@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from icis.basis import (
     _Budget,
     _divides,
+    _eliminate,
     _Keys,
     _lazard_colength,
     _mask,
@@ -23,6 +24,7 @@ from icis.basis import (
     colength,
     complete_basis,
     local_colength,
+    minimal_polynomial,
     normal_form,
     staircase,
     step_budget,
@@ -399,6 +401,131 @@ class TestTruncationOracle:
         assert first_stable_colength([(x - x**2).terms, y.terms], 2, 4) == 1
         assert first_stable_colength([(x**2 - y**3).terms], 2, 10) is None
         assert truncated_colength([(x**2).terms, (x * y).terms], 2, 4) == 5
+
+
+@st.composite
+def _coprime_lead_ideals(draw):
+    """(n, ring, generators, degree, mu): ideals in 2 to 4 variables
+    whose local leading monomials (least degree first) are pairwise
+    coprime, with c_k = mu for every k >= degree.  Each generator is
+    c*x_i^a plus a random tail of higher degree; the shape adds a
+    generator with a constant term (mu = 0), or leaves a pure power out,
+    or merges two into x_i*x_j (mu = inf).  The control shape is the
+    partials of T_pqr, whose leading monomials yz, xz, xy are not
+    coprime: mu = p + q + r - 1, stable from degree max(p, q, r) + 1."""
+    shape = draw(st.sampled_from(["finite", "unit", "missing", "merged", "tpqr"]))
+    if shape == "tpqr":
+        ring = ("x", "y", "z")
+        x, y, z = (Polynomial.variable(ring, v) for v in ring)
+        p, q, r = draw(st.lists(st.integers(4, 5), min_size=3, max_size=3))
+        f = x**p + y**q + z**r + x * y * z
+        return 3, ring, [f.diff(v) for v in ring], max(p, q, r) + 1, p + q + r - 1
+    n = draw(st.integers(2, 4))
+    ring = ("w", "x", "y", "z")[:n]
+    powers = draw(st.lists(st.integers(1, 6 - n), min_size=n, max_size=n))
+    coefficient = st.integers(-3, 3).filter(bool)
+    terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), coefficient), max_size=3)
+
+    def tail(order):
+        return {e: c for e, c in draw(terms) if sum(e) > order}
+
+    leads = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
+    mu = prod(powers)
+    if shape in ("missing", "merged"):
+        # no leading monomial is a pure power of x_j
+        i, j = draw(st.permutations(range(n)))[:2]
+        if shape == "missing":
+            del leads[j]
+        else:
+            leads = [m for k, m in enumerate(leads) if k not in (i, j)]
+            leads.append(tuple(int(k in (i, j)) for k in range(n)))
+        mu = inf
+    gens = [Polynomial(ring, {**tail(sum(m)), m: draw(coefficient)}) for m in leads]
+    if shape == "unit":
+        gens.append(Polynomial(ring, {**tail(0), (0,) * n: draw(coefficient)}))
+        mu = 0
+    return n, ring, draw(st.permutations(gens)), sum(powers) - n + 1, mu
+
+
+class TestCoprimeLeadCertificate:
+    """``local_colength`` of ideals whose local leading monomials are
+    pairwise coprime, read off those monomials, against the dense rank
+    of ``truncation_oracle``."""
+
+    @given(_coprime_lead_ideals())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_dense_rank_past_the_staircase(self, case):
+        n, ring, gens, degree, mu = case
+        terms = [g.terms for g in gens]
+        assert local_colength(gens, ring) == mu
+        if mu == inf:
+            assert first_stable_colength(terms, n, degree + 1) is None
+        else:
+            assert truncated_colength(terms, n, degree) == mu
+            assert truncated_colength(terms, n, degree + 1) == mu
+
+    def test_spends_no_steps(self):
+        R3 = ("x", "y", "z")
+        for text in ["-7*x^3 + y^4 + 6*z^5", "x^3 + y^4 + z^5 + x^2*y^2*z^2"]:
+            f = parse_expression(text, R3)
+            with step_budget(0):
+                assert local_colength([f.diff(v) for v in R3], R3) == 24
+
+
+def _copying_eliminate(row, pivots, budget):
+    """The elimination kernel as it was before it reduced in place: a
+    new row at every step.  The reference for ``_eliminate``."""
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            pivots[lead] = row
+            return row
+        budget.step()
+        a, b = piv[lead], row[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        new = {j: a * v for j, v in row.items()}
+        for j, v in piv.items():
+            w = new.get(j, 0) - b * v
+            if w:
+                new[j] = w
+            else:
+                del new[j]
+        if new:
+            g = gcd(*new.values())
+            if g != 1:
+                new = {j: v // g for j, v in new.items()}
+        row = new
+
+
+class TestEliminationKernel:
+    """``_eliminate`` reduces its row in place, with the same rows,
+    pivots and steps as the copying kernel."""
+
+    @given(st.lists(st.dictionaries(st.integers(0, 8), st.integers(-6, 6).filter(bool),
+                                    min_size=1, max_size=5), max_size=14))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_copying_kernel(self, rows):
+        pivots, reference = {}, {}
+        # each row meets each of the 9 columns' pivots at most once
+        budget, reference_budget = _Budget(9 * 14), _Budget(9 * 14)
+        for row in rows:
+            expected = _copying_eliminate(dict(row), reference, reference_budget)
+            assert _eliminate(dict(row), pivots, budget) == expected
+        assert pivots == reference
+        assert budget.spent == reference_budget.spent
+
+    @pytest.mark.parametrize("gens, var, expected, steps", [
+        (["x", "y^2"], "x", "x", 1),
+        (["6*x^2 - 5*x + 1", "y^2 - 4*x*y"], "y", "y^3 - 10/3*y^2 + 8/3*y", 3),
+    ], ids=["zero-normal-form", "content-and-scale"])
+    def test_minimal_polynomials_do_not_move(self, gens, var, expected, steps):
+        # the cases of test_ideals.py's test_integer_normal_forms
+        sb = complete_basis([parse_expression(g, R) for g in gens], grevlex(R))
+        with step_budget() as budget:
+            assert minimal_polynomial(sb, var) == parse_expression(expected, (var,))
+        assert budget.spent == steps
 
 
 def lazard_colength(gens, ring):
