@@ -155,7 +155,6 @@ class StandardBasis:
     leading_monomials: tuple
     rows: tuple = field(repr=False, compare=False)
     keys: object = field(repr=False, compare=False)
-    completed: bool = False
     steps_used: int = 0
 
     @property
@@ -271,8 +270,6 @@ def _reduce_global(h, reducers, keys, budget):
 def normal_form(f, sb):
     """Normal form of f against a completed basis; zero iff f lies in
     the ideal."""
-    if not sb.completed:
-        raise ValueError("normal form requires a completed basis")
     if f.is_zero() or not sb.generators:
         return f
     ints = _primitive(f)
@@ -297,8 +294,6 @@ def minimal_polynomial(sb, var):
     The first kept row whose lowest column is a tag has eliminated its
     monomials: its tag entries over the powers' factors are the
     coefficients of the dependency, which comes within dim + 1 powers."""
-    if not sb.completed:
-        raise ValueError("minimal polynomial requires a completed basis")
     dim = colength(sb)
     if dim == inf:
         raise NonIsolatedError("the minimal polynomial needs a zero-dimensional ideal")
@@ -345,7 +340,7 @@ def complete_basis(generators, order):
     rows = tuple(rows[m] for m in lms)
     generators = tuple(Polynomial(order.ring, {lm: 1, **{e: Fraction(c, lc) for e, c in tail}})
                        for lm, lc, tail, _ in rows)
-    return StandardBasis(order, generators, tuple(lms), rows, keys, True, budget.spent - start)
+    return StandardBasis(order, generators, tuple(lms), rows, keys, budget.spent - start)
 
 
 def _buchberger(generators, keys, budget):
@@ -431,8 +426,6 @@ def colength(sb):
     """Number of standard monomials (monomials outside the leading
     ideal); the vector-space dimension of the quotient.  +inf when the
     quotient is infinite-dimensional."""
-    if not sb.completed:
-        raise ValueError("requires a completed basis")
     return _staircase_colength(sb.leading_monomials, len(sb.ring))
 
 

@@ -44,7 +44,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import inf
 
-from .basis import local_colength
 from .errors import InvalidInputError, NonIsolatedError
 from .germs import (
     GermFunction,
@@ -324,7 +323,7 @@ def critical_locus_report(fam, t0):
     total = I.colength(grevlex(fam.x_ring))
     if total == inf:
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
-    local = local_colength(I.generators, fam.x_ring)
+    local = I.local_colength()
     distinct = distinct_point_count(I)
     return CriticalLocusReport(t0, total, local, distinct, I)
 
@@ -428,7 +427,7 @@ def _splitting_sample(fam, t0, sing, origin_total=None):
             total = origin_total
         else:
             # sing is zero-dimensional, so the moved point is isolated
-            total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point), check=False))
+            total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point)))
     else:
         total = fiber_milnor_total(eqs, x_ring)
     return SplittingSample(t0, count, total, point)

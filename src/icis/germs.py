@@ -4,13 +4,14 @@ and of functions on them; discriminants, multiplicity and the
 generic-line test.  The Le-Greuel chain is localized at the origin
 (``icis_milnor``: local colengths) or on the fiber V(phi), summing its
 singular points (``fiber_milnor_total``: global colengths with rising
-powers of the equations adjoined)."""
+powers of the equations adjoined).  An ICIS keeps its chain stages, each
+an ``IdealPresentation`` caching its local colength: its isolation check
+fills them and ``icis_milnor`` reads them."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from fractions import Fraction
 from math import inf
 
@@ -47,66 +48,59 @@ class IcisPresentation:
     the origin.
 
     Isolation is certified at construction by the Le-Greuel chain of phi
-    itself.  Its last stage <phi_1..phi_(p-1)> + (p x p minors) lies in
-    the singular ideal S = <phi> + (p x p minors), so when every stage has
-    finite local colength, so has S.  Only at the first infinite stage is
-    S's own colength computed, and X is rejected when it is infinite.  The
-    stage generators and the local colengths are kept, per equation tuple
-    (``stage``) and per generator tuple (``local_colength``), so
+    itself.  Stage k is the critical ideal of phi_k on X_(k-1) =
+    V(phi_1..phi_(k-1)): <phi_1..phi_(k-1)> + (k x k minors).  Stage p
+    lies in the singular ideal S = <phi> + (p x p minors), so when every
+    stage has finite local colength, so has S.
+
+    When stages 1..p-1 are finite and stage p is infinite, X is not
+    isolated, and S is not localized.  Proof: by curve selection (Milnor
+    1968, section 3) some curve through 0 lies in V(stage p).  Stage p-1
+    is finite, so the (p-1) x (p-1) minors of phi_1..phi_(p-1) vanish on
+    X_(p-1) only at 0 (for p = 1, X_0 is C^n): away from 0 the curve lies
+    in the smooth part of X_(p-1).  There the p x p minors vanish, so
+    each point of the curve is a critical point of phi_p on X_(p-1), and
+    phi_p is constant, hence 0, along it.  So the curve lies in X, and X
+    is singular along it.  Only when the first infinite stage comes
+    before the last is S's own colength computed, and X is rejected when
+    it is infinite.  The stages keep their colengths (``stage``), so
     ``icis_milnor`` reads the chain of phi at no further cost."""
 
     ring: tuple
     phi: tuple
     _stages: dict = field(default_factory=dict, repr=False, compare=False)
-    _colengths: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __init__(self, ring, phi, check=True):
+    def __init__(self, ring, phi):
         self.ring = tuple(ring)
         self.phi = tuple(p.in_ring(self.ring) for p in phi)
-        self._stages, self._colengths = {}, {}
+        self._stages = {}
         n, p = len(self.ring), len(self.phi)
         if not 1 <= p <= n:
             raise InvalidInputError(f"need 1 <= p <= n, got p={p}, n={n}")
         for f in self.phi:
             if f.constant_term() != 0:
                 raise InvalidInputError(f"{f} does not vanish at the origin")
-        if check and not self._chain_is_finite() and self.singular_colength() == inf:
+        k = next((k for k in range(1, p + 1)
+                  if self.stage(self.phi[:k]).local_colength() == inf), None)
+        if k is not None and (
+                k == p or singular_ideal(self.phi, self.ring).local_colength() == inf):
             raise NonIsolatedError("singular locus is not isolated at the origin")
 
     def stage(self, eqs):
-        """Generators of the chain stage of ``eqs`` (``chain_stage``),
-        built once per tuple of equations."""
+        """The Le-Greuel chain stage of ``eqs``, the critical ideal of its
+        last equation on the rest, built once per tuple of equations."""
         eqs = tuple(eqs)
         hit = self._stages.get(eqs)
         if hit is None:
-            hit = self._stages[eqs] = chain_stage(self.ring, eqs)
+            hit = self._stages[eqs] = critical_ideal(eqs[:-1], eqs[-1], self.ring)
         return hit
-
-    def local_colength(self, gens):
-        """Local colength of <gens> at the origin, computed once per tuple
-        of generators."""
-        gens = tuple(gens)
-        hit = self._colengths.get(gens)
-        if hit is None:
-            hit = self._colengths[gens] = local_colength(gens, self.ring)
-        return hit
-
-    def _chain_is_finite(self):
-        return all(self.local_colength(self.stage(self.phi[:k])) != inf
-                   for k in range(1, len(self.phi) + 1))
-
-    def singular_ideal(self):
-        return singular_ideal(self.phi, self.ring)
-
-    def singular_colength(self):
-        return self.local_colength(self.singular_ideal().generators)
 
     def contains(self, point):
         return all(p.eval(point) == 0 for p in self.phi)
 
     def translated(self, point):
         """Presentation of the same variety with ``point`` moved to 0."""
-        return IcisPresentation(self.ring, translate(self.phi, point), check=False)
+        return IcisPresentation(self.ring, translate(self.phi, point))
 
 
 def translate(polys, point):
@@ -156,7 +150,7 @@ def hypersurface_milnor(f):
 
 def function_on_icis_milnor(g):
     """dim of O_n / (<phi> + J(f, phi)) in the local ring at 0."""
-    mu = local_colength(g.critical_ideal().generators, g.base.ring)
+    mu = g.critical_ideal().local_colength()
     if mu == inf:
         raise NonIsolatedError("function has non-isolated singularity on the ICIS")
     return mu
@@ -186,31 +180,25 @@ def _recombine(phi, rng):
     return out
 
 
-def chain_stage(ring, eqs):
-    """Generators of the Le-Greuel chain stage of eqs_1..eqs_k:
-    <eqs_1..eqs_(k-1)> + (k x k minors of their Jacobian in ``ring``)."""
-    *phi, f = eqs
-    return critical_ideal(phi, f, ring).generators
-
-
 def icis_milnor(X, seed=0):
     """Milnor number of an ICIS: the chain localized at the origin.  The
     stages of phi itself, with their colengths, are the ones X's isolation
     check computed (``IcisPresentation``), so only a recombined retry
     localizes new ideals."""
-    return _chain_milnor(list(X.phi), lambda gens, _: X.local_colength(gens), X.stage, seed)
+    return _chain_milnor(list(X.phi), lambda I, _: I.local_colength(), X.stage, seed)
 
 
 def fiber_milnor_total(phi, ring):
     """Sum of the Milnor numbers of V(phi) at its singular points, which
     must be isolated, over the closure: the chain localized on V(phi)."""
-    return _chain_milnor(list(phi), partial(_fiber_colength, ring), partial(chain_stage, ring))
+    return _chain_milnor(list(phi), _fiber_colength,
+                         lambda eqs: critical_ideal(eqs[:-1], eqs[-1], ring))
 
 
 def _chain_milnor(phi, colength, stage, seed=0):
-    """Le-Greuel chain: mu(X_{k-1}) + mu(X_k) is the colength of
-    ``stage(phi_1..phi_k)``, localized by ``colength(gens, [phi_k..phi_p])``,
-    from mu(C^n) = 0.
+    """Le-Greuel chain: mu(X_{k-1}) + mu(X_k) is the colength of the
+    stage ideal ``stage(phi_1..phi_k)``, localized by
+    ``colength(I, [phi_k..phi_p])``, from mu(C^n) = 0.
     A stage of infinite colength is retried with seeded random
     recombinations of the equations (the chain holds for a generic choice);
     one equation has no recombination but itself, so it is not retried."""
@@ -222,7 +210,7 @@ def _chain_milnor(phi, colength, stage, seed=0):
         try:
             mu = 0
             for k in range(1, len(eqs) + 1):
-                c = colength(list(stage(eqs[:k])), eqs[k - 1:])
+                c = colength(stage(eqs[:k]), eqs[k - 1:])
                 if c == inf:
                     raise GenericityError(f"infinite colength at chain stage {k}")
                 mu = c - mu
@@ -232,15 +220,15 @@ def _chain_milnor(phi, colength, stage, seed=0):
     raise GenericityError(f"no recombination gave finite chain colengths: {last_failure}")
 
 
-def _fiber_colength(ring, gens, rest):
-    """Grevlex colength of <gens> + <r^N for r in rest> at the first N <= 64
+def _fiber_colength(I, rest):
+    """Grevlex colength of I + <r^N for r in rest> at the first N <= 64
     where it equals its value at N + 1.  Points off V(rest) drop out, and
-    by Nakayama the equal values put each r^N in <gens> at every point of
-    V(rest): the value sums the local colengths of <gens> there."""
-    order = grevlex(ring)
+    by Nakayama the equal values put each r^N in I at every point of
+    V(rest): the value sums the local colengths of I there."""
+    order = grevlex(I.ring)
     powers, prev = list(rest), None
     for _ in range(64):
-        c = IdealPresentation(ring, gens + powers).colength(order)
+        c = I.plus(powers).colength(order)
         if c == inf:
             raise NonIsolatedError("fiber has non-isolated singular points")
         if c == prev:

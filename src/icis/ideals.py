@@ -1,6 +1,10 @@
 """Ideal-level constructions: Jacobian matrices and minors, elimination
 and radical membership.
 
+An ``IdealPresentation`` is the one memo of its ideal: its basis per
+order, its local colength at the origin and its radical, each computed
+once.  A Milnor chain stage is such an ideal.
+
 Critical and singular ideals have one builder, ``critical_ideal``; a
 singular ideal is the critical ideal of its last equation, plus it, and
 the relative Jacobian ideal J(F, phi) of a family is read off the
@@ -59,6 +63,14 @@ class IdealPresentation:
 
     def colength(self, order):
         return _basis.colength(self.basis(order))
+
+    def local_colength(self):
+        """dim O/I in the local ring O at the origin (``basis.local_colength``),
+        computed once."""
+        hit = self._cache.get("local")
+        if hit is None:
+            hit = self._cache["local"] = _basis.local_colength(self.generators, self.ring)
+        return hit
 
     def radical(self):
         """The radical of a zero-dimensional I: I plus the squarefree part

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import icis
-from icis import basis, cli, families, germs
+from icis import basis, cli
 from icis.cli import main
 from icis.families import DeformationFamily
 
@@ -311,15 +311,16 @@ class TestExitCodes:
         assert code_fragment in err
 
     # non-isolated ICIS, each held to the steps it spends: the stages of
-    # its Milnor chain up to the first infinite one, then the singular
-    # ideal's colength, which is infinite
+    # its Milnor chain up to the first infinite one, then, only when that
+    # stage is not the last, the singular ideal's colength, which is
+    # infinite.  Only the fifth has an infinite stage before its last
     @pytest.mark.parametrize("ring, phi, steps", [
-        ("x, y, z", "x*y", 16),
-        ("w, x, y, z", "w^2 + x^3 + y*z, x*y", 410),
-        ("x, y, z", "x^2 + y^3 + z^4, (x + y + z)^2*x", 5989),
-        ("w, x, y, z", f"w, {NON_REDUCED}", 10294),
+        ("x, y, z", "x*y", 0),
+        ("w, x, y, z", "w^2 + x^3 + y*z, x*y", 187),
+        ("x, y, z", "x^2 + y^3 + z^4, (x + y + z)^2*x", 2410),
+        ("w, x, y, z", f"w, {NON_REDUCED}", 3522),
         ("w, x, y, z", f"{NON_REDUCED}, w", 21667),
-        ("x, y, z", NON_REDUCED, 44102),
+        ("x, y, z", NON_REDUCED, 37330),
     ])
     def test_non_isolated_icis_is_3(self, tmp_path, capsys, ring, phi, steps):
         path = tmp_path / "x.icis"
@@ -368,13 +369,13 @@ class TestSinglePass:
             lambda fam, f: radical_tests.append(f) or in_radical(fam, f),
         )
         colengths = []
+        original = basis.local_colength
 
         def local_colength(gens, ring):
             colengths.append(tuple(gens))
-            return basis.local_colength(gens, ring)
+            return original(gens, ring)
 
-        monkeypatch.setattr(germs, "local_colength", local_colength)
-        monkeypatch.setattr(families, "local_colength", local_colength)
+        monkeypatch.setattr(basis, "local_colength", local_colength)
         code, _, _ = run_cli("run", str(FIXTURES / "ex43_23.icis"), capsys=capsys)
         assert code == 0
         # one certificate, the critical ideal's: it covers the fiber

@@ -4,10 +4,9 @@ from math import inf
 
 import pytest
 
-from icis import germs
+from icis import basis
 from icis.basis import local_colength, step_budget
 from icis.errors import (
-    GenericityError,
     InvalidInputError,
     NonIsolatedError,
     UnsupportedInputError,
@@ -179,15 +178,12 @@ class TestIcisMilnor:
             IcisPresentation(R, (x + 1,))
 
     def test_one_equation_is_not_recombined(self, monkeypatch):
-        # V(x^2) is a double line: its chain stage has infinite colength,
-        # and a single equation has no other recombination to retry
-        calls = []
-        monkeypatch.setattr(
-            germs, "local_colength",
-            lambda gens, ring: calls.append(gens) or local_colength(gens, ring),
-        )
-        with pytest.raises(GenericityError):
-            icis_milnor(IcisPresentation(R, (x**2,), check=False))
+        # V(x^2) is a double line: its one chain stage, the last, has
+        # infinite colength, which rejects X with no recombination and no
+        # singular ideal
+        calls = _counting_local_colength(monkeypatch)
+        with pytest.raises(NonIsolatedError):
+            IcisPresentation(R, (x**2,))
         assert len(calls) == 1
 
 
@@ -219,15 +215,32 @@ def _random_icis(seed):
     return ring, tuple(_random_germ(rng, ring) for _ in range(rng.randint(1, 2)))
 
 
+def _counting_local_colength(monkeypatch):
+    """The generator tuples localized from now on, in order."""
+    calls = []
+    monkeypatch.setattr(
+        basis, "local_colength",
+        lambda gens, ring: calls.append(tuple(gens)) or local_colength(gens, ring),
+    )
+    return calls
+
+
 class TestIsolationCertificate:
     """``IcisPresentation`` rejects X exactly when the local colength of
     its singular ideal is infinite, though it computes that colength only
-    after an infinite stage of X's own Milnor chain."""
+    when an infinite stage of X's own Milnor chain comes before its last."""
 
+    # the first infinite stage is the last: X is singular along a curve
+    LAST_STAGE_CASES = [
+        (R, (x**2,)),
+        (R3, (x3 * y3,)),
+        (R3, (x3, y3**2)),  # stage 1 is the unit ideal; X is a double line
+        (R3, (x3**2 + y3**2 + z3**2, (x3 * y3)**2)),  # stage 1 is finite
+        (R4, (w4, x4 * y4)),
+    ]
     CASES = [_random_icis(seed) for seed in range(40)] + [
         (R, (x**2, y**2)),  # stage 1, <2x>, is infinite; X is a point
-        (R3, (x3 * y3,)),
-    ]
+    ] + LAST_STAGE_CASES
 
     def test_cases_hold_both_outcomes(self):
         # each of p = 1, 2 in each of 2, 3, 4 variables, isolated or not
@@ -246,27 +259,31 @@ class TestIsolationCertificate:
         else:
             IcisPresentation(ring, phi)
 
+    @pytest.mark.parametrize("ring, phi", LAST_STAGE_CASES)
+    def test_infinite_last_stage_never_localizes_the_singular_ideal(
+            self, ring, phi, monkeypatch):
+        calls = _counting_local_colength(monkeypatch)
+        with pytest.raises(NonIsolatedError):
+            IcisPresentation(ring, phi)
+        # one colength per stage, the last of them infinite
+        assert len(calls) == len(phi)
+        assert local_colength(calls[-1], ring) == inf
+        assert singular_ideal(phi, ring).generators not in calls
+
     def test_isolated_input_never_localizes_its_singular_ideal(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            germs, "local_colength",
-            lambda gens, ring: calls.append(tuple(gens)) or local_colength(gens, ring),
-        )
-        X = IcisPresentation(R3, (x3**2 + y3**2 + z3**2, x3 * y3))
-        assert X.singular_ideal().generators not in calls
+        calls = _counting_local_colength(monkeypatch)
+        phi = (x3**2 + y3**2 + z3**2, x3 * y3)
+        X = IcisPresentation(R3, phi)
+        assert singular_ideal(phi, R3).generators not in calls
         # the two stages of the chain, which icis_milnor reads again
         assert len(calls) == 2
         assert icis_milnor(X) == 5
         assert len(calls) == 2
 
     def test_infinite_stage_falls_back_to_the_singular_ideal(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            germs, "local_colength",
-            lambda gens, ring: calls.append(tuple(gens)) or local_colength(gens, ring),
-        )
+        calls = _counting_local_colength(monkeypatch)
         X = IcisPresentation(R, (x**2, y**2))
-        assert calls == [(2 * x,), X.singular_ideal().generators]
+        assert calls == [(2 * x,), singular_ideal(X.phi, R).generators]
         # attempt 0 is read from the memo; the recombined retries are new
         assert icis_milnor(X) == 3
         assert calls.count((2 * x,)) == 1
@@ -293,7 +310,7 @@ class TestMilnorAtPoint:
         phi = x**2 - y**3
         f = x + y
         pt = {"x": Fraction(-8, 27), "y": Fraction(4, 9)}
-        X = IcisPresentation(R, (phi,), check=False)
+        X = IcisPresentation(R, (phi,))
         assert milnor_at_point(GermFunction(f, X), pt) == 1
 
     def test_origin(self):
@@ -385,7 +402,7 @@ class TestGenericLines:
 
 class TestTranslation:
     def test_translated_presentation(self):
-        X = IcisPresentation(R, (x**2 - y**3,), check=False)
+        X = IcisPresentation(R, (x**2 - y**3,))
         Y = X.translated({"x": Fraction(-8, 27), "y": Fraction(4, 9)})
         origin = {"x": Fraction(0), "y": Fraction(0)}
         for g in Y.phi:
