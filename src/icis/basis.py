@@ -19,6 +19,13 @@ polynomial of a variable off the basis of a zero-dimensional ideal by
 single-variable FGLM; both reduce by the rows that the
 ``StandardBasis`` keeps next to its generators.
 
+``eliminate`` is the one entry for elimination ideals under a block
+order (``ideals.elimination_ideal`` and ``poly.gcd`` call it).  It
+substitutes away every eliminated variable that some generator holds in
+one linear term c*v (Singular's ``elimpart``; Greuel-Pfister, *A Singular
+Introduction to Commutative Algebra*), completes the rest, and
+inter-reduces only the rows free of the eliminated block.
+
 ``local_colength`` computes dim O/I at the origin by truncated linear
 algebra; Lazard's method decides the ideals whose truncations do not
 stabilize.  It completes the homogenized generators under the
@@ -327,33 +334,123 @@ def complete_basis(generators, order):
     budget = _current_budget()
     start = budget.spent
     keys = _Keys(order)
-    minimal = _buchberger(generators, keys, budget)
-    # inter-reduce tails for a canonical reduced basis; the basis is
-    # minimal, so each leading term survives, and it is scaled to 1
+    minimal = _buchberger([_primitive(g) for g in generators if not g.is_zero()], keys, budget)
+    rows = _inter_reduce(minimal, keys, budget)
+    generators = tuple(Polynomial(order.ring, _monic_terms(r)) for r in rows)
+    lms = tuple(r[0] for r in rows)
+    return StandardBasis(order, generators, lms, rows, keys, budget.spent - start)
+
+
+def eliminate(generators, order):
+    """Reduced basis of the elimination ideal I ∩ Q[kept], for the ideal I
+    of ``generators`` and a ``Block`` order: monic polynomials over the
+    kept variables (in ring order), sorted by leading monomial.  It is
+    the block-free part of ``complete_basis(generators, order)``, without
+    completing the rest.
+
+    First the linear variables go (``_substitute_linear``): while some
+    generator holds an eliminated variable v only in one term c*v, v is
+    set to its value in the other generators and v and that generator
+    are dropped.  The quotient rings agree over the other variables, so
+    the elimination ideal is unchanged.  Then Buchberger completes what
+    is left over the kept variables and the eliminated ones still used,
+    under the same block order on them, and only the minimal rows whose
+    leading monomial is free of the eliminated block are kept: under a
+    block order every term of such a row is block-free, and only such
+    rows divide its monomials, so inter-reducing them among themselves
+    gives the block-free rows of the reduced basis."""
+    budget = _current_budget()
+    block = sorted(order.eliminate)
+    gens = _substitute_linear([_primitive(g) for g in generators if not g.is_zero()],
+                              block, len(order.ring))
+    live = [i for i in block if any(e[i] for g in gens for e in g)]
+    places = sorted(live + list(order.keep))
+    order = elimination_order([order.ring[i] for i in places], [order.ring[i] for i in live])
+    gens = [{tuple([e[i] for i in places]): c for e, c in g.items()} for g in gens]
+    keys = _Keys(order)
+    minimal = [r for r in _buchberger(gens, keys, budget)
+               if not any(r[0][i] for i in order.eliminate)]
+    kept = order.keep
+    ring = tuple(order.ring[i] for i in kept)
+    return tuple(Polynomial(ring, {tuple([e[i] for i in kept]): c
+                                   for e, c in _monic_terms(r).items()})
+                 for r in _inter_reduce(minimal, keys, budget))
+
+
+def _substitute_linear(gens, block, n):
+    """The integer term dicts ``gens`` with every linear variable of
+    ``block`` substituted away.  A variable x_i is linear in g when its
+    only term in g holding x_i is c*x_i; g = c*x_i + h gives
+    x_i = -h/c, and each other generator f, of degree d in x_i, becomes
+    c^d*f(x_i = -h/c), primitive, with g dropped (zero results too).
+    Variables are taken in ring order and generators in list order, and
+    the search restarts after each substitution, since it can make a
+    later generator linear.  ``n`` is the number of variables.  Each
+    substitution removes a variable, so there are at most len(block) of
+    them; they are not reductions and charge no step."""
+    while True:
+        for i in block:
+            unit = (0,) * i + (1,) + (0,) * (n - i - 1)
+            j = next((j for j, g in enumerate(gens)
+                      if unit in g and not any(e[i] for e in g if e != unit)), None)
+            if j is not None:
+                break
+        else:
+            return gens
+        g = gens.pop(j)
+        c = g[unit]
+        minus_h = [(e, -v) for e, v in g.items() if e != unit]
+        gens = [f for f in (_substitute(f, i, c, minus_h, n) for f in gens) if f]
+
+
+def _substitute(f, i, c, minus_h, n):
+    """c^d * f(x_i = -h/c) for the integer term dict f of degree d in
+    x_i, by Horner's rule on the coefficients of f in x_i; primitive."""
+    parts = {}
+    for e, v in f.items():
+        parts.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = v
+    d = max(parts)
+    if not d:
+        return f
+    out = parts[d]
+    for k in range(d - 1, -1, -1):
+        prev, out = out, {}
+        for e, v in prev.items():
+            _add_shifted(out, minus_h, e, v)
+        _add_shifted(out, parts.get(k, {}).items(), (0,) * n, c ** (d - k))
+    content = gcd(*out.values())
+    return {e: v // content for e, v in out.items()}
+
+
+def _inter_reduce(minimal, keys, budget):
+    """The rows of a minimal basis with their tails inter-reduced, sorted
+    by leading monomial: the rows of the reduced basis.  The basis is
+    minimal, so each leading term survives."""
     rows = {}
     for i, (lm, lc, tail, _) in enumerate(minimal):
         h = dict(tail)
         h[lm] = lc
         rem, _ = _reduce_global(h, minimal[:i] + minimal[i + 1:], keys, budget)
         rows[lm] = _row(rem, keys)
-    lms = sorted(rows, key=keys.__getitem__)
-    rows = tuple(rows[m] for m in lms)
-    generators = tuple(Polynomial(order.ring, {lm: 1, **{e: Fraction(c, lc) for e, c in tail}})
-                       for lm, lc, tail, _ in rows)
-    return StandardBasis(order, generators, tuple(lms), rows, keys, budget.spent - start)
+    return tuple(rows[m] for m in sorted(rows, key=keys.__getitem__))
+
+
+def _monic_terms(row):
+    """The term dict of a reducer row scaled to leading coefficient 1."""
+    lm, lc, tail, _ = row
+    return {lm: 1, **{e: Fraction(c, lc) for e, c in tail}}
 
 
 def _buchberger(generators, keys, budget):
-    """Reducer rows of a minimal standard basis under the order of
-    ``keys``.  Pairs wait in a heap keyed by (degree of their lcm, i,
-    j), the lcm computed once when the pair is made (the normal
-    selection strategy)."""
+    """Reducer rows of a minimal standard basis, under the order of
+    ``keys``, of the nonzero integer term dicts ``generators``.  Pairs
+    wait in a heap keyed by (degree of their lcm, i, j), the lcm
+    computed once when the pair is made (the normal selection
+    strategy)."""
     rows = []
     seen = set()
     for g in generators:
-        if g.is_zero():
-            continue
-        r = _row(_primitive(g), keys)
+        r = _row(g, keys)
         key = (r[0], r[1], frozenset(r[2]))
         if key not in seen:
             seen.add(key)
@@ -373,14 +470,16 @@ def _buchberger(generators, keys, budget):
     while pairs:
         _, i, j, lcm = heappop(pairs)
         done.add((i, j))
+        done.add((j, i))
         # product criterion: coprime leading monomials reduce to zero
         if not masks[i] & masks[j]:
             continue
         # chain criterion: some lm_k divides the lcm, (i, k) and (j, k)
-        # done; (k, k) never is, so k is neither i nor j
+        # done; (k, k) never is, so k is neither i nor j.  ``done`` holds
+        # both orientations of a pair and is asked first: in few variables
+        # most masks pass the screen
         outside = ~(masks[i] | masks[j])  # the mask of the lcm
-        if any(_divides(lms[k], lcm)
-               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+        if any((i, k) in done and (j, k) in done and _divides(lms[k], lcm)
                for k, m in enumerate(masks) if not m & outside):
             continue
         h, _ = _reduce_global(_s_terms(rows[i], rows[j], lcm), rows, keys, budget)
@@ -555,9 +654,11 @@ def _lazard_colength(gens, ring, budget):
     local leading ideal."""
     tag = fresh_variable(ring, "_h")
     order = elimination_order(ring + (tag,), [tag])
-    hom = [Polynomial(order.ring, {e + (g.total_degree() - sum(e),): c
-                                   for e, c in g.terms.items()})
-           for g in gens]
+    hom = []
+    for g in gens:
+        if not g.is_zero():
+            d = g.total_degree()
+            hom.append({e + (d - sum(e),): c for e, c in _primitive(g).items()})
     lms = [r[0][:-1] for r in _buchberger(hom, _Keys(order), budget)]
     return _staircase_colength(lms, len(ring))
 

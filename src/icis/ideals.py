@@ -16,14 +16,17 @@ eliminant with a repeated factor (Seidenberg's lemma), or I itself when
 there is none.  The eliminant in v is the minimal polynomial of
 multiplication by v on Q[x]/I, read off I's cached reduced grevlex basis
 by single-variable FGLM (``univariate_eliminant``), so point accounting
-completes grevlex bases only; block orders serve ``elimination_ideal``.
-The questions on the
+completes grevlex bases only.  ``elimination_ideal`` is
+``basis.eliminate`` under a block order: the linear variables are
+substituted away first and only the elimination ideal's rows are
+finished, so no full block basis is built or cached.  The questions on the
 finite set V(I) all read the radical: the number of its points is its
 colength (``distinct_point_count``), f vanishes on it when f reduces to
 zero modulo the radical (``is_nilpotent``), and a lone point is read off
 the radical's reduced basis {v - c_v} (``lone_point``).  The radical of
 I + <f> is rad(I) + <f> (``radical_plus``), so a cut of I's points
-needs no eliminant of its own."""
+needs no eliminant of its own; it is completed from the radical's reduced
+grevlex basis plus f."""
 
 from __future__ import annotations
 
@@ -103,8 +106,11 @@ class IdealPresentation:
         """The radical of I + <extra> for a zero-dimensional I: rad(I) +
         <extra>, with no eliminant.  Q[x]/rad(I) is a product of fields,
         so each of its quotients is reduced and the sum is its own
-        radical; it is cached as such."""
-        hit = self.radical().plus(extra)
+        radical; it is cached as such.  It is presented by the radical's
+        reduced grevlex basis plus ``extra``, so its completion starts
+        from a basis and does not redo the radical's."""
+        reduced = self.radical().basis(grevlex(self.ring)).generators
+        hit = IdealPresentation(self.ring, reduced + tuple(extra))
         hit._cache["radical"] = hit
         return hit
 
@@ -172,20 +178,15 @@ def singular_ideal(eqs, variables):
 
 
 def elimination_ideal(I, keep):
-    """Generators of the intersection of I with the subring in the kept
-    variables, presented over the kept-variable ring."""
+    """The intersection of I with the subring in the kept variables,
+    presented over the kept-variable ring by its reduced basis under
+    grevlex (``basis.eliminate``)."""
     keep = [v for v in I.ring if v in set(keep)]
     eliminate = [v for v in I.ring if v not in set(keep)]
     if not eliminate:
         return IdealPresentation(keep, list(I.generators))
     order = elimination_order(I.ring, eliminate)
-    sb = I.basis(order)
-    kept = [
-        g.in_ring(tuple(keep))
-        for g in sb.generators
-        if g.variables_used() <= set(keep)
-    ]
-    return IdealPresentation(tuple(keep), kept)
+    return IdealPresentation(tuple(keep), _basis.eliminate(I.generators, order))
 
 
 def radical_membership(f, I):

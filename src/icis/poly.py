@@ -14,10 +14,10 @@ single-divisor division, ``_divmod``.
 recurses on it.  The primitive part p is certified squarefree when p(x, a)
 is, at one of a fixed list of points a of the other variables where the
 leading coefficient in x does not vanish (a univariate Euclid, outside the
-step budget).  Multivariate ``gcd`` is lcm-by-elimination, a block-order
-standard basis charged to the step budget; squarefree parts use it only for
-contents, when no variable has a constant coefficient, and for a
-primitive part that no point certifies.
+step budget).  Multivariate ``gcd`` is lcm-by-elimination
+(``basis.eliminate`` under a block order), charged to the step budget;
+squarefree parts use it only for contents, when no variable has a
+constant coefficient, and for a primitive part that no point certifies.
 """
 
 from __future__ import annotations
@@ -400,12 +400,8 @@ def gcd(f, g):
     one = Polynomial.constant(big, 1)
     gens = [w * f.in_ring(big), (one - w) * g.in_ring(big)]
     order = elimination_order(big, [tag])
-    sb = _basis.complete_basis(gens, order)
-    candidates = [p for p in sb.generators if tag not in p.variables_used()]
-    if not candidates:
-        raise ValueError("lcm elimination returned no generator")
-    lcm = min(candidates, key=lambda p: len(p.terms))
-    lcm = lcm.in_ring(f.ring)
+    # <f> ∩ <g> = <lcm> is principal, so its reduced basis is the lcm
+    (lcm,) = _basis.eliminate(gens, order)
     return _monic(divexact(f * g, lcm))
 
 

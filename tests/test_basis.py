@@ -23,6 +23,7 @@ from icis.basis import (
     _truncated_colength,
     colength,
     complete_basis,
+    eliminate,
     local_colength,
     minimal_polynomial,
     normal_form,
@@ -527,6 +528,116 @@ class TestEliminationKernel:
         with step_budget() as budget:
             assert minimal_polynomial(sb, var) == parse_expression(expected, (var,))
         assert budget.spent == steps
+
+
+def block_free_part(generators, order):
+    """The elimination ideal as it was computed before ``eliminate``: the
+    block-free generators of the full reduced basis under the block
+    order, over the kept ring.  The reference for ``eliminate``."""
+    kept = tuple(order.ring[i] for i in order.keep)
+    return tuple(g.in_ring(kept) for g in complete_basis(generators, order).generators
+                 if g.variables_used() <= set(kept))
+
+
+@st.composite
+def _linear_elimination_cases(draw):
+    """(generators, order): random multilinear generators in 3 or 4
+    variables (the first one squared or not), one or two of them
+    eliminated, plus a generator c*v + h linear in some
+    eliminated variables v (in all of them under the "every" shape).
+    Under "chain" a generator c2*v2 + g1*m*v2 + r is linear in v2 only
+    once g1 = c1*v1 + h1 is substituted away; under "unit" g1 + k, k a
+    nonzero constant, makes the ideal the unit ideal."""
+    n = draw(st.integers(3, 4))
+    ring = ("a", "b", "c", "d")[:n]
+    block = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    coefficient = st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+    def poly(free_of=(), max_terms=3):
+        exps = st.tuples(*[st.just(0) if i in free_of else st.integers(0, 1)
+                           for i in range(n)])
+        return Polynomial(ring, draw(st.dictionaries(exps, coefficient,
+                                                     min_size=1, max_size=max_terms)))
+
+    def unit(i):
+        return Polynomial.variable(ring, ring[i])
+
+    gens = [poly() for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        # degree 2 in the eliminated variables: substitution by Horner's rule
+        gens[0] = gens[0] * gens[0]
+    shape = draw(st.sampled_from(["some", "every", "chain", "unit"]))
+    if shape == "chain" and len(block) == 2:
+        v1, v2 = block
+        g1 = draw(coefficient) * unit(v1) + poly(free_of=block)
+        m = Polynomial.monomial(ring, draw(st.tuples(*[st.just(0) if i in block
+                                                      else st.integers(0, 1)
+                                                      for i in range(n)])))
+        g2 = draw(coefficient) * unit(v2) + g1 * m * unit(v2) + poly(free_of=(v2,))
+        gens += [g2, g1]
+    else:
+        linear = block if shape == "every" else draw(st.lists(st.sampled_from(block),
+                                                              max_size=2, unique=True))
+        for i in linear:
+            gens.append(draw(coefficient) * unit(i) + poly(free_of=(i,)))
+        if shape == "unit":
+            g1 = draw(coefficient) * unit(block[0]) + poly(free_of=(block[0],))
+            gens += [g1, g1 + draw(coefficient)]
+    order = elimination_order(ring, [ring[i] for i in block])
+    return draw(st.permutations(gens)), order
+
+
+class TestEliminate:
+    """``eliminate`` substitutes the linear variables away and completes
+    only what is left: its result is the block-free part of the full
+    reduced basis under the same order."""
+
+    @given(_linear_elimination_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_block_free_part_of_the_reduced_basis(self, case):
+        # a rational block completion can pass seconds within 2,000 steps;
+        # the few ideals over these budgets are skipped, and they run out
+        # of the first budget in well under a second
+        gens, order = case
+        try:
+            with step_budget(1000):
+                kept = eliminate(gens, order)
+            with step_budget(2000):
+                expected = block_free_part(gens, order)
+        except BudgetExhaustedError:
+            assume(False)
+        assert kept == expected
+
+    def test_every_variable_substituted_still_completes(self):
+        # x = y^2 + 1 leaves y^2*z + z - y and y^3 - 2*z, whose reduced
+        # basis has three elements
+        R3 = ("x", "y", "z")
+        gens = [parse_expression(t, R3) for t in ["x - y^2 - 1", "x*z - y", "2*y^3 - 4*z"]]
+        order = elimination_order(R3, ["x"])
+        with step_budget() as budget:
+            kept = eliminate(gens, order)
+        assert kept == block_free_part(gens, order)
+        assert kept[0].ring == ("y", "z")
+        assert len(kept) == 3 and budget.spent > 0
+
+    def test_chain_of_substitutions(self):
+        # x*y - y + z^2 holds y in two terms; x = 2 makes it y + z^2
+        R3 = ("x", "y", "z")
+        gens = [parse_expression(t, R3) for t in ["y + x*y - 2*y + z^2", "x - 2", "y^2 - z"]]
+        order = elimination_order(R3, ["x", "y"])
+        with step_budget() as budget:
+            assert eliminate(gens, order) == (parse_expression("z^4 - z", ("z",)),)
+        assert budget.spent == 0
+
+    def test_unit_ideal(self):
+        R3 = ("x", "y", "z")
+        gens = [parse_expression(t, R3) for t in ["x - y*z", "x - y*z + 3", "z^2 - y"]]
+        order = elimination_order(R3, ["x"])
+        assert eliminate(gens, order) == (Polynomial.constant(("y", "z"), 1),)
+
+    def test_zero_ideal(self):
+        order = elimination_order(R, ["x"])
+        assert eliminate([Polynomial.zero(R)], order) == ()
 
 
 def lazard_colength(gens, ring):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+import sympy
 
 from icis import basis
 from icis.basis import local_colength, step_budget
@@ -29,6 +30,7 @@ from icis.germs import (
 from icis.ideals import singular_ideal
 from icis.orders import grevlex
 from icis.poly import Polynomial
+from icis.problem import parse_expression
 
 R = ("x", "y")
 x = Polynomial.variable(R, "x")
@@ -355,6 +357,29 @@ class TestDiscriminant:
         Ruv = ("u", "v")
         u, v = (Polynomial.variable(Ruv, n) for n in Ruv)
         assert discriminant(maps(u, v)) == discriminant(maps(x, y))
+
+
+class TestRationalDiscriminant:
+    """Map C of the rational tier: its graph generators fix x and y, which
+    the elimination substitutes away before it completes.  Held to the
+    steps it spends; a completion in all five variables ran past 60 s."""
+
+    def test_map_c_is_the_discriminant_of_its_unfolding(self):
+        R3 = ("x", "y", "z")
+        texts = ["x + 1/2*z^2", "y - 2/3*z^3 + x*z", "z^4 + 5/7*x*z + y*z^2 + 3*x*y"]
+        with step_budget(1_153):
+            delta = discriminant([parse_expression(t, R3) for t in texts])
+        assert delta.ring == ("u", "v", "w")
+        # x = u - z^2/2 and y = v + 2/3*z^3 - x*z put the map in the form
+        # (u, v, g(u, v, z)): delta is the discriminant of g - w in z
+        u, v, w, z = sympy.symbols("u v w z")
+        xs = u - z**2 / 2
+        ys = v + sympy.Rational(2, 3) * z**3 - xs * z
+        g = sympy.expand(z**4 + sympy.Rational(5, 7) * xs * z + ys * z**2 + 3 * xs * ys)
+        expected = sympy.sqf_part(sympy.resultant(g - w, sympy.diff(g, z), z))
+        ours = sum(sympy.Rational(c.numerator, c.denominator) * u**i * v**j * w**k
+                   for (i, j, k), c in delta.terms.items())
+        assert sympy.Poly(ours, u, v, w).monic() == sympy.Poly(expected, u, v, w).monic()
 
 
 class TestGenericLines:

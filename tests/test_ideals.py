@@ -286,15 +286,14 @@ class TestUnivariateEliminant:
 
 @pytest.fixture
 def kinds(monkeypatch):
-    """The order kind of every basis completion."""
+    """The order kind of every basis completion and elimination."""
     out = []
-    original = basis.complete_basis
+    for name in ("complete_basis", "eliminate"):
+        def counting(generators, order, original=getattr(basis, name)):
+            out.append(order.kind)
+            return original(generators, order)
 
-    def counting(generators, order):
-        out.append(order.kind)
-        return original(generators, order)
-
-    monkeypatch.setattr(basis, "complete_basis", counting)
+        monkeypatch.setattr(basis, name, counting)
     return out
 
 

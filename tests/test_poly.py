@@ -247,9 +247,10 @@ class TestSquarefreeCertificate:
     @pytest.fixture
     def no_basis(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("complete_basis called")
+            raise AssertionError("a basis was completed")
 
         monkeypatch.setattr(basis, "complete_basis", refuse)
+        monkeypatch.setattr(basis, "eliminate", refuse)
 
     @pytest.mark.parametrize(
         "ring,text",
@@ -291,13 +292,12 @@ class TestMonomialGcd:
     @pytest.fixture
     def basis_calls(self, monkeypatch):
         calls = []
-        original = basis.complete_basis
+        for name in ("complete_basis", "eliminate"):
+            def counting(*args, original=getattr(basis, name)):
+                calls.append(args)
+                return original(*args)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(basis, "complete_basis", counting)
+            monkeypatch.setattr(basis, name, counting)
         return calls
 
     def test_gcd_with_a_monomial_completes_no_basis(self, basis_calls):
@@ -330,6 +330,23 @@ class TestDivision:
         f = (x + y) ** 2 * (x - y)
         g = (x + y) * (x**2 + 1)
         assert up_to_scalar(gcd(f, g), x + y)
+
+    def test_gcd_is_one_elimination(self, monkeypatch):
+        # the lcm is the elimination ideal's one generator; no full block
+        # basis is completed
+        kinds = []
+
+        def counting(generators, order, original=basis.eliminate):
+            kinds.append(order.kind)
+            return original(generators, order)
+
+        def refuse(*args):
+            raise AssertionError("complete_basis called")
+
+        monkeypatch.setattr(basis, "eliminate", counting)
+        monkeypatch.setattr(basis, "complete_basis", refuse)
+        assert up_to_scalar(gcd((x + y) * (x - y**2), (x + y) * (x**2 + 1)), x + y)
+        assert kinds == ["block"]
 
 
 class TestFormat:

@@ -18,7 +18,7 @@ import sympy
 from sympy.polys.orderings import MonomialOrder
 from sympy.polys.orderings import grevlex as sympy_grevlex
 
-from icis.basis import complete_basis, normal_form
+from icis.basis import complete_basis, eliminate, normal_form
 from icis.ideals import (
     IdealPresentation,
     elimination_ideal,
@@ -168,6 +168,37 @@ def test_rational_block_basis_matches_sympy(seed):
     ours = complete_basis(gens, elimination_order(R, ["x"]))
     theirs = sympy.groebner([_to_sympy(g) for g in gens], *SYMBOLS, order=_SympyBlock(1))
     assert _terms(ours) == {_monic_terms(g, _SympyBlock(1)) for g in theirs.exprs}
+
+
+def _linear_in(v, rng, free_of):
+    """c*v + h: h has two or three multilinear terms free of ``free_of``."""
+    h = {tuple(0 if u in free_of else rng.randint(0, 1) for u in R): rng.choice(RATIONALS)
+         for _ in range(rng.randint(2, 3))}
+    return Polynomial.variable(R, v) * rng.choice(RATIONALS) + Polynomial(R, h)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_eliminate_with_linear_variables_matches_sympy_block(seed, k):
+    """``eliminate`` substitutes x (and y) away before it completes; its
+    result is the block-free part of sympy's reduced basis under the
+    block order of the first k variables.  Under k = 2 the y-generator
+    is linear in y only once x is substituted."""
+    rng = random.Random(seed)
+    gens = _random_ideal(rng, LEX_MAX_EXP, RATIONALS)[:3 - k]
+    g1 = _linear_in("x", rng, ["x", "y"])
+    if k == 1:
+        gens.append(g1)
+    else:
+        y = Polynomial.variable(R, "y")
+        gens += [_linear_in("y", rng, ["y"]) + g1 * y, g1]
+    eliminated = R[:k]
+    ours = eliminate(gens, elimination_order(R, eliminated))
+    theirs = sympy.groebner([_to_sympy(g) for g in gens], *SYMBOLS, order=_SympyBlock(k))
+    free = [g for g in theirs.exprs if not g.free_symbols & set(SYMBOLS[:k])]
+    assert {frozenset(g.terms.items()) for g in ours} == {
+        _monic_terms(g, symbols=SYMBOLS[k:]) for g in free}
+    assert all(g.ring == R[k:] for g in ours)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
