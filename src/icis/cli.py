@@ -4,8 +4,12 @@
 computes the problem described in FILE and prints a deterministic
 report; ``icis check FILE`` only parses and validates.
 
-Exit codes: 0 computed (including VACUOUS verdicts), 2 some printed
-verdict is INCONCLUSIVE, 3 input error, 4 budget exhausted.
+A run builds one report record, each value once as a Python object; the
+text report is rendered from it, and ``--json`` appends the record
+itself as one JSON line.
+
+Exit codes: 0 computed (including VACUOUS verdicts), 2 some verdict of
+the record is INCONCLUSIVE, 3 input error, 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -50,6 +54,16 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
+# the record entries that carry a theorem check's verdict
+CHECKS = ("radical_implies_axis", "zero_fiber_forces_origin", "splitting")
+
+# the bracketed note after a Milnor number, by kind
+MU_NOTES = {
+    "milnor": "local colength of the partial-derivative ideal",
+    "icis-milnor": "telescoped colength chain, seed {seed}",
+    "function-milnor": "local colength of <phi> + J(f, phi)",
+}
+
 
 def _jsonable(value):
     if isinstance(value, Fraction):
@@ -66,64 +80,37 @@ def _jsonable(value):
 
 
 def run_problem(problem):
-    """Dispatch a validated problem; returns (lines, json_dict, exit_code)."""
-    kind = problem.kind
-    lines = [f"kind: {kind}", f"ring: {', '.join(problem.ring)}"]
-    data = {"kind": kind, "ring": list(problem.ring), "seed": problem.seed}
+    """Dispatch a validated problem; returns (lines, record, exit_code):
+    the report record, its text lines and the exit code its verdicts
+    give."""
+    record = {"kind": problem.kind, "ring": list(problem.ring), "seed": problem.seed}
     if problem.param:
-        lines.append(f"param: {problem.param}")
-        data["param"] = problem.param
-    for name, polys in sorted(problem.bindings.items()):
-        shown = [format_poly(p) for p in polys]
-        lines.append(f"{name}: {', '.join(shown)}")
-        data.setdefault("bindings", {})[name] = shown
+        record["param"] = problem.param
+    record["bindings"] = {name: [format_poly(p) for p in polys]
+                          for name, polys in sorted(problem.bindings.items())}
 
-    code = EXIT_OK
-
+    kind, bound = problem.kind, problem.bindings
     if kind == "milnor":
-        f = problem.bindings["f"][0]
-        mu = hypersurface_milnor(f)
-        lines.append(f"mu: {mu}  [local colength of the partial-derivative ideal]")
-        data["mu"] = mu
-
+        record["mu"] = hypersurface_milnor(bound["f"][0])
     elif kind == "icis-milnor":
-        X = IcisPresentation(problem.ring, problem.bindings["phi"])
-        mu = icis_milnor(X, seed=problem.seed)
-        lines.append(f"mu: {mu}  [telescoped colength chain, seed {problem.seed}]")
-        data["mu"] = mu
-
+        record["mu"] = icis_milnor(IcisPresentation(problem.ring, bound["phi"]),
+                                   seed=problem.seed)
     elif kind == "function-milnor":
-        X = IcisPresentation(problem.ring, problem.bindings["phi"])
-        g = GermFunction(problem.bindings["f"][0], X)
-        mu = function_on_icis_milnor(g)
-        lines.append(f"mu: {mu}  [local colength of <phi> + J(f, phi)]")
-        data["mu"] = mu
-
+        X = IcisPresentation(problem.ring, bound["phi"])
+        record["mu"] = function_on_icis_milnor(GermFunction(bound["f"][0], X))
     elif kind == "discriminant":
-        d = format_poly(discriminant(problem.bindings["phi"]))
-        lines.append(f"discriminant: {d}  [reduced eliminant of the "
-                     "graph-plus-critical ideal]")
-        data["discriminant"] = d
-
+        record["discriminant"] = format_poly(discriminant(bound["phi"]))
     elif kind == "generic-line":
-        delta = problem.bindings["delta"][0]
-        L = LineDirection(problem.direction)
-        m = multiplicity(delta)
-        i = line_intersection_number(delta, L)
-        generic = is_generic_line(delta, L)
-        lines.append(f"multiplicity: {m}")
-        lines.append(f"intersection_number: {i}")
-        lines.append(f"generic: {generic}")
-        data.update({"multiplicity": m, "intersection_number": i, "generic": generic})
-
+        delta, L = bound["delta"][0], LineDirection(problem.direction)
+        record["multiplicity"] = multiplicity(delta)
+        record["intersection_number"] = line_intersection_number(delta, L)
+        record["generic"] = is_generic_line(delta, L)
     elif kind == "family-analyze":
-        code = _run_family_analyze(problem, lines, data)
-
+        _family_analyze(_family(problem), problem, record)
     elif kind == "greuel-check":
-        if _run_greuel(_family(problem), problem, lines, data):
-            code = EXIT_INCONCLUSIVE
+        _greuel(_family(problem), problem, record)
 
-    return lines, data, code
+    return _render(record), record, _exit_code(record)
 
 
 def _family(problem):
@@ -135,117 +122,124 @@ def _family(problem):
     return DeformationFamily.space_deformation(problem.ring, problem.param, phi, problem.samples)
 
 
-def _run_family_analyze(problem, lines, data):
-    fam = _family(problem)
-    code = EXIT_OK
-    data["samples"] = [str(s) for s in fam.samples]
-
+def _family_analyze(fam, problem, record):
+    """The family-analyze entries: the samples and, for a function family,
+    the sample reports, conservation and the Greuel entries, then
+    splitting."""
+    record["samples"] = list(fam.samples)
     if fam.kind == fam_mod.FUNCTION:
-        lines.append(f"mu_f_at_0: {fam.mu0}  [local colength of <phi> + J(f, phi)]")
-        data["mu_f_at_0"] = fam.mu0
-        sample_data = []
-        for r in fam.reports:
-            lines.append(
-                f"sample t={r.t0}: mu_origin={r.local_mu_origin} "
-                f"total={r.total_colength} off_origin={r.off_origin_budget} "
-                f"distinct_points={r.distinct_points} "
-                f"converges_to_origin={fam.certificate}"
-            )
-            sample_data.append({
-                "t0": str(r.t0),
-                "mu_origin": r.local_mu_origin,
-                "total_colength": r.total_colength,
-                "off_origin_budget": r.off_origin_budget,
-                "distinct_points": r.distinct_points,
-                "converges_to_origin": fam.certificate,
-            })
-        data["samples_report"] = sample_data
+        record["mu_f_at_0"] = fam.mu0
+        record["samples_report"] = [
+            {"t0": r.t0, "mu_origin": r.local_mu_origin, "total_colength": r.total_colength,
+             "off_origin_budget": r.off_origin_budget, "distinct_points": r.distinct_points,
+             "converges_to_origin": fam.certificate}
+            for r in fam.reports
+        ]
         cons = conservation_check(fam)
-        if cons == fam_mod.INCONCLUSIVE:
-            lines.append("conservation: INCONCLUSIVE  [no convergence certificate]")
-            data["conservation"] = None
-            code = EXIT_INCONCLUSIVE
-        else:
-            lines.append(f"conservation: {cons}  [total at each sample vs mu at t=0]")
-            data["conservation"] = cons
-        if _run_greuel(fam, problem, lines, data):
-            code = EXIT_INCONCLUSIVE
+        record["conservation"] = None if cons == fam_mod.INCONCLUSIVE else cons
+        _greuel(fam, problem, record)
 
     split = splitting_check(fam)
-    lines.append(
-        f"splitting: {split.verdict}  [base fiber mu {split.base_fiber_mu}; "
-        + "; ".join(
-            f"t={s.t0}: count={s.singular_count} total={s.total_fiber_mu}"
-            for s in split.samples
-        )
-        + f"] {split.reason}"
-    )
-    data["splitting"] = {
+    record["splitting"] = {
         "verdict": split.verdict,
         "base_fiber_mu": split.base_fiber_mu,
         "converges_to_origin": split.converges_to_origin,
-        "samples": [
-            {
-                "t0": str(s.t0),
-                "count": s.singular_count,
-                "total_fiber_mu": _jsonable(s.total_fiber_mu),
-                "point_mu": _jsonable(s.point_mu),
-            }
-            for s in split.samples
-        ],
+        "samples": [{"t0": s.t0, "count": s.singular_count,
+                     "total_fiber_mu": s.total_fiber_mu, "point_mu": s.point_mu}
+                    for s in split.samples],
         "reason": split.reason,
     }
-    if split.verdict == fam_mod.INCONCLUSIVE:
-        code = EXIT_INCONCLUSIVE
-    return code
 
 
-def _run_greuel(fam, problem, lines, data):
+def _greuel(fam, problem, record):
     """Condition flags, probe evidence and the two theorem checks: the
-    whole greuel-check report and the function part of family-analyze.
-    Returns whether a printed verdict is INCONCLUSIVE."""
+    whole greuel-check report and the function part of family-analyze."""
     t44, t44d = radical_implies_axis_check(fam)
-    implications_ok = t44 == fam_mod.VERIFIED
     probes = greuel_conditions(fam, probes=[CurveProbe(c) for c in problem.probes])
-    mu_samples = {r.t0: r.local_mu_origin for r in fam.reports}
-    lines.append(f"cond1_mu_constant: {fam.cond1}  "
-                 f"[mu at origin {fam.mu0} vs samples "
-                 f"{{{', '.join(f'{k}: {v}' for k, v in sorted(mu_samples.items()))}}}]")
-    lines.append(f"cond5_radical: {fam.cond5}  [dF/dt in rad(<phi> + J)]")
-    lines.append(f"cond6_variety: {fam.cond6}  [v(<phi> + J) equals the "
-                 "parameter axis]")
-    lines.append(f"implications_ok: {implications_ok}  [not (cond5 and not cond6)]")
-    for i, pr in enumerate(probes):
-        lines.append(
-            f"probe[{i}]: nu(dF/dt.gamma)={pr.numerator_order} "
-            f"min nu(g_i.gamma)={pr.denominator_order} strict={pr.strict} "
-            f"weak={pr.weak} on_variety={pr.on_variety}"
-        )
-    data["greuel"] = {
+    # computed in this order, which the stderr step counts pin: cond1 may
+    # compute mu0 and cond6 may be computed here first
+    record["greuel"] = {
+        "mu_origin_samples": {r.t0: r.local_mu_origin for r in fam.reports},
         "cond1_mu_constant": fam.cond1,
+        "mu_origin_base": fam.mu0,
         "cond5_radical": fam.cond5,
         "cond6_variety": fam.cond6,
-        "implications_ok": implications_ok,
-        "mu_origin_base": fam.mu0,
-        "mu_origin_samples": {str(k): v for k, v in mu_samples.items()},
-        "totals": {str(r.t0): _jsonable(r.total_colength) for r in fam.reports},
-        "probes": [
-            {
-                "nu_numerator": _jsonable(pr.numerator_order),
-                "nu_denominator": _jsonable(pr.denominator_order),
-                "strict": pr.strict,
-                "weak": pr.weak,
-                "on_variety": pr.on_variety,
-            }
-            for pr in probes
-        ],
+        "implications_ok": t44 == fam_mod.VERIFIED,
+        "totals": {r.t0: r.total_colength for r in fam.reports},
+        "probes": [{"nu_numerator": pr.numerator_order, "nu_denominator": pr.denominator_order,
+                    "strict": pr.strict, "weak": pr.weak, "on_variety": pr.on_variety}
+                   for pr in probes],
     }
-    lines.append(f"radical_implies_axis: {t44}")
-    data["radical_implies_axis"] = {"verdict": t44, **_jsonable(t44d)}
+    record["radical_implies_axis"] = {"verdict": t44, **t44d}
     c41, c41d = zero_fiber_forces_origin_check(fam)
-    lines.append(f"zero_fiber_forces_origin: {c41}")
-    data["zero_fiber_forces_origin"] = {"verdict": c41, "details": _jsonable(c41d)}
-    return fam_mod.INCONCLUSIVE in (t44, c41)
+    record["zero_fiber_forces_origin"] = {"verdict": c41, "details": c41d}
+
+
+def _render(record):
+    """The text report of a record, one line per reported value."""
+    lines = [f"kind: {record['kind']}", f"ring: {', '.join(record['ring'])}"]
+    if "param" in record:
+        lines.append(f"param: {record['param']}")
+    lines += [f"{name}: {', '.join(shown)}" for name, shown in record["bindings"].items()]
+
+    if "mu" in record:
+        note = MU_NOTES[record["kind"]].format(seed=record["seed"])
+        lines.append(f"mu: {record['mu']}  [{note}]")
+    if "discriminant" in record:
+        lines.append(f"discriminant: {record['discriminant']}  [reduced eliminant of the "
+                     "graph-plus-critical ideal]")
+    if "generic" in record:
+        lines += [f"{key}: {record[key]}"
+                  for key in ("multiplicity", "intersection_number", "generic")]
+
+    if "mu_f_at_0" in record:
+        lines.append(f"mu_f_at_0: {record['mu_f_at_0']}  [local colength of <phi> + J(f, phi)]")
+        lines += [
+            f"sample t={s['t0']}: mu_origin={s['mu_origin']} total={s['total_colength']} "
+            f"off_origin={s['off_origin_budget']} distinct_points={s['distinct_points']} "
+            f"converges_to_origin={s['converges_to_origin']}"
+            for s in record["samples_report"]
+        ]
+        if record["conservation"] is None:
+            lines.append("conservation: INCONCLUSIVE  [no convergence certificate]")
+        else:
+            lines.append(f"conservation: {record['conservation']}  "
+                         "[total at each sample vs mu at t=0]")
+    if "greuel" in record:
+        g = record["greuel"]
+        # sample keys are Fractions, so they sort by value here
+        mu_samples = ", ".join(f"{k}: {v}" for k, v in sorted(g["mu_origin_samples"].items()))
+        lines += [
+            f"cond1_mu_constant: {g['cond1_mu_constant']}  "
+            f"[mu at origin {g['mu_origin_base']} vs samples {{{mu_samples}}}]",
+            f"cond5_radical: {g['cond5_radical']}  [dF/dt in rad(<phi> + J)]",
+            f"cond6_variety: {g['cond6_variety']}  [v(<phi> + J) equals the parameter axis]",
+            f"implications_ok: {g['implications_ok']}  [not (cond5 and not cond6)]",
+        ]
+        lines += [
+            f"probe[{i}]: nu(dF/dt.gamma)={pr['nu_numerator']} "
+            f"min nu(g_i.gamma)={pr['nu_denominator']} strict={pr['strict']} "
+            f"weak={pr['weak']} on_variety={pr['on_variety']}"
+            for i, pr in enumerate(g["probes"])
+        ]
+        lines += [f"{check}: {record[check]['verdict']}"
+                  for check in ("radical_implies_axis", "zero_fiber_forces_origin")]
+    if "splitting" in record:
+        split = record["splitting"]
+        totals = "; ".join(f"t={s['t0']}: count={s['count']} total={s['total_fiber_mu']}"
+                           for s in split["samples"])
+        lines.append(f"splitting: {split['verdict']}  [base fiber mu "
+                     f"{split['base_fiber_mu']}; {totals}] {split['reason']}")
+    return lines
+
+
+def _exit_code(record):
+    """EXIT_INCONCLUSIVE when a verdict of the record is INCONCLUSIVE: a
+    null conservation or an INCONCLUSIVE theorem check."""
+    verdicts = [record[check]["verdict"] for check in CHECKS if check in record]
+    if record.get("conservation", False) is None or fam_mod.INCONCLUSIVE in verdicts:
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -255,6 +255,26 @@ class TestExitCodes:
         assert code == 2
         assert "radical_implies_axis: INCONCLUSIVE" in out
 
+    def test_inconclusive_splitting_is_2(self, tmp_path, capsys):
+        # a space family reports splitting alone: the node whose second
+        # branch point escapes as t goes to 0 has no convergence
+        # certificate, and that one verdict sets the exit code
+        path = tmp_path / "escaping_node.icis"
+        path.write_text("ring t, x, y;\nparam t;\nphi = y^2 - x^2*(1 - t*x)^2;\n"
+                        "kind family-analyze;\n")
+        code, out, _ = run_cli("run", str(path), capsys=capsys)
+        assert code == 2
+        verdicts = [line for line in out.splitlines() if "INCONCLUSIVE" in line]
+        assert len(verdicts) == 1 and verdicts[0].startswith("splitting: INCONCLUSIVE  [")
+
+    def test_inconclusive_in_the_text_is_not_a_verdict(self, tmp_path, capsys):
+        # the exit code is read off the verdicts, not off the text lines
+        path = tmp_path / "inconclusive_name.icis"
+        path.write_text("ring INCONCLUSIVE, y;\nf = INCONCLUSIVE^2 + y^3;\nkind milnor;\n")
+        code, out, _ = run_cli("run", str(path), capsys=capsys)
+        assert code == 0
+        assert "mu: 2  [" in out
+
     @pytest.mark.parametrize(
         "name,code_fragment",
         [
