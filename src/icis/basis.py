@@ -38,6 +38,20 @@ shows dependent: x^a*g_j when an earlier generator's local leading
 monomial divides x^a.  Of the 889 rows that reduced to zero on the hard
 4-variable ICIS of ``tests/test_germs.py``, 281 are left.
 
+The truncations of one ``local_colength`` call share their work.  A row
+built at degree d spans degrees d to d + S, S the largest deg - order of
+a generator, so at truncation K no row built at a degree <= K - S - 1
+is cut, nor any row it was reduced by.  Column numbers depend on a
+monomial's degree and reversed exponents, not on K, so the pivots at the
+end of that degree are those of every larger K, and the next truncation
+resumes after it (``_TruncationState``).  Lazard's method is lent steps
+only when the loan covers its set-up: a loan of no steps after a
+truncation without eliminations, otherwise at least
+``LAZARD_STEP_RATIO`` steps.  Of the 36 starts on germs seed 1 of
+``perfbench`` (fixed part and 3 rounds) on loans of 1 to 10 steps, 33
+failed, each start costing about 0.3 ms in homogenizing, pairs and
+S-polynomials; 3 starts are left.
+
 When the generators' local leading monomials LL_j are pairwise coprime,
 the generators are already a local standard basis (Greuel-Pfister,
 section 1.7), and ``local_colength`` counts the staircase of <LL>
@@ -61,7 +75,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from math import comb, gcd, inf, lcm, prod
@@ -73,19 +87,23 @@ from .poly import Polynomial, _add_shifted, fresh_variable
 
 DEFAULT_BUDGET = 10**6
 # Truncations of local_colength with more columns than this go to
-# Lazard's method alone; on the benchmark corpus the largest truncation
-# that stabilized had 680 columns.
+# Lazard's method alone; on the perfbench germs (2 rounds), families (1
+# round) and hard_germs (8 rounds) corpora, seed 1, the largest
+# truncation that stabilized had 680 columns (re-measured with resumed
+# truncations).
 MONOMIAL_CAP = 5000
 # A step of Lazard's method (an integer reduction step of Buchberger) took
-# about 8 times as long as a row elimination of local_colength under the
-# in-place kernel: 55-61 against 6.8-8.2 us on a 2-core Xeon (two runs),
-# over the 104 of the 190 local_colength calls of the perfbench germs
+# about 8 times as long as a row elimination of local_colength: 56.8-57.3
+# against 6.5-7.5 us on a 2-core Xeon (two runs, resumed truncations),
+# over the 102 of the 190 local_colength calls of the perfbench germs
 # (2 rounds), families (1 round) and hard_germs (8 rounds) corpora, seed
-# 1, that the coprime-staircase certificate leaves to the truncation;
-# per-call quartiles 4.0 / 7.3 / 10.8.  Lazard's loans are counted in its
-# own steps.  With ratios from 4 to 8 the hard cases of
-# tests/test_germs.py take 37,330-37,650, 6,194-6,236 and 1,704-1,859
-# steps, the fewest at 8.
+# 1, that the coprime-staircase certificate leaves to the truncation and
+# that eliminate; per-call quartiles 3.8 / 6.1-6.6 / 9.0-9.9.  Lazard's
+# loans are counted in its own steps, and a loan of fewer than this many
+# steps is not lent: a start that fails on its first step already took
+# 0.14-0.18 ms, 22-24 eliminations, on the same calls.  With ratios from
+# 4 to 8 the hard cases of tests/test_germs.py take 37,324-37,644,
+# 6,194-6,236 and 1,682-1,833 steps, the fewest at 8.
 LAZARD_STEP_RATIO = 8
 
 
@@ -155,7 +173,8 @@ def _current_budget():
 class StandardBasis:
     """``rows`` holds the reducer row of each generator, in the order of
     ``generators``, and ``keys`` the ``_Keys`` they were built with;
-    normal forms and minimal polynomials reduce by them."""
+    normal forms and minimal polynomials reduce by them.  The colength
+    is counted on first use and kept (``colength``)."""
 
     order: object
     generators: tuple
@@ -167,6 +186,10 @@ class StandardBasis:
     @property
     def ring(self):
         return self.order.ring
+
+    @cached_property
+    def _colength(self):
+        return _staircase_colength(self.leading_monomials, len(self.ring))
 
 
 def _lcm(a, b):
@@ -524,8 +547,9 @@ def _pure_power_bounds(gens, n):
 def colength(sb):
     """Number of standard monomials (monomials outside the leading
     ideal); the vector-space dimension of the quotient.  +inf when the
-    quotient is infinite-dimensional."""
-    return _staircase_colength(sb.leading_monomials, len(sb.ring))
+    quotient is infinite-dimensional.  Counted once per basis:
+    ``minimal_polynomial`` asks for it once per variable."""
+    return sb._colength
 
 
 def _staircase_colength(lms, n):
@@ -572,14 +596,32 @@ def local_colength(gens, ring):
     Nakayama's lemma gives m^k in I*O and c_k is exact.  K starts at the
     largest generator order plus 3 and grows by half.
 
+    Each truncation resumes where the last one's rows were whole.  A
+    row x^a*g built at degree d spans degrees d to d + S, S the largest
+    deg - order of a generator, so at truncation K every row built at a
+    degree <= w = K - S - 1, and every row it was reduced by, is uncut.
+    A column's number depends only on its degree and reversed exponents,
+    not on K, so the pivots, ``below`` and ``found`` at the end of degree
+    w are those of every larger K.  The next truncation starts at degree
+    w + 1 from a copy of them (at degree 0 while w < 0).  The stop is
+    Nakayama's as before, so every answer is that of a truncation built
+    from degree 0.
+
     No truncation stabilizes when I is not m-primary, while Lazard's
     method decides every ideal.  So after each truncation that does not
     stabilize, Lazard's method may spend that truncation's row
     eliminations over ``LAZARD_STEP_RATIO`` of its own steps, about as
-    long in time.  A loan of no steps is tried only after a truncation
-    without eliminations: it settles ideals such as <x> in two variables,
-    which need no reduction.  Past ``MONOMIAL_CAP`` columns Lazard's
-    method gets the whole budget.
+    long in time, priced from that truncation alone: priced from all
+    the truncations of the call, the non-reduced germ of
+    ``tests/test_germs.py`` took 37,334 steps against 37,324, and the
+    mu = 158 germ 1,711 against 1,682.  A loan must cover the set-up of
+    a start (homogenizing, pairs, S-polynomials: about 0.3 ms, some 40
+    eliminations), so none of fewer than ``LAZARD_STEP_RATIO`` steps is
+    lent, and a loan of no steps only after a truncation without
+    eliminations: it settles ideals such as <x> in two variables, which
+    need no reduction.  On germs seed 1 (fixed part and 3 rounds, 131
+    calls) the starts went from 36 (33 failed) to 3.  Past
+    ``MONOMIAL_CAP`` columns Lazard's method gets the whole budget.
 
     Before any truncation, the generators' local leading monomials LL_j
     (each the least term in degree, then reversed exponents: the
@@ -604,16 +646,17 @@ def local_colength(gens, ring):
     int_gens = [_primitive(g) for g in gens if not g.is_zero()]
     budget = _current_budget()
     K = max((min(map(sum, g)) for g in int_gens), default=0) + 3
+    state = _TruncationState()
     while comb(n + K - 1, n) <= MONOMIAL_CAP:
         start = budget.spent
-        c = _truncated_colength(int_gens, n, K, budget)
+        c = _truncated_colength(int_gens, n, K, budget, state)
         if c is not None:
             return c
         spent = budget.spent - start
-        if spent == 0 or spent >= LAZARD_STEP_RATIO:
+        loan = spent // LAZARD_STEP_RATIO
+        if spent == 0 or loan >= LAZARD_STEP_RATIO:
             try:
-                loan = _Loan(spent // LAZARD_STEP_RATIO, budget)
-                return _lazard_colength(gens, ring, loan)
+                return _lazard_colength(gens, ring, _Loan(loan, budget))
             except _LoanExhausted:
                 pass
         K += K // 2
@@ -684,7 +727,19 @@ def _columns(n, K):
     return by_degree, index
 
 
-def _truncated_colength(int_gens, n, K, budget):
+class _TruncationState:
+    """Where the next truncation of one ``local_colength`` call resumes:
+    the pivots and the counts ``below`` and ``found`` at the end of
+    ``degree``, the last degree whose rows no truncation so far cut; -1
+    before any."""
+
+    __slots__ = ("degree", "pivots", "below", "found")
+
+    def __init__(self):
+        self.degree, self.pivots, self.below, self.found = -1, {}, 0, 0
+
+
+def _truncated_colength(int_gens, n, K, budget, state):
     """c_k for the first k < K with c_k = c_(k+1), or None; ``int_gens``
     are the generators with coprime integer coefficients.
 
@@ -703,17 +758,27 @@ def _truncated_colength(int_gens, n, K, budget):
     first, every skipped row is a combination of earlier rows, of lowest
     degree >= d; truncation is linear, so every pivot of degree <= d
     stays.  No regular sequence is needed, so the cut holds for the
-    maximal minors of the ICIS chain too."""
+    maximal minors of the ICIS chain too.
+
+    The truncation starts after the degree that ``state`` holds, from a
+    copy of it, and keeps there the pivots, ``below`` and ``found`` at
+    the end of degree w = K - S - 1, whose rows are uncut (see
+    ``local_colength``); so K must not shrink from one call to the next
+    with the same state."""
     by_degree, index = _columns(n, K)
     coded = []  # (order, code of the local leading monomial, [(degree, code, coefficient)])
+    spread = 0  # S
     for g in int_gens:
         terms = [(sum(e), sum(k * K**i for i, k in enumerate(e)), c) for e, c in g.items()]
         order, lead, _ = min(terms)
+        spread = max(spread, max(terms)[0] - order)
         coded.append((order, lead, [t for t in terms if t[0] < K]))
-    pivots = {}
-    below = 0  # columns of degree < d
-    found = 0  # pivots of degree < d
-    for d, codes in enumerate(by_degree):
+    whole = K - spread - 1
+    pivots = dict(state.pivots)
+    below = state.below  # columns of degree < d
+    found = state.found  # pivots of degree < d
+    for d in range(state.degree + 1, K):
+        codes = by_degree[d]
         rows = []
         for j, (order, lead, terms) in enumerate(coded):
             if order <= d:
@@ -738,6 +803,8 @@ def _truncated_colength(int_gens, n, K, budget):
         if at_d == len(codes):
             return below - found
         below, found = end, found + at_d
+        if d == whole:
+            state.degree, state.pivots, state.below, state.found = d, dict(pivots), below, found
     return None
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+import icis.basis
 from icis.basis import (
     _Budget,
     _divides,
@@ -21,6 +22,7 @@ from icis.basis import (
     _reduce_global,
     _row,
     _truncated_colength,
+    _TruncationState,
     colength,
     complete_basis,
     eliminate,
@@ -270,6 +272,18 @@ class TestColength:
                 basis.leading_monomials, len(ring)
             )
 
+    def test_counted_once_per_basis(self, monkeypatch):
+        # minimal_polynomial asks for the colength once per variable
+        counted = []
+        count = icis.basis._staircase_colength
+        monkeypatch.setattr(icis.basis, "_staircase_colength",
+                            lambda *args: counted.append(args) or count(*args))
+        basis = complete_basis([x**2 - y, y**3 - x * y], grevlex(R))
+        assert colength(basis) == colength(basis) == 6
+        minimal_polynomial(basis, "x")
+        minimal_polynomial(basis, "y")
+        assert len(counted) == 1
+
 
 class TestStaircase:
     def test_antichain_of_leading_monomials(self):
@@ -388,7 +402,22 @@ class TestTruncationOracle:
         n, _, gens = case
         ints = [_primitive(g) for g in gens if not g.is_zero()]
         expected = first_stable_colength([g.terms for g in gens], n, K)
-        assert _truncated_colength(ints, n, K, _Budget(10**6)) == expected
+        assert _truncated_colength(ints, n, K, _Budget(10**6), _TruncationState()) == expected
+
+    @given(_seeded_ideals())
+    # at K = 2 the row of x + y^2 built at degree 1 is cut to x: a state
+    # kept past degree K - S - 1 = 0 would miss the pivot y^2 at K = 3
+    @example((2, R, [x, x + y**2, y**3]))
+    @settings(max_examples=40, deadline=None)
+    def test_resumed_truncations_equal_dense_rank(self, case):
+        # one state carried through a schedule of K, as local_colength
+        # carries it; each run resumes where the last one's rows were whole
+        n, _, gens = case
+        ints = [_primitive(g) for g in gens if not g.is_zero()]
+        state = _TruncationState()
+        for K in (2, 3, 5, 7):
+            expected = first_stable_colength([g.terms for g in gens], n, K)
+            assert _truncated_colength(ints, n, K, _Budget(10**6), state) == expected
 
     @given(_seeded_ideals())
     @settings(max_examples=40, deadline=None)
@@ -643,6 +672,46 @@ class TestEliminate:
 def lazard_colength(gens, ring):
     with step_budget() as budget:
         return _lazard_colength(gens, ring, budget)
+
+
+def _jacobian(text):
+    ring = ("x", "y", "z")
+    f = parse_expression(text, ring)
+    return [f.diff(v) for v in ring], ring
+
+
+class TestLazardLoans:
+    """Steps and starts of Lazard's method inside ``local_colength``:
+    a loan is of no steps after a truncation without eliminations, else
+    of at least LAZARD_STEP_RATIO steps, priced from the truncation that
+    just failed."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        starts = []
+        lazard = icis.basis._lazard_colength
+        monkeypatch.setattr(icis.basis, "_lazard_colength",
+                            lambda *args: starts.append(args) or lazard(*args))
+        return starts
+
+    # truncations rebuilt from degree 0, with loans of 1 step and more,
+    # took 289 steps and 2 starts, and 77 steps and 2 starts
+    @pytest.mark.parametrize("text, mu, steps, most_starts", [
+        ("x^4 + y^5 + z^6 + x^2*y^2*z", 60, 235, 1),
+        ("x^2 + y^3 + z^7 + x*y*z", 11, 73, 0),
+    ])
+    def test_pinned_steps_and_starts(self, starts, text, mu, steps, most_starts):
+        gens, ring = _jacobian(text)
+        with step_budget(steps):
+            assert local_colength(gens, ring) == mu
+        assert len(starts) <= most_starts
+
+    def test_non_reduced_germ_within_its_budget(self):
+        # no truncation stabilizes; loans priced from the truncation that
+        # just failed decide it within the CI budget of the non-reduced ICIS
+        gens, ring = _jacobian("(x^2 - y^3 + z^5)^2*(x + y^2 + z^3)")
+        with step_budget(37_330):
+            assert local_colength(gens, ring) == inf
 
 
 class TestLazardColength:

@@ -142,7 +142,9 @@ class TestIsNilpotent:
 
     @pytest.mark.parametrize("D", range(1, 10))
     def test_index_exactly_the_dimension(self, D):
-        # x^(D-1) is not in <x^D>, so the squaring must reach exponent D
+        # x^(D-1) is not in <x^D>, but is_nilpotent reduces modulo the
+        # radical, and rad<x^D> = <x> for every D: x is nilpotent, x + 1
+        # (a unit at the one point x = 0) is not
         I = IdealPresentation(self.X, (self.xu**D,))
         assert is_nilpotent(self.xu, I)
         assert not is_nilpotent(self.xu + 1, I)
