@@ -35,8 +35,7 @@ Both the truncation and ``minimal_polynomial`` eliminate integer rows
 with one kernel, ``_eliminate``, which reduces a row in place.  The
 truncation skips the rows that the Koszul criterion (Faugere's F5, 2002)
 shows dependent: x^a*g_j when an earlier generator's local leading
-monomial divides x^a.  Of the 889 rows that reduced to zero on the hard
-4-variable ICIS of ``tests/test_germs.py``, 281 are left.
+monomial divides x^a.
 
 The truncations of one ``local_colength`` call share their work.  A row
 built at degree d spans degrees d to d + S, S the largest deg - order of
@@ -45,12 +44,9 @@ is cut, nor any row it was reduced by.  Column numbers depend on a
 monomial's degree and reversed exponents, not on K, so the pivots at the
 end of that degree are those of every larger K, and the next truncation
 resumes after it (``_TruncationState``).  Lazard's method is lent steps
-only when the loan covers its set-up: a loan of no steps after a
-truncation without eliminations, otherwise at least
-``LAZARD_STEP_RATIO`` steps.  Of the 36 starts on germs seed 1 of
-``perfbench`` (fixed part and 3 rounds) on loans of 1 to 10 steps, 33
-failed, each start costing about 0.3 ms in homogenizing, pairs and
-S-polynomials; 3 starts are left.
+only when the loan covers its set-up (homogenizing, pairs and
+S-polynomials): a loan of no steps after a truncation without
+eliminations, otherwise at least ``LAZARD_STEP_RATIO`` steps.
 
 When the generators' local leading monomials LL_j are pairwise coprime,
 the generators are already a local standard basis (Greuel-Pfister,
@@ -611,17 +607,15 @@ def local_colength(gens, ring):
     method decides every ideal.  So after each truncation that does not
     stabilize, Lazard's method may spend that truncation's row
     eliminations over ``LAZARD_STEP_RATIO`` of its own steps, about as
-    long in time, priced from that truncation alone: priced from all
-    the truncations of the call, the non-reduced germ of
-    ``tests/test_germs.py`` took 37,334 steps against 37,324, and the
-    mu = 158 germ 1,711 against 1,682.  A loan must cover the set-up of
+    long in time, priced from that truncation alone, which costs the
+    hard germs of ``tests/test_germs.py`` fewer steps than a loan priced
+    from all the truncations of the call.  A loan must cover the set-up of
     a start (homogenizing, pairs, S-polynomials: about 0.3 ms, some 40
     eliminations), so none of fewer than ``LAZARD_STEP_RATIO`` steps is
     lent, and a loan of no steps only after a truncation without
     eliminations: it settles ideals such as <x> in two variables, which
-    need no reduction.  On germs seed 1 (fixed part and 3 rounds, 131
-    calls) the starts went from 36 (33 failed) to 3.  Past
-    ``MONOMIAL_CAP`` columns Lazard's method gets the whole budget.
+    need no reduction.  Past ``MONOMIAL_CAP`` columns Lazard's method
+    gets the whole budget.
 
     Before any truncation, the generators' local leading monomials LL_j
     (each the least term in degree, then reversed exponents: the

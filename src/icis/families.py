@@ -381,35 +381,25 @@ def splitting_check(fam):
             results.append(_splitting_sample(fam, t0, sing))
 
     if not conv:
-        return SplittingReport(
-            base_mu, conv, results, INCONCLUSIVE,
+        verdict, reason = INCONCLUSIVE, (
             "no convergence certificate: some singular point may escape the "
-            "Milnor ball as t goes to 0",
-        )
-    hypothesis = all(r.total_fiber_mu == base_mu for r in results)
-    if not hypothesis:
-        return SplittingReport(
-            base_mu, conv, results, VACUOUS,
+            "Milnor ball as t goes to 0")
+    elif any(r.total_fiber_mu != base_mu for r in results):
+        verdict, reason = VACUOUS, (
             "total fiber Milnor number is not constant; the theorem's "
-            "hypothesis fails",
-        )
-    if base_mu == 0:
-        return SplittingReport(
-            base_mu, conv, results, VACUOUS,
-            "base fiber is smooth; the theorem concerns singular germs",
-        )
-    # every total is base_mu here, so a lone point carries all of it
-    if all(r.singular_count == 1 for r in results):
-        return SplittingReport(
-            base_mu, conv, results, CONSISTENT,
+            "hypothesis fails")
+    elif base_mu == 0:
+        verdict, reason = VACUOUS, "base fiber is smooth; the theorem concerns singular germs"
+    elif all(r.singular_count == 1 for r in results):
+        # every total is base_mu here, so a lone point carries all of it
+        verdict, reason = CONSISTENT, (
             "constant total Milnor number with a unique singular point "
-            "carrying the full Milnor number",
-        )
-    return SplittingReport(
-        base_mu, conv, results, VIOLATION,
-        "constant total Milnor number with splitting: this contradicts the "
-        "no-coalescence theorem and indicates a computation bug",
-    )
+            "carrying the full Milnor number")
+    else:
+        verdict, reason = VIOLATION, (
+            "constant total Milnor number with splitting: this contradicts the "
+            "no-coalescence theorem and indicates a computation bug")
+    return SplittingReport(base_mu, conv, results, verdict, reason)
 
 
 def _splitting_sample(fam, t0, sing, origin_total=None):

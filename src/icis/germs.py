@@ -6,7 +6,11 @@ generic-line test.  The Le-Greuel chain is localized at the origin
 singular points (``fiber_milnor_total``: global colengths with rising
 powers of the equations adjoined).  An ICIS keeps its chain stages, each
 an ``IdealPresentation`` caching its local colength: its isolation check
-fills them and ``icis_milnor`` reads them."""
+fills them and ``icis_milnor`` reads them.  The critical ideal of a
+function germ f on X is the chain's next stage, of (phi, f), kept in the
+same memo, so members with equal equations share one ideal.  A
+hypersurface's Jacobian ideal is localized through an
+``IdealPresentation`` as well, the one path to ``basis.local_colength``."""
 
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
-from .basis import local_colength
 from .errors import (
     GenericityError,
     InvalidInputError,
@@ -95,13 +98,6 @@ class IcisPresentation:
             hit = self._stages[eqs] = critical_ideal(eqs[:-1], eqs[-1], self.ring)
         return hit
 
-    def contains(self, point):
-        return all(p.eval(point) == 0 for p in self.phi)
-
-    def translated(self, point):
-        """Presentation of the same variety with ``point`` moved to 0."""
-        return IcisPresentation(self.ring, translate(self.phi, point))
-
 
 def translate(polys, point):
     """The polynomials p(x + point), which move ``point`` to the origin;
@@ -124,8 +120,9 @@ class GermFunction:
             raise InvalidInputError("function germ must vanish at the origin")
 
     def critical_ideal(self):
-        """<phi> plus the maximal minors of the Jacobian of (phi, f)."""
-        return critical_ideal(self.base.phi, self.f, self.base.ring)
+        """<phi> plus the maximal minors of the Jacobian of (phi, f): the
+        next stage of the base's chain, kept in the base's memo."""
+        return self.base.stage(self.base.phi + (self.f,))
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def hypersurface_milnor(f):
     """Local colength of the ideal of all partials of f."""
     if f.constant_term() != 0:
         raise InvalidInputError("germ must vanish at the origin")
-    mu = local_colength([f.diff(v) for v in f.ring], f.ring)
+    mu = IdealPresentation(f.ring, [f.diff(v) for v in f.ring]).local_colength()
     if mu == inf:
         raise NonIsolatedError(f"non-isolated singularity: {f}")
     return mu
@@ -157,11 +154,9 @@ def function_on_icis_milnor(g):
 
 
 def milnor_at_point(g, point):
-    """Milnor number of g.f on V(phi) at a rational point of the variety."""
-    point = {v: Fraction(c) for v, c in point.items()}
-    if not g.base.contains(point):
-        raise InvalidInputError(f"point {point} is not on the variety")
-    base = g.base.translated(point)
+    """Milnor number of g.f on V(phi) at a rational point of the variety;
+    a point off it is refused, as phi moved there does not vanish at 0."""
+    base = IcisPresentation(g.base.ring, translate(g.base.phi, point))
     (f_moved,) = translate([g.f], point)
     return function_on_icis_milnor(GermFunction(f_moved - f_moved.constant_term(), base))
 

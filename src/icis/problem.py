@@ -170,8 +170,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.problem = ProblemFile()
-        self.seen = {}  # statement word -> its first token
-        self.bound = {}  # binding name -> its token
+        self.seen = {}  # statement word or binding name -> its first token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -247,7 +246,6 @@ class _Parser:
             p.probes.append(self.probe())
         else:
             self.expect("=")
-            self.bound[word] = tok
             p.bindings[word] = self.comma_list(lambda: self.polynomial(p.ring))
         self.expect(";")
 
@@ -311,11 +309,11 @@ class _Parser:
         for word, tok in self.seen.items():
             if word not in read + UNIVERSAL:
                 self.fail(f"kind {p.kind!r} reads no {word!r}", tok)
-            if word == "probe" and p.kind == "family-analyze" and "F" not in self.bound:
+            if word == "probe" and p.kind == "family-analyze" and "F" not in p.bindings:
                 self.fail("a space family (no 'F') reads no 'probe'", tok)
-        for name, tok in self.bound.items():
-            if name in SINGLE and len(p.bindings[name]) > 1:
-                self.fail("binding takes one polynomial", tok)
+        for name, polys in p.bindings.items():
+            if name in SINGLE and len(polys) > 1:
+                self.fail("binding takes one polynomial", self.seen[name])
 
     # -- numbers and polynomials -------------------------------------------
 

@@ -491,7 +491,9 @@ class TestFiberCache:
 
 class TestBaseFiberOnce:
     """A family holds its fiber at t = 0 as one ICIS, so its isolation
-    check runs once."""
+    check runs once.  A member's critical ideal is the next stage of that
+    ICIS's chain, in the same memo, so members with equal equations
+    share one ideal."""
 
     def test_space_base_is_the_base_fiber(self):
         fam = SPACE_CASES[0].family()
@@ -501,10 +503,12 @@ class TestBaseFiberOnce:
     # the base fiber's Milnor chain, one stage per equation, which its
     # isolation check computes and the chain reads; each sample fiber has
     # two singular points, which fiber_milnor_total sums without local
-    # colengths
+    # colengths.  inconclusive.icis: F does not depend on t, so the members
+    # at t = 0, 1 and 1/2 share one critical ideal, after the base's stage
     @pytest.mark.parametrize("name, calls", [
         ("space_tacnode.icis", 1),
         ("icis_tacnode_splitting.icis", 2),
+        ("inconclusive.icis", 2),
     ])
     def test_local_colength_calls(self, name, calls, monkeypatch):
         counted = []
@@ -520,3 +524,9 @@ class TestBaseFiberOnce:
         assert len(counted) == calls
         # no stage is localized twice
         assert len(set(counted)) == len(counted)
+
+    def test_member_critical_ideal_is_a_base_stage(self):
+        fam = DeformationFamily.function_deformation(RING, "t", [y], x**3 - x**2 + t * x)
+        member = fam.specialize(1)
+        assert member.critical_ideal() is fam.base.stage(fam.base.phi + (member.f,))
+        assert fam.specialize(1).critical_ideal() is member.critical_ideal()

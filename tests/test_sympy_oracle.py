@@ -8,10 +8,15 @@ gcd) against ``sympy.expand`` and ``sympy.gcd``, squarefree parts
 against ``sympy.sqf_part``, and radical membership against a
 Rabinowitsch basis of sympy's own, and univariate eliminants of
 zero-dimensional ideals against the one-variable member of a sympy lex
-basis.  sympy is a test dependency only."""
+basis.  Discriminants of unfolding maps are checked against a sympy
+resultant (oracle A), and their line intersection numbers against the
+Le-Greuel sum of two ICIS Milnor numbers (oracle B).  sympy is a test
+dependency only."""
 
 import random
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 import sympy
@@ -19,15 +24,25 @@ from sympy.polys.orderings import MonomialOrder
 from sympy.polys.orderings import grevlex as sympy_grevlex
 
 from icis.basis import complete_basis, eliminate, normal_form
+from icis.germs import (
+    IcisPresentation,
+    LineDirection,
+    discriminant,
+    icis_milnor,
+    line_intersection_number,
+)
 from icis.ideals import (
     IdealPresentation,
+    distinct_point_count,
     elimination_ideal,
+    jacobian_matrix,
+    maximal_minors,
     radical_membership,
     univariate_eliminant,
 )
 from icis.orders import elimination_order, grevlex, lex
 from icis.poly import Polynomial, divexact, gcd, squarefree_part
-from icis.problem import parse_expression
+from icis.problem import parse_expression, parse_problem
 
 R = ("x", "y", "z")
 SYMBOLS = sympy.symbols(R)
@@ -55,10 +70,11 @@ def _random_ideal(rng, max_exp=2, coefficients=INTEGERS):
     return [g for g in gens if not g.is_zero()]
 
 
-def _to_sympy(f):
+def _to_sympy(f, symbols=SYMBOLS):
+    """f with its variables, by position, named by ``symbols``."""
     return sum(
         sympy.Rational(c.numerator, c.denominator)
-        * sympy.Mul(*(s**k for s, k in zip(SYMBOLS, e)))
+        * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
         for e, c in f.terms.items()
     )
 
@@ -455,3 +471,83 @@ def test_rational_univariate_eliminant_matches_sympy_lex(seed, n):
         assert elimination_ideal(I, [v]).generators == (ours,)
         assert frozenset((e, sympy.Rational(c.numerator, c.denominator))
                          for e, c in ours.terms.items()) == _sympy_eliminant(I, v)
+
+
+# -- discriminants of unfolding maps -----------------------------------------
+
+NONZERO = [c for c in range(-5, 6) if c]
+
+
+def _unfolding(seed):
+    """The map (x, g(x, y)) or (x, y, g(x, y, z)), g monic in its last
+    variable z: g is z^d plus c*x*z plus one or two terms c*a*z^j, with d
+    from 3 to 7, a a monomial in the other variables of degree e <= 2 and
+    j <= d - 2e, or a pure power z^j with 2 <= j < d; each c in [-5, 5].
+    No term is 1 or z, so the map and dg/dz vanish at 0, and c*x*z makes
+    the critical locus V(dg/dz) smooth at 0."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    ring = R[:n]
+    d = rng.randint(3, 7)
+    terms = {(0,) * (n - 1) + (d,): 1, (1,) + (0,) * (n - 2) + (1,): rng.choice(NONZERO)}
+    while len(terms) < 3 + rng.randint(0, 1):
+        a = [0] * (n - 1)
+        for _ in range(rng.randint(0, 2)):
+            a[rng.randrange(n - 1)] += 1
+        j = rng.randint(0, max(0, d - 2 * sum(a))) if any(a) else rng.randint(2, d - 1)
+        terms[tuple(a) + (j,)] = rng.choice(NONZERO)
+    g = Polynomial(ring, terms)
+    return ring, [Polynomial.variable(ring, v) for v in ring[:-1]] + [g]
+
+
+def _fixture_map(name):
+    problem = parse_problem(
+        (Path(__file__).parent / "fixtures" / f"{name}.icis").read_text())
+    return problem.ring, problem.bindings["phi"]
+
+
+UNFOLDINGS = {f"seed{seed}": _unfolding(seed) for seed in range(40)}
+UNFOLDINGS["discriminant_plane"] = _fixture_map("discriminant_plane")
+
+
+@cache
+def _unfolding_discriminant(name):
+    return discriminant(UNFOLDINGS[name][1])
+
+
+@pytest.mark.parametrize("name", UNFOLDINGS)
+def test_unfolding_discriminant_is_the_resultant(name):
+    """Oracle A: for phi = (u, g(u, z)), g monic in z, the discriminant is
+    the image of V(dg/dz), whose equation is the squarefree part of
+    Res_z(g(u, z) - w, dg/dz) (w the last target coordinate, u the
+    others); ours must equal it up to a nonzero rational."""
+    delta = _unfolding_discriminant(name)
+    *u, w = symbols = sympy.symbols(delta.ring)
+    z = sympy.Symbol("z")
+    g = _to_sympy(UNFOLDINGS[name][1][-1], (*u, z))
+    expected = sympy.sqf_part(sympy.resultant(g - w, sympy.diff(g, z), z))
+    ours = sympy.Poly(_to_sympy(delta, symbols), *symbols)
+    assert ours.monic() == sympy.Poly(expected, *symbols).monic()
+
+
+@pytest.mark.parametrize("name", UNFOLDINGS)
+def test_unfolding_line_intersection_is_the_le_greuel_sum(name):
+    """Oracle B: for a line L = s*b of the target, b_p != 0,
+    line_intersection_number(delta, L) = mu(F^-1(0)) + mu(F^-1(L)), where
+    F^-1(L) = V(phi_i - (b_i/b_p)*phi_p, i < p) (Le 1974; Greuel 1975;
+    Looijenga, *Isolated Singular Points on Complete Intersections*, ch. 4).
+    The left side is a block elimination, the right side two Milnor
+    chains of local colengths.  Hypotheses: 0 is the only critical point
+    of the map over 0, checked below; the critical locus maps birationally
+    onto delta, not checked."""
+    ring, phi = UNFOLDINGS[name]
+    minors = maximal_minors(jacobian_matrix(phi, list(ring)))
+    assert distinct_point_count(IdealPresentation(ring, phi + minors)) == 1
+    delta = _unfolding_discriminant(name)
+    mu0 = icis_milnor(IcisPresentation(ring, phi))
+    rng = random.Random(name)
+    for _ in range(3):
+        b = [rng.randint(-5, 5) for _ in phi[:-1]] + [rng.choice(NONZERO)]
+        line = [f - Fraction(c, b[-1]) * phi[-1] for f, c in zip(phi[:-1], b)]
+        muL = icis_milnor(IcisPresentation(ring, line))
+        assert line_intersection_number(delta, LineDirection(b)) == mu0 + muL
