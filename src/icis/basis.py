@@ -46,7 +46,10 @@ end of that degree are those of every larger K, and the next truncation
 resumes after it (``_TruncationState``).  Lazard's method is lent steps
 only when the loan covers its set-up (homogenizing, pairs and
 S-polynomials): a loan of no steps after a truncation without
-eliminations, otherwise at least ``LAZARD_STEP_RATIO`` steps.
+eliminations, otherwise at least 2 * ``LAZARD_STEP_RATIO`` steps.  A
+10-step loan on the Jacobian of x^4 + y^5 + z^6 + x^2*y^2*z ran out on
+every start, 0.3-0.6 ms each; without it that germ takes 225 steps, not
+235.
 
 When the generators' local leading monomials LL_j are pairwise coprime,
 the generators are already a local standard basis (Greuel-Pfister,
@@ -95,11 +98,12 @@ MONOMIAL_CAP = 5000
 # (2 rounds), families (1 round) and hard_germs (8 rounds) corpora, seed
 # 1, that the coprime-staircase certificate leaves to the truncation and
 # that eliminate; per-call quartiles 3.8 / 6.1-6.6 / 9.0-9.9.  Lazard's
-# loans are counted in its own steps, and a loan of fewer than this many
-# steps is not lent: a start that fails on its first step already took
-# 0.14-0.18 ms, 22-24 eliminations, on the same calls.  With ratios from
-# 4 to 8 the hard cases of tests/test_germs.py take 37,324-37,644,
-# 6,194-6,236 and 1,682-1,833 steps, the fewest at 8.
+# loans are counted in its own steps, and a loan of fewer than twice this
+# many steps is not lent: a start that fails on its first step already
+# took 0.14-0.18 ms, 22-24 eliminations, on the same calls, and one that
+# fails on a 10-step loan 0.3-0.6 ms (local_colength).  With ratios from
+# 4 to 8, and a floor of one ratio, the hard cases of tests/test_germs.py
+# took 37,324-37,644, 6,194-6,236 and 1,682-1,833 steps, the fewest at 8.
 LAZARD_STEP_RATIO = 8
 
 
@@ -611,8 +615,12 @@ def local_colength(gens, ring):
     hard germs of ``tests/test_germs.py`` fewer steps than a loan priced
     from all the truncations of the call.  A loan must cover the set-up of
     a start (homogenizing, pairs, S-polynomials: about 0.3 ms, some 40
-    eliminations), so none of fewer than ``LAZARD_STEP_RATIO`` steps is
-    lent, and a loan of no steps only after a truncation without
+    eliminations) and then some reduction, so none of fewer than
+    2 * ``LAZARD_STEP_RATIO`` steps is lent: the Jacobian of
+    x^4 + y^5 + z^6 + x^2*y^2*z was lent 10 steps after a truncation of
+    86 eliminations, and each such start ran out, 0.3-0.6 ms thrown away;
+    with this floor that germ takes 225 steps and no start, not 235 and
+    one.  A loan of no steps is lent only after a truncation without
     eliminations: it settles ideals such as <x> in two variables, which
     need no reduction.  Past ``MONOMIAL_CAP`` columns Lazard's method
     gets the whole budget.
@@ -648,7 +656,7 @@ def local_colength(gens, ring):
             return c
         spent = budget.spent - start
         loan = spent // LAZARD_STEP_RATIO
-        if spent == 0 or loan >= LAZARD_STEP_RATIO:
+        if spent == 0 or loan >= 2 * LAZARD_STEP_RATIO:
             try:
                 return _lazard_colength(gens, ring, _Loan(loan, budget))
             except _LoanExhausted:

@@ -41,14 +41,17 @@ nonzero.  Example::
 
 Every syntax or binding error carries the line/column of the offending
 token and a machine-readable code.  Expressions are expanded as they are
-parsed, into term dicts with the multiply-accumulate kernel of
-``poly._add_shifted``, and each expression becomes one ``Polynomial``
-at its end.  A product or power that would take more than
-``MAX_PRODUCT_TERMS`` term products is refused at its operator.  A power
-of one term is written down directly, without products.  A number that
-no report could print, one with more digits than the interpreter
-converts to text, is refused: in a one-term power at its ``^``, before
-the power is computed, and in a binding or probe at its first token.
+parsed, into term dicts on ``int`` coefficients with the kernel of
+``poly._add_shifted``; a ``Fraction`` enters only at a literal with a
+denominator.  Rationals appear at the boundary: each expression becomes
+one ``Polynomial``, with ``Fraction`` coefficients, at its end, and the
+values of ``samples`` and ``direction`` are ``Fraction`` objects.  A
+product or power that would take more than ``MAX_PRODUCT_TERMS`` term
+products is refused at its operator.  A power of one term is written
+down directly, without products.  A number that no report could print,
+one with more digits than the interpreter converts to text, is refused:
+in a one-term power at its ``^``, before the power is computed, and in a
+binding or probe at its first token.
 """
 
 from __future__ import annotations
@@ -107,7 +110,13 @@ def _power_of_ten(d):
     return 10**d if d else 0
 
 
-@dataclass
+@lru_cache(maxsize=16)
+def _units(ring):
+    """Each variable of ``ring`` and its exponent vector; shared, read only."""
+    return {v: tuple(int(v == w) for w in ring) for v in ring}
+
+
+@dataclass(slots=True)
 class Token:
     type: str
     value: str
@@ -171,18 +180,17 @@ class _Parser:
         self.pos = 0
         self.problem = ProblemFile()
         self.seen = {}  # statement word or binding name -> its first token
+        self.bound = _digit_bound()
 
     def peek(self):
         return self.tokens[self.pos]
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def accept(self, type_):
         """Take the next token if it has this type."""
-        return self.take() if self.peek().type == type_ else None
+        tok = self.tokens[self.pos]
+        if tok.type == type_:
+            self.pos += 1
+            return tok
 
     def fail(self, message, tok=None):
         tok = tok or self.peek()
@@ -190,9 +198,11 @@ class _Parser:
         raise ProblemSyntaxError(f"{message} (got {shown!r})", tok.line, tok.column)
 
     def expect(self, type_, what=None):
-        if self.peek().type != type_:
+        tok = self.tokens[self.pos]
+        if tok.type != type_:
             self.fail(f"expected {what or repr(type_)}")
-        return self.take()
+        self.pos += 1
+        return tok
 
     def integer(self, what=None):
         """The value of an INT token; one longer than the interpreter
@@ -237,7 +247,7 @@ class _Parser:
         elif word == "samples":
             p.samples = self.samples()
         elif word == "direction":
-            p.direction = tuple(self.comma_list(self.rational))
+            p.direction = tuple(map(Fraction, self.comma_list(self.rational)))
         elif word in ("seed", "budget"):
             setattr(p, word, self.integer())
         elif not p.ring:
@@ -276,13 +286,10 @@ class _Parser:
     def samples(self):
         """Nonzero rationals: t = 0 is the base member itself."""
         tok = self.peek()
-        samples = tuple(self.comma_list(self.rational))
+        samples = tuple(map(Fraction, self.comma_list(self.rational)))
         if 0 in samples:
-            raise ProblemSyntaxError(
-                "samples must be nonzero: t = 0 is the base member itself",
-                tok.line,
-                tok.column,
-            )
+            raise ProblemSyntaxError("samples must be nonzero: t = 0 is the base member itself",
+                                     tok.line, tok.column)
         return samples
 
     def probe(self):
@@ -318,28 +325,28 @@ class _Parser:
     # -- numbers and polynomials -------------------------------------------
 
     def rational(self):
-        sign = -1 if self.accept("-") else 1
-        num = self.integer()
+        """``['-'] INT ['/' INT]``: a Fraction only with a denominator."""
+        num = -self.integer() if self.accept("-") else self.integer()
         if not self.accept("/"):
-            return Fraction(sign * num)
+            return num
         tok = self.peek()
         den = self.integer("integer denominator")
         if den == 0:
             self.fail("zero denominator", tok)
-        return Fraction(sign * num, den)
+        return Fraction(num, den)
 
     def polynomial(self, ring):
         """An expr as a Polynomial, refused at its first token when it
         has a number that cannot be printed (``printable``)."""
         tok = self.peek()
-        return Polynomial(ring, self.printable(self.expr(ring), tok))
+        return Polynomial(ring, self.printable(self.expr(_units(ring)), tok))
 
     def printable(self, terms, tok):
         """The term dict ``terms``, refused at ``tok`` when the numerator
         or denominator of a coefficient, or an exponent, has more digits
         than the interpreter converts to text
         (``sys.get_int_max_str_digits``): no report could print it."""
-        bound = _digit_bound()
+        bound = self.bound
         if bound and any(abs(c.numerator) >= bound or c.denominator >= bound
                          or max(e, default=0) >= bound for e, c in terms.items()):
             self.too_long(tok)
@@ -350,31 +357,28 @@ class _Parser:
             f"expansion has a number of more than {sys.get_int_max_str_digits()} digits",
             tok.line, tok.column)
 
-    # expr, product, atom and factor expand into term dicts
-    # {exponents: Fraction} with no zero coefficient
+    # expr, product, atom and factor expand into term dicts {exponents:
+    # int or Fraction} with no zero coefficient, over a ring's ``units``
 
-    def expr(self, ring):
-        negate = self.peek().type == "-"
-        if self.peek().type in ("+", "-"):
-            self.take()
-        result = self.product(ring)
+    def expr(self, units):
+        negate = not self.accept("+") and self.accept("-")
+        result = self.product(units)
         if negate:
             result = {e: -c for e, c in result.items()}
-        zero = (0,) * len(ring)
-        while self.peek().type in ("+", "-"):
-            sign = 1 if self.take().type == "+" else -1
-            _add_shifted(result, self.product(ring).items(), zero, sign)
+        zero = (0,) * len(units)
+        while tok := self.accept("+") or self.accept("-"):
+            _add_shifted(result, self.product(units).items(), zero, 1 if tok.type == "+" else -1)
         return result
 
-    def product(self, ring):
-        result = self.atom(ring)
+    def product(self, units):
+        result = self.atom(units)
         while True:
             tok = self.peek()
             if self.accept("*"):
-                result = self.multiply(result, self.atom(ring), tok)
+                result = self.multiply(result, self.atom(units), tok)
             elif tok.type in ("IDENT", "("):
                 # implicit multiplication: 3x, 2(x+y)
-                result = self.multiply(result, self.factor(ring), tok)
+                result = self.multiply(result, self.factor(units), tok)
             else:
                 return result
 
@@ -383,33 +387,29 @@ class _Parser:
         MAX_PRODUCT_TERMS term products: expanding is not budgeted."""
         if len(a) * len(b) > MAX_PRODUCT_TERMS:
             raise ExpansionTooLargeError(
-                f"expansion needs more than {MAX_PRODUCT_TERMS} term products",
-                tok.line,
-                tok.column,
-            )
+                f"expansion needs more than {MAX_PRODUCT_TERMS} term products", tok.line, tok.column)
         product = {}
         for e, c in a.items():
             _add_shifted(product, b.items(), e, c)
         return product
 
-    def atom(self, ring):
+    def atom(self, units):
         if self.peek().type == "INT":
             c = self.rational()
-            return {(0,) * len(ring): c} if c else {}
-        return self.factor(ring)
+            return {(0,) * len(units): c} if c else {}
+        return self.factor(units)
 
-    def factor(self, ring):
+    def factor(self, units):
         tok = self.peek()
         if self.accept("IDENT"):
-            if tok.value not in ring:
+            unit = units.get(tok.value)
+            if unit is None:
                 raise UnboundNameError(
-                    f"unbound name {tok.value!r}; ring variables are {', '.join(ring)}",
-                    tok.line,
-                    tok.column,
-                )
-            base = {tuple(int(v == tok.value) for v in ring): Fraction(1)}
+                    f"unbound name {tok.value!r}; ring variables are {', '.join(units)}",
+                    tok.line, tok.column)
+            base = {unit: 1}
         elif self.accept("("):
-            base = self.expr(ring)
+            base = self.expr(units)
             self.expect(")")
         else:
             self.fail("expected a polynomial term")
@@ -420,14 +420,13 @@ class _Parser:
         if len(base) == 1:
             # one term: (c*x^e)^k = c^k*x^(k*e), no products
             ((e, c),) = base.items()
-            bound = _digit_bound()
-            if bound and any(k * (abs(n).bit_length() - 1) >= bound.bit_length()
-                             for n in (c.numerator, c.denominator)):
-                # |n|^k >= 2^(k*(bits - 1)) > bound: refused before it is computed
+            n = max(abs(c.numerator), c.denominator)
+            if self.bound and k * (n.bit_length() - 1) >= self.bound.bit_length():
+                # n^k >= 2^(k*(bits - 1)) > bound: refused before it is computed
                 self.too_long(tok)
-            return self.printable({tuple(k * x for x in e): c**k}, tok)
+            return self.printable({tuple([k * x for x in e]): c**k}, tok)
         # square-and-multiply, each product checked
-        result = {(0,) * len(ring): Fraction(1)}
+        result = {(0,) * len(units): 1}
         while k:
             if k & 1:
                 result = self.multiply(result, base, tok)

@@ -683,8 +683,8 @@ def _jacobian(text):
 class TestLazardLoans:
     """Steps and starts of Lazard's method inside ``local_colength``:
     a loan is of no steps after a truncation without eliminations, else
-    of at least LAZARD_STEP_RATIO steps, priced from the truncation that
-    just failed."""
+    of at least 2 * LAZARD_STEP_RATIO steps, priced from the truncation
+    that just failed."""
 
     @pytest.fixture
     def starts(self, monkeypatch):
@@ -695,9 +695,10 @@ class TestLazardLoans:
         return starts
 
     # truncations rebuilt from degree 0, with loans of 1 step and more,
-    # took 289 steps and 2 starts, and 77 steps and 2 starts
+    # took 289 steps and 2 starts, and 77 steps and 2 starts; loans of 8
+    # steps and more took the first 235 steps and a failed 10-step start
     @pytest.mark.parametrize("text, mu, steps, most_starts", [
-        ("x^4 + y^5 + z^6 + x^2*y^2*z", 60, 235, 1),
+        ("x^4 + y^5 + z^6 + x^2*y^2*z", 60, 225, 0),
         ("x^2 + y^3 + z^7 + x*y*z", 11, 73, 0),
     ])
     def test_pinned_steps_and_starts(self, starts, text, mu, steps, most_starts):
@@ -710,7 +711,7 @@ class TestLazardLoans:
         # no truncation stabilizes; loans priced from the truncation that
         # just failed decide it within the CI budget of the non-reduced ICIS
         gens, ring = _jacobian("(x^2 - y^3 + z^5)^2*(x + y^2 + z^3)")
-        with step_budget(37_330):
+        with step_budget(37_316):
             assert local_colength(gens, ring) == inf
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
+import sympy
 from hypothesis import given, settings
 
 from icis.errors import (
@@ -13,7 +14,14 @@ from icis.errors import (
     UnboundNameError,
 )
 from icis.poly import Polynomial, format_poly
-from icis.problem import MAX_PRODUCT_TERMS, Token, parse_expression, parse_problem, tokenize
+from icis.problem import (
+    MAX_PRODUCT_TERMS,
+    Token,
+    parse_expression,
+    parse_problem,
+    parse_samples,
+    tokenize,
+)
 
 R = ("x", "y")
 x = Polynomial.variable(R, "x")
@@ -102,6 +110,106 @@ class TestTokenizer:
             ("IDENT", "ring", 1, 1), ("IDENT", "x", 1, 6), (";", ";", 1, 7),
             ("IDENT", "f", 2, 3), ("=", "=", 2, 5), ("IDENT", "x2", 2, 7),
             ("^", "^", 2, 9), ("INT", "3", 2, 10), (";", ";", 2, 11), ("EOF", "", 2, 12)]
+
+
+# Random expression trees, rendered to text by the grammar's rules and
+# expanded independently by sympy: ("var", name), ("int", n),
+# ("frac", a, b), ("add", [(sign, tree), ...]) with a sign on every term
+# (a leading one is unary), ("mul", [(implicit, tree), ...]) where the
+# flag of every factor after the first picks juxtaposition over '*', and
+# ("pow", tree, k).
+_VARIABLES = ("x", "y", "z")
+_LEAVES = st.one_of(
+    st.sampled_from(_VARIABLES).map(lambda v: ("var", v)),
+    st.integers(0, 12).map(lambda n: ("int", n)),
+    st.tuples(st.integers(0, 12), st.integers(1, 12)).map(lambda ab: ("frac", *ab)),
+)
+_TREES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(st.tuples(st.sampled_from("+-"), children), min_size=1, max_size=3).map(
+        lambda terms: ("add", terms)),
+    st.lists(st.tuples(st.booleans(), children), min_size=2, max_size=3).map(
+        lambda factors: ("mul", factors)),
+    st.tuples(children, st.integers(0, 3)).map(lambda bk: ("pow", *bk)),
+), max_leaves=8)
+
+
+def _as_expr(t):
+    if t[0] == "add":
+        return " ".join(f"{sign} {_as_product(u)}" for sign, u in t[1])
+    return _as_product(t)
+
+
+def _as_product(t):
+    if t[0] != "mul":
+        return _as_atom(t)
+    (_, first), *rest = t[1]
+    return _as_atom(first) + "".join(
+        f" {_as_factor(u)}" if implicit else f" * {_as_atom(u)}" for implicit, u in rest)
+
+
+def _as_atom(t):
+    if t[0] == "int":
+        return str(t[1])
+    if t[0] == "frac":
+        return f"{t[1]}/{t[2]}"
+    return _as_factor(t)
+
+
+def _as_factor(t):
+    if t[0] == "var":
+        return t[1]
+    if t[0] == "pow":
+        base = t[1]
+        return (base[1] if base[0] == "var" else f"({_as_expr(base)})") + f"^{t[2]}"
+    return f"({_as_expr(t)})"
+
+
+def _sympy_value(t):
+    if t[0] == "var":
+        return sympy.Symbol(t[1])
+    if t[0] == "int":
+        return sympy.Integer(t[1])
+    if t[0] == "frac":
+        return sympy.Rational(t[1], t[2])
+    if t[0] == "add":
+        return sympy.Add(*((-1 if sign == "-" else 1) * _sympy_value(u) for sign, u in t[1]))
+    if t[0] == "mul":
+        return sympy.Mul(*(_sympy_value(u) for _, u in t[1]))
+    return _sympy_value(t[1]) ** t[2]
+
+
+class TestExpansionOracle:
+    @given(_TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_sympy_expand(self, tree):
+        text = _as_expr(tree)
+        expanded = sympy.Poly(sympy.expand(_sympy_value(tree)), *map(sympy.Symbol, _VARIABLES))
+        expected = {e: Fraction(int(c.p), int(c.q)) for e, c in expanded.terms() if c}
+        assert parse_expression(text, _VARIABLES).terms == expected, text
+
+
+class TestRationalBoundary:
+    """Expansion runs on ints, but every value the parser hands out is a
+    Fraction, integer-only input included."""
+
+    @staticmethod
+    def _all_fractions(values):
+        return all(type(v) is Fraction for v in values)
+
+    @pytest.mark.parametrize("text", ["x^2 - 3*y^3 + 7", "(x + 2*y)^3 - x*y", "1/2*x + 1/2*x",
+                                      "2*x*(1/2*y)", "-4", "(2*x)^3"])
+    def test_expression_coefficients(self, text):
+        assert self._all_fractions(parse_expression(text, R).terms.values())
+
+    def test_problem_file_values(self):
+        p = parse_problem("ring t, x, y;\nparam t;\nphi = x^2 - y^3, 2*x*y;\nF = x + 3*t*y;\n"
+                          "kind greuel-check;\nsamples 1, -2, 3/2;\nprobe t = -3*s, x = s^3, y = 2*s^2;\n")
+        polys = [*p.bindings["phi"], *p.bindings["F"], *p.probes[0].values()]
+        assert self._all_fractions(c for f in polys for c in f.terms.values())
+        assert self._all_fractions(p.samples)
+        p = parse_problem("ring x, y;\ndelta = x^2 - y^3;\ndirection 1, -2;\nkind generic-line;\n")
+        assert self._all_fractions(p.direction)
+        assert self._all_fractions(parse_samples("1, 2"))
 
 
 class TestExpressions:
