@@ -2,20 +2,23 @@
 
 ``icis run FILE [--json] [--seed N] [--samples a/b,c/d] [--budget N]``
 computes the problem described in FILE and prints a deterministic
-report; ``icis check FILE`` only parses and validates.
+report; ``icis check FILE`` only parses and validates.  ``-h`` or
+``--help`` anywhere prints ``USAGE``, the command-line grammar, which
+``read_argv`` reads without argparse: its import and parser build cost a
+one-shot run more than a small problem's mathematics.  Option names are
+matched whole, and a repeated option keeps its last value.
 
 A run builds one report record, each value once as a Python object; the
 text report is rendered from it, and ``--json`` appends the record
 itself as one JSON line.
 
 Exit codes: 0 computed (including VACUOUS verdicts), 2 some verdict of
-the record is INCONCLUSIVE, 3 input error, 4 budget exhausted.
+the record is INCONCLUSIVE, 3 input error (a usage error included), 4
+budget exhausted.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 import time
@@ -24,7 +27,8 @@ from math import inf
 
 from . import families as fam_mod
 from .basis import step_budget
-from .errors import AnswerTooLongError, BudgetExhaustedError, IcisError, ProblemFileError
+from .errors import (AnswerTooLongError, BudgetExhaustedError, IcisError, ProblemFileError,
+                     UsageError)
 from .families import (
     CurveProbe,
     DeformationFamily,
@@ -242,43 +246,77 @@ def _exit_code(record):
     return EXIT_OK
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors are input errors: exit 3, not argparse's 2, which
-    means inconclusive here."""
+USAGE = """\
+usage: icis run FILE [--json] [--seed N] [--samples S] [--budget N]
+       icis check FILE
 
-    def error(self, message):
-        self.exit(EXIT_INPUT, f"error[usage]: {message}\n")
+Exact singularity invariants and deformation-family checks.
+
+  run FILE     compute the problem in FILE and print its report
+  check FILE   parse and validate FILE only
+  --json       append the report record as one JSON line
+  --seed N     seed of the ICIS Milnor chain's recombinations
+  --samples S  comma-separated nonzero rationals, e.g. 1,1/2
+  --budget N   reduction steps the run may spend, N >= 0
+  -h, --help   print this text
+
+Options go before or after FILE, as --opt value or --opt=value.
+Exit codes: 0 computed, 2 inconclusive, 3 input or usage error,
+4 budget exhausted.
+"""
+
+# the options of ``icis run``, each with its value's type; None marks a flag
+RUN_OPTIONS = {"--json": None, "--seed": int, "--samples": str, "--budget": int}
 
 
-@functools.cache
-def _parser():
-    """The argument parser, built on the first ``main`` call of the
-    process and reused by every later one."""
-    parser = _ArgumentParser(
-        prog="icis",
-        description="Exact singularity invariants and deformation-family checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="compute the problem in FILE")
-    run_p.add_argument("file")
-    run_p.add_argument("--json", action="store_true", dest="emit_json")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--samples", default=None,
-                       help="comma-separated nonzero rationals, e.g. 1,1/2")
-    run_p.add_argument("--budget", type=int, default=None)
-    check_p = sub.add_parser("check", help="parse and validate FILE only")
-    check_p.add_argument("file")
-    return parser
+def read_argv(argv):
+    """``(command, file, options)`` of a command line without ``-h`` or
+    ``--help``: ``options`` maps each ``run`` option given to its last
+    value (True for ``--json``).  Raises UsageError off the grammar of
+    ``USAGE``."""
+    if not argv or argv[0] not in ("run", "check"):
+        raise UsageError(f"unknown command {argv[0]!r}: expected run or check" if argv
+                         else "expected a command: run or check")
+    command, files, options = argv[0], [], {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            files.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if command != "run" or name not in RUN_OPTIONS:
+            raise UsageError(f"unknown option {name} for {command}")
+        kind = RUN_OPTIONS[name]
+        if kind is None and eq:
+            raise UsageError(f"{name} takes no value")
+        if kind is not None and not eq:
+            value = next(rest, None)
+            if value is None:
+                raise UsageError(f"{name} expects a value")
+        try:
+            options[name] = True if kind is None else kind(value)
+        except ValueError:
+            raise UsageError(f"{name} expects an integer, not {value!r}") from None
+    if len(files) != 1:
+        raise UsageError(f"{command} expects one FILE, got {len(files)}")
+    if options.get("--budget", 0) < 0:
+        raise UsageError("--budget must be non-negative")
+    return command, files[0], options
 
 
 def main(argv=None):
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "run" and args.budget is not None and args.budget < 0:
-        parser.error("--budget must be non-negative")
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return EXIT_OK
+    try:
+        command, path, options = read_argv(argv)
+    except UsageError as exc:
+        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     try:
-        with open(args.file, "rb") as fh:
+        with open(path, "rb") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
@@ -286,27 +324,27 @@ def main(argv=None):
 
     try:
         problem = parse_problem(text)
-        if args.command == "run" and args.samples is not None:
-            problem.samples = parse_samples(args.samples)
+        if "--samples" in options:
+            problem.samples = parse_samples(options["--samples"])
     except ProblemFileError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.command == "check":
+    if command == "check":
         print(f"ok: kind {problem.kind}, ring {', '.join(problem.ring)}")
         return EXIT_OK
 
-    if args.seed is not None:
-        problem.seed = args.seed
-    if args.budget is not None:
-        problem.budget = args.budget
+    if "--seed" in options:
+        problem.seed = options["--seed"]
+    if "--budget" in options:
+        problem.budget = options["--budget"]
 
     started = time.monotonic()
     try:
         with step_budget(problem.budget) as budget:
             lines, data, code = run_problem(problem)
         elapsed = time.monotonic() - started
-        if args.emit_json:
+        if "--json" in options:
             lines.append(json.dumps(_jsonable(data), sort_keys=True))
     except BudgetExhaustedError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

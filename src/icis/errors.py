@@ -9,6 +9,12 @@ class IcisError(Exception):
     code = "error"
 
 
+class UsageError(IcisError):
+    """A command line outside the grammar of ``icis --help``."""
+
+    code = "usage"
+
+
 class RingMismatchError(IcisError):
     """Operands live over different variable lists."""
 

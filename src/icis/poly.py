@@ -316,13 +316,16 @@ def format_poly(f):
             elif k > 1:
                 factors.append(f"{name}^{k}")
         mono = "*".join(factors)
+        # |c| written off its numerator and denominator: no Fraction is built
+        num, den = c.numerator, c.denominator
+        magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
+            body = magnitude
+        elif magnitude == "1":
             body = mono
         else:
-            body = f"{abs(c)}*{mono}"
-        sign = "-" if c < 0 else "+"
+            body = f"{magnitude}*{mono}"
+        sign = "-" if num < 0 else "+"
         parts.append((sign, body))
     sign, body = parts[0]
     out = ("-" if sign == "-" else "") + body

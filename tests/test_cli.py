@@ -15,6 +15,7 @@ from icis.cli import main
 from icis.families import DeformationFamily
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 README = pathlib.Path(__file__).parents[1] / "README.md"
 PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 
@@ -94,10 +95,8 @@ def _count_calls(monkeypatch, names):
 
 
 def run_cli(*argv, capsys=None):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors, as the shell sees them
-        code = exc.code
+    # main returns every exit code, a usage error's and --help's included
+    code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -132,24 +131,23 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
         assert "mu: 1" in proc.stdout
 
-    def test_import_builds_no_parser(self):
-        # the argument parser is built by the first main call, not at import
+    def test_no_argument_parser_modules(self):
+        # argparse, and the gettext and locale it imports, cost a one-shot
+        # run more than a small problem's mathematics
         src = str(pathlib.Path(icis.__file__).parents[1])
+        fixture = str(FIXTURES / "milnor_morse.icis")
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import icis.cli; print(icis.cli._parser.cache_info().currsize)"],
+             "import contextlib, io, sys, icis.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             f"    codes = [icis.cli.main([c, {fixture!r}]) for c in ('run', 'check')]\n"
+             "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"],
             capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0\n"
-
-    def test_one_parser_per_process(self, capsys):
-        for _ in range(2):
-            run_cli("run", str(FIXTURES / "milnor_morse.icis"), capsys=capsys)
-        run_cli("check", str(FIXTURES / "milnor_morse.icis"), capsys=capsys)
-        assert cli._parser.cache_info().misses == 1
-        assert cli._parser.cache_info().hits >= 2
+        assert proc.stdout == "[0, 0] []\n"
 
     def test_console_script_target(self):
         module, attr = _script_target("icis").split(":")
@@ -445,6 +443,79 @@ class TestCheck:
         code, _, err = run_cli("check", str(FIXTURES / "bad_syntax.icis"), capsys=capsys)
         assert code == 3
         assert "line 2" in err
+
+
+# the argv table: "F" stands for greuel_cusp.icis, whose report moves
+# with both --seed and --samples.  Accepted forms, each with its exit
+# code and the golden variant of its stdout (None: no stdout)
+ARGV_FORMS = [
+    (["run", "F", "--json"], 0, "json"),
+    (["run", "--json", "F"], 0, "json"),
+    (["run", "--samples", "3,1/4", "--json", "F"], 0, "json-samples"),
+    (["run", "F", "--samples=3,1/4", "--json"], 0, "json-samples"),
+    (["run", "--seed=2", "F", "--json"], 0, "seed2-json"),
+    (["run", "F", "--json", "--seed", "2"], 0, "seed2-json"),
+    (["run", "--seed", "7", "F", "--json", "--seed=2"], 0, "seed2-json"),
+    (["run", "--budget=32", "F"], 0, "plain"),
+    (["run", "F", "--budget", "32", "--budget", "31"], 4, None),
+]
+
+# -h or --help anywhere: exit 0 and USAGE on stdout
+ARGV_HELP = [["-h"], ["--help"], ["run", "-h"], ["run", "--help"],
+             ["run", "F", "--json", "--help"], ["check", "F", "-h"], ["frob", "--help"]]
+
+# usage errors: exit 3, no stdout, and this error[usage] line on stderr
+ARGV_ERRORS = [
+    ([], "expected a command: run or check"),
+    (["frob", "F"], "unknown command 'frob': expected run or check"),
+    (["--json", "run", "F"], "unknown command '--json': expected run or check"),
+    (["run"], "run expects one FILE, got 0"),
+    (["check", "--"], "unknown option -- for check"),
+    (["run", "F", "F"], "run expects one FILE, got 2"),
+    (["run", "F", "--frob"], "unknown option --frob for run"),
+    (["run", "F", "--bud", "5"], "unknown option --bud for run"),
+    (["run", "F", "-j"], "unknown option -j for run"),
+    (["check", "F", "--json"], "unknown option --json for check"),
+    (["check", "--budget=5", "F"], "unknown option --budget for check"),
+    (["run", "F", "--seed"], "--seed expects a value"),
+    (["run", "F", "--samples"], "--samples expects a value"),
+    (["run", "F", "--seed", "x"], "--seed expects an integer, not 'x'"),
+    (["run", "F", "--budget=1.5"], "--budget expects an integer, not '1.5'"),
+    (["run", "F", "--budget", "-1"], "--budget must be non-negative"),
+    (["run", "--budget=-1", "F"], "--budget must be non-negative"),
+    (["run", "F", "--json=1"], "--json takes no value"),
+]
+
+
+def _cusp_argv(argv):
+    return [str(FIXTURES / "greuel_cusp.icis") if a == "F" else a for a in argv]
+
+
+class TestArgv:
+    @pytest.mark.parametrize("argv, code, variant", ARGV_FORMS,
+                             ids=[" ".join(row[0]) for row in ARGV_FORMS])
+    def test_accepted_forms(self, capsys, argv, code, variant):
+        got, out, err = run_cli(*_cusp_argv(argv), capsys=capsys)
+        assert got == code
+        expected = "" if variant is None else (GOLDEN / f"greuel_cusp.{variant}.out").read_text()
+        assert out == expected
+        assert "error[usage]" not in err
+
+    @pytest.mark.parametrize("argv", ARGV_HELP, ids=[" ".join(argv) for argv in ARGV_HELP])
+    def test_help(self, capsys, argv):
+        assert run_cli(*_cusp_argv(argv), capsys=capsys) == (0, cli.USAGE, "")
+        assert cli.USAGE.startswith("usage: icis run FILE [--json] [--seed N] [--samples S] "
+                                    "[--budget N]\n       icis check FILE\n")
+
+    @pytest.mark.parametrize("argv, message", ARGV_ERRORS,
+                             ids=[" ".join(row[0]) or "no-arguments" for row in ARGV_ERRORS])
+    def test_usage_errors(self, capsys, argv, message):
+        assert run_cli(*_cusp_argv(argv), capsys=capsys) == (3, "", f"error[usage]: {message}\n")
+
+    def test_option_value_may_start_with_a_minus(self, capsys):
+        code, out, _ = run_cli(*_cusp_argv(["run", "F", "--samples", "-1/2"]), capsys=capsys)
+        assert code == 0
+        assert "[mu at origin 4 vs samples {-1/2: 3}]" in out
 
 
 class TestFlags:
