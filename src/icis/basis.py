@@ -46,10 +46,11 @@ end of that degree are those of every larger K, and the next truncation
 resumes after it (``_TruncationState``).  Lazard's method is lent steps
 only when the loan covers its set-up (homogenizing, pairs and
 S-polynomials): a loan of no steps after a truncation without
-eliminations, otherwise at least 2 * ``LAZARD_STEP_RATIO`` steps.  A
-10-step loan on the Jacobian of x^4 + y^5 + z^6 + x^2*y^2*z ran out on
-every start, 0.3-0.6 ms each; without it that germ takes 225 steps, not
-235.
+eliminations, which settles generators that overlap only above the
+first K, such as <x^5*y, x*z^5>, otherwise at least 2 *
+``LAZARD_STEP_RATIO`` steps.  A 10-step loan on the Jacobian of
+x^4 + y^5 + z^6 + x^2*y^2*z ran out on every start, 0.3-0.6 ms each;
+without it that germ takes 225 steps, not 235.
 
 When the generators' local leading monomials LL_j are pairwise coprime,
 the generators are already a local standard basis (Greuel-Pfister,
@@ -621,9 +622,10 @@ def local_colength(gens, ring):
     86 eliminations, and each such start ran out, 0.3-0.6 ms thrown away;
     with this floor that germ takes 225 steps and no start, not 235 and
     one.  A loan of no steps is lent only after a truncation without
-    eliminations: it settles ideals such as <x> in two variables, which
-    need no reduction.  Past ``MONOMIAL_CAP`` columns Lazard's method
-    gets the whole budget.
+    eliminations: it settles an ideal whose generators overlap only in an
+    lcm above the first K, such as <x^5*y, x*z^5>, in no step, where the
+    later truncations take 153.  Past ``MONOMIAL_CAP`` columns Lazard's
+    method gets the whole budget.
 
     Before any truncation, the generators' local leading monomials LL_j
     (each the least term in degree, then reversed exponents: the

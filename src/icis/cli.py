@@ -2,7 +2,9 @@
 
 ``icis run FILE [--json] [--seed N] [--samples a/b,c/d] [--budget N]``
 computes the problem described in FILE and prints a deterministic
-report; ``icis check FILE`` only parses and validates.  ``-h`` or
+report; ``icis check FILE`` only parses and validates.  ``--samples``
+on a kind that reads no samples (``problem.reads``) is a usage error, as
+a ``samples`` statement in its file is a syntax error.  ``-h`` or
 ``--help`` anywhere prints ``USAGE``, the command-line grammar, which
 ``read_argv`` reads without argparse: its import and parser build cost a
 one-shot run more than a small problem's mathematics.  Option names are
@@ -51,7 +53,7 @@ from .germs import (
     multiplicity,
 )
 from .poly import format_poly
-from .problem import parse_problem, parse_samples
+from .problem import parse_problem, parse_samples, reads
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -256,7 +258,7 @@ Exact singularity invariants and deformation-family checks.
   check FILE   parse and validate FILE only
   --json       append the report record as one JSON line
   --seed N     seed of the ICIS Milnor chain's recombinations
-  --samples S  comma-separated nonzero rationals, e.g. 1,1/2
+  --samples S  a family's samples: nonzero rationals, e.g. 1,1/2
   --budget N   reduction steps the run may spend, N >= 0
   -h, --help   print this text
 
@@ -325,8 +327,10 @@ def main(argv=None):
     try:
         problem = parse_problem(text)
         if "--samples" in options:
+            if not reads(problem.kind, "samples"):
+                raise UsageError(f"kind {problem.kind!r} reads no --samples")
             problem.samples = parse_samples(options["--samples"])
-    except ProblemFileError as exc:
+    except (ProblemFileError, UsageError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -10,14 +10,15 @@ one in-place multiply-accumulate kernel on term dicts, ``_add_shifted``
 exact division and the univariate Euclidean remainder share one
 single-divisor division, ``_divmod``.
 
-``squarefree_part`` splits off the content in one variable x and
-recurses on it.  The primitive part p is certified squarefree when p(x, a)
-is, at one of a fixed list of points a of the other variables where the
-leading coefficient in x does not vanish (a univariate Euclid, outside the
-step budget).  Multivariate ``gcd`` is lcm-by-elimination
-(``basis.eliminate`` under a block order), charged to the step budget;
-squarefree parts use it only for contents, when no variable has a
-constant coefficient, and for a primitive part that no point certifies.
+``squarefree_part`` has one rule, rad(f) = f / gcd(f, df/dx for x in A)
+(Yun 1976; Geddes-Czapor-Labahn, ch. 8).  A is the first variable in
+which f has a constant coefficient, which every factor of f uses, or all
+of f's variables when it has none.  A multivariate f is certified
+squarefree, with no gcd, when for every x in A some f(x, a) is, at one of
+a fixed list of points a of the other variables where the leading
+coefficient in x does not vanish (a univariate Euclid, outside the step
+budget).  Multivariate ``gcd`` is lcm-by-elimination (``basis.eliminate``
+under a block order), charged to the step budget.
 """
 
 from __future__ import annotations
@@ -430,64 +431,47 @@ _CERTIFICATE_VALUES = (1, -1, 2, -2, 3, -3)
 
 def squarefree_part(f):
     """Generator of the radical of <f>, leading coefficient normalized to
-    1 under grevlex.  Valid over a field of characteristic zero.
-
-    f = c*p splits into its content c in one variable x and a primitive
-    part p; rad(f) = rad(c)*rad(p), as every factor of c is free of x and
-    every factor of p involves x.  c is recursed on, and p is certified
-    squarefree by a univariate specialization or divided by gcd(p, dp/dx)."""
+    1 under grevlex, in characteristic zero: f / gcd(f, df/dx for x in A),
+    A from ``_axes``.  Every factor of f uses a variable of A, so one of
+    multiplicity m divides that gcd m - 1 times.  A multivariate f that
+    every x in A certifies (``_certified``) is its own radical."""
     if f.is_zero():
         raise ZeroInputError("squarefree_part of 0")
-    return _monic(_radical(f))
-
-
-def _radical(f):
-    """A generator of the radical of <f>, f nonzero, up to a scalar."""
     used = [i for i in range(len(f.ring)) if any(e[i] for e in f.terms)]
-    if not used:
-        return Polynomial.constant(f.ring, 1)
-    # in an x with a constant coefficient the content is 1: no gcds.  The
-    # coefficient of x^k is constant when x^k is f's only term of degree k
-    # in x.
+    axes = _axes(f, used)
+    if len(used) > 1 and all(_certified(f, i, used) for i in axes):
+        return _monic(f)
+    g = f
+    for i in axes:
+        g = gcd(g, f.diff(f.ring[i]))
+    return _monic(divexact(f, g))
+
+
+def _axes(f, used):
+    """A: the first used variable x with a constant coefficient, which
+    every factor of f uses; else all of them.  The coefficient of x^k is
+    constant when x^k is f's only term of degree k in x."""
     for i in used:
         mixed = {e[i] for e in f.terms if sum(e) != e[i]}
         if any(e[i] not in mixed for e in f.terms if sum(e) == e[i]):
-            return _radical_primitive(f, i)
-    i = used[0]
-    coeffs = sorted(_coefficients(f, i), key=lambda c: len(c.terms))
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        content = gcd(content, c)
-        if content.is_constant():
-            return _radical_primitive(f, i)
-    return _radical(content) * _radical_primitive(divexact(f, content), i)
+            return [i]
+    return used
 
 
-def _coefficients(f, i):
-    """The coefficients of f as a polynomial in its i-th variable."""
-    out = {}
-    for e, c in f.terms.items():
-        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
-    return [Polynomial(f.ring, t) for t in out.values()]
+def _certified(f, i, used):
+    """True when no square factor of f uses its i-th variable x.
 
-
-def _radical_primitive(p, i):
-    """Radical of p, whose content in its i-th variable x is 1.
-
-    p is squarefree when p(x, a) is, at a point a of the other variables
-    with lc_x(p)(a) != 0: every factor of p involves x, so a square factor
-    q^2 would leave q(x, a)^2 with deg q(x, a) >= 1.  The certificate runs
-    outside the step budget; only when no point gives it is p divided by
-    gcd(p, dp/dx): one lcm-by-elimination gcd, or Euclid when x is the
-    only variable of p."""
-    x = p.ring[i]
-    deg = max(e[i] for e in p.terms)
-    others = [k for k in range(len(p.ring)) if k != i and any(e[k] for e in p.terms)]
-    if others:
-        for a in _CERTIFICATE_VALUES:
-            q = p.subs({p.ring[k]: a ** (n + 1) for n, k in enumerate(others)})
-            if max((e[i] for e in q.terms), default=-1) < deg:
-                continue  # lc_x(p) vanishes at this point
-            if _gcd_univariate(q, q.diff(x)).is_constant():
-                return p
-    return divexact(p, gcd(p, p.diff(x)))
+    f(x, a), at a point a of the other variables with lc_x(f)(a) != 0, is
+    squarefree for one of the fixed points: a square factor q^2 with q
+    using x would leave q(x, a)^2 with deg q(x, a) >= 1.  A univariate
+    Euclid, outside the step budget."""
+    x = f.ring[i]
+    deg = max(e[i] for e in f.terms)
+    others = [k for k in used if k != i]
+    for a in _CERTIFICATE_VALUES:
+        q = f.subs({f.ring[k]: a ** (n + 1) for n, k in enumerate(others)})
+        if max((e[i] for e in q.terms), default=-1) < deg:
+            continue  # lc_x(f) vanishes at this point
+        if _gcd_univariate(q, q.diff(x)).is_constant():
+            return True
+    return False

@@ -99,6 +99,12 @@ UNIVERSAL = ("ring", "kind", "seed", "budget")
 SINGLE = ("f", "F", "delta")
 
 
+def reads(kind, word):
+    """Whether a problem of ``kind`` reads the binding or statement
+    ``word``; ``icis run --samples`` asks it too."""
+    return word in KINDS[kind] or word in OPTIONAL.get(kind, ()) or word in UNIVERSAL
+
+
 def _digit_bound():
     """10^d for the interpreter's limit of d digits on an int converted
     to text (``sys.get_int_max_str_digits``), or 0 when there is none."""
@@ -312,9 +318,8 @@ class _Parser:
             if word not in self.seen:
                 error = MissingParameterError if word == "param" else UnboundNameError
                 raise error(f"kind {p.kind!r} requires {word!r}")
-        read = KINDS[p.kind] + OPTIONAL.get(p.kind, ())
         for word, tok in self.seen.items():
-            if word not in read + UNIVERSAL:
+            if not reads(p.kind, word):
                 self.fail(f"kind {p.kind!r} reads no {word!r}", tok)
             if word == "probe" and p.kind == "family-analyze" and "F" not in p.bindings:
                 self.fail("a space family (no 'F') reads no 'probe'", tok)

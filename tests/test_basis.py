@@ -707,6 +707,17 @@ class TestLazardLoans:
             assert local_colength(gens, ring) == mu
         assert len(starts) <= most_starts
 
+    def test_zero_step_loan_after_a_truncation_without_eliminations(self, starts):
+        # the generators' only overlap, x^5*y*z^5, lies above the first
+        # truncation's K = 9, so that truncation eliminates no row and a
+        # loan of no steps settles the ideal; the truncations alone would
+        # take 153 steps
+        ring = ("x", "y", "z")
+        gens = [parse_expression(text, ring) for text in ("x^5*y", "x*z^5")]
+        with step_budget(0):
+            assert local_colength(gens, ring) == inf
+        assert len(starts) == 1
+
     def test_non_reduced_germ_within_its_budget(self):
         # no truncation stabilizes; loans priced from the truncation that
         # just failed decide it within the CI budget of the non-reduced ICIS

@@ -540,6 +540,13 @@ class TestFlags:
         assert "sample t=3: mu_origin=3 total=4" in out
         assert "sample t=1/4: mu_origin=3 total=4" in out
 
+    def test_samples_refused_where_the_kind_reads_none(self, capsys):
+        # as a samples statement in a milnor file is; the goldens of
+        # every such fixture under --samples pin exit 3 and no stdout
+        argv = ["run", str(FIXTURES / "milnor_morse.icis"), "--samples", "3"]
+        assert run_cli(*argv, capsys=capsys) == (
+            3, "", "error[usage]: kind 'milnor' reads no --samples\n")
+
     def test_seed_override_is_stable(self, capsys):
         outs = set()
         for seed in ("1", "2"):

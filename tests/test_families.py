@@ -293,6 +293,24 @@ class TestSplitting:
         assert rep.base_fiber_mu == 3
         assert [(sm.singular_count, sm.total_fiber_mu) for sm in rep.samples] == [(2, 2), (2, 2)]
 
+    def test_smooth_base_fiber_is_vacuous(self):
+        # y = x^2 - t*x is smooth at every t: no fiber has a singular
+        # point, so the totals are constant at 0 and the theorem, which
+        # concerns singular germs, says nothing
+        problem = parse_problem("ring t, x, y;\nparam t;\nphi = y - x^2 + t*x;\n"
+                                "kind family-analyze;\n")
+        with basis.step_budget() as budget:
+            lines, record, code = run_problem(problem)
+        split = record["splitting"]
+        assert (split["verdict"], split["base_fiber_mu"]) == (VACUOUS, 0)
+        assert split["reason"] == "base fiber is smooth; the theorem concerns singular germs"
+        assert [(s["t0"], s["count"], s["total_fiber_mu"]) for s in split["samples"]] == [
+            (Fraction(1), 0, 0), (Fraction(1, 2), 0, 0)]
+        assert lines[-1] == ("splitting: VACUOUS  [base fiber mu 0; t=1: count=0 total=0; "
+                             "t=1/2: count=0 total=0] base fiber is smooth; the theorem "
+                             "concerns singular germs")
+        assert (code, budget.spent) == (0, 6)
+
     def test_non_isolated_fiber_names_its_sample(self):
         # the fiber x^2 = 0 at t = 1 is singular along the y-axis
         fam = DeformationFamily.space_deformation(RING, "t", [x**2 + y**3 - t * y**3])

@@ -278,11 +278,20 @@ class TestSquarefreeCertificate:
         assert up_to_scalar(squarefree_part(f), (x**2 - y**3) * (x + y))
         assert len(calls) == 1
 
-    def test_pure_power_beside_mixed_terms_is_not_a_constant_coefficient(self):
+    def test_pure_power_beside_mixed_terms_is_not_a_constant_coefficient(self, monkeypatch):
         # x and y^2 are terms of f, but the coefficient of x is (y + 1)^2
-        # and that of y^2 is x + 1: the square lives in the content
+        # and that of y^2 is x + 1: no coefficient is constant, so the
+        # gcds are taken with df/dx and df/dy, and with nothing else
+        calls = []
+
+        def counting_gcd(f, g):
+            calls.append(g)
+            return gcd(f, g)
+
+        monkeypatch.setattr(poly, "gcd", counting_gcd)
         f = (y + 1) ** 2 * (x + 1)
         assert up_to_scalar(squarefree_part(f), (y + 1) * (x + 1))
+        assert calls == [f.diff("x"), f.diff("y")]
 
 
 class TestMonomialGcd:

@@ -329,10 +329,10 @@ def _assert_squarefree_part(f):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_squarefree_part_matches_sympy(seed, n):
-    """a^2*b*c^3 with c free of x: the cube lives in the content in x.
+    """a^2*b*c^3 with c free of x: the cube is invisible on the x axis.
     In three variables c is also a multiple of y*z, so no variable has a
-    constant coefficient and the content is taken in x.  a*b*c is
-    squarefree for most seeds."""
+    constant coefficient and the gcds are taken with every partial
+    derivative.  a*b*c is squarefree for most seeds."""
     rng = random.Random(seed)
     names = R[:n]
     a, b = _random_factor(rng, names), _random_factor(rng, names)
