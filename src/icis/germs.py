@@ -10,7 +10,13 @@ fills them and ``icis_milnor`` reads them.  The critical ideal of a
 function germ f on X is the chain's next stage, of (phi, f), kept in the
 same memo, so members with equal equations share one ideal.  A
 hypersurface's Jacobian ideal is localized through an
-``IdealPresentation`` as well, the one path to ``basis.local_colength``."""
+``IdealPresentation`` as well, the one path to ``basis.local_colength``.
+
+The discriminant of an unfolding (c*x', g(x', z)), z^d the only term of
+g of z-degree d, is the squarefree part of the characteristic polynomial
+of multiplication by g on Q[u][z]/(dg/dz), from traces and Newton's
+identities, with no Groebner basis; every other map's is a block
+elimination of the graph plus the critical minors."""
 
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
+from .basis import _current_budget
 from .errors import (
     GenericityError,
     InvalidInputError,
@@ -37,6 +44,7 @@ from .ideals import (
 from .orders import grevlex
 from .poly import (
     Polynomial,
+    _add_shifted,
     lowest_degree_form,
     order_of_vanishing,
     squarefree_part,
@@ -240,19 +248,26 @@ def _target_ring(p):
 
 
 def discriminant(phis):
-    """Reduced equation of the discriminant: image of the critical set
-    of the map phi, computed by eliminating the source variables from
-    the graph-plus-critical ideal.  The source variables are renamed
-    x0, x1, ... (exponents are positional), so none shares a target's
-    name."""
+    """Reduced equation of the discriminant: the image of the critical
+    set of the map phi.  The source variables are renamed x0, x1, ...
+    (exponents are positional), so none shares a target's name.
+
+    An unfolding (``_unfolding``) needs no Groebner basis: its
+    discriminant is the squarefree part of the characteristic polynomial
+    of g on Q[u][z]/(dg/dz) (``_characteristic_polynomial``).  Every other
+    map eliminates the source variables from the graph-plus-critical
+    ideal under a block order (``elimination_ideal``)."""
     ring = tuple(f"x{i}" for i in range(len(phis[0].ring)))
     phis = [Polynomial(ring, f.terms) for f in phis]
     targets = _target_ring(len(phis))
-    big = ring + targets
     minors = maximal_minors(jacobian_matrix(phis, list(ring)))
     # a minor that is a unit at 0 makes the critical-set germ empty
     if any(m.constant_term() != 0 for m in minors):
         raise UnsupportedInputError("critical set is empty: no discriminant hypersurface")
+    unfolding = _unfolding(phis)
+    if unfolding is not None:
+        return squarefree_part(_characteristic_polynomial(targets, *unfolding))
+    big = ring + targets
     gens = [
         Polynomial.variable(big, u) - f.in_ring(big) for u, f in zip(targets, phis)
     ] + [m.in_ring(big) for m in minors]
@@ -264,6 +279,128 @@ def discriminant(phis):
     if len(E.generators) != 1:
         raise UnsupportedInputError("discriminant eliminant is not principal")
     return squarefree_part(E.generators[0])
+
+
+def _unfolding(phis):
+    """(g, j, linear, z) when the map is an unfolding: n = p, every
+    component but the j-th, g, is c*x_k on a source variable x_k of its
+    own (``linear`` maps k to (i, c) for the i-th component), z is the
+    source variable left over, and z^d, d = deg_z g >= 1, is g's only
+    term of z-degree d; else None."""
+    n = len(phis[0].ring)
+    if len(phis) != n:
+        return None
+    linear, rest = {}, []
+    for i, f in enumerate(phis):
+        if len(f.terms) == 1:
+            ((e, c),) = f.terms.items()
+            if sum(e) == 1 and e.index(1) not in linear:
+                linear[e.index(1)] = (i, c)
+                continue
+        rest.append(i)
+    if len(rest) != 1:
+        return None
+    (j,) = rest
+    g = phis[j]
+    (z,) = set(range(n)) - set(linear)
+    d = max((e[z] for e in g.terms), default=0)
+    top = [e for e in g.terms if e[z] == d]
+    if d < 1 or top != [tuple(d if k == z else 0 for k in range(n))]:
+        return None
+    return g, j, linear, z
+
+
+def _characteristic_polynomial(targets, g, j, linear, z):
+    """chi(w) = det(w - M_g), M_g multiplication by g on A = Q[u][z]/(h),
+    over the target ring with w its j-th variable; ``_unfolding``
+    describes the arguments.  x_k = u_i/c puts g in Q[u][z], and h, dg/dz
+    scaled to be monic in z, makes A free of rank m = d - 1 over Q[u].
+
+    Tr(g^k), k = 1..m, is read off g^k mod h, whose z^i coefficient is
+    weighted by the power sum s_i of the roots of h; Newton's identities
+    give the s_i from h and chi's coefficients from the traces, dividing
+    by integers only.  Each leading coefficient cancelled by h costs a
+    step of the active budget.
+
+    chi is prod (w - g(u, zeta)) over the roots zeta of h, the resultant
+    Res_z(g - w, dg/dz) up to a constant (Teissier 1977; Looijenga,
+    *Isolated Singular Points on Complete Intersections*, ch. 4).  The
+    elimination ideal of graph + minors is the kernel of Q[u][w] -> A,
+    w -> g: A is free and h monic, so it is generated by the minimal
+    polynomial mu of M_g, and mu | chi | mu^m.  So chi has the
+    eliminant's radical, and the same squarefree part."""
+    p = len(targets)
+    zero = (0,) * p
+    d = max(e[z] for e in g.terms)
+    m = d - 1
+    G = [{} for _ in range(d + 1)]  # g's coefficients in z, term dicts over the targets
+    for e, c in g.terms.items():
+        t = [0] * p
+        for k, (i, ck) in linear.items():
+            t[i] = e[k]
+            c /= ck ** e[k]
+        G[e[z]][tuple(t)] = c
+    lead = d * G[d][zero]
+    # z^m = sum rule[i]*z^i in A: the tail of h, negated
+    rule = [{t: c * (-k - 1) / lead for t, c in G[k + 1].items()} for k in range(m)]
+    budget = _current_budget()
+    R1 = _mod_monic(G, rule, budget)
+    R = [R1]
+    for _ in range(m - 1):
+        R.append(_mod_monic(_z_product(R[-1], R1), rule, budget))
+    s = [{zero: Fraction(m)}]
+    for i in range(1, m):
+        si = {t: i * c for t, c in rule[m - i].items()}
+        for k in range(1, i):
+            _add_product(si, rule[m - k], s[i - k])
+        s.append(si)
+    traces = []
+    for Rk in R:
+        tr = {}
+        for ri, si in zip(Rk, s):
+            _add_product(tr, ri, si)
+        traces.append(tr)
+    chi = [{zero: Fraction(1)}]
+    for k in range(1, m + 1):
+        ck = dict(traces[k - 1])
+        for i in range(1, k):
+            _add_product(ck, chi[i], traces[k - i - 1])
+        chi.append({t: c / -k for t, c in ck.items()})
+    terms = {}
+    for k, ck in enumerate(chi):
+        for t, c in ck.items():
+            terms[t[:j] + (m - k,) + t[j + 1:]] = c
+    return Polynomial(targets, terms)
+
+
+def _add_product(out, a, b):
+    """out += a*b, in place, for term dicts a and b."""
+    for e, c in a.items():
+        _add_shifted(out, b.items(), e, c)
+
+
+def _z_product(a, b):
+    """The product of two polynomials in z, lists of term dicts by z-degree."""
+    out = [{} for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        for k, bk in enumerate(b):
+            _add_product(out[i + k], ai, bk)
+    return out
+
+
+def _mod_monic(f, rule, budget):
+    """f mod h, in place, for f a list of term dicts by z-degree and h
+    monic of degree m = len(rule), z^m = sum rule[i]*z^i modulo h: one
+    step per nonzero leading coefficient replaced."""
+    m = len(rule)
+    while len(f) > m:
+        lc = f.pop()
+        if lc:
+            budget.step()
+            shift = len(f) - m
+            for i, ri in enumerate(rule):
+                _add_product(f[shift + i], lc, ri)
+    return f
 
 
 def multiplicity(delta):

@@ -5,7 +5,7 @@ from math import inf
 import pytest
 import sympy
 
-from icis import basis
+from icis import basis, germs
 from icis.basis import local_colength, step_budget
 from icis.errors import (
     InvalidInputError,
@@ -27,7 +27,7 @@ from icis.germs import (
     multiplicity,
     translate,
 )
-from icis.ideals import singular_ideal
+from icis.ideals import elimination_ideal, singular_ideal
 from icis.orders import grevlex
 from icis.poly import Polynomial
 from icis.problem import parse_expression
@@ -363,9 +363,26 @@ class TestRationalDiscriminant:
     the elimination substitutes away before it completes.  Held to the
     steps it spends; a completion in all five variables ran past 60 s."""
 
+    TEXTS = ["x + 1/2*z^2", "y - 2/3*z^3 + x*z", "z^4 + 5/7*x*z + y*z^2 + 3*x*y"]
+
+    def test_map_c_takes_the_block_path(self, monkeypatch):
+        # its first two components are not of the form c*x_k, so it is
+        # no unfolding and its discriminant is one block elimination
+        calls = []
+
+        def counted(I, keep):
+            calls.append(keep)
+            return elimination_ideal(I, keep)
+
+        monkeypatch.setattr(germs, "elimination_ideal", counted)
+        with step_budget() as budget:
+            discriminant([parse_expression(t, R3) for t in self.TEXTS])
+        assert len(calls) == 1
+        assert budget.spent == 1_153
+
     def test_map_c_is_the_discriminant_of_its_unfolding(self):
         R3 = ("x", "y", "z")
-        texts = ["x + 1/2*z^2", "y - 2/3*z^3 + x*z", "z^4 + 5/7*x*z + y*z^2 + 3*x*y"]
+        texts = self.TEXTS
         with step_budget(1_153):
             delta = discriminant([parse_expression(t, R3) for t in texts])
         assert delta.ring == ("u", "v", "w")

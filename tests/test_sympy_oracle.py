@@ -9,11 +9,13 @@ against ``sympy.sqf_part``, and radical membership against a
 Rabinowitsch basis of sympy's own, and univariate eliminants of
 zero-dimensional ideals against the one-variable member of a sympy lex
 basis.  Discriminants of unfolding maps are checked against a sympy
-resultant (oracle A), and their line intersection numbers against the
-Le-Greuel sum of two ICIS Milnor numbers (oracle B).  sympy is a test
+resultant (oracle A), against the block elimination that computes
+every other discriminant, and their line intersection numbers against
+the Le-Greuel sum of two ICIS Milnor numbers (oracle B).  sympy is a test
 dependency only."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -478,13 +480,14 @@ def test_rational_univariate_eliminant_matches_sympy_lex(seed, n):
 NONZERO = [c for c in range(-5, 6) if c]
 
 
-def _unfolding(seed):
+def _unfolding(seed, degrees=range(3), slope=2):
     """The map (x, g(x, y)) or (x, y, g(x, y, z)), g monic in its last
     variable z: g is z^d plus c*x*z plus one or two terms c*a*z^j, with d
-    from 3 to 7, a a monomial in the other variables of degree e <= 2 and
-    j <= d - 2e, or a pure power z^j with 2 <= j < d; each c in [-5, 5].
-    No term is 1 or z, so the map and dg/dz vanish at 0, and c*x*z makes
-    the critical locus V(dg/dz) smooth at 0."""
+    from 3 to 7, a a monomial in the other variables of degree e drawn
+    from ``degrees`` and j <= d - slope*e when e > 0, or a pure power z^j
+    with 2 <= j < d when e = 0; each c in [-5, 5].  No term is 1 or z, so the
+    map and dg/dz vanish at 0, and c*x*z makes the critical locus
+    V(dg/dz) smooth at 0."""
     rng = random.Random(seed)
     n = rng.choice((2, 3))
     ring = R[:n]
@@ -492,9 +495,9 @@ def _unfolding(seed):
     terms = {(0,) * (n - 1) + (d,): 1, (1,) + (0,) * (n - 2) + (1,): rng.choice(NONZERO)}
     while len(terms) < 3 + rng.randint(0, 1):
         a = [0] * (n - 1)
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.choice(degrees)):
             a[rng.randrange(n - 1)] += 1
-        j = rng.randint(0, max(0, d - 2 * sum(a))) if any(a) else rng.randint(2, d - 1)
+        j = rng.randint(0, max(0, d - slope * sum(a))) if any(a) else rng.randint(2, d - 1)
         terms[tuple(a) + (j,)] = rng.choice(NONZERO)
     g = Polynomial(ring, terms)
     return ring, [Polynomial.variable(ring, v) for v in ring[:-1]] + [g]
@@ -506,28 +509,104 @@ def _fixture_map(name):
     return problem.ring, problem.bindings["phi"]
 
 
+def _text_map(text):
+    problem = parse_problem(text)
+    return problem.ring, problem.bindings["phi"]
+
+
 UNFOLDINGS = {f"seed{seed}": _unfolding(seed) for seed in range(40)}
 UNFOLDINGS["discriminant_plane"] = _fixture_map("discriminant_plane")
+# parameter monomials of degree 3 or 4, on seeds of their own
+DEEP_UNFOLDINGS = {f"deep{seed}": _unfolding(seed, range(3, 5), 1) for seed in range(40, 50)}
+# the block elimination ran past 60 s on both; delta has degree 34 and 20
+BLOCK_HANGS = {
+    "block_hang_plane": _text_map(
+        "ring x, z; phi = x, 4*x^3*z^4 + z^7 - 2*x^4*z + 3*x^4 + 5*x*z^2;"
+        " kind discriminant;"),
+    "block_hang_space": _text_map(
+        "ring x, y, z; phi = x, y, 3*y^4*z - y^2*z^3 + x*z^4 + z^5 - 5*x*y^2*z;"
+        " kind discriminant;"),
+}
+# two critical points share a critical value, so the characteristic
+# polynomial has a square factor and squarefree_part takes a gcd
+REPEATED_VALUES = {
+    "repeated_quartic": _text_map("ring x, z; phi = x, z^4 + x*z^2; kind discriminant;"),
+    "repeated_octic": _text_map("ring x, z; phi = x, z^8 + x*z^4 - 3*x*z^2; kind discriminant;"),
+}
+ORACLE_A = {**UNFOLDINGS, **DEEP_UNFOLDINGS, **BLOCK_HANGS, **REPEATED_VALUES}
+# unfoldings in any component order, with any nonzero scalings
+SHAPES = {
+    "g_first": _text_map("ring x, y; phi = y^3 + x*y, x; kind discriminant;"),
+    "scaled": _text_map("ring x, y; phi = -2*x, 3*y^3 + 1/2*x*y; kind discriminant;"),
+    "leading_coefficient_2": _text_map("ring x, y; phi = x, 2*y^3 - x*y; kind discriminant;"),
+    "middle": _text_map("ring x, y, z; phi = x, y^4 - x*y^2 + z*y, 3*z; kind discriminant;"),
+}
 
 
 @cache
 def _unfolding_discriminant(name):
-    return discriminant(UNFOLDINGS[name][1])
+    return discriminant(ORACLE_A[name][1])
 
 
-@pytest.mark.parametrize("name", UNFOLDINGS)
+def _resultant(phi, targets):
+    """Res_z(g - w, dg/dz) for phi = (u, g(u, z)), in sympy over the
+    target symbols (w the last target, u the others)."""
+    *u, w = targets
+    z = sympy.Symbol("z")
+    g = _to_sympy(phi[-1], (*u, z))
+    return sympy.resultant(g - w, sympy.diff(g, z), z)
+
+
+@pytest.mark.parametrize("name", ORACLE_A)
 def test_unfolding_discriminant_is_the_resultant(name):
     """Oracle A: for phi = (u, g(u, z)), g monic in z, the discriminant is
     the image of V(dg/dz), whose equation is the squarefree part of
     Res_z(g(u, z) - w, dg/dz) (w the last target coordinate, u the
     others); ours must equal it up to a nonzero rational."""
     delta = _unfolding_discriminant(name)
-    *u, w = symbols = sympy.symbols(delta.ring)
-    z = sympy.Symbol("z")
-    g = _to_sympy(UNFOLDINGS[name][1][-1], (*u, z))
-    expected = sympy.sqf_part(sympy.resultant(g - w, sympy.diff(g, z), z))
+    symbols = sympy.symbols(delta.ring)
+    expected = sympy.sqf_part(_resultant(ORACLE_A[name][1], symbols))
     ours = sympy.Poly(_to_sympy(delta, symbols), *symbols)
     assert ours.monic() == sympy.Poly(expected, *symbols).monic()
+
+
+@pytest.mark.parametrize("name", REPEATED_VALUES)
+def test_repeated_critical_values_square_the_resultant(name):
+    """The off-traffic case: the resultant is not squarefree, so delta is
+    a proper factor of it."""
+    symbols = sympy.symbols(_unfolding_discriminant(name).ring)
+    res = sympy.Poly(_resultant(REPEATED_VALUES[name][1], symbols), *symbols)
+    assert sympy.Poly(sympy.sqf_part(res.as_expr()), *symbols).degree() < res.degree()
+
+
+def _pool_maps():
+    """The discriminant maps of the benchmark's recorded problems: the
+    fixture and every text of its pool."""
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from corpus import recorded_problems
+    return {p.name: _text_map(p.text) for p in recorded_problems()
+            if "kind discriminant;" in p.text}
+
+
+BLOCK_CHECKED = {**UNFOLDINGS, **REPEATED_VALUES, **SHAPES, **_pool_maps()}
+
+
+@pytest.mark.parametrize("name", BLOCK_CHECKED)
+def test_unfolding_discriminant_is_the_block_eliminant(name):
+    """The characteristic polynomial of g on Q[u][z]/(dg/dz) against the
+    engine it replaced for unfoldings, called directly: the squarefree
+    part of the generator of (graph + minors) meeting Q[u, w]
+    (``elimination_ideal``).  Oracle A computes the same resultant as the
+    characteristic polynomial; this check shares no code path with it
+    beyond ``squarefree_part``."""
+    ring, phi = BLOCK_CHECKED[name]
+    delta = _unfolding_discriminant(name) if name in ORACLE_A else discriminant(phi)
+    big = ring + delta.ring
+    graph = [Polynomial.variable(big, u) - f.in_ring(big) for u, f in zip(delta.ring, phi)]
+    minors = [m.in_ring(big) for m in maximal_minors(jacobian_matrix(phi, list(ring)))]
+    (eliminant,) = elimination_ideal(IdealPresentation(big, graph + minors),
+                                     delta.ring).generators
+    assert squarefree_part(eliminant) == delta
 
 
 @pytest.mark.parametrize("name", UNFOLDINGS)
@@ -536,8 +615,9 @@ def test_unfolding_line_intersection_is_the_le_greuel_sum(name):
     line_intersection_number(delta, L) = mu(F^-1(0)) + mu(F^-1(L)), where
     F^-1(L) = V(phi_i - (b_i/b_p)*phi_p, i < p) (Le 1974; Greuel 1975;
     Looijenga, *Isolated Singular Points on Complete Intersections*, ch. 4).
-    The left side is a block elimination, the right side two Milnor
-    chains of local colengths.  Hypotheses: 0 is the only critical point
+    The left side is the characteristic polynomial of g on
+    Q[u][z]/(dg/dz), the right side two Milnor chains of local
+    colengths.  Hypotheses: 0 is the only critical point
     of the map over 0, checked below; the critical locus maps birationally
     onto delta, not checked."""
     ring, phi = UNFOLDINGS[name]
