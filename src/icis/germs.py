@@ -15,7 +15,7 @@ hypersurface's Jacobian ideal is localized through an
 The discriminant of an unfolding (c*x', g(x', z)), z^d the only term of
 g of z-degree d, is the squarefree part of the characteristic polynomial
 of multiplication by g on Q[u][z]/(dg/dz), from traces and Newton's
-identities, with no Groebner basis; every other map's is a block
+identities on integers, with no Groebner basis; every other map's is a block
 elimination of the graph plus the critical minors."""
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .basis import _current_budget
 from .errors import (
@@ -316,11 +316,22 @@ def _characteristic_polynomial(targets, g, j, linear, z):
     describes the arguments.  x_k = u_i/c puts g in Q[u][z], and h, dg/dz
     scaled to be monic in z, makes A free of rank m = d - 1 over Q[u].
 
-    Tr(g^k), k = 1..m, is read off g^k mod h, whose z^i coefficient is
-    weighted by the power sum s_i of the roots of h; Newton's identities
-    give the s_i from h and chi's coefficients from the traces, dividing
-    by integers only.  Each leading coefficient cancelled by h costs a
-    step of the active budget.
+    The work is on integers.  D*g lies in Z[u][z] for D the least common
+    denominator of its coefficients; let l be its z^d coefficient and L =
+    d*l.  The substitution z = Z/L turns L^(m-1)*D*dg/dz into H, monic in
+    Z[u][Z], and lambda*g, lambda = L^d*D, into G in Z[u][Z].  The roots
+    of H are integral over Z[u], so chi~(W) = prod (W - G(root)) lies in
+    Z[u][W], and chi(w) = lambda^-m * chi~(lambda*w): the coefficient of
+    w^(m-k) is that of chi~ over lambda^k, the one place rationals are
+    built.
+
+    Tr(G^k), k = 1..m, is read off G^k mod H, whose Z^i coefficient is
+    weighted by the power sum s_i of the roots of H; Newton's identities
+    give the s_i from H and chi~'s coefficients from the traces, dividing
+    exactly by integers only.  Each leading coefficient cancelled by H
+    costs a step of the active budget.  The scaling multiplies each
+    coefficient of every remainder by a nonzero constant, so the steps
+    are those of the same reduction over Q.
 
     chi is prod (w - g(u, zeta)) over the roots zeta of h, the resultant
     Res_z(g - w, dg/dz) up to a constant (Teissier 1977; Looijenga,
@@ -340,15 +351,19 @@ def _characteristic_polynomial(targets, g, j, linear, z):
             t[i] = e[k]
             c /= ck ** e[k]
         G[e[z]][tuple(t)] = c
-    lead = d * G[d][zero]
-    # z^m = sum rule[i]*z^i in A: the tail of h, negated
-    rule = [{t: c * (-k - 1) / lead for t, c in G[k + 1].items()} for k in range(m)]
+    D = lcm(*(c.denominator for Gk in G for c in Gk.values()))
+    G = [{t: c.numerator * (D // c.denominator) for t, c in Gk.items()} for Gk in G]
+    L = d * G[d][zero]
+    # Z^m = sum rule[i]*Z^i modulo H, and G's coefficients in Z
+    rule = [{t: (-i - 1) * c * L ** (m - 1 - i) for t, c in G[i + 1].items()}
+            for i in range(m)]
+    G = [{t: c * L ** (d - k) for t, c in Gk.items()} for k, Gk in enumerate(G)]
     budget = _current_budget()
     R1 = _mod_monic(G, rule, budget)
     R = [R1]
     for _ in range(m - 1):
         R.append(_mod_monic(_z_product(R[-1], R1), rule, budget))
-    s = [{zero: Fraction(m)}]
+    s = [{zero: m}]
     for i in range(1, m):
         si = {t: i * c for t, c in rule[m - i].items()}
         for k in range(1, i):
@@ -360,16 +375,18 @@ def _characteristic_polynomial(targets, g, j, linear, z):
         for ri, si in zip(Rk, s):
             _add_product(tr, ri, si)
         traces.append(tr)
-    chi = [{zero: Fraction(1)}]
+    chi = [{zero: 1}]
     for k in range(1, m + 1):
         ck = dict(traces[k - 1])
         for i in range(1, k):
             _add_product(ck, chi[i], traces[k - i - 1])
-        chi.append({t: c / -k for t, c in ck.items()})
+        chi.append({t: c // -k for t, c in ck.items()})
+    lam = L**d * D
     terms = {}
     for k, ck in enumerate(chi):
+        den = lam**k
         for t, c in ck.items():
-            terms[t[:j] + (m - k,) + t[j + 1:]] = c
+            terms[t[:j] + (m - k,) + t[j + 1:]] = Fraction(c, den)
     return Polynomial(targets, terms)
 
 

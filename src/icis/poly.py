@@ -16,9 +16,14 @@ which f has a constant coefficient, which every factor of f uses, or all
 of f's variables when it has none.  A multivariate f is certified
 squarefree, with no gcd, when for every x in A some f(x, a) is, at one of
 a fixed list of points a of the other variables where the leading
-coefficient in x does not vanish (a univariate Euclid, outside the step
-budget).  Multivariate ``gcd`` is lcm-by-elimination (``basis.eliminate``
-under a block order), charged to the step budget.
+coefficient in x does not vanish.  Each point is tested modulo the
+word-size prime 2^31 - 1 on integer lists: when the prime divides no
+denominator and not the leading coefficient, and the image is coprime to
+its derivative, f(x, a) is squarefree over Q.  When that test cannot
+decide, a univariate Euclid over Q does, so no answer depends on the
+prime.  Both run outside the step budget.  Multivariate ``gcd`` is
+lcm-by-elimination (``basis.eliminate`` under a block order), charged to
+the step budget.
 """
 
 from __future__ import annotations
@@ -424,6 +429,9 @@ def _monic(f):
     return f if lc == 1 else f * (1 / lc)
 
 
+# The word-size prime of the modular squarefree test (``_squarefree_mod``).
+_PRIME = 2**31 - 1
+
 # Values c of the certificate points (c, c^2, ..., c^k) for the k
 # variables other than x; fixed, so every run tries the same points.
 _CERTIFICATE_VALUES = (1, -1, 2, -2, 3, -3)
@@ -463,8 +471,10 @@ def _certified(f, i, used):
 
     f(x, a), at a point a of the other variables with lc_x(f)(a) != 0, is
     squarefree for one of the fixed points: a square factor q^2 with q
-    using x would leave q(x, a)^2 with deg q(x, a) >= 1.  A univariate
-    Euclid, outside the step budget."""
+    using x would leave q(x, a)^2 with deg q(x, a) >= 1.  Each point is
+    tried modulo ``_PRIME`` first (``_squarefree_mod``); when that test
+    cannot decide, a univariate Euclid over Q decides, so no answer
+    depends on the prime.  Both run outside the step budget."""
     x = f.ring[i]
     deg = max(e[i] for e in f.terms)
     others = [k for k in used if k != i]
@@ -472,6 +482,52 @@ def _certified(f, i, used):
         q = f.subs({f.ring[k]: a ** (n + 1) for n, k in enumerate(others)})
         if max((e[i] for e in q.terms), default=-1) < deg:
             continue  # lc_x(f) vanishes at this point
-        if _gcd_univariate(q, q.diff(x)).is_constant():
+        if _squarefree_mod(q, i, deg) or _gcd_univariate(q, q.diff(x)).is_constant():
             return True
     return False
+
+
+def _squarefree_mod(q, i, deg):
+    """True when the univariate q, of degree deg in its i-th variable x,
+    is certified squarefree over Q by its image modulo the prime P =
+    ``_PRIME``; False when the test cannot decide.
+
+    P must divide no denominator of q and not the numerator of lc_x(q).
+    Write q = c*q0, q0 primitive in Z[x]; P then divides neither c's
+    numerator nor its denominator.  A square factor r^2 of q over Q, deg r
+    >= 1, gives q0 = r0^2*s0 with r0, s0 in Z[x] (Gauss's lemma), and as P
+    does not divide lc(q0) = lc(r0)^2*lc(s0), r0 keeps its degree modulo
+    P and divides both q mod P and its derivative.  So gcd(q mod P,
+    q' mod P) = 1 in F_P[x] proves q squarefree.  The converse fails for
+    the finitely many P that divide q's discriminant, so a False sends the
+    caller to the Euclid over Q."""
+    dense = [0] * (deg + 1)  # q mod P, highest degree first
+    for e, c in q.terms.items():
+        den = c.denominator % _PRIME
+        if not den:
+            return False
+        dense[deg - e[i]] = c.numerator * pow(den, -1, _PRIME) % _PRIME
+    if not dense[0]:
+        return False
+    derivative = [c * (deg - k) % _PRIME for k, c in enumerate(dense[:-1])]
+    return _coprime_mod(dense, derivative, _PRIME)
+
+
+def _coprime_mod(a, b, p):
+    """True when gcd(a, b) = 1 in F_p[x], for coefficient lists highest
+    degree first, a's leading coefficient nonzero and deg a >= deg b."""
+    while True:
+        while b and not b[0]:
+            b = b[1:]
+        if not b:
+            return len(a) == 1
+        if len(b) == 1:
+            return True
+        inv = pow(b[0], -1, p)
+        a = list(a)
+        for k in range(len(a) - len(b) + 1):
+            c = a[k] * inv % p
+            if c:
+                for n in range(1, len(b)):
+                    a[k + n] = (a[k + n] - c * b[n]) % p
+        a, b = b, a[len(a) - len(b) + 1:]

@@ -25,6 +25,7 @@ import sympy
 from sympy.polys.orderings import MonomialOrder
 from sympy.polys.orderings import grevlex as sympy_grevlex
 
+from icis import poly
 from icis.basis import complete_basis, eliminate, normal_form
 from icis.germs import (
     IcisPresentation,
@@ -376,6 +377,47 @@ def test_squarefree_part_of_squarefree_input(text):
     assert squarefree_part(f) == f * (1 / f.leading(grevlex(R))[1])
 
 
+def _counting_euclid(monkeypatch):
+    """The calls of the univariate Euclid over Q, recorded as they run."""
+    calls = []
+
+    def counting(a, b, original=poly._gcd_univariate):
+        calls.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(poly, "_gcd_univariate", counting)
+    return calls
+
+
+# 2^31 - 1 divides a denominator of f(x, 1) or the leading coefficient
+# of f(x, 1), so the modular test cannot decide the first certificate point
+PRIME_DIVIDES = [
+    "x^2 + x + 1/2147483647*y",
+    "(y + 2147483646)*x^2 + x + y",
+]
+
+
+@pytest.mark.parametrize("text", PRIME_DIVIDES)
+def test_certificate_falls_back_where_the_prime_divides(text, monkeypatch):
+    calls = _counting_euclid(monkeypatch)
+    f = parse_expression(text, R)
+    ours = squarefree_part(f)
+    assert len(calls) == 1
+    _assert_monic_equal(ours, sympy.sqf_part(_to_sympy(f)))
+    assert ours == f * (1 / f.leading(grevlex(R))[1])
+
+
+def test_certificate_falls_back_where_the_reduction_is_not_squarefree(monkeypatch):
+    # f(x, 1) = x^2 + 2*x + 4 is squarefree over Q, and (x + 1)^2 modulo 3
+    monkeypatch.setattr(poly, "_PRIME", 3)
+    calls = _counting_euclid(monkeypatch)
+    f = parse_expression("x^2 + 2*x + 1 + 3*y", R)
+    ours = squarefree_part(f)
+    assert len(calls) == 1
+    _assert_monic_equal(ours, sympy.sqf_part(_to_sympy(f)))
+    assert ours == f
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_multivariate_gcd_matches_sympy(seed, n):
@@ -480,27 +522,32 @@ def test_rational_univariate_eliminant_matches_sympy_lex(seed, n):
 NONZERO = [c for c in range(-5, 6) if c]
 
 
-def _unfolding(seed, degrees=range(3), slope=2):
+def _unfolding(seed, degrees=range(3), slope=2, coefficients=None):
     """The map (x, g(x, y)) or (x, y, g(x, y, z)), g monic in its last
     variable z: g is z^d plus c*x*z plus one or two terms c*a*z^j, with d
     from 3 to 7, a a monomial in the other variables of degree e drawn
     from ``degrees`` and j <= d - slope*e when e > 0, or a pure power z^j
     with 2 <= j < d when e = 0; each c in [-5, 5].  No term is 1 or z, so the
     map and dg/dz vanish at 0, and c*x*z makes the critical locus
-    V(dg/dz) smooth at 0."""
+    V(dg/dz) smooth at 0.  With ``coefficients``, every coefficient of g,
+    that of z^d too, and a scaling c of each other component c*x_k are
+    drawn from it instead."""
     rng = random.Random(seed)
+    draw = (lambda: rng.choice(coefficients)) if coefficients else (lambda: rng.choice(NONZERO))
     n = rng.choice((2, 3))
     ring = R[:n]
     d = rng.randint(3, 7)
-    terms = {(0,) * (n - 1) + (d,): 1, (1,) + (0,) * (n - 2) + (1,): rng.choice(NONZERO)}
+    top = draw() if coefficients else 1
+    terms = {(0,) * (n - 1) + (d,): top, (1,) + (0,) * (n - 2) + (1,): draw()}
     while len(terms) < 3 + rng.randint(0, 1):
         a = [0] * (n - 1)
         for _ in range(rng.choice(degrees)):
             a[rng.randrange(n - 1)] += 1
         j = rng.randint(0, max(0, d - slope * sum(a))) if any(a) else rng.randint(2, d - 1)
-        terms[tuple(a) + (j,)] = rng.choice(NONZERO)
+        terms[tuple(a) + (j,)] = draw()
     g = Polynomial(ring, terms)
-    return ring, [Polynomial.variable(ring, v) for v in ring[:-1]] + [g]
+    scales = [draw() if coefficients else 1 for _ in ring[:-1]]
+    return ring, [c * Polynomial.variable(ring, v) for c, v in zip(scales, ring[:-1])] + [g]
 
 
 def _fixture_map(name):
@@ -518,6 +565,10 @@ UNFOLDINGS = {f"seed{seed}": _unfolding(seed) for seed in range(40)}
 UNFOLDINGS["discriminant_plane"] = _fixture_map("discriminant_plane")
 # parameter monomials of degree 3 or 4, on seeds of their own
 DEEP_UNFOLDINGS = {f"deep{seed}": _unfolding(seed, range(3, 5), 1) for seed in range(40, 50)}
+# rational coefficients, z^d's included, and scalings c*x_k with c != 1:
+# the only inputs whose characteristic polynomial clears denominators
+RATIONAL_UNFOLDINGS = {f"rational{seed}": _unfolding(seed, coefficients=RATIONALS)
+                       for seed in range(50, 60)}
 # the block elimination ran past 60 s on both; delta has degree 34 and 20
 BLOCK_HANGS = {
     "block_hang_plane": _text_map(
@@ -533,7 +584,8 @@ REPEATED_VALUES = {
     "repeated_quartic": _text_map("ring x, z; phi = x, z^4 + x*z^2; kind discriminant;"),
     "repeated_octic": _text_map("ring x, z; phi = x, z^8 + x*z^4 - 3*x*z^2; kind discriminant;"),
 }
-ORACLE_A = {**UNFOLDINGS, **DEEP_UNFOLDINGS, **BLOCK_HANGS, **REPEATED_VALUES}
+ORACLE_A = {**UNFOLDINGS, **DEEP_UNFOLDINGS, **RATIONAL_UNFOLDINGS, **BLOCK_HANGS,
+            **REPEATED_VALUES}
 # unfoldings in any component order, with any nonzero scalings
 SHAPES = {
     "g_first": _text_map("ring x, y; phi = y^3 + x*y, x; kind discriminant;"),
@@ -549,20 +601,23 @@ def _unfolding_discriminant(name):
 
 
 def _resultant(phi, targets):
-    """Res_z(g - w, dg/dz) for phi = (u, g(u, z)), in sympy over the
-    target symbols (w the last target, u the others)."""
+    """Res_z(g - w, dg/dz) for phi = (c*x, g(x, z)), in sympy over the
+    target symbols (w the last target, u the others), with x = u/c."""
     *u, w = targets
     z = sympy.Symbol("z")
-    g = _to_sympy(phi[-1], (*u, z))
+    scales = [next(iter(f.terms.values())) for f in phi[:-1]]
+    x = [ui / sympy.Rational(c.numerator, c.denominator) for ui, c in zip(u, scales)]
+    g = _to_sympy(phi[-1], (*x, z))
     return sympy.resultant(g - w, sympy.diff(g, z), z)
 
 
 @pytest.mark.parametrize("name", ORACLE_A)
 def test_unfolding_discriminant_is_the_resultant(name):
-    """Oracle A: for phi = (u, g(u, z)), g monic in z, the discriminant is
-    the image of V(dg/dz), whose equation is the squarefree part of
-    Res_z(g(u, z) - w, dg/dz) (w the last target coordinate, u the
-    others); ours must equal it up to a nonzero rational."""
+    """Oracle A: for phi = (c*x, g(x, z)), z^d the only term of g of
+    z-degree d, the discriminant is the image of V(dg/dz), whose equation
+    is the squarefree part of Res_z(g(u/c, z) - w, dg/dz) (w the last
+    target coordinate, u the others); ours must equal it up to a nonzero
+    rational."""
     delta = _unfolding_discriminant(name)
     symbols = sympy.symbols(delta.ring)
     expected = sympy.sqf_part(_resultant(ORACLE_A[name][1], symbols))
@@ -588,7 +643,8 @@ def _pool_maps():
             if "kind discriminant;" in p.text}
 
 
-BLOCK_CHECKED = {**UNFOLDINGS, **REPEATED_VALUES, **SHAPES, **_pool_maps()}
+POOL_MAPS = _pool_maps()
+BLOCK_CHECKED = {**UNFOLDINGS, **REPEATED_VALUES, **SHAPES, **POOL_MAPS}
 
 
 @pytest.mark.parametrize("name", BLOCK_CHECKED)
@@ -607,6 +663,22 @@ def test_unfolding_discriminant_is_the_block_eliminant(name):
     (eliminant,) = elimination_ideal(IdealPresentation(big, graph + minors),
                                      delta.ring).generators
     assert squarefree_part(eliminant) == delta
+
+
+# every map whose characteristic polynomial is squarefree
+CERTIFIED = {**UNFOLDINGS, **BLOCK_HANGS, **POOL_MAPS}
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_unfolding_discriminant_needs_no_euclid_over_q(name, monkeypatch):
+    """The modular certificate decides every squarefree characteristic
+    polynomial: none reaches the univariate Euclid over Q, whose
+    remainders grow outside the step budget."""
+    def refuse(*args):
+        raise AssertionError("a Euclid over Q ran")
+
+    monkeypatch.setattr(poly, "_gcd_univariate", refuse)
+    discriminant(CERTIFIED[name][1])
 
 
 @pytest.mark.parametrize("name", UNFOLDINGS)
