@@ -21,20 +21,22 @@ X, so the family certificate covers them.  The Le-Greuel formula
 mu(X cut by F_t) + mu(X) = mu(f_t on X) gives the base total from mu0,
 and the total of a lone point at the origin from its sample report.
 
-Finite point sets are read off one radical per zero-dimensional ideal
-(``IdealPresentation.radical``): a sample report counts its member's
-critical points with it, and the splitting check reads a fiber's
-singular points off it.  A function family's fiber points are the
-report's radical cut by F_t (``radical_plus``); a space family's come
-from the fiber's singular ideal.
+Finite point sets are counted from colengths and eliminants
+(``ideals.distinct_point_count``), with no radical: a sample report
+counts its member's critical points, its local colength at the origin
+bounding the count, and the splitting check counts a fiber's singular
+points.  A function family's fiber points are the report's critical
+ideal cut by F_t (``IdealPresentation.cut``), one cut per report that
+the zero-fiber hypothesis reads too; a space family's come from the
+fiber's singular ideal.
 
 The radical questions on <phi> + J (cond5, cond6 and the zero-fiber
 hypothesis) go through ``DeformationFamily.in_critical_radical``: the
 points of each sample report's critical ideal are the fiber of
-V(<phi> + J) over the sample, and a function that does not reduce to
-zero modulo that ideal's radical is refuted at once.  Rabinowitsch
-(``ideals.radical_membership``) decides what no sample refutes, so an
-answer never depends on the samples.
+V(<phi> + J) over the sample, and a function that is not nilpotent
+modulo that ideal (``ideals.is_nilpotent``: its cut loses a point) is
+refuted at once.  Rabinowitsch (``ideals.radical_membership``) decides
+what no sample refutes, so an answer never depends on the samples.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ class DeformationFamily:
         commute with the substitution), so its points are the fiber of
         V(<phi> + J) over t0: f(t0, x) not nilpotent there puts a point
         with f != 0 on V(<phi> + J).  Every sample report is tried so, on
-        the radical its point count built; Rabinowitsch decides what none
+        the point count it already holds; Rabinowitsch decides what none
         refutes."""
         for r in self.reports:
             if not is_nilpotent(f.subs({self.param: r.t0}, target_ring=self.x_ring), r.ideal):
@@ -342,9 +344,9 @@ def splitting_check(fam):
     """No-coalescence check: when the total fiber Milnor number stays
     equal to the base value, there must be exactly one singular point
     and it must carry the full Milnor number.  A lone singular point is
-    rational and read off the radical (``lone_point``): it is moved to
-    the origin for ``icis_milnor``.  Two or more are summed over the
-    closure by ``fiber_milnor_total``.
+    rational (``lone_point``): it is moved to the origin for
+    ``icis_milnor``.  Two or more are summed over the closure by
+    ``fiber_milnor_total``.
 
     A function family's fiber singular ideal is its sample's critical
     ideal plus <F_t>, so the family certificate covers its points; only
@@ -352,7 +354,8 @@ def splitting_check(fam):
     Le-Greuel, mu(X cut by F_t) = mu(f_t on X) - mu(X) at the origin:
     the base total is ``mu0`` - mu(X), and a lone point at the origin
     carries its report's ``local_mu_origin`` - mu(X).  The points are
-    the report's radical cut by F_t (``radical_plus``)."""
+    those of the report's critical ideal cut by F_t
+    (``IdealPresentation.cut``)."""
     x_ring = fam.x_ring
 
     def singular_certificate():
@@ -366,7 +369,7 @@ def splitting_check(fam):
         base_mu = fam.mu0 - mu_X
         conv = fam.certificate or singular_certificate()
         results = [
-            _splitting_sample(fam, r.t0, r.ideal.radical_plus(fam.fiber(r.t0)[-1:]),
+            _splitting_sample(fam, r.t0, r.ideal.cut(fam.fiber(r.t0)[-1]),
                               r.local_mu_origin - mu_X)
             for r in fam.reports
         ]

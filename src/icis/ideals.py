@@ -2,35 +2,40 @@
 and radical membership.
 
 An ``IdealPresentation`` is the one memo of its ideal: its basis per
-order, its local colength at the origin and its radical, each computed
-once.  A Milnor chain stage is such an ideal.
+order, its local colength at the origin, its eliminants, its point
+count, its cuts and its radical, each computed once.  A Milnor chain
+stage is such an ideal.
 
 Critical and singular ideals have one builder, ``critical_ideal``; a
 singular ideal is the critical ideal of its last equation, plus it, and
 the relative Jacobian ideal J(F, phi) of a family is read off the
 critical ideal over the (t, x)-ring in the x-variables.
 
-A zero-dimensional ideal I has one radical, built once and cached
-(``IdealPresentation.radical``): I plus the squarefree part of each
-eliminant with a repeated factor (Seidenberg's lemma), or I itself when
-there is none.  The eliminant in v is the minimal polynomial of
-multiplication by v on Q[x]/I, read off I's cached reduced grevlex basis
-by single-variable FGLM (``univariate_eliminant``), so point accounting
-completes grevlex bases only.  ``elimination_ideal`` is
-``basis.eliminate`` under a block order: the linear variables are
+The eliminant in v of a zero-dimensional ideal I is the minimal
+polynomial of multiplication by v on Q[x]/I, read off I's cached
+reduced grevlex basis by single-variable FGLM (``univariate_eliminant``),
+so point accounting completes grevlex bases only.  ``elimination_ideal``
+is ``basis.eliminate`` under a block order: the linear variables are
 substituted away first and only the elimination ideal's rows are
-finished, so no full block basis is built or cached.  The questions on the
-finite set V(I) all read the radical: the number of its points is its
-colength (``distinct_point_count``), f vanishes on it when f reduces to
-zero modulo the radical (``is_nilpotent``), and a lone point is read off
-the radical's reduced basis {v - c_v} (``lone_point``).  The radical of
-I + <f> is rad(I) + <f> (``radical_plus``), so a cut of I's points
-needs no eliminant of its own; it is completed from the radical's reduced
-grevlex basis plus f."""
+finished, so no full block basis is built or cached.
+
+The questions on the finite set V(I) read colengths and eliminants.  The
+number of points (``distinct_point_count``) lies between the largest
+number of distinct roots of an eliminant and the smallest of the
+colength, the product of those numbers and, when the origin is a point
+whose local colength is known, the colength less the origin's share plus
+one; the eliminants are taken until the bounds meet.  f vanishes on V(I)
+when cutting by f keeps every point (``is_nilpotent``, on the cached
+cut I + <f>, ``IdealPresentation.cut``), and a lone point is the origin
+or the roots of the linear squarefree eliminants (``lone_point``).  Only
+bounds that never meet complete the radical
+(``IdealPresentation.radical``): I plus the squarefree part of each
+eliminant with a repeated factor (Seidenberg's lemma)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from math import inf
 
@@ -85,15 +90,11 @@ class IdealPresentation:
         generators: the same ideal, so the same reduced basis."""
         hit = self._cache.get("radical")
         if hit is None:
-            c = self.colength(grevlex(self.ring))
-            if c == inf:
-                raise NonIsolatedError("the radical needs a zero-dimensional ideal")
             hit = self
-            if c:
+            if _points_colength(self):
                 shrunk = []
                 for v in self.ring:
-                    e = univariate_eliminant(self, v)
-                    r = squarefree_part(e)
+                    e, r = _squarefree_eliminant(self, v)
                     if r.total_degree() < e.total_degree():
                         shrunk.append(r.in_ring(self.ring))
                 if shrunk:
@@ -102,16 +103,15 @@ class IdealPresentation:
             self._cache["radical"] = hit
         return hit
 
-    def radical_plus(self, extra):
-        """The radical of I + <extra> for a zero-dimensional I: rad(I) +
-        <extra>, with no eliminant.  Q[x]/rad(I) is a product of fields,
-        so each of its quotients is reduced and the sum is its own
-        radical; it is cached as such.  It is presented by the radical's
-        reduced grevlex basis plus ``extra``, so its completion starts
-        from a basis and does not redo the radical's."""
-        reduced = self.radical().basis(grevlex(self.ring)).generators
-        hit = IdealPresentation(self.ring, reduced + tuple(extra))
-        hit._cache["radical"] = hit
+    def cut(self, f):
+        """I + <f>, built once per f: its points are those of V(I) where f
+        vanishes.  It is presented by I's reduced grevlex basis plus f, so
+        its completion does not redo I's."""
+        key = ("cut", f)
+        hit = self._cache.get(key)
+        if hit is None:
+            reduced = self.basis(grevlex(self.ring)).generators
+            hit = self._cache[key] = IdealPresentation(self.ring, reduced + (f,))
         return hit
 
     def plus(self, extra):
@@ -208,8 +208,19 @@ def radical_membership(f, I):
 
 def is_nilpotent(f, I):
     """f is nilpotent in Q[x]/I for a zero-dimensional I, i.e. f vanishes
-    on the finite set V(I): f reduces to zero modulo I's radical."""
-    return _basis.normal_form(f, I.radical().basis(grevlex(I.ring))).is_zero()
+    on the finite set V(I): the cut by f keeps every point, #V(I + <f>) =
+    #V(I).  No cut is counted when f is 0, when f(0) != 0 and the origin
+    is a point, or when f is c*v^k: v vanishes on V(I) exactly when its
+    eliminant's only root is 0, i.e. the eliminant is a power of v."""
+    _points_colength(I)
+    if f.is_zero():
+        return True
+    if f.constant_term() and _has_origin(I):
+        return False
+    used = f.variables_used()
+    if len(f.terms) == 1 and len(used) == 1:
+        return len(_squarefree_eliminant(I, used.pop())[0].terms) == 1
+    return distinct_point_count(I.cut(f)) == distinct_point_count(I)
 
 
 def univariate_eliminant(I, var):
@@ -223,14 +234,71 @@ def univariate_eliminant(I, var):
 
 
 def distinct_point_count(I):
-    """Number of distinct points of V(I) over the algebraic closure, for
-    a zero-dimensional I: the colength of its radical."""
-    return I.radical().colength(grevlex(I.ring))
+    """Number N of distinct points of V(I) over the algebraic closure, for
+    a zero-dimensional I; counted once per ideal.
+
+    N is pinned between two certified bounds.  Let c be I's grevlex
+    colength and L_v the degree of the squarefree part of I's eliminant in
+    v, the number of distinct v-coordinates.  Then max_v L_v <= N <=
+    min(c, prod_v L_v).  When the origin is a point and I's local
+    colength mu0 there is already known (``IdealPresentation.local_colength``,
+    which a sample report computes), the other points share c - mu0, so
+    N <= c - mu0 + 1, and N >= 2 when c > mu0; mu0 is not computed for
+    this, as one eliminant usually settles a cut for fewer steps.  The
+    eliminants are taken one variable at a time until the bounds meet;
+    when they never do, N is the colength of I's radical
+    (``IdealPresentation.radical``), built from the same eliminants."""
+    hit = I._cache.get("points")
+    if hit is None:
+        c = _points_colength(I)
+        low, high = min(c, 1), c
+        mu0 = I._cache.get("local")
+        if c and mu0 is not None and _has_origin(I):
+            low, high = 1 + (c > mu0), c - mu0 + 1
+        product = 1
+        for n, v in enumerate(I.ring, 1):
+            if low == high:
+                break
+            L = _squarefree_eliminant(I, v)[1].total_degree()
+            low, product = max(low, L), product * L
+            if n == len(I.ring):
+                high = min(high, product)
+        if low != high:
+            low = I.radical().colength(grevlex(I.ring))
+        hit = I._cache["points"] = low
+    return hit
 
 
 def lone_point(I):
-    """The point of V(I) when it is the only one over the closure.  It is
-    rational, since its conjugates are points too, so the radical is the
-    maximal ideal whose reduced basis is {v - c_v}."""
-    sb = I.radical().basis(grevlex(I.ring))
-    return {v: -g.constant_term() for g in sb.generators for v in g.variables_used()}
+    """The point of V(I) when it is the only one over the closure: the
+    origin when it lies on V(I), else the root c_v of the squarefree part
+    v - c_v of each eliminant.  It is rational, since its conjugates are
+    points too."""
+    if _has_origin(I):
+        return {v: Fraction(0) for v in I.ring}
+    return {v: -_squarefree_eliminant(I, v)[1].constant_term() for v in I.ring}
+
+
+def _points_colength(I):
+    """I's grevlex colength; a positive-dimensional I raises
+    ``NonIsolatedError``."""
+    c = I.colength(grevlex(I.ring))
+    if c == inf:
+        raise NonIsolatedError("point accounting needs a zero-dimensional ideal")
+    return c
+
+
+def _has_origin(I):
+    """The origin lies on V(I): every generator vanishes there."""
+    return not any(g.constant_term() for g in I.generators)
+
+
+def _squarefree_eliminant(I, v):
+    """I's eliminant in v and its squarefree part, computed once per
+    ideal and variable."""
+    key = ("eliminant", v)
+    hit = I._cache.get(key)
+    if hit is None:
+        e = univariate_eliminant(I, v)
+        hit = I._cache[key] = e, squarefree_part(e)
+    return hit

@@ -13,17 +13,19 @@ single-divisor division, ``_divmod``.
 ``squarefree_part`` has one rule, rad(f) = f / gcd(f, df/dx for x in A)
 (Yun 1976; Geddes-Czapor-Labahn, ch. 8).  A is the first variable in
 which f has a constant coefficient, which every factor of f uses, or all
-of f's variables when it has none.  A multivariate f is certified
-squarefree, with no gcd, when for every x in A some f(x, a) is, at one of
-a fixed list of points a of the other variables where the leading
-coefficient in x does not vanish.  Each point is tested modulo the
-word-size prime 2^31 - 1 on integer lists: when the prime divides no
-denominator and not the leading coefficient, and the image is coprime to
-its derivative, f(x, a) is squarefree over Q.  When that test cannot
-decide, a univariate Euclid over Q does, so no answer depends on the
-prime.  Both run outside the step budget.  Multivariate ``gcd`` is
-lcm-by-elimination (``basis.eliminate`` under a block order), charged to
-the step budget.
+of f's variables when it has none.  Two shortcuts skip the gcd, and each
+rests on one squarefree test modulo the word-size prime 2^31 - 1 on
+integer lists: when the prime divides no denominator and not the leading
+coefficient, and the image is coprime to its derivative, the polynomial
+is squarefree over Q.  A univariate f = x^k*h, h(0) != 0, has the radical
+x*h (h when k = 0) once h passes it.  A multivariate f is its own radical
+when, for every x in A, f(x, a) passes it at the first of a fixed list of
+points a of the other variables where the leading coefficient in x does
+not vanish; a univariate Euclid over Q decides that point only where the
+prime is not valid.  A test that refuses sends f to the gcd, so no answer
+depends on the prime.  The tests run outside the step budget.
+Multivariate ``gcd`` is lcm-by-elimination (``basis.eliminate`` under a
+block order), charged to the step budget.
 """
 
 from __future__ import annotations
@@ -441,11 +443,25 @@ def squarefree_part(f):
     """Generator of the radical of <f>, leading coefficient normalized to
     1 under grevlex, in characteristic zero: f / gcd(f, df/dx for x in A),
     A from ``_axes``.  Every factor of f uses a variable of A, so one of
-    multiplicity m divides that gcd m - 1 times.  A multivariate f that
-    every x in A certifies (``_certified``) is its own radical."""
+    multiplicity m divides that gcd m - 1 times.  A univariate f = x^k*h,
+    h(0) != 0, whose h the modular test certifies (``_squarefree_mod``)
+    has the radical x*h, or h when k = 0; a multivariate f that every x
+    in A certifies (``_certified``) is its own radical.  Neither takes a
+    gcd."""
     if f.is_zero():
         raise ZeroInputError("squarefree_part of 0")
     used = [i for i in range(len(f.ring)) if any(e[i] for e in f.terms)]
+    if len(used) == 1:
+        # f = x^k*h with h(0) != 0: rad(f) is x*h for k > 0, h for k = 0,
+        # once h is certified squarefree
+        (i,) = used
+        k = min(e[i] for e in f.terms)
+        deg = max(e[i] for e in f.terms) - k
+        h = {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in f.terms.items()}
+        if not deg or _squarefree_mod(h, i, deg):
+            shift = int(k > 0)
+            return _monic(Polynomial(f.ring, {e[:i] + (e[i] + shift,) + e[i + 1:]: c
+                                              for e, c in h.items()}))
     axes = _axes(f, used)
     if len(used) > 1 and all(_certified(f, i, used) for i in axes):
         return _monic(f)
@@ -467,14 +483,14 @@ def _axes(f, used):
 
 
 def _certified(f, i, used):
-    """True when no square factor of f uses its i-th variable x.
-
-    f(x, a), at a point a of the other variables with lc_x(f)(a) != 0, is
-    squarefree for one of the fixed points: a square factor q^2 with q
-    using x would leave q(x, a)^2 with deg q(x, a) >= 1.  Each point is
-    tried modulo ``_PRIME`` first (``_squarefree_mod``); when that test
-    cannot decide, a univariate Euclid over Q decides, so no answer
-    depends on the prime.  Both run outside the step budget."""
+    """True when f(x, a) is squarefree at the first of the fixed points a
+    of the other variables where lc_x(f)(a) != 0; then no square factor
+    q^2 of f uses its i-th variable x, since it would leave q(x, a)^2 with
+    deg q(x, a) >= 1.  The point is tested modulo ``_PRIME``
+    (``_squarefree_mod``); only when the prime is not valid for f(x, a)
+    does a univariate Euclid over Q decide.  Any other answer is False,
+    and the caller's gcd decides, so no answer depends on the prime or
+    the point.  Both tests run outside the step budget."""
     x = f.ring[i]
     deg = max(e[i] for e in f.terms)
     others = [k for k in used if k != i]
@@ -482,15 +498,18 @@ def _certified(f, i, used):
         q = f.subs({f.ring[k]: a ** (n + 1) for n, k in enumerate(others)})
         if max((e[i] for e in q.terms), default=-1) < deg:
             continue  # lc_x(f) vanishes at this point
-        if _squarefree_mod(q, i, deg) or _gcd_univariate(q, q.diff(x)).is_constant():
-            return True
+        certified = _squarefree_mod(q.terms, i, deg)
+        if certified is None:
+            certified = _gcd_univariate(q, q.diff(x)).is_constant()
+        return certified
     return False
 
 
 def _squarefree_mod(q, i, deg):
-    """True when the univariate q, of degree deg in its i-th variable x,
-    is certified squarefree over Q by its image modulo the prime P =
-    ``_PRIME``; False when the test cannot decide.
+    """Whether the univariate term dict q, of degree deg in its i-th
+    variable x, is squarefree over Q, read off its image modulo the prime
+    P = ``_PRIME``: True when certified, False when the image has a
+    repeated factor, None when P is not valid for q.
 
     P must divide no denominator of q and not the numerator of lc_x(q).
     Write q = c*q0, q0 primitive in Z[x]; P then divides neither c's
@@ -498,17 +517,17 @@ def _squarefree_mod(q, i, deg):
     >= 1, gives q0 = r0^2*s0 with r0, s0 in Z[x] (Gauss's lemma), and as P
     does not divide lc(q0) = lc(r0)^2*lc(s0), r0 keeps its degree modulo
     P and divides both q mod P and its derivative.  So gcd(q mod P,
-    q' mod P) = 1 in F_P[x] proves q squarefree.  The converse fails for
-    the finitely many P that divide q's discriminant, so a False sends the
-    caller to the Euclid over Q."""
+    q' mod P) = 1 in F_P[x] proves q squarefree.  The converse fails only
+    for the finitely many P that divide q's discriminant, so a False is
+    not a proof."""
     dense = [0] * (deg + 1)  # q mod P, highest degree first
-    for e, c in q.terms.items():
+    for e, c in q.items():
         den = c.denominator % _PRIME
         if not den:
-            return False
+            return None
         dense[deg - e[i]] = c.numerator * pow(den, -1, _PRIME) % _PRIME
     if not dense[0]:
-        return False
+        return None
     derivative = [c * (deg - k) % _PRIME for k, c in enumerate(dense[:-1])]
     return _coprime_mod(dense, derivative, _PRIME)
 

@@ -408,8 +408,10 @@ class TestSinglePass:
         assert len(radical_tests) == 3
         # the base's Milnor chain, which its isolation check computes and
         # the splitting check reads, mu0 and one per sample report; the
-        # splitting totals reuse mu0 and the reports (Le-Greuel), so no
-        # generator set is localized twice
+        # splitting totals reuse mu0 and the reports (Le-Greuel), and each
+        # report's cut by F_t, which the splitting check and the zero-fiber
+        # hypothesis share, is counted from its colength and eliminants
+        # with no local colength, so no generator set is localized twice
         assert len(colengths) == 4
         assert len(set(colengths)) == len(colengths)
 
@@ -457,7 +459,7 @@ ARGV_FORMS = [
     (["run", "F", "--json", "--seed", "2"], 0, "seed2-json"),
     (["run", "--seed", "7", "F", "--json", "--seed=2"], 0, "seed2-json"),
     (["run", "--budget=32", "F"], 0, "plain"),
-    (["run", "F", "--budget", "32", "--budget", "31"], 4, None),
+    (["run", "F", "--budget", "21", "--budget", "20"], 4, None),
 ]
 
 # -h or --help anywhere: exit 0 and USAGE on stdout

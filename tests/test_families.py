@@ -1,3 +1,6 @@
+import hashlib
+import json
+import sys
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -548,3 +551,49 @@ class TestBaseFiberOnce:
         member = fam.specialize(1)
         assert member.critical_ideal() is fam.base.stage(fam.base.phi + (member.f,))
         assert fam.specialize(1).critical_ideal() is member.critical_ideal()
+
+
+def _family_runs():
+    """Every family text with its recorded exit code and stdout digest:
+    the family fixtures, against tests/golden, and the family texts of the
+    benchmark's recorded problems, against perfbench/expected.json."""
+    tests = Path(__file__).parent
+    sys.path.append(str(tests.parent / "perfbench"))
+    from corpus import recorded_problems
+
+    def is_family(text):
+        return "kind family-analyze;" in text or "kind greuel-check;" in text
+
+    codes = json.loads((tests / "golden" / "exit_codes.json").read_text())
+    runs = {}
+    for fixture in sorted((tests / "fixtures").glob("*.icis")):
+        if is_family(fixture.read_text()):
+            out = (tests / "golden" / f"{fixture.stem}.plain.out").read_bytes()
+            runs[fixture.stem] = (fixture.read_text(), codes[f"{fixture.stem}.plain"],
+                                  hashlib.sha256(out).hexdigest())
+    recorded = json.loads((tests.parent / "perfbench" / "expected.json").read_text())
+    for problem in recorded_problems():
+        if is_family(problem.text):
+            expected = recorded[problem.digest]
+            runs[f"recorded-{problem.name}"] = (problem.text, expected["exit"],
+                                                expected["stdout"])
+    return runs
+
+
+FAMILY_RUNS = _family_runs()
+
+
+@pytest.mark.parametrize("name", FAMILY_RUNS)
+def test_family_traffic_completes_no_radical(name, monkeypatch, tmp_path, capsys):
+    """Point counts, nilpotency tests and lone points on every family text
+    are read off colengths and eliminants: no radical is completed, and
+    the run prints its recorded stdout."""
+    def refuse(I):
+        raise AssertionError("a radical was completed")
+
+    monkeypatch.setattr(IdealPresentation, "radical", refuse)
+    text, code, digest = FAMILY_RUNS[name]
+    path = tmp_path / "family.icis"
+    path.write_text(text)
+    assert main(["run", str(path)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

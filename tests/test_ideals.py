@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
+import random
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -213,20 +214,17 @@ class TestRadical:
     @pytest.mark.parametrize("f, count", [(x, 1), (x - 1, 1), (y, 2), (x + 1, 0)],
                              ids=["one-point", "fat-point", "every-point", "no-point"])
     def test_radical_plus_cuts_the_points(self, f, count, monkeypatch):
-        # V(I) is {0, 1} x {0} with a fat point at x = 1: the cut by f is
-        # the points where f vanishes, and is its own radical with no
-        # eliminant of its own
+        # V(I) is {0, 1} x {0} with a fat point at x = 1: the cut I + <f>,
+        # built once, holds the points where f vanishes, which are those of
+        # rad(I) + <f>, and it is counted from its bounds with no radical
         I = IdealPresentation(R, (x**2 * (x - 1) ** 3, y**2))
-        I.radical()
-        calls = []
-        monkeypatch.setattr(ideals, "univariate_eliminant",
-                            lambda I, v: calls.append(v) or univariate_eliminant(I, v))
-        cut = I.radical_plus([f])
-        assert cut.radical() is cut
-        assert distinct_point_count(cut) == count
-        assert calls == []
-        # the radical of I + <f> from its own eliminants counts the same
-        assert distinct_point_count(I.plus([f])) == count
+        expected = I.radical().plus([f]).radical().colength(grevlex(R))
+        monkeypatch.setattr(IdealPresentation, "radical", _refuse)
+        cut = I.cut(f)
+        assert I.cut(f) is cut
+        assert distinct_point_count(cut) == count == expected
+        assert distinct_point_count(I) == 2
+        assert is_nilpotent(f, I) == (count == 2)
 
     def test_built_once(self, monkeypatch):
         calls = []
@@ -236,6 +234,10 @@ class TestRadical:
         assert distinct_point_count(I) == 2
         assert is_nilpotent(y, I) and not is_nilpotent(x, I)
         assert calls == list(R)
+
+
+def _refuse(I, *args):
+    raise AssertionError("a radical or an eliminant was computed")
 
 
 class TestUnivariateEliminant:
@@ -403,6 +405,153 @@ class TestRadicalOfKnownPoints:
         I = IdealPresentation(ring, I)
         assert I.radical() is I
         assert distinct_point_count(I) == len(points)
+
+
+def _power(gens, e):
+    """Generators of <gens>^e: the products of e of them."""
+    return [prod(c) for c in combinations_with_replacement(gens, e)]
+
+
+def _known_point_ideal(seed):
+    """A seeded zero-dimensional ideal and its known points.
+
+    V(I) is up to four rational points drawn from a small grid, so that
+    coordinates repeat, often with the origin among them, plus, for some
+    seeds, the conjugate pair x = +-sqrt(d), y = a*x + b (z = 0).  Each
+    component may be fat: I is the product of powers of the points'
+    ideals, which are pairwise coprime.  Returns (I, number of points,
+    rational points, pair or None); the pair is (d, a, b)."""
+    rng = random.Random(seed)
+    ring = ("x", "y", "z")[:rng.choice((2, 2, 3))]
+    v = [Polynomial.variable(ring, name) for name in ring]
+    grid = [0, 1, -1, Fraction(1, 2)]
+    points = [tuple(rng.choice(grid) for _ in ring) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.4:
+        points.insert(0, (0,) * len(ring))
+    points = list(dict.fromkeys(points))
+    pair = None
+    if rng.random() < 0.5 or not points:
+        pair = (rng.choice((2, 3, 5, -1)), rng.choice(grid), rng.choice(grid))
+    gens = [Polynomial.constant(ring, 1)]
+    components = [[vi - pi for vi, pi in zip(v, p)] for p in points]
+    if pair:
+        d, a, b = pair
+        components.append([v[0] ** 2 - d, v[1] - a * v[0] - b] + v[2:])
+    for k, component in enumerate(components):
+        e = 2 if k == 0 and rng.random() < 0.6 else 1
+        gens = [f * g for f in gens for g in _power(component, e)]
+    return IdealPresentation(ring, gens), len(points) + 2 * bool(pair), points, pair
+
+
+def _vanishes(f, points, pair):
+    """f is zero at every known point: exactly at the rational ones, and
+    at the conjugate pair when f(s, a*s + b, 0) is zero modulo s^2 - d."""
+    ring = f.ring
+    if any(f.eval(dict(zip(ring, p))) for p in points):
+        return False
+    if pair is None:
+        return True
+    d, a, b = pair
+    s = Polynomial.variable(("s",), "s")
+    image = f.subs({"x": s, "y": a * s + b, **{v: 0 for v in ring[2:]}}, target_ring=("s",))
+    parts = [Fraction(0), Fraction(0)]  # image = parts[0] + parts[1]*sqrt(d)
+    for (k,), c in image.terms.items():
+        parts[k % 2] += c * Fraction(d) ** (k // 2)
+    return parts == [0, 0]
+
+
+def _test_functions(I, points, pair, rng):
+    """Functions to test for nilpotency: the coordinates, the conjugate
+    pair's equations, and random polynomials, half of them times a factor
+    through every known point."""
+    ring = I.ring
+    v = [Polynomial.variable(ring, name) for name in ring]
+    out = list(v) + [vi - 1 for vi in v]
+    if pair:
+        d, a, b = pair
+        out += [v[0] ** 2 - d, v[1] - a * v[0] - b]
+    for _ in range(4):
+        terms = {tuple(rng.randint(0, 2) for _ in ring): rng.choice((-2, -1, 1, 3))
+                 for _ in range(3)}
+        f = Polynomial(ring, terms)
+        if rng.random() < 0.5:
+            for p in points:
+                j = rng.randrange(len(ring))
+                f = f * (v[j] - p[j])
+            if pair:
+                f = f * (v[0] ** 2 - pair[0])
+        out.append(f)
+    return out
+
+
+class TestPointsFromBounds:
+    """distinct_point_count, is_nilpotent and lone_point read colengths
+    and eliminants, and complete a radical only when the bounds on the
+    point count never meet.  Each answer is checked against the known
+    points and against the radical path: the radical's colength, normal
+    forms modulo its basis and its reduced basis {v - c_v}."""
+
+    @pytest.mark.parametrize("known_mu0", [False, True], ids=["mu0-unknown", "mu0-known"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_known_points(self, seed, known_mu0):
+        I, count, points, pair = _known_point_ideal(seed)
+        if known_mu0 and (0,) * len(I.ring) in points:
+            I.local_colength()  # as a sample report computes it
+        rad = IdealPresentation(I.ring, I.generators).radical()
+        rad_basis = rad.basis(grevlex(I.ring))
+        assert distinct_point_count(I) == count == rad.colength(grevlex(I.ring))
+        for f in _test_functions(I, points, pair, random.Random(seed)):
+            expected = _vanishes(f, points, pair)
+            assert is_nilpotent(f, I) == expected == normal_form(f, rad_basis).is_zero(), f
+        if count == 1:
+            (point,) = points
+            assert lone_point(I) == dict(zip(I.ring, point))
+            assert lone_point(I) == {v: -g.constant_term() for g in rad_basis.generators
+                                     for v in g.variables_used()}
+
+    @pytest.mark.parametrize("texts, count", [
+        # (1, 1), fat, (2, 0) and (2, 1): L_x = L_y = 2 and c = 4, so
+        # 2 <= N <= 4
+        (("(x - 1)^2*(x - 2)", "y*(y - 1)", "(x - 2)*(y - 1)"), 3),
+        # (0, 0), (1, 0) and (0, 1): 2 <= N <= c = 3, and c - mu0 + 1 = 3
+        (("x*(x - 1)", "y*(y - 1)", "x*y"), 3),
+    ], ids=["fat-off-origin", "three-corners"])
+    def test_bounds_that_never_meet_complete_the_radical(self, texts, count, monkeypatch):
+        I = _ideal(texts)
+        calls = []
+        radical = IdealPresentation.radical
+        monkeypatch.setattr(IdealPresentation, "radical",
+                            lambda J: calls.append(J) or radical(J))
+        assert distinct_point_count(I) == count
+        assert calls == [I]
+
+    @pytest.mark.parametrize("texts, count", [
+        # a fat point at the origin: c = mu0 = 4
+        (("x^2", "x*y", "y^3"), 1),
+        # the origin, of mu0 = 2, and (1, 0): c - mu0 = 1 point off the origin
+        (("x^2*(x - 1)", "y"), 2),
+    ], ids=["fat-origin", "origin-and-one"])
+    def test_known_origin_colength_needs_no_eliminant(self, texts, count, monkeypatch):
+        I = _ideal(texts)
+        I.local_colength()  # as a sample report computes it
+        monkeypatch.setattr(ideals, "univariate_eliminant", _refuse)
+        monkeypatch.setattr(IdealPresentation, "radical", _refuse)
+        assert distinct_point_count(I) == count
+        if count == 1:
+            assert lone_point(I) == {"x": 0, "y": 0}
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_bounds_hold(self, seed):
+        # max_v L_v <= N <= c, prod_v L_v, and c - mu0 + 1 when the origin
+        # is a point
+        I, count, _, _ = _known_point_ideal(seed)
+        c = I.colength(grevlex(I.ring))
+        L = [squarefree_part(univariate_eliminant(I, v)).total_degree() for v in I.ring]
+        assert max(L) <= count <= min(c, prod(L))
+        if all(not g.constant_term() for g in I.generators):
+            assert count <= c - I.local_colength() + 1
+        assert distinct_point_count(I) == count
 
 
 class TestIdealPresentation:

@@ -408,14 +408,37 @@ def test_certificate_falls_back_where_the_prime_divides(text, monkeypatch):
 
 
 def test_certificate_falls_back_where_the_reduction_is_not_squarefree(monkeypatch):
-    # f(x, 1) = x^2 + 2*x + 4 is squarefree over Q, and (x + 1)^2 modulo 3
+    # f(x, 1) = x^2 + 2*x + 4 is squarefree over Q, and (x + 1)^2 modulo 3:
+    # a refusal at a valid prime goes straight to the gcd, which decides,
+    # with no Euclid over Q
     monkeypatch.setattr(poly, "_PRIME", 3)
-    calls = _counting_euclid(monkeypatch)
+    euclid = _counting_euclid(monkeypatch)
+    gcds = []
+    monkeypatch.setattr(poly, "gcd", lambda a, b, original=poly.gcd:
+                        gcds.append(a) or original(a, b))
     f = parse_expression("x^2 + 2*x + 1 + 3*y", R)
     ours = squarefree_part(f)
-    assert len(calls) == 1
+    assert (len(gcds), euclid) == (1, [])
     _assert_monic_equal(ours, sympy.sqf_part(_to_sympy(f)))
     assert ours == f
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_univariate_squarefree_part_matches_sympy(seed, monkeypatch):
+    """f = x^k*h with h(0) != 0: once the modular test certifies h, the
+    radical is x*h (h for k = 0), with no Euclid over Q; a square factor
+    in h sends f to the Euclid."""
+    rng = random.Random(seed)
+    x = Polynomial.variable(R, "x")
+    h = _random_univariate(rng) * _random_univariate(rng) ** rng.randint(1, 2)
+    k = rng.randint(0, 3)
+    while h.constant_term() == 0:
+        h, k = divexact(h, x), k + 1
+    euclid = _counting_euclid(monkeypatch)
+    f = x**k * h
+    _assert_squarefree_part(f)
+    squarefree_h = sympy.degree(sympy.sqf_part(_to_sympy(h)), SYMBOLS[0]) == h.total_degree()
+    assert (euclid == []) == squarefree_h
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -632,6 +655,16 @@ def test_repeated_critical_values_square_the_resultant(name):
     symbols = sympy.symbols(_unfolding_discriminant(name).ring)
     res = sympy.Poly(_resultant(REPEATED_VALUES[name][1], symbols), *symbols)
     assert sympy.Poly(sympy.sqf_part(res.as_expr()), *symbols).degree() < res.degree()
+
+
+@pytest.mark.parametrize("name", REPEATED_VALUES)
+def test_repeated_critical_values_go_straight_to_the_gcd(name, monkeypatch):
+    """A characteristic polynomial with a square factor is refused by the
+    modular test at a valid prime, so its squarefree part takes the gcd
+    with no Euclid over Q at any certificate point."""
+    euclid = _counting_euclid(monkeypatch)
+    discriminant(REPEATED_VALUES[name][1])
+    assert euclid == []
 
 
 def _pool_maps():
