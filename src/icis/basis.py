@@ -50,16 +50,27 @@ eliminations, which settles generators that overlap only above the
 first K, such as <x^5*y, x*z^5>, otherwise at least 2 *
 ``LAZARD_STEP_RATIO`` steps.  A 10-step loan on the Jacobian of
 x^4 + y^5 + z^6 + x^2*y^2*z ran out on every start, 0.3-0.6 ms each;
-without it that germ takes 225 steps, not 235.
+without it that germ took 225 steps, not 235, before the weighted
+certificate below answered it in none.
 
 When the generators' local leading monomials LL_j are pairwise coprime,
 the generators are already a local standard basis (Greuel-Pfister,
 section 1.7), and ``local_colength`` counts the staircase of <LL>
-without truncating.  This is the limit of the Koszul cut: a kept row
-x^a*g_j has lowest column x^a*LL_j, and if x^a*LL_j = x^b*LL_k with
-j < k, coprimality gives LL_j | x^b, so the cut already dropped
-x^b*g_k.  So every kept row is a pivot, and for every K the truncation
-counts the standard monomials of <LL> below each degree.
+without truncating.  LL_j is first the least term in degree.  This is
+the limit of the Koszul cut: a kept row x^a*g_j has lowest column
+x^a*LL_j, and if x^a*LL_j = x^b*LL_k with j < k, coprimality gives
+LL_j | x^b, so the cut already dropped x^b*g_k.  So every kept row is a
+pivot, and for every K the truncation counts the standard monomials of
+<LL> below each degree.  Else, for n generators in n variables, LL_j is
+the least term under Arnold's weights W_i = L/(b_i + 1), b_i the least
+exponent of a pure power of x_i among the generators' terms, or among
+the i-th generator's (Arnold 1974, "Normal forms of functions near
+degenerate critical points").  For a semi-quasihomogeneous
+f = sum c_i*x_i^a_i + (terms of weighted degree sum e_i/a_i > 1) the
+least term of df/dx_i is x_i^(a_i - 1), so mu = prod (a_i - 1) is read
+off with no step.  The leads are then the leading monomials of the
+generators' weighted initial forms, a regular sequence whose initial
+ideal is that of I (``local_colength`` has the proof).
 
 Every reduction step and row elimination counts against a step budget:
 running out raises ``BudgetExhaustedError``, it never returns a
@@ -79,7 +90,7 @@ from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from math import comb, gcd, inf, lcm, prod
-from operator import itemgetter, le, sub
+from operator import itemgetter, le, mul, sub
 
 from .errors import BudgetExhaustedError, NonIsolatedError
 from .orders import elimination_order
@@ -620,8 +631,9 @@ def local_colength(gens, ring):
     2 * ``LAZARD_STEP_RATIO`` steps is lent: the Jacobian of
     x^4 + y^5 + z^6 + x^2*y^2*z was lent 10 steps after a truncation of
     86 eliminations, and each such start ran out, 0.3-0.6 ms thrown away;
-    with this floor that germ takes 225 steps and no start, not 235 and
-    one.  A loan of no steps is lent only after a truncation without
+    with this floor that germ took 225 steps and no start, not 235 and
+    one (the weighted certificate below now answers it in no step).  A
+    loan of no steps is lent only after a truncation without
     eliminations: it settles an ideal whose generators overlap only in an
     lcm above the first K, such as <x^5*y, x*z^5>, in no step, where the
     later truncations take 153.  Past ``MONOMIAL_CAP`` columns Lazard's
@@ -641,10 +653,46 @@ def local_colength(gens, ring):
     standard monomials of <LL> below degree k, for every K.  So c_k
     stabilizes at the count of <LL> when it has a pure power of every
     variable; when one is missing (and 1 is not in <LL>), c_k >= k for
-    all k and I is not m-primary."""
+    all k and I is not m-primary.
+
+    When the degree leads are not coprime, there are exactly n nonzero
+    generators, and every variable x_i has a pure power among their
+    terms, the least of exponent b_i, the leads are taken again under
+    Arnold's weights W_i = L/(b_i + 1), L the lcm of the b_i + 1: LL_j
+    is the least term of g_j under the key (sum W_i*e_i, sum e_i,
+    reversed e).  If these are pairwise coprime, the answer is again the
+    staircase count of <LL>, with no step.  Otherwise b_i is taken once
+    more, as the least exponent of a pure power of x_i in g_i alone.  For
+    a semi-quasihomogeneous f = sum c_i*x_i^a_i + (terms of weighted
+    degree sum e_i/a_i > 1) and g_i = df/dx_i, that b_i is a_i - 1, and
+    the least term of g_i is x_i^(a_i - 1), so mu = prod (a_i - 1), as
+    Arnold's theorem gives.  The least over all the g_j can be smaller:
+    in w^2 + x^5 + w*x^3, x^3 is a term of g_w.  That least is tried
+    first all the same, since it also reads the stage ideals of
+    ``germs``, whose generators are not partials in ring order.
+
+    Proof, for any weights W > 0.  The least term of g_j lies in its
+    initial form G_j, the part of g_j of least weighted degree.  On a
+    W-homogeneous polynomial the key picks the leading term of a global
+    monomial order (weighted degree first, then the key's tie-break
+    reversed), so pairwise coprime LL_j make the G_j a Groebner basis of
+    J = <G_1, ..., G_n> with leading ideal <LL> (Buchberger's product
+    criterion).  A lead 1 makes g_j a unit, and the count is 0.
+    Otherwise n pairwise coprime leads in n variables are pure powers of
+    distinct variables, so Q[x]/J is finite: J is m-primary and the n
+    homogeneous G_j are a regular sequence.  Then J is the ideal of
+    initial forms of I*O.  Take h = sum p_j*g_j and let d be the least
+    weighted degree of the p_j*g_j; if h's is larger, the initial forms
+    of the p_j at d give a homogeneous syzygy of the G_j, which is
+    Koszul by regularity, in(p_j) = sum_k c_jk*G_k with c_jk = -c_kj,
+    and p_j - sum_k c_jk*g_k gives the same h with a larger d.  So the
+    initial form of h is in J.  Filtering O/I by weighted degree, its
+    graded ring is Q[x]/J, finite, so O/I is finite (Krull's
+    intersection theorem) and dim O/I = dim Q[x]/J, the staircase count
+    of <LL> (Greuel-Pfister, section 1.7)."""
     ring = tuple(ring)
     n = len(ring)
-    leads = _coprime_local_leads(g.terms for g in gens if not g.is_zero())
+    leads = _coprime_local_leads((g.terms for g in gens if not g.is_zero()), n)
     if leads is not None:
         return _staircase_colength(leads, n)
     int_gens = [_primitive(g) for g in gens if not g.is_zero()]
@@ -673,12 +721,54 @@ def _local_key(e):
     return sum(e), e[::-1]
 
 
-def _coprime_local_leads(term_dicts):
-    """The local leading monomials of the term dicts when they are
-    pairwise coprime (1 is coprime to every monomial), else None."""
+def _coprime_local_leads(term_dicts, n):
+    """Local leading monomials of the term dicts, in n variables, that
+    are pairwise coprime (1 is coprime to every monomial), or None.  The
+    lead is the least term under the ordinary degree (``_local_key``),
+    and else, for exactly n term dicts whose terms hold a pure power of
+    every variable, under Arnold's weights: the key
+    (sum W_i*e_i, sum e_i, reversed e) with W_i = L/(b_i + 1) and L the
+    lcm of the b_i + 1.  b_i is first the least exponent of a pure power
+    x_i^b among all the terms, then that among the terms of the i-th dict
+    alone, when this gives other weights (see ``local_colength``)."""
+    term_dicts = list(term_dicts)
+    leads = _coprime_leads(term_dicts, _local_key)
+    if leads is not None or len(term_dicts) != n:
+        return leads
+    least, diagonal = [inf] * n, [inf] * n
+    for j, terms in enumerate(term_dicts):
+        for e in terms:
+            b = sum(e)
+            if b and b in e:  # a pure power
+                i = e.index(b)
+                least[i] = min(least[i], b)
+                if i == j:
+                    diagonal[i] = min(diagonal[i], b)
+    tried = {(1,) * n}  # the degree
+    return (_weighted_leads(term_dicts, least, tried)
+            or _weighted_leads(term_dicts, diagonal, tried))
+
+
+def _weighted_leads(term_dicts, bounds, tried):
+    """``_coprime_leads`` under Arnold's weights for the pure-power
+    exponents ``bounds``; None when a bound is inf or the weights are in
+    ``tried``, to which they are added."""
+    if inf in bounds:
+        return None
+    top = lcm(*(b + 1 for b in bounds))
+    weights = tuple(top // (b + 1) for b in bounds)
+    if weights in tried:
+        return None
+    tried.add(weights)
+    return _coprime_leads(term_dicts, lambda e: (sum(map(mul, weights, e)), sum(e), e[::-1]))
+
+
+def _coprime_leads(term_dicts, key):
+    """The least term of each term dict under ``key`` when these are
+    pairwise coprime, else None."""
     leads, seen = [], 0
     for terms in term_dicts:
-        lead = min(terms, key=_local_key)
+        lead = min(terms, key=key)
         m = _mask(lead)
         if m & seen:
             return None

@@ -37,6 +37,9 @@ V(<phi> + J) over the sample, and a function that is not nilpotent
 modulo that ideal (``ideals.is_nilpotent``: its cut loses a point) is
 refuted at once.  Rabinowitsch (``ideals.radical_membership``) decides
 what no sample refutes, so an answer never depends on the samples.
+cond6 is refuted before any of these by a sample report with an
+off-origin budget: its ideal has a point off the origin, which lies on
+V(<phi> + J) over the sample.
 """
 
 from __future__ import annotations
@@ -220,7 +223,12 @@ class DeformationFamily:
 
     @cached_property
     def cond6(self):
-        """The zero set of <phi> + J is the parameter axis."""
+        """The zero set of <phi> + J is the parameter axis.  A sample
+        report with an off-origin budget has a point p != 0 in its ideal,
+        and (t0, p) lies on V(<phi> + J) (``in_critical_radical``), so
+        that refutes it with no radical question."""
+        if any(r.off_origin_budget > 0 for r in self.reports):
+            return False
         return all(
             self.in_critical_radical(Polynomial.variable(self.ring, xv))
             for xv in self.x_ring

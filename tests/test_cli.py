@@ -398,14 +398,15 @@ class TestSinglePass:
         assert code == 0
         # one certificate, the critical ideal's: it covers the fiber
         # singular points, so the splitting check completes none of its
-        # own; cond5, cond6 (stops at x) and the zero-fiber hypothesis,
-        # each refuted on a sample fiber without a Rabinowitsch completion
+        # own; cond5 and the zero-fiber hypothesis, each refuted on a
+        # sample fiber without a Rabinowitsch completion, and cond6 by a
+        # sample report's off-origin budget, with no radical test
         assert counts == {
             "converges_to_origin": 1,
             "radical_membership": 0,
             "function_on_icis_milnor": 1,
         }
-        assert len(radical_tests) == 3
+        assert len(radical_tests) == 2
         # the base's Milnor chain, which its isolation check computes and
         # the splitting check reads, mu0 and one per sample report; the
         # splitting totals reuse mu0 and the reports (Le-Greuel), and each
@@ -459,7 +460,7 @@ ARGV_FORMS = [
     (["run", "F", "--json", "--seed", "2"], 0, "seed2-json"),
     (["run", "--seed", "7", "F", "--json", "--seed=2"], 0, "seed2-json"),
     (["run", "--budget=32", "F"], 0, "plain"),
-    (["run", "F", "--budget", "21", "--budget", "20"], 4, None),
+    (["run", "F", "--budget", "16", "--budget", "15"], 4, None),
 ]
 
 # -h or --help anywhere: exit 0 and USAGE on stdout
@@ -638,7 +639,7 @@ def test_readme_library_example_runs(capsys):
                 for b in README.read_text(encoding="utf-8").split("```python\n")[1:]]
     exec(compile(block, "README.md", "exec"), {})
     mu, spent, values, certificate = capsys.readouterr().out.splitlines()
-    assert mu == "3"
+    assert mu == "6"
     assert int(spent) > 0
     assert values == "4 False False False"
     assert certificate == "True"
