@@ -24,7 +24,8 @@ order (``ideals.elimination_ideal`` and ``poly.gcd`` call it).  It
 substitutes away every eliminated variable that some generator holds in
 one linear term c*v (Singular's ``elimpart``; Greuel-Pfister, *A Singular
 Introduction to Commutative Algebra*), completes the rest, and
-inter-reduces only the rows free of the eliminated block.
+inter-reduces only the rows free of the eliminated block.  That
+substitution, ``_substitute_linear``, also finds a map's unfoldings.
 
 ``local_colength`` computes dim O/I at the origin by truncated linear
 algebra; Lazard's method decides the ideals whose truncations do not
@@ -414,15 +415,17 @@ def eliminate(generators, order):
 
 def _substitute_linear(gens, block, n):
     """The integer term dicts ``gens`` with every linear variable of
-    ``block`` substituted away.  A variable x_i is linear in g when its
-    only term in g holding x_i is c*x_i; g = c*x_i + h gives
-    x_i = -h/c, and each other generator f, of degree d in x_i, becomes
-    c^d*f(x_i = -h/c), primitive, with g dropped (zero results too).
-    Variables are taken in ring order and generators in list order, and
-    the search restarts after each substitution, since it can make a
-    later generator linear.  ``n`` is the number of variables.  Each
-    substitution removes a variable, so there are at most len(block) of
-    them; they are not reductions and charge no step."""
+    ``block`` substituted away, in a list; ``gens`` is not changed.  A
+    variable x_i is linear in g when its only term in g holding x_i is
+    c*x_i; g = c*x_i + h gives x_i = -h/c, and each other generator f,
+    of degree d in x_i, becomes c^d*f(x_i = -h/c), primitive, with g
+    dropped (zero results too).  Variables are taken in ring order and
+    generators in list order, and the search restarts after each
+    substitution, since it can make a later generator linear.  ``n`` is
+    the number of variables.  Each substitution removes a variable, so
+    there are at most len(block) of them; they are not reductions and
+    charge no step.  Callers: ``eliminate``, and ``germs.discriminant``
+    on a map's graph."""
     while True:
         for i in block:
             unit = (0,) * i + (1,) + (0,) * (n - i - 1)
@@ -432,13 +435,12 @@ def _substitute_linear(gens, block, n):
                 break
         else:
             return gens
-        g = gens.pop(j)
-        c = g[unit]
-        minus_h = [(e, -v) for e, v in g.items() if e != unit]
-        gens = [f for f in (_substitute(f, i, c, minus_h, n) for f in gens) if f]
+        c = gens[j][unit]
+        minus_h = [(e, -v) for e, v in gens[j].items() if e != unit]
+        gens = [f for f in (_substitute(f, i, c, minus_h) for f in gens[:j] + gens[j + 1:]) if f]
 
 
-def _substitute(f, i, c, minus_h, n):
+def _substitute(f, i, c, minus_h):
     """c^d * f(x_i = -h/c) for the integer term dict f of degree d in
     x_i, by Horner's rule on the coefficients of f in x_i; primitive."""
     parts = {}
@@ -449,10 +451,9 @@ def _substitute(f, i, c, minus_h, n):
         return f
     out = parts[d]
     for k in range(d - 1, -1, -1):
-        prev, out = out, {}
+        prev, out = out, {e: c ** (d - k) * v for e, v in parts.get(k, {}).items()}
         for e, v in prev.items():
             _add_shifted(out, minus_h, e, v)
-        _add_shifted(out, parts.get(k, {}).items(), (0,) * n, c ** (d - k))
     content = gcd(*out.values())
     return {e: v // content for e, v in out.items()}
 

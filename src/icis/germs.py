@@ -12,11 +12,12 @@ same memo, so members with equal equations share one ideal.  A
 hypersurface's Jacobian ideal is localized through an
 ``IdealPresentation`` as well, the one path to ``basis.local_colength``.
 
-The discriminant of an unfolding (c*x', g(x', z)), z^d the only term of
-g of z-degree d, is the squarefree part of the characteristic polynomial
-of multiplication by g on Q[u][z]/(dg/dz), from traces and Newton's
-identities on integers, with no Groebner basis; every other map's is a block
-elimination of the graph plus the critical minors."""
+A map is an unfolding when ``basis._substitute_linear`` leaves its graph
+one equation a*u_j = G(u, z), z^d the only term of G of z-degree d.  Its
+discriminant is the squarefree part of the characteristic polynomial of
+G/a on Q[u][z]/(dG/dz), from traces and Newton's identities on integers,
+with no Groebner basis; every other map's is a block elimination of the
+graph plus the critical minors."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, lcm
 
-from .basis import _current_budget
+from .basis import _current_budget, _substitute_linear
 from .errors import (
     GenericityError,
     InvalidInputError,
@@ -252,11 +253,14 @@ def discriminant(phis):
     set of the map phi.  The source variables are renamed x0, x1, ...
     (exponents are positional), so none shares a target's name.
 
-    An unfolding (``_unfolding``) needs no Groebner basis: its
-    discriminant is the squarefree part of the characteristic polynomial
-    of g on Q[u][z]/(dg/dz) (``_characteristic_polynomial``).  Every other
-    map eliminates the source variables from the graph-plus-critical
-    ideal under a block order (``elimination_ideal``)."""
+    The graph rows D*(u_i - phi_i), primitive over Z, lose their linear
+    source variables (``basis._substitute_linear``).  Each substitution
+    x_k = (u_r - h_r)/c_r comes from a graph row, h_r free of x_k, so
+    together they are a triangular automorphism of the source, which
+    keeps the image of the critical set.  An unfolding (``_unfolding``)
+    needs no Groebner basis (``_characteristic_polynomial``); every other
+    map eliminates the source variables from the graph rows plus the
+    critical minors under a block order (``elimination_ideal``)."""
     ring = tuple(f"x{i}" for i in range(len(phis[0].ring)))
     phis = [Polynomial(ring, f.terms) for f in phis]
     targets = _target_ring(len(phis))
@@ -264,16 +268,18 @@ def discriminant(phis):
     # a minor that is a unit at 0 makes the critical-set germ empty
     if any(m.constant_term() != 0 for m in minors):
         raise UnsupportedInputError("critical set is empty: no discriminant hypersurface")
-    unfolding = _unfolding(phis)
+    big, n, p = ring + targets, len(ring), len(targets)
+    graph = []
+    for i, f in enumerate(phis):
+        D = lcm(*(c.denominator for c in f.terms.values()))
+        row = {e + (0,) * p: -c.numerator * (D // c.denominator) for e, c in f.terms.items()}
+        graph.append({**row, (0,) * (n + i) + (1,) + (0,) * (p - i - 1): D})
+    unfolding = _unfolding(_substitute_linear(graph, range(n), n + p), n)
     if unfolding is not None:
         return squarefree_part(_characteristic_polynomial(targets, *unfolding))
-    big = ring + targets
-    gens = [
-        Polynomial.variable(big, u) - f.in_ring(big) for u, f in zip(targets, phis)
-    ] + [m.in_ring(big) for m in minors]
-    I = IdealPresentation(big, gens)
+    gens = [Polynomial(big, r) for r in graph] + [m.in_ring(big) for m in minors]
     # E.generators is the reduced grevlex basis of the elimination ideal
-    E = elimination_ideal(I, targets)
+    E = elimination_ideal(IdealPresentation(big, gens), targets)
     if not E.generators:
         raise UnsupportedInputError("discriminant eliminant is zero: not a hypersurface")
     if len(E.generators) != 1:
@@ -281,51 +287,48 @@ def discriminant(phis):
     return squarefree_part(E.generators[0])
 
 
-def _unfolding(phis):
-    """(g, j, linear, z) when the map is an unfolding: n = p, every
-    component but the j-th, g, is c*x_k on a source variable x_k of its
-    own (``linear`` maps k to (i, c) for the i-th component), z is the
-    source variable left over, and z^d, d = deg_z g >= 1, is g's only
-    term of z-degree d; else None."""
-    n = len(phis[0].ring)
-    if len(phis) != n:
+def _unfolding(rows, n):
+    """(G, a, j, z) when the graph rows left by the linear substitution,
+    integer term dicts over the n source variables and then the
+    targets, make the map an unfolding: they are one row a*u_j - G,
+    a > 0, in which G holds one source variable, the z-th, u_j is in no
+    term of G (the first such j: any gives the same image), and z^d,
+    d = deg_z G, is G's only term of z-degree d; else None."""
+    used = {k for row in rows for e in row for k in range(n) if e[k]}
+    if len(rows) != 1 or len(used) != 1:
         return None
-    linear, rest = {}, []
-    for i, f in enumerate(phis):
-        if len(f.terms) == 1:
-            ((e, c),) = f.terms.items()
-            if sum(e) == 1 and e.index(1) not in linear:
-                linear[e.index(1)] = (i, c)
-                continue
-        rest.append(i)
-    if len(rest) != 1:
+    (row,), (z,) = rows, used
+    width = len(next(iter(row)))
+    for j in range(width - n):
+        unit = (0,) * (n + j) + (1,) + (0,) * (width - n - j - 1)
+        if unit in row and not any(e[n + j] for e in row if e != unit):
+            break
+    else:
         return None
-    (j,) = rest
-    g = phis[j]
-    (z,) = set(range(n)) - set(linear)
-    d = max((e[z] for e in g.terms), default=0)
-    top = [e for e in g.terms if e[z] == d]
-    if d < 1 or top != [tuple(d if k == z else 0 for k in range(n))]:
+    a = row[unit]
+    G = {e: -c if a > 0 else c for e, c in row.items() if e != unit}
+    d = max(e[z] for e in G)
+    if [e for e in G if e[z] == d] != [(0,) * z + (d,) + (0,) * (width - z - 1)]:
         return None
-    return g, j, linear, z
+    return G, abs(a), j, z
 
 
-def _characteristic_polynomial(targets, g, j, linear, z):
-    """chi(w) = det(w - M_g), M_g multiplication by g on A = Q[u][z]/(h),
-    over the target ring with w its j-th variable; ``_unfolding``
-    describes the arguments.  x_k = u_i/c puts g in Q[u][z], and h, dg/dz
-    scaled to be monic in z, makes A free of rank m = d - 1 over Q[u].
+def _characteristic_polynomial(targets, G, a, j, z):
+    """chi(w) = det(w - M_g), M_g multiplication by g = G/a on A =
+    Q[u][z]/(h), over the target ring with w its j-th variable;
+    ``_unfolding`` describes the arguments.  h, dg/dz scaled to be monic
+    in z, makes A free of rank m = d - 1 over Q[u].
 
-    The work is on integers.  D*g lies in Z[u][z] for D the least common
-    denominator of its coefficients; let l be its z^d coefficient and L =
-    d*l.  The substitution z = Z/L turns L^(m-1)*D*dg/dz into H, monic in
-    Z[u][Z], and lambda*g, lambda = L^d*D, into G in Z[u][Z].  The roots
-    of H are integral over Z[u], so chi~(W) = prod (W - G(root)) lies in
-    Z[u][W], and chi(w) = lambda^-m * chi~(lambda*w): the coefficient of
-    w^(m-k) is that of chi~ over lambda^k, the one place rationals are
-    built.
+    The work is on integers.  The row a*u_j - G is primitive, so a is
+    the least D with D*g in Z[u][z]; let l be the z^d coefficient of G
+    and L = d*l.  The substitution z = Z/L turns L^(m-1)*dG/dz into H,
+    monic in Z[u][Z], and lambda*g, lambda = L^d*a, into G~ in Z[u][Z].
+    The roots of H are integral over Z[u], so chi~(W) = prod (W -
+    G~(root)) lies in Z[u][W], and chi(w) = lambda^-m * chi~(lambda*w):
+    the coefficient of w^(m-k) is that of chi~ over lambda^k, the one
+    place rationals are built.
 
-    Tr(G^k), k = 1..m, is read off G^k mod H, whose Z^i coefficient is
+    Tr(G~^k), k = 1..m, is read off G~^k mod H, whose Z^i coefficient is
     weighted by the power sum s_i of the roots of H; Newton's identities
     give the s_i from H and chi~'s coefficients from the traces, dividing
     exactly by integers only.  Each leading coefficient cancelled by H
@@ -342,22 +345,16 @@ def _characteristic_polynomial(targets, g, j, linear, z):
     eliminant's radical, and the same squarefree part."""
     p = len(targets)
     zero = (0,) * p
-    d = max(e[z] for e in g.terms)
+    d = max(e[z] for e in G)
     m = d - 1
-    G = [{} for _ in range(d + 1)]  # g's coefficients in z, term dicts over the targets
-    for e, c in g.terms.items():
-        t = [0] * p
-        for k, (i, ck) in linear.items():
-            t[i] = e[k]
-            c /= ck ** e[k]
-        G[e[z]][tuple(t)] = c
-    D = lcm(*(c.denominator for Gk in G for c in Gk.values()))
-    G = [{t: c.numerator * (D // c.denominator) for t, c in Gk.items()} for Gk in G]
-    L = d * G[d][zero]
-    # Z^m = sum rule[i]*Z^i modulo H, and G's coefficients in Z
-    rule = [{t: (-i - 1) * c * L ** (m - 1 - i) for t, c in G[i + 1].items()}
+    Gz = [{} for _ in range(d + 1)]  # G's coefficients in z, term dicts over the targets
+    for e, c in G.items():
+        Gz[e[z]][e[-p:]] = c
+    L = d * Gz[d][zero]
+    # Z^m = sum rule[i]*Z^i modulo H, and G~'s coefficients in Z
+    rule = [{t: (-i - 1) * c * L ** (m - 1 - i) for t, c in Gz[i + 1].items()}
             for i in range(m)]
-    G = [{t: c * L ** (d - k) for t, c in Gk.items()} for k, Gk in enumerate(G)]
+    G = [{t: c * L ** (d - k) for t, c in Gk.items()} for k, Gk in enumerate(Gz)]
     budget = _current_budget()
     R1 = _mod_monic(G, rule, budget)
     R = [R1]
@@ -381,7 +378,7 @@ def _characteristic_polynomial(targets, g, j, linear, z):
         for i in range(1, k):
             _add_product(ck, chi[i], traces[k - i - 1])
         chi.append({t: c // -k for t, c in ck.items()})
-    lam = L**d * D
+    lam = L**d * a
     terms = {}
     for k, ck in enumerate(chi):
         den = lam**k

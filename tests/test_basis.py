@@ -21,6 +21,7 @@ from icis.basis import (
     _primitive,
     _reduce_global,
     _row,
+    _substitute_linear,
     _truncated_colength,
     _TruncationState,
     colength,
@@ -746,6 +747,16 @@ class TestEliminate:
         with step_budget() as budget:
             assert eliminate(gens, order) == (parse_expression("z^4 - z", ("z",)),)
         assert budget.spent == 0
+
+    def test_substitution_leaves_the_callers_list_as_it_is(self):
+        # germs.discriminant keeps its graph rows for the block path after
+        # substituting them, so a row popped from its list would be lost
+        R3 = ("x", "y", "z")
+        rows = [_primitive(parse_expression(t, R3)) for t in ["y^2 - z", "x - 2", "x*z - y"]]
+        before = [dict(r) for r in rows]
+        left = _substitute_linear(rows, [0, 1], 3)
+        assert rows == before
+        assert left == [{(0, 0, 2): 4, (0, 0, 1): -1}]
 
     def test_unit_ideal(self):
         R3 = ("x", "y", "z")

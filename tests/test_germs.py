@@ -360,15 +360,14 @@ class TestDiscriminant:
 
 
 class TestRationalDiscriminant:
-    """Map C of the rational tier: its graph generators fix x and y, which
-    the elimination substitutes away before it completes.  Held to the
-    steps it spends; a completion in all five variables ran past 60 s."""
+    """Map C of the rational tier: its graph rows fix x and y, which the
+    linear substitution takes away, so it is an unfolding.  Held to the
+    steps it spends."""
 
     TEXTS = ["x + 1/2*z^2", "y - 2/3*z^3 + x*z", "z^4 + 5/7*x*z + y*z^2 + 3*x*y"]
 
-    def test_map_c_takes_the_block_path(self, monkeypatch):
-        # its first two components are not of the form c*x_k, so it is
-        # no unfolding and its discriminant is one block elimination
+    @staticmethod
+    def _block_eliminations(monkeypatch):
         calls = []
 
         def counted(I, keep):
@@ -376,15 +375,28 @@ class TestRationalDiscriminant:
             return elimination_ideal(I, keep)
 
         monkeypatch.setattr(germs, "elimination_ideal", counted)
+        return calls
+
+    def test_map_c_takes_the_characteristic_polynomial(self, monkeypatch):
+        calls = self._block_eliminations(monkeypatch)
         with step_budget() as budget:
             discriminant([parse_expression(t, R3) for t in self.TEXTS])
+        assert calls == []
+        assert budget.spent == 11
+
+    def test_a_map_with_no_linear_component_takes_the_block_path(self, monkeypatch):
+        # no component is linear in a source variable, so the graph keeps
+        # both rows and its discriminant is one block elimination
+        calls = self._block_eliminations(monkeypatch)
+        with step_budget() as budget:
+            discriminant([parse_expression(t, R) for t in ["x^2 - y^2", "x*y + y^3"]])
         assert len(calls) == 1
-        assert budget.spent == 1_153
+        assert budget.spent == 446
 
     def test_map_c_is_the_discriminant_of_its_unfolding(self):
         R3 = ("x", "y", "z")
         texts = self.TEXTS
-        with step_budget(1_153):
+        with step_budget(11):
             delta = discriminant([parse_expression(t, R3) for t in texts])
         assert delta.ring == ("u", "v", "w")
         # x = u - z^2/2 and y = v + 2/3*z^3 - x*z put the map in the form

@@ -8,8 +8,9 @@ gcd) against ``sympy.expand`` and ``sympy.gcd``, squarefree parts
 against ``sympy.sqf_part``, and radical membership against a
 Rabinowitsch basis of sympy's own, and univariate eliminants of
 zero-dimensional ideals against the one-variable member of a sympy lex
-basis.  Discriminants of unfolding maps are checked against a sympy
-resultant (oracle A), against the block elimination that computes
+basis.  Discriminants of unfolding maps, and of triangular maps that
+a change of source coordinates makes unfoldings, are checked against a
+sympy resultant (oracle A), against the block elimination that computes
 every other discriminant, and their line intersection numbers against
 the Le-Greuel sum of two ICIS Milnor numbers (oracle B).  sympy is a test
 dependency only."""
@@ -25,7 +26,7 @@ import sympy
 from sympy.polys.orderings import MonomialOrder
 from sympy.polys.orderings import grevlex as sympy_grevlex
 
-from icis import poly
+from icis import germs, poly
 from icis.basis import complete_basis, eliminate, normal_form
 from icis.germs import (
     IcisPresentation,
@@ -617,6 +618,60 @@ SHAPES = {
     "middle": _text_map("ring x, y, z; phi = x, y^4 - x*y^2 + z*y, 3*z; kind discriminant;"),
 }
 
+# triangular maps: components c_r*x_r + h_r, h_r free of x_r and of every
+# later x_s, and a last one that is an unfolding's g~(u, z) in the
+# source coordinates x; each is the name's map and the variables it
+# solves for, in order
+RATIONAL_C = "x + 1/2*z^2, y - 2/3*z^3 + x*z, z^4 + 5/7*x*z + y*z^2 + 3*x*y"
+RATIONAL_D = "x - 3/2*y^2, y^5 + 2/3*x*y^2 + 5/7*x^2*y - x^3"
+
+
+def _triangular(seed):
+    """(x_0, .., x_(n-2), z) -> (phi_0, .., phi_(n-2), g~(phi, z)), n = 2
+    or 3: phi_r = c*x_r + h_r, c drawn from ``RATIONALS``, h_r a power
+    z^2 or z^3 plus, for r > 0, c'*x_s*z with s < r, and g~(u, z) = z^d
+    (d from 3 to 5) + c*u_0*z + c*z^j (2 <= j < d), plus c*u_1*z^k
+    (k <= d - 2) when n = 3; other coefficients from [-5, 5]."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    ring = R[:n]
+    x = [Polynomial.variable(ring, v) for v in ring]
+    z = x[-1]
+    phi = []
+    for r in range(n - 1):
+        h = rng.choice(NONZERO) * z ** rng.randint(2, 3)
+        if r:
+            h = h + rng.choice(NONZERO) * x[rng.randrange(r)] * z
+        phi.append(rng.choice(RATIONALS) * x[r] + h)
+    d = rng.randint(3, 5)
+    g = z**d + rng.choice(NONZERO) * phi[0] * z + rng.choice(NONZERO) * z ** rng.randint(2, d - 1)
+    if n == 3:
+        g = g + rng.choice(NONZERO) * phi[1] * z ** rng.randint(0, d - 2)
+    return (ring, phi + [g]), ring[:-1]
+
+
+TRIANGULAR = {f"triangular{seed}": _triangular(seed) for seed in range(60, 80)}
+TRIANGULAR["rational_c"] = (_text_map(f"ring x, y, z; phi = {RATIONAL_C}; kind discriminant;"),
+                            ("x", "y"))
+TRIANGULAR["rational_d"] = (_text_map(f"ring x, y; phi = {RATIONAL_D}; kind discriminant;"),
+                            ("x",))
+# maps whose graph the linear substitution reduces in other ways: a
+# component linear in a source variable of g, a linear component with a
+# constant, and a source variable no component uses
+SUBSTITUTED = {
+    "linear_g": _text_map("ring x, y, z; phi = x, z^3 + y + x*z, y; kind discriminant;"),
+    "constant": _text_map("ring x, y; phi = 2*x + 1, y^3 + x*y; kind discriminant;"),
+    "unused": _text_map("ring x, y, z; phi = x, y^3 + x*y; kind discriminant;"),
+}
+
+# maps the substitution leaves no unfolding: u*z^3 shares g~'s top
+# z-degree, and y stays in g~ next to z
+BLOCK_PATH = {
+    "top_with_target": _text_map("ring x, z; phi = x, z^3 + x*z^3 + x*z; kind discriminant;"),
+    "two_source_variables": _text_map(
+        "ring x, y, z; phi = x + y^2, z^3 + x*z; kind discriminant;"),
+}
+
 
 @cache
 def _unfolding_discriminant(name):
@@ -648,6 +703,54 @@ def test_unfolding_discriminant_is_the_resultant(name):
     assert ours.monic() == sympy.Poly(expected, *symbols).monic()
 
 
+@pytest.mark.parametrize("name", TRIANGULAR)
+def test_triangular_discriminant_is_the_resultant(name):
+    """Oracle A on a triangular map: sympy solves phi_r = u_r for the
+    r-th solved variable, in order, and substitutes the solutions into
+    the last component, which gives g~(u, z); the discriminant must be
+    the squarefree part of Res_z(g~ - w, dg~/dz).  The library's linear
+    substitution takes no part."""
+    (ring, phi), solved = TRIANGULAR[name]
+    delta = discriminant(phi)
+    xs, us = sympy.symbols(ring), sympy.symbols(delta.ring)
+    values = {}
+    for f, v, u in zip(phi, solved, us):
+        v = sympy.Symbol(v)
+        (values[v],) = sympy.solve(_to_sympy(f, xs).subs(values) - u, v)
+    g = sympy.expand(_to_sympy(phi[-1], xs).subs(values))
+    (z,) = set(xs) - set(values)
+    expected = sympy.sqf_part(sympy.resultant(g - us[-1], sympy.diff(g, z), z))
+    ours = sympy.Poly(_to_sympy(delta, us), *us)
+    assert ours.monic() == sympy.Poly(expected, *us).monic()
+
+
+@pytest.mark.parametrize("name", [*TRIANGULAR, *SUBSTITUTED])
+def test_substituted_maps_take_the_characteristic_polynomial(name, monkeypatch):
+    """The linear substitution leaves every triangular map, and each
+    map of ``SUBSTITUTED``, one graph row of an unfolding: none reaches
+    the block elimination."""
+    def refuse(*args):
+        raise AssertionError("a block elimination ran")
+
+    monkeypatch.setattr(germs, "elimination_ideal", refuse)
+    discriminant(TRIANGULAR[name][0][1] if name in TRIANGULAR else SUBSTITUTED[name][1])
+
+
+@pytest.mark.parametrize("name", BLOCK_PATH)
+def test_other_maps_take_one_block_elimination(name, monkeypatch):
+    """A row left with a target in its top z-term, or with two source
+    variables, is no unfolding: the map takes the block elimination."""
+    calls = []
+
+    def counted(I, keep):
+        calls.append(keep)
+        return elimination_ideal(I, keep)
+
+    monkeypatch.setattr(germs, "elimination_ideal", counted)
+    discriminant(BLOCK_PATH[name][1])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", REPEATED_VALUES)
 def test_repeated_critical_values_square_the_resultant(name):
     """The off-traffic case: the resultant is not squarefree, so delta is
@@ -677,7 +780,9 @@ def _pool_maps():
 
 
 POOL_MAPS = _pool_maps()
-BLOCK_CHECKED = {**UNFOLDINGS, **REPEATED_VALUES, **SHAPES, **POOL_MAPS}
+# map D's block elimination takes about a minute
+BLOCK_CHECKED = {**UNFOLDINGS, **REPEATED_VALUES, **SHAPES, **POOL_MAPS, **SUBSTITUTED,
+                 **{name: m for name, (m, _) in TRIANGULAR.items() if name != "rational_d"}}
 
 
 @pytest.mark.parametrize("name", BLOCK_CHECKED)
@@ -687,7 +792,10 @@ def test_unfolding_discriminant_is_the_block_eliminant(name):
     part of the generator of (graph + minors) meeting Q[u, w]
     (``elimination_ideal``).  Oracle A computes the same resultant as the
     characteristic polynomial; this check shares no code path with it
-    beyond ``squarefree_part``."""
+    beyond ``squarefree_part`` and the linear substitution, which the
+    elimination runs on the graph plus the minors and the
+    characteristic polynomial on the graph alone.  On triangular maps
+    sympy's oracle A does its own substitution."""
     ring, phi = BLOCK_CHECKED[name]
     delta = _unfolding_discriminant(name) if name in ORACLE_A else discriminant(phi)
     big = ring + delta.ring
@@ -714,7 +822,10 @@ def test_unfolding_discriminant_needs_no_euclid_over_q(name, monkeypatch):
     discriminant(CERTIFIED[name][1])
 
 
-@pytest.mark.parametrize("name", UNFOLDINGS)
+LE_GREUEL_CHECKED = {**UNFOLDINGS, "rational_d": TRIANGULAR["rational_d"][0]}
+
+
+@pytest.mark.parametrize("name", LE_GREUEL_CHECKED)
 def test_unfolding_line_intersection_is_the_le_greuel_sum(name):
     """Oracle B: for a line L = s*b of the target, b_p != 0,
     line_intersection_number(delta, L) = mu(F^-1(0)) + mu(F^-1(L)), where
@@ -725,10 +836,10 @@ def test_unfolding_line_intersection_is_the_le_greuel_sum(name):
     colengths.  Hypotheses: 0 is the only critical point
     of the map over 0, checked below; the critical locus maps birationally
     onto delta, not checked."""
-    ring, phi = UNFOLDINGS[name]
+    ring, phi = LE_GREUEL_CHECKED[name]
     minors = maximal_minors(jacobian_matrix(phi, list(ring)))
     assert distinct_point_count(IdealPresentation(ring, phi + minors)) == 1
-    delta = _unfolding_discriminant(name)
+    delta = _unfolding_discriminant(name) if name in ORACLE_A else discriminant(phi)
     mu0 = icis_milnor(IcisPresentation(ring, phi))
     rng = random.Random(name)
     for _ in range(3):
