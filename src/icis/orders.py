@@ -37,14 +37,15 @@ class Lex(MonomialOrder):
 
 
 def _revlex_tail(exps):
-    return tuple(-e for e in reversed(exps))
+    return tuple([-e for e in reversed(exps)])
 
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
     kind = "grevlex"
 
-    def key(self, exps):
+    @staticmethod  # reads no field: ``GrevLex.key`` serves every ring
+    def key(exps):
         return (sum(exps), _revlex_tail(exps))
 
 

@@ -10,32 +10,22 @@ one in-place multiply-accumulate kernel on term dicts, ``_add_shifted``
 exact division and the univariate Euclidean remainder share one
 single-divisor division, ``_divmod``.
 
-``squarefree_part`` has one rule, rad(f) = f / gcd(f, df/dx for x in A)
-(Yun 1976; Geddes-Czapor-Labahn, ch. 8).  A is the first variable in
-which f has a constant coefficient, which every factor of f uses, or all
-of f's variables when it has none.  Two shortcuts skip the gcd, and each
-rests on one squarefree test modulo the word-size prime 2^31 - 1 on
-integer lists: when the prime divides no denominator and not the leading
-coefficient, and the image is coprime to its derivative, the polynomial
-is squarefree over Q.  A univariate f = x^k*h, h(0) != 0, has the radical
-x*h (h when k = 0) once h passes it.  A multivariate f is its own radical
-when, for every x in A, f(x, a) passes it at the first of a fixed list of
-points a of the other variables where the leading coefficient in x does
-not vanish; a univariate Euclid over Q decides that point only where the
-prime is not valid.  A test that refuses sends f to the gcd, so no answer
-depends on the prime.  The tests run outside the step budget.
-Multivariate ``gcd`` is lcm-by-elimination (``basis.eliminate`` under a
-block order), charged to the step budget.
+``squarefree_part`` takes one path for every f (Yun 1976): it splits
+off the monomial factor of least exponents, certifies the cofactor h
+squarefree modulo the prime 2^31 - 1 (``_certified``), and else divides
+h by gcd(h, dh/dx for x in A).  The certificate runs outside the step
+budget; ``gcd``, by lcm-by-elimination (``basis.eliminate`` under a
+block order) or, for one variable, by Euclid, is charged to it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
-from operator import add
+from math import inf, prod
+from operator import add, sub
 
 from .errors import RingMismatchError, UnknownVariableError, ZeroInputError
-from .orders import grevlex
+from .orders import GrevLex, grevlex
 
 
 class Polynomial:
@@ -288,9 +278,10 @@ def _add_shifted(h, tail, shift, q):
             del h[e]
 
 
-def _divmod(f, g):
+def _divmod(f, g, budget=None):
     """(q, r) with f = q*g + r: divide under grevlex for as long as
-    lm(g) divides lm(r), in place on r's term dict."""
+    lm(g) divides lm(r), in place on r's term dict; each leading term
+    cancelled costs a step of ``budget`` when one is given."""
     if g.is_zero():
         raise ZeroInputError("division by zero polynomial")
     key = grevlex(f.ring).key
@@ -303,6 +294,8 @@ def _divmod(f, g):
         shift = tuple(a - b for a, b in zip(lm_r, lm_g))
         if min(shift, default=0) < 0:
             break
+        if budget is not None:
+            budget.step()
         # lm(r) falls at each step, so every shift is new to q
         c = q[shift] = r.pop(lm_r) / lc_g
         _add_shifted(r, tail, shift, -c)
@@ -374,8 +367,12 @@ def divexact(f, g):
 
 
 def _gcd_univariate(a, b):
+    """Euclid over Q, one step of the active budget per term cancelled."""
+    from .basis import _current_budget
+
+    budget = _current_budget()
     while not b.is_zero():
-        a, b = b, _divmod(a, b)[1]
+        a, b = b, _divmod(a, b, budget)[1]
     return _monic(a)
 
 
@@ -427,7 +424,7 @@ def _monic(f):
     """f scaled to leading coefficient 1 under grevlex; 0 stays 0."""
     if f.is_zero():
         return f
-    _, lc = f.leading(grevlex(f.ring))
+    lc = f.terms[max(f.terms, key=GrevLex.key)]
     return f if lc == 1 else f * (1 / lc)
 
 
@@ -441,93 +438,93 @@ _CERTIFICATE_VALUES = (1, -1, 2, -2, 3, -3)
 
 def squarefree_part(f):
     """Generator of the radical of <f>, leading coefficient normalized to
-    1 under grevlex, in characteristic zero: f / gcd(f, df/dx for x in A),
-    A from ``_axes``.  Every factor of f uses a variable of A, so one of
-    multiplicity m divides that gcd m - 1 times.  A univariate f = x^k*h,
-    h(0) != 0, whose h the modular test certifies (``_squarefree_mod``)
-    has the radical x*h, or h when k = 0; a multivariate f that every x
-    in A certifies (``_certified``) is its own radical.  Neither takes a
-    gcd."""
+    1 under grevlex, in characteristic zero.  Write f = x^a*h with x^a
+    the monomial of least exponents; rad(f) is the product of the x_i
+    with a_i > 0 times rad(h).  h is its own radical when every x in A
+    certifies it (``_certified``), A from ``_axes``; else rad(h) =
+    h / gcd(h, dh/dx for x in A).  Every factor of h uses a variable of
+    A, so one of multiplicity m divides that gcd m - 1 times."""
     if f.is_zero():
         raise ZeroInputError("squarefree_part of 0")
-    used = [i for i in range(len(f.ring)) if any(e[i] for e in f.terms)]
-    if len(used) == 1:
-        # f = x^k*h with h(0) != 0: rad(f) is x*h for k > 0, h for k = 0,
-        # once h is certified squarefree
-        (i,) = used
-        k = min(e[i] for e in f.terms)
-        deg = max(e[i] for e in f.terms) - k
-        h = {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in f.terms.items()}
-        if not deg or _squarefree_mod(h, i, deg):
-            shift = int(k > 0)
-            return _monic(Polynomial(f.ring, {e[:i] + (e[i] + shift,) + e[i + 1:]: c
-                                              for e, c in h.items()}))
-    axes = _axes(f, used)
-    if len(used) > 1 and all(_certified(f, i, used) for i in axes):
-        return _monic(f)
-    g = f
-    for i in axes:
-        g = gcd(g, f.diff(f.ring[i]))
-    return _monic(divexact(f, g))
+    cols = list(zip(*f.terms))
+    low = [min(col) for col in cols]
+    h = f.terms
+    if any(low):
+        h = {tuple(map(sub, e, low)): c for e, c in h.items()}
+    used = [i for i, col in enumerate(cols) if max(col) > low[i]]
+    axes = _axes(h, used)
+    if not all(_certified(h, i, used) for i in axes):
+        g = h = Polynomial(f.ring, h)
+        for i in axes:
+            g = gcd(g, h.diff(f.ring[i]))
+        h = divexact(h, g).terms
+    if any(low):
+        shift = [int(k > 0) for k in low]
+        h = {tuple(map(add, e, shift)): c for e, c in h.items()}
+    return _monic(f if h is f.terms else Polynomial(f.ring, h))
 
 
-def _axes(f, used):
-    """A: the first used variable x with a constant coefficient, which
-    every factor of f uses; else all of them.  The coefficient of x^k is
-    constant when x^k is f's only term of degree k in x."""
+def _axes(h, used):
+    """A: the first used variable x with a constant coefficient in the
+    term dict h, which every factor of h uses; else all of them.  The
+    coefficient of x^k is constant when x^k is h's only term of degree k
+    in x."""
     for i in used:
-        mixed = {e[i] for e in f.terms if sum(e) != e[i]}
-        if any(e[i] not in mixed for e in f.terms if sum(e) == e[i]):
+        only = {}  # degree k in x -> whether x^k is the one term of degree k
+        for e in h:
+            k = e[i]
+            only[k] = k not in only and sum(e) == k
+        if any(only.values()):
             return [i]
     return used
 
 
-def _certified(f, i, used):
-    """True when f(x, a) is squarefree at the first of the fixed points a
-    of the other variables where lc_x(f)(a) != 0; then no square factor
-    q^2 of f uses its i-th variable x, since it would leave q(x, a)^2 with
-    deg q(x, a) >= 1.  The point is tested modulo ``_PRIME``
-    (``_squarefree_mod``); only when the prime is not valid for f(x, a)
-    does a univariate Euclid over Q decide.  Any other answer is False,
-    and the caller's gcd decides, so no answer depends on the prime or
-    the point.  Both tests run outside the step budget."""
-    x = f.ring[i]
-    deg = max(e[i] for e in f.terms)
+def _certified(h, i, used):
+    """True when the term dict h(x, a) is certified squarefree modulo
+    ``_PRIME`` (``_squarefree_mod``) at the first of the fixed points a of
+    the other variables where lc_x(h)(a) != 0; then no square factor q^2
+    of h uses its i-th variable x, since it would leave q(x, a)^2 with
+    deg q(x, a) >= 1.  A one-variable h is tested as it stands.  Every
+    other answer is False, and the caller's gcd decides."""
+    deg = max(e[i] for e in h)
     others = [k for k in used if k != i]
+    if not others:
+        return _squarefree_mod(h, i, deg)
     for a in _CERTIFICATE_VALUES:
-        q = f.subs({f.ring[k]: a ** (n + 1) for n, k in enumerate(others)})
-        if max((e[i] for e in q.terms), default=-1) < deg:
-            continue  # lc_x(f) vanishes at this point
-        certified = _squarefree_mod(q.terms, i, deg)
-        if certified is None:
-            certified = _gcd_univariate(q, q.diff(x)).is_constant()
-        return certified
+        point = [(k, a**n) for n, k in enumerate(others, 1)]
+        q = {}  # h(x, a), a term dict in x alone
+        for e, c in h.items():
+            c *= prod([v ** e[k] for k, v in point])
+            d = (e[i],)
+            q[d] = q[d] + c if d in q else c
+        if q.get((deg,)):
+            return _squarefree_mod(q, 0, deg)
     return False
 
 
 def _squarefree_mod(q, i, deg):
     """Whether the univariate term dict q, of degree deg in its i-th
-    variable x, is squarefree over Q, read off its image modulo the prime
-    P = ``_PRIME``: True when certified, False when the image has a
-    repeated factor, None when P is not valid for q.
+    variable x, is certified squarefree over Q by its image modulo the
+    prime P = ``_PRIME``.  False when P is not valid for q or the image
+    has a repeated factor; neither proves a square factor.
 
-    P must divide no denominator of q and not the numerator of lc_x(q).
-    Write q = c*q0, q0 primitive in Z[x]; P then divides neither c's
-    numerator nor its denominator.  A square factor r^2 of q over Q, deg r
-    >= 1, gives q0 = r0^2*s0 with r0, s0 in Z[x] (Gauss's lemma), and as P
-    does not divide lc(q0) = lc(r0)^2*lc(s0), r0 keeps its degree modulo
-    P and divides both q mod P and its derivative.  So gcd(q mod P,
-    q' mod P) = 1 in F_P[x] proves q squarefree.  The converse fails only
-    for the finitely many P that divide q's discriminant, so a False is
-    not a proof."""
+    P is valid when it divides no denominator of q and not the numerator
+    of lc_x(q).  Write q = c*q0, q0 primitive in Z[x]; P then divides
+    neither c's numerator nor its denominator.  A square factor r^2 of q
+    over Q, deg r >= 1, gives q0 = r0^2*s0 with r0, s0 in Z[x] (Gauss's
+    lemma), and as P does not divide lc(q0) = lc(r0)^2*lc(s0), r0 keeps
+    its degree modulo P and divides both q mod P and its derivative.  So
+    gcd(q mod P, q' mod P) = 1 in F_P[x] proves q squarefree.  The
+    converse fails only for the finitely many P that divide q's
+    discriminant."""
     dense = [0] * (deg + 1)  # q mod P, highest degree first
     for e, c in q.items():
         den = c.denominator % _PRIME
         if not den:
-            return None
+            return False
         dense[deg - e[i]] = c.numerator * pow(den, -1, _PRIME) % _PRIME
     if not dense[0]:
-        return None
+        return False
     derivative = [c * (deg - k) % _PRIME for k, c in enumerate(dense[:-1])]
     return _coprime_mod(dense, derivative, _PRIME)
 

@@ -7,7 +7,12 @@ import hypothesis.strategies as st
 
 from icis import basis, poly
 from icis.basis import step_budget
-from icis.errors import RingMismatchError, UnknownVariableError, ZeroInputError
+from icis.errors import (
+    BudgetExhaustedError,
+    RingMismatchError,
+    UnknownVariableError,
+    ZeroInputError,
+)
 from icis.orders import grevlex
 from icis.poly import (
     Polynomial,
@@ -240,15 +245,21 @@ class TestSquarefree:
         assert up_to_scalar(squarefree_part(f**2 * g), squarefree_part(f * g))
 
 
+# inputs whose monomial factor is not squarefree, with their radicals
+RADICALS = {"x^2*y*(x + y^2 + 1)": "x*y*(x + y^2 + 1)"}
+
+
 class TestSquarefreeCertificate:
-    """A squarefree input is certified by a univariate specialization,
-    outside the step budget; only a failed certificate takes one gcd."""
+    """A squarefree input, or the cofactor of an input's monomial factor,
+    is certified by a univariate specialization, outside the step budget;
+    only a failed certificate takes one gcd."""
 
     @pytest.fixture
-    def no_basis(self, monkeypatch):
+    def no_gcd(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a basis was completed")
+            raise AssertionError("a gcd was taken or a basis completed")
 
+        monkeypatch.setattr(poly, "gcd", refuse)
         monkeypatch.setattr(basis, "complete_basis", refuse)
         monkeypatch.setattr(basis, "eliminate", refuse)
 
@@ -258,12 +269,15 @@ class TestSquarefreeCertificate:
             (("u", "v"), "4*u^3 + 27*v^2"),
             # coefficients in x: y, z, y^3 + z^2
             (("x", "y", "z"), "x^2*y + x*z + y^3 + z^2"),
+            # no constant coefficient, but its cofactor x + y^2 + 1 has one
+            (("x", "y"), "x^2*y*(x + y^2 + 1)"),
         ],
     )
-    def test_squarefree_input_spends_no_steps(self, no_basis, ring, text):
+    def test_squarefree_input_spends_no_steps(self, no_gcd, ring, text):
         f = parse_expression(text, ring)
         with step_budget() as b:
-            assert up_to_scalar(squarefree_part(f), f)
+            rad = squarefree_part(f)
+        assert up_to_scalar(rad, parse_expression(RADICALS.get(text, text), ring))
         assert b.spent == 0
 
     def test_non_squarefree_primitive_input_takes_one_gcd(self, monkeypatch):
@@ -334,6 +348,16 @@ class TestDivision:
         s = Polynomial.variable(("s",), "s")
         g = gcd(s**3 - s, s**2 - 1)
         assert up_to_scalar(g, s**2 - 1)
+
+    def test_gcd_univariate_is_charged_to_the_budget(self):
+        # (s^4 - 1) mod (s^3 - s) cancels s^4 and leaves s^2 - 1; then
+        # (s^3 - s) mod (s^2 - 1) cancels s^3: one step per leading term
+        s = Polynomial.variable(("s",), "s")
+        with step_budget() as b:
+            assert gcd(s**4 - 1, s**3 - s) == s**2 - 1
+        assert b.spent == 2
+        with pytest.raises(BudgetExhaustedError), step_budget(1):
+            gcd(s**4 - 1, s**3 - s)
 
     def test_gcd_multivariate(self):
         f = (x + y) ** 2 * (x - y)

@@ -390,6 +390,14 @@ def _counting_euclid(monkeypatch):
     return calls
 
 
+def _counting_gcd(monkeypatch):
+    """The first arguments of ``poly.gcd``, recorded as it runs."""
+    calls = []
+    monkeypatch.setattr(poly, "gcd", lambda a, b, original=poly.gcd:
+                        calls.append(a) or original(a, b))
+    return calls
+
+
 # 2^31 - 1 divides a denominator of f(x, 1) or the leading coefficient
 # of f(x, 1), so the modular test cannot decide the first certificate point
 PRIME_DIVIDES = [
@@ -400,10 +408,13 @@ PRIME_DIVIDES = [
 
 @pytest.mark.parametrize("text", PRIME_DIVIDES)
 def test_certificate_falls_back_where_the_prime_divides(text, monkeypatch):
-    calls = _counting_euclid(monkeypatch)
+    # a prime that is not valid refuses like a refusal at a valid prime:
+    # one gcd decides, with no Euclid over Q
+    euclid = _counting_euclid(monkeypatch)
+    gcds = _counting_gcd(monkeypatch)
     f = parse_expression(text, R)
     ours = squarefree_part(f)
-    assert len(calls) == 1
+    assert (len(gcds), euclid) == (1, [])
     _assert_monic_equal(ours, sympy.sqf_part(_to_sympy(f)))
     assert ours == f * (1 / f.leading(grevlex(R))[1])
 
@@ -414,9 +425,7 @@ def test_certificate_falls_back_where_the_reduction_is_not_squarefree(monkeypatc
     # with no Euclid over Q
     monkeypatch.setattr(poly, "_PRIME", 3)
     euclid = _counting_euclid(monkeypatch)
-    gcds = []
-    monkeypatch.setattr(poly, "gcd", lambda a, b, original=poly.gcd:
-                        gcds.append(a) or original(a, b))
+    gcds = _counting_gcd(monkeypatch)
     f = parse_expression("x^2 + 2*x + 1 + 3*y", R)
     ours = squarefree_part(f)
     assert (len(gcds), euclid) == (1, [])
@@ -428,7 +437,7 @@ def test_certificate_falls_back_where_the_reduction_is_not_squarefree(monkeypatc
 def test_univariate_squarefree_part_matches_sympy(seed, monkeypatch):
     """f = x^k*h with h(0) != 0: once the modular test certifies h, the
     radical is x*h (h for k = 0), with no Euclid over Q; a square factor
-    in h sends f to the Euclid."""
+    in h sends h to its gcd with h', the Euclid."""
     rng = random.Random(seed)
     x = Polynomial.variable(R, "x")
     h = _random_univariate(rng) * _random_univariate(rng) ** rng.randint(1, 2)
@@ -763,8 +772,8 @@ def test_repeated_critical_values_square_the_resultant(name):
 @pytest.mark.parametrize("name", REPEATED_VALUES)
 def test_repeated_critical_values_go_straight_to_the_gcd(name, monkeypatch):
     """A characteristic polynomial with a square factor is refused by the
-    modular test at a valid prime, so its squarefree part takes the gcd
-    with no Euclid over Q at any certificate point."""
+    modular test at a valid prime, so its squarefree part takes the block
+    gcd of its cofactor, with no univariate Euclid."""
     euclid = _counting_euclid(monkeypatch)
     discriminant(REPEATED_VALUES[name][1])
     assert euclid == []
@@ -813,12 +822,12 @@ CERTIFIED = {**UNFOLDINGS, **BLOCK_HANGS, **POOL_MAPS}
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_unfolding_discriminant_needs_no_euclid_over_q(name, monkeypatch):
     """The modular certificate decides every squarefree characteristic
-    polynomial: none reaches the univariate Euclid over Q, whose
-    remainders grow outside the step budget."""
+    polynomial: none reaches a gcd, so none reaches the univariate
+    Euclid over Q."""
     def refuse(*args):
-        raise AssertionError("a Euclid over Q ran")
+        raise AssertionError("a gcd was taken")
 
-    monkeypatch.setattr(poly, "_gcd_univariate", refuse)
+    monkeypatch.setattr(poly, "gcd", refuse)
     discriminant(CERTIFIED[name][1])
 
 
