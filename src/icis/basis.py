@@ -38,40 +38,13 @@ truncation skips the rows that the Koszul criterion (Faugere's F5, 2002)
 shows dependent: x^a*g_j when an earlier generator's local leading
 monomial divides x^a.
 
-The truncations of one ``local_colength`` call share their work.  A row
-built at degree d spans degrees d to d + S, S the largest deg - order of
-a generator, so at truncation K no row built at a degree <= K - S - 1
-is cut, nor any row it was reduced by.  Column numbers depend on a
-monomial's degree and reversed exponents, not on K, so the pivots at the
-end of that degree are those of every larger K, and the next truncation
-resumes after it (``_TruncationState``).  Lazard's method is lent steps
-only when the loan covers its set-up (homogenizing, pairs and
-S-polynomials): a loan of no steps after a truncation without
-eliminations, which settles generators that overlap only above the
-first K, such as <x^5*y, x*z^5>, otherwise at least 2 *
-``LAZARD_STEP_RATIO`` steps.  A 10-step loan on the Jacobian of
-x^4 + y^5 + z^6 + x^2*y^2*z ran out on every start, 0.3-0.6 ms each;
-without it that germ took 225 steps, not 235, before the weighted
-certificate below answered it in none.
-
-When the generators' local leading monomials LL_j are pairwise coprime,
-the generators are already a local standard basis (Greuel-Pfister,
-section 1.7), and ``local_colength`` counts the staircase of <LL>
-without truncating.  LL_j is first the least term in degree.  This is
-the limit of the Koszul cut: a kept row x^a*g_j has lowest column
-x^a*LL_j, and if x^a*LL_j = x^b*LL_k with j < k, coprimality gives
-LL_j | x^b, so the cut already dropped x^b*g_k.  So every kept row is a
-pivot, and for every K the truncation counts the standard monomials of
-<LL> below each degree.  Else, for n generators in n variables, LL_j is
-the least term under Arnold's weights W_i = L/(b_i + 1), b_i the least
-exponent of a pure power of x_i among the generators' terms, or among
-the i-th generator's (Arnold 1974, "Normal forms of functions near
-degenerate critical points").  For a semi-quasihomogeneous
-f = sum c_i*x_i^a_i + (terms of weighted degree sum e_i/a_i > 1) the
-least term of df/dx_i is x_i^(a_i - 1), so mu = prod (a_i - 1) is read
-off with no step.  The leads are then the leading monomials of the
-generators' weighted initial forms, a regular sequence whose initial
-ideal is that of I (``local_colength`` has the proof).
+Before it truncates, ``local_colength`` looks for a certificate that
+spends no step: when the generators' local leading monomials, taken in
+degree or under Arnold's weights, are pairwise coprime, the colength is
+the staircase count of their monomial ideal.  Its truncations resume one
+another's rows (``_TruncationState``), and each one that does not
+stabilize may lend Lazard's method steps.  The docstring of
+``local_colength`` gives the reasons, the measurements and the proofs.
 
 Every reduction step and row elimination counts against a step budget:
 running out raises ``BudgetExhaustedError``, it never returns a
@@ -111,12 +84,10 @@ MONOMIAL_CAP = 5000
 # (2 rounds), families (1 round) and hard_germs (8 rounds) corpora, seed
 # 1, that the coprime-staircase certificate leaves to the truncation and
 # that eliminate; per-call quartiles 3.8 / 6.1-6.6 / 9.0-9.9.  Lazard's
-# loans are counted in its own steps, and a loan of fewer than twice this
-# many steps is not lent: a start that fails on its first step already
-# took 0.14-0.18 ms, 22-24 eliminations, on the same calls, and one that
-# fails on a 10-step loan 0.3-0.6 ms (local_colength).  With ratios from
-# 4 to 8, and a floor of one ratio, the hard cases of tests/test_germs.py
-# took 37,324-37,644, 6,194-6,236 and 1,682-1,833 steps, the fewest at 8.
+# loans are counted in its own steps, with a floor of twice this many
+# (local_colength).  With ratios from 4 to 8, and a floor of one ratio,
+# the hard cases of tests/test_germs.py took 37,324-37,644, 6,194-6,236
+# and 1,682-1,833 steps, the fewest at 8.
 LAZARD_STEP_RATIO = 8
 
 
@@ -627,9 +598,10 @@ def local_colength(gens, ring):
     long in time, priced from that truncation alone, which costs the
     hard germs of ``tests/test_germs.py`` fewer steps than a loan priced
     from all the truncations of the call.  A loan must cover the set-up of
-    a start (homogenizing, pairs, S-polynomials: about 0.3 ms, some 40
-    eliminations) and then some reduction, so none of fewer than
-    2 * ``LAZARD_STEP_RATIO`` steps is lent: the Jacobian of
+    a start (homogenizing, pairs, S-polynomials: a start that fails on its
+    first step took 0.14-0.18 ms, 22-24 eliminations, on the calls that
+    price ``LAZARD_STEP_RATIO``) and then some reduction, so none of fewer
+    than 2 * ``LAZARD_STEP_RATIO`` steps is lent: the Jacobian of
     x^4 + y^5 + z^6 + x^2*y^2*z was lent 10 steps after a truncation of
     86 eliminations, and each such start ran out, 0.3-0.6 ms thrown away;
     with this floor that germ took 225 steps and no start, not 235 and
@@ -667,9 +639,10 @@ def local_colength(gens, ring):
     a semi-quasihomogeneous f = sum c_i*x_i^a_i + (terms of weighted
     degree sum e_i/a_i > 1) and g_i = df/dx_i, that b_i is a_i - 1, and
     the least term of g_i is x_i^(a_i - 1), so mu = prod (a_i - 1), as
-    Arnold's theorem gives.  The least over all the g_j can be smaller:
-    in w^2 + x^5 + w*x^3, x^3 is a term of g_w.  That least is tried
-    first all the same, since it also reads the stage ideals of
+    Arnold's theorem gives (Arnold 1974, "Normal forms of functions near
+    degenerate critical points").  The least over all the g_j can be
+    smaller: in w^2 + x^5 + w*x^3, x^3 is a term of g_w.  That least is
+    tried first all the same, since it also reads the stage ideals of
     ``germs``, whose generators are not partials in ring order.
 
     Proof, for any weights W > 0.  The least term of g_j lies in its

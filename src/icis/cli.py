@@ -15,8 +15,10 @@ text report is rendered from it, and ``--json`` appends the record
 itself as one JSON line.
 
 Exit codes: 0 computed (including VACUOUS verdicts), 2 some verdict of
-the record is INCONCLUSIVE, 3 input error (a usage error included), 4
-budget exhausted.
+the record is INCONCLUSIVE, 3 input error (a usage error, an unreadable
+FILE and an answer too long to print included), 4 budget exhausted.
+``main`` decides a failed run's ``error[...]`` line and exit code in one
+place, its one handler of ``OSError`` and ``IcisError``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from math import inf
 
 from . import families as fam_mod
 from .basis import step_budget
-from .errors import (AnswerTooLongError, BudgetExhaustedError, IcisError, ProblemFileError,
-                     UsageError)
+from .errors import AnswerTooLongError, BudgetExhaustedError, IcisError, UsageError
 from .families import (
     CurveProbe,
     DeformationFamily,
@@ -48,7 +49,6 @@ from .germs import (
     function_on_icis_milnor,
     hypersurface_milnor,
     icis_milnor,
-    is_generic_line,
     line_intersection_number,
     multiplicity,
 )
@@ -110,7 +110,7 @@ def run_problem(problem):
         delta, L = bound["delta"][0], LineDirection(problem.direction)
         record["multiplicity"] = multiplicity(delta)
         record["intersection_number"] = line_intersection_number(delta, L)
-        record["generic"] = is_generic_line(delta, L)
+        record["generic"] = record["intersection_number"] == record["multiplicity"]
     elif kind == "family-analyze":
         _family_analyze(_family(problem), problem, record)
     elif kind == "greuel-check":
@@ -313,57 +313,35 @@ def main(argv=None):
         return EXIT_OK
     try:
         command, path, options = read_argv(argv)
-    except UsageError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
         with open(path, "rb") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        problem = parse_problem(text)
+            problem = parse_problem(fh.read())
         if "--samples" in options:
             if not reads(problem.kind, "samples"):
                 raise UsageError(f"kind {problem.kind!r} reads no --samples")
             problem.samples = parse_samples(options["--samples"])
-    except (ProblemFileError, UsageError) as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if command == "check":
+            print(f"ok: kind {problem.kind}, ring {', '.join(problem.ring)}")
+            return EXIT_OK
+        problem.seed = options.get("--seed", problem.seed)
+        problem.budget = options.get("--budget", problem.budget)
 
-    if command == "check":
-        print(f"ok: kind {problem.kind}, ring {', '.join(problem.ring)}")
-        return EXIT_OK
-
-    if "--seed" in options:
-        problem.seed = options["--seed"]
-    if "--budget" in options:
-        problem.budget = options["--budget"]
-
-    started = time.monotonic()
-    try:
-        with step_budget(problem.budget) as budget:
-            lines, data, code = run_problem(problem)
-        elapsed = time.monotonic() - started
-        if "--json" in options:
-            lines.append(json.dumps(_jsonable(data), sort_keys=True))
-    except BudgetExhaustedError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except IcisError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        # the report writes an answer as text, and an int with more digits
-        # than sys.get_int_max_str_digits() has none
-        if "integer string conversion" not in str(exc):
-            raise
-        print(f"error[{AnswerTooLongError.code}]: the answer has a number of more than "
-              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
-        return EXIT_INPUT
+        started = time.monotonic()
+        try:
+            with step_budget(problem.budget) as budget:
+                lines, data, code = run_problem(problem)
+            elapsed = time.monotonic() - started
+            if "--json" in options:
+                lines.append(json.dumps(_jsonable(data), sort_keys=True))
+        except ValueError as exc:
+            # the report writes an answer as text, and an int with more
+            # digits than sys.get_int_max_str_digits() has none
+            if "integer string conversion" not in str(exc):
+                raise
+            raise AnswerTooLongError(f"the answer has a number of more than "
+                                     f"{sys.get_int_max_str_digits()} digits") from None
+    except (OSError, IcisError) as exc:
+        print(f"error[{'io' if isinstance(exc, OSError) else exc.code}]: {exc}", file=sys.stderr)
+        return EXIT_BUDGET if isinstance(exc, BudgetExhaustedError) else EXIT_INPUT
 
     for line in lines:
         print(line)

@@ -427,19 +427,14 @@ def multiplicity(delta):
     return lowest_degree_form(delta).total_degree()
 
 
-def _check_line(delta, L):
-    """A line test needs a hypersurface through the origin and a
-    direction in its ambient space."""
+def line_intersection_number(delta, L):
+    """Order of vanishing of delta along the parametrized line s -> s*v;
+    +inf when the line lies inside the hypersurface.  delta must vanish
+    at the origin, and v lie in delta's ambient space."""
     if delta.constant_term() != 0:
         raise InvalidInputError("hypersurface must pass through the origin")
     if len(L.v) != len(delta.ring):
         raise InvalidInputError("direction dimension does not match the target ring")
-
-
-def line_intersection_number(delta, L):
-    """Order of vanishing of delta along the parametrized line s -> s*v;
-    +inf when the line lies inside the hypersurface."""
-    _check_line(delta, L)
     s_ring = ("s",)
     s = Polynomial.variable(s_ring, "s")
     comp = delta.subs({u: c * s for u, c in zip(delta.ring, L.v)}, target_ring=s_ring)
@@ -448,8 +443,7 @@ def line_intersection_number(delta, L):
 
 def is_generic_line(delta, L):
     """A line is generic iff it meets the hypersurface with intersection
-    number equal to the multiplicity, i.e. the lowest-degree form does
-    not vanish on the direction vector."""
-    _check_line(delta, L)
-    form = lowest_degree_form(delta)
-    return form.eval(dict(zip(delta.ring, L.v))) != 0
+    number equal to the multiplicity.  delta(s*v) = s^m * (form(v) + O(s))
+    for the lowest-degree form of degree m, so the number is at least m,
+    with equality exactly when the form does not vanish on v."""
+    return line_intersection_number(delta, L) == multiplicity(delta)

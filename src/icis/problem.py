@@ -280,13 +280,14 @@ class _Parser:
         return tok.value
 
     def kind(self):
-        parts = [self.expect("IDENT").value]
+        first = self.expect("IDENT")
+        parts = [first.value]
         while self.accept("-"):
             parts.append(self.expect("IDENT").value)
         kind = "-".join(parts)
         if kind not in KINDS:
-            tok = self.tokens[self.pos - 1]
-            self.fail(f"unknown kind {kind!r}; valid kinds: {', '.join(KINDS)}", tok)
+            raise ProblemSyntaxError(f"unknown kind {kind!r}; valid kinds: {', '.join(KINDS)}",
+                                     first.line, first.column)
         return kind
 
     def samples(self):

@@ -32,7 +32,7 @@ from icis.germs import (
     multiplicity,
 )
 from icis.orders import grevlex
-from icis.poly import Polynomial, order_of_vanishing
+from icis.poly import Polynomial, lowest_degree_form, order_of_vanishing
 
 from family_suite import FUNCTION_CASES, SPACE_CASES
 from staircase_oracle import staircase_colength_bruteforce
@@ -186,6 +186,8 @@ def test_criterion_7_generic_line_criterion(capsys):
         d = LineDirection((a, b))
         agree = line_intersection_number(delta, d) == multiplicity(delta)
         assert is_generic_line(delta, d) == agree
+        # the lowest-degree form does not vanish on a generic direction
+        assert (lowest_degree_form(delta).eval(dict(zip(uv, d.v))) != 0) == agree
         tested += 1
     announce(capsys, "criterion 7 (generic-line criterion, 50 random directions): PASS")
 

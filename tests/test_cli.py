@@ -45,6 +45,10 @@ INVALID_INPUTS = {
     "probe_component_repeated.icis": _CUSP_FAMILY
         + "phi = x^2 - y^3;\nF = x + t*y;\nprobe t = s, x = s^3, x = s^5, y = s^2;\n",
     "power_too_large.icis": "ring x, y, z;\nf = (x + y + z)^120;\nkind milnor;\n",
+    "kind_unknown.icis": "ring x, y;\nf = x^2 + y^3;\nkind foo-milnor;\n",
+    # the member at the sample t = 1 is F = 0, whose critical ideal on phi = y is <y>
+    "family_member_not_isolated.icis":
+        "ring t, x, y;\nparam t;\nphi = y;\nF = (1 - t)*x^2;\nkind family-analyze;\nsamples 1;\n",
     # past the interpreter's 4,300-digit limit on int()
     "coefficient_too_long.icis": "ring x, y;\nf = " + "7" * 5000 + "x^2 + y^2;\nkind milnor;\n",
     # built coefficients past that limit, which no report could print
@@ -280,6 +284,8 @@ class TestExitCodes:
             ("bad_unbound.icis", "unbound-name"),
             ("bad_missing_param.icis", "missing-parameter"),
             ("nonisolated.icis", "non-isolated"),
+            ("family_member_not_isolated.icis",
+             "non-isolated]: critical ideal at t=1 is not zero-dimensional"),
             ("milnor_unit.icis", "invalid-input"),
             ("icis_milnor_unit.icis", "invalid-input"),
             ("function_milnor_unit.icis", "invalid-input"),
@@ -296,6 +302,7 @@ class TestExitCodes:
             ("binding_repeated.icis", "syntax-error"),
             ("probe_component_repeated.icis", "syntax-error"),
             ("power_too_large.icis --budget 10", "expansion-too-large"),
+            ("kind_unknown.icis", "syntax-error]: line 3, column 6: unknown kind 'foo-milnor';"),
             ("coefficient_too_long.icis", "syntax-error"),
             ("power_coefficient_too_long.icis", "syntax-error]: line 2, column 10:"),
             ("power_coefficient_too_long.icis --json", "syntax-error]: line 2, column 10:"),
@@ -370,8 +377,9 @@ class TestExitCodes:
         assert "steps: 0" in err
 
     def test_missing_file_is_3(self, capsys):
-        code, _, err = run_cli("run", str(FIXTURES / "does_not_exist.icis"), capsys=capsys)
-        assert code == 3
+        path = str(FIXTURES / "does_not_exist.icis")
+        assert run_cli("run", path, capsys=capsys) == (
+            3, "", f"error[io]: [Errno 2] No such file or directory: {path!r}\n")
 
 
 class TestSinglePass:

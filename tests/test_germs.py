@@ -29,7 +29,7 @@ from icis.germs import (
 )
 from icis.ideals import elimination_ideal, singular_ideal
 from icis.orders import grevlex
-from icis.poly import Polynomial
+from icis.poly import Polynomial, lowest_degree_form
 from icis.problem import parse_expression
 
 R = ("x", "y")
@@ -431,13 +431,16 @@ class TestGenericLines:
 
     def test_genericity_matches_intersection_number(self, cusp_discriminant):
         # a line is generic exactly when its intersection number equals
-        # the multiplicity of the discriminant
+        # the multiplicity of the discriminant, that is when the
+        # lowest-degree form does not vanish on the direction
+        form = lowest_degree_form(cusp_discriminant)
         for a, b in [(1, 1), (2, -1), (-1, 3), (0, 1), (1, 0)]:
             v = LineDirection((Fraction(a), Fraction(b)))
             expected = line_intersection_number(cusp_discriminant, v) == multiplicity(
                 cusp_discriminant
             )
             assert is_generic_line(cusp_discriminant, v) == expected
+            assert (form.eval(dict(zip(cusp_discriminant.ring, v.v))) != 0) == expected
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from icis.ideals import (
     univariate_eliminant,
 )
 from icis.orders import grevlex
-from icis.poly import Polynomial, squarefree_part
+from icis.poly import Polynomial, gcd, squarefree_part
 from icis.problem import parse_expression
 
 R = ("x", "y")
@@ -135,6 +135,29 @@ class TestRadicalMembership:
     def test_unit_ideal(self):
         I = IdealPresentation(R, (x, y, Polynomial.constant(R, 1)))
         assert radical_membership(Polynomial.constant(R, 5), I)
+
+
+class TestTagVariables:
+    """radical_membership, gcd and Lazard's method each adjoin a tag
+    variable, _z, _w and _h; a ring that already holds the three gets
+    fresh names, so its answers are those of the same inputs over
+    renamed variables."""
+
+    @staticmethod
+    def _answers(ring):
+        a, b, c = (Polynomial.variable(ring, v) for v in ring)
+        curve = IdealPresentation(ring, [a**2 - b, c**2])
+        with step_budget() as budget:
+            return ([radical_membership(f, curve) for f in (c, a, b - a**2)],
+                    gcd((a + b * c)**2 * (c - a), (a + b * c) * (b - c**2)).terms,
+                    basis._lazard_colength([3 * a**2 + b * c, 4 * b**3 + a * c, 5 * c**4 + a * b],
+                                           ring, budget),
+                    budget.spent)
+
+    def test_a_ring_holding_the_tags_gives_the_same_answers(self):
+        answers = self._answers(("_z", "_w", "_h"))
+        assert answers == self._answers(("a", "b", "c"))
+        assert answers[:3] == ([True, False, True], {(1, 0, 0): 1, (0, 1, 1): 1}, 11)
 
 
 class TestIsNilpotent:

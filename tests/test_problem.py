@@ -15,6 +15,7 @@ from icis.errors import (
 )
 from icis.poly import Polynomial, format_poly
 from icis.problem import (
+    KINDS,
     MAX_PRODUCT_TERMS,
     Token,
     parse_expression,
@@ -356,6 +357,15 @@ class TestProblemFiles:
         with pytest.raises(ProblemSyntaxError) as exc:
             parse_problem(text)
         assert (exc.value.line, exc.value.column) == position
+
+    @pytest.mark.parametrize("kind", ["foo", "foo-milnor"])
+    def test_unknown_kind_points_at_its_first_word(self, kind):
+        # a hyphenated kind is read word by word; the error names it whole
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem(f"ring x, y;\nkind {kind};\n")
+        assert (exc.value.line, exc.value.column) == (2, 6)
+        assert str(exc.value) == (f"line 2, column 6: unknown kind '{kind}'; valid kinds: "
+                                  f"{', '.join(KINDS)}")
 
     @pytest.mark.parametrize(
         "text,position",

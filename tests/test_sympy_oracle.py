@@ -27,7 +27,7 @@ from sympy.polys.orderings import MonomialOrder
 from sympy.polys.orderings import grevlex as sympy_grevlex
 
 from icis import germs, poly
-from icis.basis import complete_basis, eliminate, normal_form
+from icis.basis import complete_basis, eliminate, normal_form, step_budget
 from icis.germs import (
     IcisPresentation,
     LineDirection,
@@ -45,7 +45,7 @@ from icis.ideals import (
     univariate_eliminant,
 )
 from icis.orders import elimination_order, grevlex, lex
-from icis.poly import Polynomial, divexact, gcd, squarefree_part
+from icis.poly import Polynomial, divexact, format_poly, gcd, squarefree_part
 from icis.problem import parse_expression, parse_problem
 
 R = ("x", "y", "z")
@@ -360,6 +360,22 @@ LC_VANISHING = [
 @pytest.mark.parametrize("text", LC_VANISHING)
 def test_squarefree_part_where_the_leading_coefficient_vanishes(text):
     _assert_squarefree_part(parse_expression(text, R))
+
+
+def test_certificate_refuses_where_the_leading_coefficient_vanishes_at_every_point(monkeypatch):
+    # lc_x(h) = (y^2 - 1)(y^2 - 4)(y^2 - 9) vanishes at all six certificate
+    # points y = +-1, +-2, +-3, so x certifies nothing and one gcd decides
+    checks = []
+    monkeypatch.setattr(poly, "_squarefree_mod", lambda *args, original=poly._squarefree_mod:
+                        checks.append(args) or original(*args))
+    gcds = _counting_gcd(monkeypatch)
+    h = parse_expression("(y^2 - 1)*(y^2 - 4)*(y^2 - 9)*x^2 + x*y^8 + x + 1", R)
+    for f, steps in [(h, 34), (h**2, 37)]:
+        gcds.clear()
+        with step_budget() as budget:
+            ours = squarefree_part(f)
+        assert (budget.spent, len(gcds), checks) == (steps, 1, [])
+        _assert_monic_equal(ours, sympy.sqf_part(_to_sympy(f)))
 
 
 SQUAREFREE = [
@@ -710,6 +726,22 @@ def test_unfolding_discriminant_is_the_resultant(name):
     expected = sympy.sqf_part(_resultant(ORACLE_A[name][1], symbols))
     ours = sympy.Poly(_to_sympy(delta, symbols), *symbols)
     assert ours.monic() == sympy.Poly(expected, *symbols).monic()
+
+
+def test_four_targets_are_numbered():
+    # past three target coordinates u, v, w the targets are u1, u2, ...;
+    # the unfolding of z^3 with three parameters has the cusp's
+    # discriminant in u1 and u4, Res_z(z^3 + u1*z - u4, 3*z^2 + u1)
+    ring, phi = _text_map("ring w, x, y, z; phi = w, x, y, z^3 + w*z; kind discriminant;")
+    with step_budget() as budget:
+        delta = discriminant(phi)
+    assert (delta.ring, format_poly(delta), budget.spent) == (
+        ("u1", "u2", "u3", "u4"), "u1^3 + 27/4*u4^2", 2)
+    u1, u2, u3, u4 = us = sympy.symbols(delta.ring)
+    z = sympy.Symbol("z")
+    expected = sympy.resultant(z**3 + u1 * z - u4, 3 * z**2 + u1, z)
+    ours = sympy.Poly(_to_sympy(delta, us), *us)
+    assert ours.monic() == sympy.Poly(expected, *us).monic()
 
 
 @pytest.mark.parametrize("name", TRIANGULAR)
