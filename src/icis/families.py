@@ -2,12 +2,12 @@
 conservation of number, splitting detection, and the Greuel-type
 condition checks with their implications.
 
-A ``DeformationFamily`` owns its samples and its fiber equations; every
-check reads the samples, fibers, sample reports, cond1, cond5, cond6 and
-the convergence certificate off the family; ``greuel_conditions`` adds
-the curve-probe evidence.  The relative Jacobian minors are the
-parametric critical ideal's generators after phi, and a lone singular
-point's Milnor number is its fiber total.
+A ``DeformationFamily`` owns its samples and its fiber equations
+``Phi``; every check reads the samples, fibers, sample reports, cond1,
+cond5, cond6 and the convergence certificate off the family;
+``greuel_conditions`` adds the curve-probe evidence.  The relative
+Jacobian minors are the parametric critical ideal's generators after
+phi, and a lone singular point's Milnor number is its fiber total.
 
 Affine colengths stand in for Milnor-ball totals only when the
 convergence certificate holds (every critical point collapses to the
@@ -15,11 +15,10 @@ origin as the parameter goes to zero); otherwise ball-dependent
 verdicts come back inconclusive rather than wrong.  The splitting
 check sums each fiber's Milnor numbers with the Le-Greuel chain of
 ``germs``, localized at a lone singular point or on the whole fiber.
-A function family's fibers, X cut by F_t with X = V(phi), read what
-the family holds.  Their singular points are critical points of f_t on
-X, so the family certificate covers them.  The Le-Greuel formula
-mu(X cut by F_t) + mu(X) = mu(f_t on X) gives the base total from mu0,
-and the total of a lone point at the origin from its sample report.
+A function family's fibers are X cut by F_t, X = V(phi): their singular
+points are critical points of f_t on X, so the family certificate
+covers them, and their chains run through X's stage memo
+(``icis_milnor``), which holds each member's critical ideal.
 
 Finite point sets are counted from colengths and eliminants
 (``ideals.distinct_point_count``), with no radical: a sample report
@@ -68,7 +67,6 @@ from .ideals import (
     radical_membership,
     singular_ideal,
 )
-from .orders import grevlex
 from .poly import Polynomial, order_of_vanishing
 
 FUNCTION = "function-deformation"
@@ -88,12 +86,14 @@ class DeformationFamily:
     """F(t, x) deforming a function germ on a fixed ICIS, or Phi(t, x)
     deforming the ICIS itself; specializing at t = 0 reproduces the base.
 
-    The family owns its sample parameters and its fiber equations
-    (``fiber_equations``, ``fiber``), so every check reads the same
-    samples and the same fibers.  The quantities the checks share are
-    computed once, on first use, under the step budget active then: the
-    fiber at t = 0 as an ICIS (``base_fiber``), the parametric critical
-    ideal and its minors, the convergence certificate (only when read),
+    The family owns its sample parameters and its fiber equations over
+    the (t, x)-ring, ``Phi``: phi with F for a function deformation.  So
+    every check reads the same samples and the same fibers (``fiber``).
+    ``base`` is the ICIS X = V(phi) of a function deformation and the
+    fiber at t = 0 of a space deformation, its isolation check run once.
+    The quantities the checks share are computed once, on first use,
+    under the step budget active then: the parametric critical ideal and
+    its minors, the convergence certificate (only when read),
     mu at t = 0, cond1, cond5, cond6, and the critical-locus report of
     each sample (``reports``).  The radical questions are refuted on the
     sample fibers and decided by Rabinowitsch otherwise
@@ -123,6 +123,7 @@ class DeformationFamily:
         fam = cls(ring, param, FUNCTION, samples=samples)
         fam.base = IcisPresentation(fam.x_ring, phi)
         fam.F = F.in_ring(fam.ring)
+        fam.Phi = tuple(p.in_ring(fam.ring) for p in fam.base.phi) + (fam.F,)
         # the base member at t = 0 must be a genuine germ
         fam.specialize(0)
         return fam
@@ -131,16 +132,8 @@ class DeformationFamily:
     def space_deformation(cls, ring, param, Phi, samples=DEFAULT_SAMPLES):
         fam = cls(ring, param, SPACE, samples=samples)
         fam.Phi = tuple(p.in_ring(fam.ring) for p in Phi)
-        fam.base = fam.base_fiber
+        fam.base = IcisPresentation(fam.x_ring, fam.fiber(0))
         return fam
-
-    @cached_property
-    def fiber_equations(self):
-        """Equations of the fibers over the (t, x)-ring: phi with F for a
-        function deformation, Phi for a space deformation."""
-        if self.kind == FUNCTION:
-            return tuple(p.in_ring(self.ring) for p in self.base.phi) + (self.F,)
-        return self.Phi
 
     def fiber(self, t0):
         """Equations of the fiber at t0, over the x-ring: a tuple, built
@@ -150,14 +143,8 @@ class DeformationFamily:
         if hit is None:
             at = {self.param: t0}
             hit = self._fibers[t0] = tuple(p.subs(at, target_ring=self.x_ring)
-                                           for p in self.fiber_equations)
+                                           for p in self.Phi)
         return hit
-
-    @cached_property
-    def base_fiber(self):
-        """The fiber at t = 0 as an ICIS; its isolation check runs here
-        once.  It is ``base`` for a space deformation."""
-        return IcisPresentation(self.x_ring, self.fiber(0))
 
     def specialize(self, t0):
         """Exact substitution t -> t0: the member germ of a function
@@ -173,7 +160,7 @@ class DeformationFamily:
         {(t, x) : x is a critical point of f_t}."""
         if self.kind != FUNCTION:
             raise ValueError("critical ideal is defined for function deformations")
-        *phi, F = self.fiber_equations
+        *phi, F = self.Phi
         return critical_ideal(phi, F, self.x_ring)
 
     @property
@@ -330,7 +317,7 @@ def critical_locus_report(fam, t0):
     ``fam.reports`` keeps one per sample."""
     t0 = Fraction(t0)
     I = fam.specialize(t0).critical_ideal()
-    total = I.colength(grevlex(fam.x_ring))
+    total = I.colength()
     if total == inf:
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
     local = I.local_colength()
@@ -352,44 +339,47 @@ def splitting_check(fam):
     """No-coalescence check: when the total fiber Milnor number stays
     equal to the base value, there must be exactly one singular point
     and it must carry the full Milnor number.  A lone singular point is
-    rational (``lone_point``): it is moved to the origin for
-    ``icis_milnor``.  Two or more are summed over the closure by
+    rational (``lone_point``): the fiber is moved there, unless it is the
+    origin, and its total is ``icis_milnor`` of ``fam.base`` on the
+    fiber's equations.  Two or more are summed over the closure by
     ``fiber_milnor_total``.
 
-    A function family's fiber singular ideal is its sample's critical
-    ideal plus <F_t>, so the family certificate covers its points; only
-    a false one sends the check to the singular ideal's own.  By
-    Le-Greuel, mu(X cut by F_t) = mu(f_t on X) - mu(X) at the origin:
-    the base total is ``mu0`` - mu(X), and a lone point at the origin
-    carries its report's ``local_mu_origin`` - mu(X).  The points are
-    those of the report's critical ideal cut by F_t
-    (``IdealPresentation.cut``)."""
+    The kind decides the singular points and the certificate.  A
+    function family's fiber singular ideal is its sample's critical
+    ideal plus <F_t> (``IdealPresentation.cut``), so the family
+    certificate covers its points; only a false one sends the check to
+    the fiber singular ideal's own, which a space family always reads.
+    The chain of a function family's fiber runs through X's stages and
+    ends in the member's critical ideal, which ``mu0`` and the sample
+    reports already localized."""
     x_ring = fam.x_ring
-
-    def singular_certificate():
-        return converges_to_origin(singular_ideal(fam.fiber_equations, x_ring), fam.param, x_ring)
-
     if fam.kind == FUNCTION:
-        if len(fam.fiber_equations) > len(x_ring):
+        if len(fam.Phi) > len(x_ring):
             raise InvalidInputError("F cuts a zero-dimensional base: its fibers are "
                                     "not complete intersections")
-        mu_X = icis_milnor(fam.base)
-        base_mu = fam.mu0 - mu_X
-        conv = fam.certificate or singular_certificate()
-        results = [
-            _splitting_sample(fam, r.t0, r.ideal.cut(fam.fiber(r.t0)[-1]),
-                              r.local_mu_origin - mu_X)
-            for r in fam.reports
-        ]
-    else:
-        base_mu = icis_milnor(fam.base_fiber)
-        conv = singular_certificate()
-        results = []
-        for t0 in fam.samples:
-            sing = singular_ideal(fam.fiber(t0), x_ring)
-            if sing.colength(grevlex(x_ring)) == inf:
+        # f_0 is isolated on X, so the base fiber is an ICIS
+        fam.mu0
+    base_mu = icis_milnor(fam.base, eqs=fam.fiber(0))
+    conv = (fam.kind == FUNCTION and fam.certificate) or converges_to_origin(
+        singular_ideal(fam.Phi, x_ring), fam.param, x_ring)
+    results = []
+    for k, t0 in enumerate(fam.samples):
+        eqs = fam.fiber(t0)
+        if fam.kind == FUNCTION:
+            sing = fam.reports[k].ideal.cut(eqs[-1])
+        else:
+            sing = singular_ideal(eqs, x_ring)
+            if sing.colength() == inf:
                 raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
-            results.append(_splitting_sample(fam, t0, sing))
+        count, point, total = distinct_point_count(sing), None, 0
+        if count == 1:
+            point = lone_point(sing)
+            moved = translate(eqs, point) if any(point.values()) else eqs
+            # sing is zero-dimensional, so the point is isolated
+            total = icis_milnor(fam.base, eqs=moved)
+        elif count > 1:
+            total = fiber_milnor_total(eqs, x_ring)
+        results.append(SplittingSample(t0, count, total, point))
 
     if not conv:
         verdict, reason = INCONCLUSIVE, (
@@ -413,27 +403,6 @@ def splitting_check(fam):
     return SplittingReport(base_mu, conv, results, verdict, reason)
 
 
-def _splitting_sample(fam, t0, sing, origin_total=None):
-    """The singular points of the fiber at t0, which are V(sing), and
-    their Milnor total; ``origin_total`` is the total of a lone point at
-    the origin when the caller already has it."""
-    x_ring, eqs = fam.x_ring, fam.fiber(t0)
-    count = distinct_point_count(sing)
-    point = None
-    if count == 0:
-        total = 0
-    elif count == 1:
-        point = lone_point(sing)
-        if origin_total is not None and not any(point.values()):
-            total = origin_total
-        else:
-            # sing is zero-dimensional, so the moved point is isolated
-            total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point)))
-    else:
-        total = fiber_milnor_total(eqs, x_ring)
-    return SplittingSample(t0, count, total, point)
-
-
 def greuel_conditions(fam, probes=()):
     """Curve-probe evidence for the valuation inequalities, one
     ``ProbeResult`` per probe; the conditions themselves are
@@ -443,9 +412,7 @@ def greuel_conditions(fam, probes=()):
     dFdt = fam.F.diff(fam.param)
     results = []
     for probe in probes:
-        on_variety = all(
-            probe.pullback(p.in_ring(fam.ring)).is_zero() for p in fam.base.phi
-        )
+        on_variety = all(probe.pullback(p).is_zero() for p in fam.Phi[:-1])
         num = order_of_vanishing(probe.pullback(dFdt))
         den = min(order_of_vanishing(probe.pullback(g)) for g in fam.minors)
         results.append(ProbeResult(probe, num, den, num > den, num >= den, on_variety))

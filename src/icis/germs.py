@@ -42,7 +42,6 @@ from .ideals import (
     maximal_minors,
     singular_ideal,
 )
-from .orders import grevlex
 from .poly import (
     Polynomial,
     _add_shifted,
@@ -184,12 +183,22 @@ def _recombine(phi, rng):
     return out
 
 
-def icis_milnor(X, seed=0):
+def icis_milnor(X, seed=0, eqs=None):
     """Milnor number of an ICIS: the chain localized at the origin.  The
     stages of phi itself, with their colengths, are the ones X's isolation
     check computed (``IcisPresentation``), so only a recombined retry
-    localizes new ideals."""
-    return _chain_milnor(list(X.phi), lambda I, _: I.local_colength(), X.stage, seed)
+    localizes new ideals.
+
+    ``eqs``, an ICIS over X's ring isolated at the origin, is read in
+    place of phi, its stages kept in X's memo.  The fiber of a function
+    germ f on X is eqs = phi + (f,): its chain is X's, then the critical
+    ideal of f on X (``GermFunction.critical_ideal``, the same stage).
+    So the chain reads the Le-Greuel formula mu(X cut by f) + mu(X) =
+    mu(f on X) off colengths already localized, as a family's base total
+    and a lone point at the origin do after ``mu0`` and the sample
+    reports."""
+    eqs = X.phi if eqs is None else eqs
+    return _chain_milnor(list(eqs), lambda I, _: I.local_colength(), X.stage, seed)
 
 
 def fiber_milnor_total(phi, ring):
@@ -229,10 +238,9 @@ def _fiber_colength(I, rest):
     where it equals its value at N + 1.  Points off V(rest) drop out, and
     by Nakayama the equal values put each r^N in I at every point of
     V(rest): the value sums the local colengths of I there."""
-    order = grevlex(I.ring)
     powers, prev = list(rest), None
     for _ in range(64):
-        c = I.plus(powers).colength(order)
+        c = I.plus(powers).colength()
         if c == inf:
             raise NonIsolatedError("fiber has non-isolated singular points")
         if c == prev:

@@ -1,10 +1,10 @@
 """Ideal-level constructions: Jacobian matrices and minors, elimination
 and radical membership.
 
-An ``IdealPresentation`` is the one memo of its ideal: its basis per
-order, its local colength at the origin, its eliminants, its point
-count, its cuts and its radical, each computed once.  A Milnor chain
-stage is such an ideal.
+An ``IdealPresentation`` is the one memo of its ideal: its reduced
+grevlex basis, its local colength at the origin, its eliminants, its
+point count, its cuts and its radical, each computed once.  A Milnor
+chain stage is such an ideal.
 
 Critical and singular ideals have one builder, ``critical_ideal``; a
 singular ideal is the critical ideal of its last equation, plus it, and
@@ -62,15 +62,17 @@ class IdealPresentation:
         self.generators = tuple(gens)
         self._cache = {}
 
-    def basis(self, order):
-        hit = self._cache.get(order)
+    def basis(self):
+        """I's reduced grevlex basis, completed once.  A block order
+        completes through ``basis.eliminate`` (``elimination_ideal``)."""
+        hit = self._cache.get("grevlex")
         if hit is None:
-            hit = _basis.complete_basis(self.generators, order)
-            self._cache[order] = hit
+            hit = self._cache["grevlex"] = _basis.complete_basis(self.generators,
+                                                                 grevlex(self.ring))
         return hit
 
-    def colength(self, order):
-        return _basis.colength(self.basis(order))
+    def colength(self):
+        return _basis.colength(self.basis())
 
     def local_colength(self):
         """dim O/I in the local ring O at the origin (``basis.local_colength``),
@@ -98,7 +100,7 @@ class IdealPresentation:
                     if r.total_degree() < e.total_degree():
                         shrunk.append(r.in_ring(self.ring))
                 if shrunk:
-                    reduced = self.basis(grevlex(self.ring)).generators
+                    reduced = self.basis().generators
                     hit = IdealPresentation(self.ring, reduced + tuple(shrunk))
             self._cache["radical"] = hit
         return hit
@@ -110,7 +112,7 @@ class IdealPresentation:
         key = ("cut", f)
         hit = self._cache.get(key)
         if hit is None:
-            reduced = self.basis(grevlex(self.ring)).generators
+            reduced = self.basis().generators
             hit = self._cache[key] = IdealPresentation(self.ring, reduced + (f,))
         return hit
 
@@ -230,7 +232,7 @@ def univariate_eliminant(I, var):
     reduced grevlex basis by single-variable FGLM
     (``basis.minimal_polynomial``): no elimination order is completed.
     A positive-dimensional I raises ``NonIsolatedError``."""
-    return _basis.minimal_polynomial(I.basis(grevlex(I.ring)), var)
+    return _basis.minimal_polynomial(I.basis(), var)
 
 
 def distinct_point_count(I):
@@ -264,7 +266,7 @@ def distinct_point_count(I):
             if n == len(I.ring):
                 high = min(high, product)
         if low != high:
-            low = I.radical().colength(grevlex(I.ring))
+            low = I.radical().colength()
         hit = I._cache["points"] = low
     return hit
 
@@ -282,7 +284,7 @@ def lone_point(I):
 def _points_colength(I):
     """I's grevlex colength; a positive-dimensional I raises
     ``NonIsolatedError``."""
-    c = I.colength(grevlex(I.ring))
+    c = I.colength()
     if c == inf:
         raise NonIsolatedError("point accounting needs a zero-dimensional ideal")
     return c

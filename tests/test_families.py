@@ -40,7 +40,6 @@ from icis.ideals import (
     radical_membership,
     singular_ideal,
 )
-from icis.orders import grevlex
 from icis.poly import Polynomial
 from icis.problem import parse_problem
 
@@ -248,20 +247,37 @@ class TestSplitting:
                 if sample.total_fiber_mu == rep.base_fiber_mu:
                     assert sample.singular_count == 1
 
-    @pytest.mark.parametrize("extra", [(), ("z",)], ids=["plane-curve", "space-curve"])
-    def test_singular_point_moving_with_t(self, extra):
-        # the cusp of y^2 = (x - t)^3 sits at (t, 0), away from the origin
-        # (SPACE_CASES keep their singular points at the origin); with z
-        # the fiber is an ICIS of two equations, whose total is point_mu
-        ring = RING + extra
-        Phi = [(y**2 - (x - t) ** 3).in_ring(ring)]
-        Phi += [Polynomial.variable(ring, v) for v in extra]
-        rep = splitting_check(DeformationFamily.space_deformation(ring, "t", Phi))
-        assert rep.verdict == CONSISTENT
-        assert rep.base_fiber_mu == 2
+    # the cusp of y^2 = (x - t)^3 sits at (t, 0), away from the origin
+    # (SPACE_CASES keep their singular points at the origin); with z the
+    # fiber is an ICIS of two equations, whose total is point_mu.  On the
+    # line y = 0, F = x*(x - t)^2 has a double root at x = t, a function
+    # family's lone fiber point off the origin, of Milnor number 1 where
+    # the base fiber x^3 = 0 has 2.  The steps are those of the whole
+    # family-analyze run
+    @pytest.mark.parametrize("phi, F, verdict, total, steps", [
+        ("y^2 - (x - t)^3", None, CONSISTENT, 2, 19),
+        ("y^2 - (x - t)^3, z", None, CONSISTENT, 2, 23),
+        ("y", "x*(x - t)^2", VACUOUS, 1, 17),
+        ("y, z", "x*(x - t)^2", VACUOUS, 1, 19),
+    ], ids=["plane-curve", "space-curve", "function-on-a-line", "function-on-a-space-line"])
+    def test_singular_point_moving_with_t(self, phi, F, verdict, total, steps):
+        extra = ("z",) if "z" in phi else ()
+        text = f"ring {', '.join(RING + extra)};\nparam t;\nphi = {phi};\n"
+        problem = parse_problem(text + (f"F = {F};\n" if F else "") + "kind family-analyze;\n")
+        Phi = problem.bindings["phi"]
+        if F:
+            fam = DeformationFamily.function_deformation(problem.ring, "t", Phi,
+                                                         problem.bindings["F"][0])
+        else:
+            fam = DeformationFamily.space_deformation(problem.ring, "t", Phi)
+        rep = splitting_check(fam)
+        assert (rep.verdict, rep.base_fiber_mu) == (verdict, 2)
         for sm in rep.samples:
-            assert (sm.singular_count, sm.total_fiber_mu, sm.point_mu) == (1, 2, 2)
+            assert (sm.singular_count, sm.total_fiber_mu, sm.point_mu) == (1, total, total)
             assert sm.point == {"x": sm.t0, "y": 0, **dict.fromkeys(extra, 0)}
+        with basis.step_budget() as budget:
+            run_problem(problem)
+        assert budget.spent == steps
 
     def test_multi_point_totals_match_per_point_oracle(self):
         # the nodes of the C^3 tacnode sit at (+-t0, 0, 0); the sum of
@@ -320,6 +336,13 @@ class TestSplitting:
         with pytest.raises(NonIsolatedError, match="fiber at t=1 "):
             splitting_check(fam)
 
+    def test_non_isolated_base_member_is_refused(self):
+        # f_0 = y vanishes on X = {y = 0}: the base fiber is X itself, not
+        # an ICIS of two equations, whose chain would retry recombinations
+        fam = DeformationFamily.function_deformation(RING, "t", [y], y + t * x)
+        with pytest.raises(NonIsolatedError, match="function has non-isolated"):
+            splitting_check(fam)
+
     @pytest.mark.parametrize("case", FUNCTION_CASES + SPACE_CASES, ids=_case_id)
     def test_point_mu_is_the_total_of_a_lone_point(self, case):
         for sm in splitting_check(case.family()).samples:
@@ -336,7 +359,7 @@ def _old_path_splitting(fam):
     (verdict, base total, certificate, [(t0, count, total, point)])."""
     x_ring = fam.x_ring
     base_mu = icis_milnor(IcisPresentation(x_ring, fam.fiber(0)))
-    conv = converges_to_origin(singular_ideal(fam.fiber_equations, x_ring), fam.param, x_ring)
+    conv = converges_to_origin(singular_ideal(fam.Phi, x_ring), fam.param, x_ring)
     samples = []
     for t0 in fam.samples:
         eqs = fam.fiber(t0)
@@ -456,21 +479,19 @@ def _inline_fiber(fam, t0):
 def test_fiber_singular_ideal_matches_inline_construction(case):
     fam = case.family()
     x_ring = fam.x_ring
-    order = grevlex(x_ring)
     for t0 in (0,) + fam.samples:
         eqs = _inline_fiber(fam, t0)
         inline = IdealPresentation(x_ring, eqs + maximal_minors(jacobian_matrix(eqs, x_ring)))
         built = singular_ideal(fam.fiber(t0), x_ring)
-        assert set(built.basis(order).generators) == set(inline.basis(order).generators), t0
+        assert set(built.basis().generators) == set(inline.basis().generators), t0
     # the parametric ideal of the splitting check's convergence certificate
     if fam.kind == families.FUNCTION:
         inline = fam.parametric_critical_ideal.plus([fam.F])
     else:
         inline = IdealPresentation(fam.ring, list(fam.Phi)
                                    + maximal_minors(jacobian_matrix(fam.Phi, x_ring)))
-    built = singular_ideal(fam.fiber_equations, x_ring)
-    order = grevlex(fam.ring)
-    assert set(built.basis(order).generators) == set(inline.basis(order).generators)
+    built = singular_ideal(fam.Phi, x_ring)
+    assert set(built.basis().generators) == set(inline.basis().generators)
 
 
 class TestFiberCache:
@@ -487,12 +508,12 @@ class TestFiberCache:
         fam = SPACE_CASES[0].family()
         eqs = fam.specialize(1)
         eqs.append(eqs[0])
-        assert len(fam.fiber(1)) == len(fam.fiber_equations)
+        assert len(fam.fiber(1)) == len(fam.Phi)
 
     @pytest.mark.parametrize("case", FUNCTION_CASES[:3] + SPACE_CASES[:2], ids=_case_id)
     def test_checks_substitute_each_sample_once(self, case, monkeypatch):
         fam = case.family()
-        eqs = fam.fiber_equations
+        eqs = fam.Phi
         calls = []
         original = Polynomial.subs
 
@@ -518,7 +539,7 @@ class TestBaseFiberOnce:
 
     def test_space_base_is_the_base_fiber(self):
         fam = SPACE_CASES[0].family()
-        assert fam.base is fam.base_fiber
+        assert isinstance(fam.base, IcisPresentation)
         assert fam.base.phi == fam.fiber(0)
 
     # the base fiber's Milnor chain, one stage per equation, which its
@@ -545,6 +566,23 @@ class TestBaseFiberOnce:
         assert len(counted) == calls
         # no stage is localized twice
         assert len(set(counted)) == len(counted)
+
+    @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
+    def test_function_splitting_localizes_nothing_new(self, case, monkeypatch):
+        # each fiber's chain runs through X's memo, where mu0 and the
+        # sample reports localized the member critical ideals it ends in
+        fam = case.family()
+        assert (fam.mu0, len(fam.reports)) == (case.mu_origin_base, len(fam.samples))
+        counted = []
+        original = basis.local_colength
+
+        def counting(gens, ring):
+            counted.append(tuple(gens))
+            return original(gens, ring)
+
+        monkeypatch.setattr(basis, "local_colength", counting)
+        splitting_check(fam)
+        assert counted == []
 
     def test_member_critical_ideal_is_a_base_stage(self):
         fam = DeformationFamily.function_deformation(RING, "t", [y], x**3 - x**2 + t * x)
