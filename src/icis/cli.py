@@ -12,7 +12,8 @@ matched whole, and a repeated option keeps its last value.
 
 A run builds one report record, each value once as a Python object; the
 text report is rendered from it, and ``--json`` appends the record
-itself as one JSON line.
+itself as one JSON line.  A family check returns its own entry of the
+record (``families``), stored here as returned.
 
 Exit codes: 0 computed (including VACUOUS verdicts), 2 some verdict of
 the record is INCONCLUSIVE, 3 input error (a usage error, an unreadable
@@ -141,26 +142,15 @@ def _family_analyze(fam, problem, record):
              "converges_to_origin": fam.certificate}
             for r in fam.reports
         ]
-        cons = conservation_check(fam)
-        record["conservation"] = None if cons == fam_mod.INCONCLUSIVE else cons
+        record["conservation"] = conservation_check(fam)
         _greuel(fam, problem, record)
-
-    split = splitting_check(fam)
-    record["splitting"] = {
-        "verdict": split.verdict,
-        "base_fiber_mu": split.base_fiber_mu,
-        "converges_to_origin": split.converges_to_origin,
-        "samples": [{"t0": s.t0, "count": s.singular_count,
-                     "total_fiber_mu": s.total_fiber_mu, "point_mu": s.point_mu}
-                    for s in split.samples],
-        "reason": split.reason,
-    }
+    record["splitting"] = splitting_check(fam)
 
 
 def _greuel(fam, problem, record):
     """Condition flags, probe evidence and the two theorem checks: the
     whole greuel-check report and the function part of family-analyze."""
-    t44, t44d = radical_implies_axis_check(fam)
+    record["radical_implies_axis"] = radical_implies_axis_check(fam)
     probes = greuel_conditions(fam, probes=[CurveProbe(c) for c in problem.probes])
     # computed in this order, which the stderr step counts pin: cond1 may
     # compute mu0 and cond6 may be computed here first
@@ -170,15 +160,11 @@ def _greuel(fam, problem, record):
         "mu_origin_base": fam.mu0,
         "cond5_radical": fam.cond5,
         "cond6_variety": fam.cond6,
-        "implications_ok": t44 == fam_mod.VERIFIED,
+        "implications_ok": record["radical_implies_axis"]["verdict"] == fam_mod.VERIFIED,
         "totals": {r.t0: r.total_colength for r in fam.reports},
-        "probes": [{"nu_numerator": pr.numerator_order, "nu_denominator": pr.denominator_order,
-                    "strict": pr.strict, "weak": pr.weak, "on_variety": pr.on_variety}
-                   for pr in probes],
+        "probes": probes,
     }
-    record["radical_implies_axis"] = {"verdict": t44, **t44d}
-    c41, c41d = zero_fiber_forces_origin_check(fam)
-    record["zero_fiber_forces_origin"] = {"verdict": c41, "details": c41d}
+    record["zero_fiber_forces_origin"] = zero_fiber_forces_origin_check(fam)
 
 
 def _render(record):

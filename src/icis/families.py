@@ -9,6 +9,9 @@ cond5, cond6 and the convergence certificate off the family;
 Jacobian minors are the parametric critical ideal's generators after
 phi, and a lone singular point's Milnor number is its fiber total.
 
+Each check returns its entry of the report record, plain dicts, lists
+and values that ``cli`` stores as returned.
+
 Affine colengths stand in for Milnor-ball totals only when the
 convergence certificate holds (every critical point collapses to the
 origin as the parameter goes to zero); otherwise ball-dependent
@@ -126,6 +129,10 @@ class DeformationFamily:
         fam.Phi = tuple(p.in_ring(fam.ring) for p in fam.base.phi) + (fam.F,)
         # the base member at t = 0 must be a genuine germ
         fam.specialize(0)
+        # X cut by F_t is an ICIS only where X has positive dimension
+        if len(fam.Phi) > len(fam.x_ring):
+            raise InvalidInputError("F cuts a zero-dimensional base: its fibers are "
+                                    "not complete intersections")
         return fam
 
     @classmethod
@@ -262,38 +269,6 @@ class CurveProbe:
         return f.subs(bindings, target_ring=s_ring)
 
 
-@dataclass
-class ProbeResult:
-    probe: CurveProbe
-    numerator_order: object
-    denominator_order: object
-    strict: bool
-    weak: bool
-    on_variety: bool
-
-
-@dataclass
-class SplittingSample:
-    t0: Fraction
-    singular_count: int
-    total_fiber_mu: object
-    point: dict
-
-    @property
-    def point_mu(self):
-        """The fiber total when one singular point carries it, else None."""
-        return self.total_fiber_mu if self.singular_count == 1 else None
-
-
-@dataclass
-class SplittingReport:
-    base_fiber_mu: int
-    converges_to_origin: bool
-    samples: list
-    verdict: str
-    reason: str
-
-
 def converges_to_origin(parametric_ideal, param, x_vars):
     """Certificate that every point of the parametric locus collapses to
     the origin as the parameter goes to 0: for each coordinate x_i, some
@@ -313,10 +288,11 @@ def converges_to_origin(parametric_ideal, param, x_vars):
 
 
 def critical_locus_report(fam, t0):
-    """Exact accounting of the critical locus of the member at t0;
+    """Exact accounting of the critical locus of the member at t0, the
+    fiber's stage in X's memo (no germ: f_t0 need not vanish at 0);
     ``fam.reports`` keeps one per sample."""
     t0 = Fraction(t0)
-    I = fam.specialize(t0).critical_ideal()
+    I = fam.base.stage(fam.fiber(t0))
     total = I.colength()
     if total == inf:
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
@@ -328,10 +304,10 @@ def critical_locus_report(fam, t0):
 def conservation_check(fam):
     """Total colength at each sampled parameter equals the Milnor number
     of the base member.  Without the convergence certificate affine
-    totals do not represent Milnor-ball totals: INCONCLUSIVE."""
+    totals do not represent Milnor-ball totals: None (inconclusive)."""
     mu0, reports = fam.mu0, fam.reports
     if not fam.certificate:
-        return INCONCLUSIVE
+        return None
     return all(r.total_colength == mu0 for r in reports)
 
 
@@ -342,7 +318,8 @@ def splitting_check(fam):
     rational (``lone_point``): the fiber is moved there, unless it is the
     origin, and its total is ``icis_milnor`` of ``fam.base`` on the
     fiber's equations.  Two or more are summed over the closure by
-    ``fiber_milnor_total``.
+    ``fiber_milnor_total``.  A sample's ``point_mu`` is its total when
+    one point carries it.
 
     The kind decides the singular points and the certificate.  A
     function family's fiber singular ideal is its sample's critical
@@ -354,15 +331,12 @@ def splitting_check(fam):
     reports already localized."""
     x_ring = fam.x_ring
     if fam.kind == FUNCTION:
-        if len(fam.Phi) > len(x_ring):
-            raise InvalidInputError("F cuts a zero-dimensional base: its fibers are "
-                                    "not complete intersections")
         # f_0 is isolated on X, so the base fiber is an ICIS
         fam.mu0
     base_mu = icis_milnor(fam.base, eqs=fam.fiber(0))
     conv = (fam.kind == FUNCTION and fam.certificate) or converges_to_origin(
         singular_ideal(fam.Phi, x_ring), fam.param, x_ring)
-    results = []
+    samples = []
     for k, t0 in enumerate(fam.samples):
         eqs = fam.fiber(t0)
         if fam.kind == FUNCTION:
@@ -371,7 +345,7 @@ def splitting_check(fam):
             sing = singular_ideal(eqs, x_ring)
             if sing.colength() == inf:
                 raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
-        count, point, total = distinct_point_count(sing), None, 0
+        count, total = distinct_point_count(sing), 0
         if count == 1:
             point = lone_point(sing)
             moved = translate(eqs, point) if any(point.values()) else eqs
@@ -379,19 +353,20 @@ def splitting_check(fam):
             total = icis_milnor(fam.base, eqs=moved)
         elif count > 1:
             total = fiber_milnor_total(eqs, x_ring)
-        results.append(SplittingSample(t0, count, total, point))
+        samples.append({"t0": t0, "count": count, "total_fiber_mu": total,
+                        "point_mu": total if count == 1 else None})
 
     if not conv:
         verdict, reason = INCONCLUSIVE, (
             "no convergence certificate: some singular point may escape the "
             "Milnor ball as t goes to 0")
-    elif any(r.total_fiber_mu != base_mu for r in results):
+    elif any(s["total_fiber_mu"] != base_mu for s in samples):
         verdict, reason = VACUOUS, (
             "total fiber Milnor number is not constant; the theorem's "
             "hypothesis fails")
     elif base_mu == 0:
         verdict, reason = VACUOUS, "base fiber is smooth; the theorem concerns singular germs"
-    elif all(r.singular_count == 1 for r in results):
+    elif all(s["count"] == 1 for s in samples):
         # every total is base_mu here, so a lone point carries all of it
         verdict, reason = CONSISTENT, (
             "constant total Milnor number with a unique singular point "
@@ -400,34 +375,35 @@ def splitting_check(fam):
         verdict, reason = VIOLATION, (
             "constant total Milnor number with splitting: this contradicts the "
             "no-coalescence theorem and indicates a computation bug")
-    return SplittingReport(base_mu, conv, results, verdict, reason)
+    return {"verdict": verdict, "base_fiber_mu": base_mu, "converges_to_origin": conv,
+            "samples": samples, "reason": reason}
 
 
 def greuel_conditions(fam, probes=()):
-    """Curve-probe evidence for the valuation inequalities, one
-    ``ProbeResult`` per probe; the conditions themselves are
-    ``fam.cond1``, ``fam.cond5`` and ``fam.cond6``."""
+    """Curve-probe evidence for the valuation inequalities, one entry per
+    probe; the conditions themselves are ``fam.cond1``, ``fam.cond5``
+    and ``fam.cond6``."""
     if fam.kind != FUNCTION:
         raise ValueError("Greuel conditions apply to function deformations")
     dFdt = fam.F.diff(fam.param)
-    results = []
+    entries = []
     for probe in probes:
         on_variety = all(probe.pullback(p).is_zero() for p in fam.Phi[:-1])
         num = order_of_vanishing(probe.pullback(dFdt))
         den = min(order_of_vanishing(probe.pullback(g)) for g in fam.minors)
-        results.append(ProbeResult(probe, num, den, num > den, num >= den, on_variety))
-    return results
+        entries.append({"nu_numerator": num, "nu_denominator": den, "strict": num > den,
+                        "weak": num >= den, "on_variety": on_variety})
+    return entries
 
 
 def radical_implies_axis_check(fam):
     """If dF/dt is in the radical of <phi> + J then the zero set of J is
-    the parameter axis; checked instance-wise."""
+    the parameter axis; checked instance-wise, next to cond5 and cond6."""
     if not fam.cond5:
-        return VERIFIED, {"cond5": False, "cond6": None}
-    details = {"cond5": True, "cond6": fam.cond6}
-    if fam.cond6:
-        return VERIFIED, details
-    return _refutation(fam, details)
+        return {"verdict": VERIFIED, "cond5": False, "cond6": None}
+    entry = {"cond5": True, "cond6": fam.cond6}
+    entry["verdict"] = VERIFIED if fam.cond6 else _refutation(fam, entry)
+    return entry
 
 
 def zero_fiber_forces_origin_check(fam):
@@ -437,22 +413,22 @@ def zero_fiber_forces_origin_check(fam):
     hypothesis = fam.in_critical_radical(fam.F)
     details = {"hypothesis": hypothesis, "samples": {}}
     if not hypothesis:
-        return VACUOUS, details
+        return {"verdict": VACUOUS, "details": details}
     for r in fam.reports:
         # the affine total equals the local colength at 0 exactly when
         # every critical point is the origin
         at_origin = r.off_origin_budget == 0
         details["samples"][r.t0] = {"count": r.distinct_points, "at_origin": at_origin}
-    if all(s["at_origin"] for s in details["samples"].values()):
-        return VERIFIED, details
-    return _refutation(fam, details)
+    verdict = (VERIFIED if all(s["at_origin"] for s in details["samples"].values())
+               else _refutation(fam, details))
+    return {"verdict": verdict, "details": details}
 
 
 def _refutation(fam, details):
     """A counterexample found on the affine locus refutes the germ
     statement only under the convergence certificate; without it, it
-    may be an affine artifact."""
+    may be an affine artifact, and ``details`` says so."""
     if not fam.certificate:
         details["certificate"] = False
-        return INCONCLUSIVE, details
-    return VIOLATION, details
+        return INCONCLUSIVE
+    return VIOLATION

@@ -31,6 +31,7 @@ from icis.germs import (
     milnor_at_point,
     multiplicity,
 )
+from icis.ideals import lone_point, singular_ideal
 from icis.orders import grevlex
 from icis.poly import Polynomial, lowest_degree_form, order_of_vanishing
 
@@ -110,7 +111,7 @@ def test_criterion_4_radical_implies_axis_property(capsys):
     for case in FUNCTION_CASES:
         fam = case.family()
         assert not (fam.cond5 and not fam.cond6)
-        assert radical_implies_axis_check(fam)[0] == VERIFIED
+        assert radical_implies_axis_check(fam)["verdict"] == VERIFIED
     announce(
         capsys,
         f"criterion 4 (no radical-without-axis instance, {len(FUNCTION_CASES)} families): PASS",
@@ -120,13 +121,16 @@ def test_criterion_4_radical_implies_axis_property(capsys):
 def test_criterion_5_no_coalescence_property(capsys):
     checked = 0
     for case in SPACE_CASES:
-        rep = splitting_check(case.family())
-        totals = [sm.total_fiber_mu for sm in rep.samples]
-        if all(v == rep.base_fiber_mu for v in totals):
-            for sm in rep.samples:
-                assert sm.singular_count == 1
-                assert all(c == 0 for c in sm.point.values())
-                assert sm.point_mu == rep.base_fiber_mu
+        fam = case.family()
+        rep = splitting_check(fam)
+        totals = [sm["total_fiber_mu"] for sm in rep["samples"]]
+        if all(v == rep["base_fiber_mu"] for v in totals):
+            for sm in rep["samples"]:
+                assert sm["count"] == 1
+                # the lone point of the fiber's singular ideal
+                point = lone_point(singular_ideal(fam.fiber(sm["t0"]), fam.x_ring))
+                assert all(c == 0 for c in point.values())
+                assert sm["point_mu"] == rep["base_fiber_mu"]
                 checked += 1
     assert checked > 0
     announce(
@@ -140,10 +144,11 @@ def test_criterion_6_zero_fiber_critical_locus_property(capsys):
 
     checked = 0
     for case in FUNCTION_CASES:
-        verdict, details = zero_fiber_forces_origin_check(case.family())
+        entry = zero_fiber_forces_origin_check(case.family())
+        details = entry["details"]
         if not details["hypothesis"]:
             continue
-        assert verdict == "VERIFIED"
+        assert entry["verdict"] == "VERIFIED"
         for sample in details["samples"].values():
             assert sample["count"] in (0, 1)
             assert sample["at_origin"] is True

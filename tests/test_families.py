@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 from icis import basis, families
-from icis.cli import main, run_problem
-from icis.errors import NonIsolatedError
+from icis.cli import CHECKS, _family, _jsonable, main, run_problem
+from icis.errors import BudgetExhaustedError, InvalidInputError, NonIsolatedError
 from icis.families import (
     CONSISTENT,
     DEFAULT_SAMPLES,
@@ -40,7 +40,7 @@ from icis.ideals import (
     radical_membership,
     singular_ideal,
 )
-from icis.poly import Polynomial
+from icis.poly import Polynomial, format_poly
 from icis.problem import parse_problem
 
 from family_suite import FUNCTION_CASES, RING, SPACE_CASES, t, x, y
@@ -72,7 +72,7 @@ class TestGreuelConditions:
     def test_radical_implies_variety_condition(self, case, suite_families):
         # the implication cond5 => cond6 must never be refuted
         fam = suite_families[case.name]
-        assert radical_implies_axis_check(fam)[0] == VERIFIED
+        assert radical_implies_axis_check(fam)["verdict"] == VERIFIED
         assert not (fam.cond5 and not fam.cond6)
 
     @pytest.mark.parametrize(
@@ -89,10 +89,8 @@ class TestGreuelConditions:
     @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
     def test_theorem_verdicts(self, case):
         fam = case.family()
-        verdict44, _ = radical_implies_axis_check(fam)
-        assert verdict44 == case.radical_axis
-        verdict41, _ = zero_fiber_forces_origin_check(fam)
-        assert verdict41 == case.zero_fiber
+        assert radical_implies_axis_check(fam)["verdict"] == case.radical_axis
+        assert zero_fiber_forces_origin_check(fam)["verdict"] == case.zero_fiber
 
     @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
     def test_conservation(self, case):
@@ -196,13 +194,13 @@ class TestConvergenceCertificate:
         # the (t, x) eliminant x(2 + 3tx) still specializes to a pure power
         fam = DeformationFamily.function_deformation(RING, "t", [y], x**2 + t * x**3)
         assert not converges_to_origin(fam.parametric_critical_ideal, "t", ("x", "y"))
-        assert conservation_check(fam) == INCONCLUSIVE
+        assert conservation_check(fam) is None
 
     def test_conservation_requires_certificate(self):
         # critical points sit at x = +/- 1 for every t: totals are affine
         # only, so the conservation question is refused, not answered
         fam = DeformationFamily.function_deformation(RING, "t", [y], x**3 - x**2)
-        assert conservation_check(fam) == INCONCLUSIVE
+        assert conservation_check(fam) is None
 
 
 class TestCurveProbes:
@@ -214,11 +212,11 @@ class TestCurveProbes:
             {"t": Fraction(-3, 2) * s, "x": s**3, "y": s**2}
         )
         (res,) = greuel_conditions(case.family(), probes=(probe,))
-        assert res.on_variety
-        assert res.numerator_order == 2
-        assert res.denominator_order == inf
-        assert not res.strict
-        assert not res.weak
+        assert res["on_variety"]
+        assert res["nu_numerator"] == 2
+        assert res["nu_denominator"] == inf
+        assert not res["strict"]
+        assert not res["weak"]
 
     def test_probe_must_pass_through_origin(self):
         with pytest.raises(ValueError):
@@ -233,19 +231,19 @@ class TestSplitting:
     @pytest.mark.parametrize("case", SPACE_CASES, ids=_case_id)
     def test_verdicts(self, case):
         rep = splitting_check(case.family())
-        assert rep.verdict == case.splitting
-        assert rep.base_fiber_mu == case.base_fiber_mu
-        assert tuple(sm.singular_count for sm in rep.samples) == case.sample_counts
-        assert tuple(sm.total_fiber_mu for sm in rep.samples) == case.sample_totals
+        assert rep["verdict"] == case.splitting
+        assert rep["base_fiber_mu"] == case.base_fiber_mu
+        assert tuple(sm["count"] for sm in rep["samples"]) == case.sample_counts
+        assert tuple(sm["total_fiber_mu"] for sm in rep["samples"]) == case.sample_totals
 
     def test_constant_total_forces_no_splitting(self):
         # whenever the total fiber Milnor number matches the base, the
         # fiber must have a single singular point
         for case in SPACE_CASES:
             rep = splitting_check(case.family())
-            for sample in rep.samples:
-                if sample.total_fiber_mu == rep.base_fiber_mu:
-                    assert sample.singular_count == 1
+            for sample in rep["samples"]:
+                if sample["total_fiber_mu"] == rep["base_fiber_mu"]:
+                    assert sample["count"] == 1
 
     # the cusp of y^2 = (x - t)^3 sits at (t, 0), away from the origin
     # (SPACE_CASES keep their singular points at the origin); with z the
@@ -271,10 +269,11 @@ class TestSplitting:
         else:
             fam = DeformationFamily.space_deformation(problem.ring, "t", Phi)
         rep = splitting_check(fam)
-        assert (rep.verdict, rep.base_fiber_mu) == (verdict, 2)
-        for sm in rep.samples:
-            assert (sm.singular_count, sm.total_fiber_mu, sm.point_mu) == (1, total, total)
-            assert sm.point == {"x": sm.t0, "y": 0, **dict.fromkeys(extra, 0)}
+        assert (rep["verdict"], rep["base_fiber_mu"]) == (verdict, 2)
+        for sm in rep["samples"]:
+            assert (sm["count"], sm["total_fiber_mu"], sm["point_mu"]) == (1, total, total)
+            assert _lone_point(fam, sm["t0"]) == {"x": sm["t0"], "y": 0,
+                                                  **dict.fromkeys(extra, 0)}
         with basis.step_budget() as budget:
             run_problem(problem)
         assert budget.spent == steps
@@ -285,21 +284,21 @@ class TestSplitting:
         (case,) = [c for c in SPACE_CASES if c.name == "tacnode-in-space-1"]
         fam = case.family()
         rep = splitting_check(fam)
-        for sm in rep.samples:
-            eqs = fam.specialize(sm.t0)
-            points = [{"x": sm.t0}, {"x": -sm.t0}]
+        for sm in rep["samples"]:
+            eqs = fam.specialize(sm["t0"])
+            points = [{"x": sm["t0"]}, {"x": -sm["t0"]}]
             assert all(f.eval(pt) == 0 for f in eqs for pt in points)
             oracle = sum(icis_milnor(IcisPresentation(fam.x_ring, translate(eqs, pt)))
                          for pt in points)
-            assert sm.total_fiber_mu == oracle == 2
+            assert sm["total_fiber_mu"] == oracle == 2
 
     def test_irrational_points_count_over_the_closure(self):
         # the nodes at x = +-sqrt(2)*t0 have no rational coordinates; the
         # C^3 form must give the totals of the plane-curve form
         (case,) = [c for c in SPACE_CASES if c.name == "tacnode-in-space-2"]
         plane = DeformationFamily.space_deformation(RING, "t", [y**2 - (x**2 - 2 * t**2) ** 2])
-        space_totals = [sm.total_fiber_mu for sm in splitting_check(case.family()).samples]
-        plane_totals = [sm.total_fiber_mu for sm in splitting_check(plane).samples]
+        space_totals = [sm["total_fiber_mu"] for sm in splitting_check(case.family())["samples"]]
+        plane_totals = [sm["total_fiber_mu"] for sm in splitting_check(plane)["samples"]]
         assert space_totals == plane_totals == [2, 2]
 
     def test_function_family_with_two_singular_fiber_points(self):
@@ -308,9 +307,9 @@ class TestSplitting:
         # meet in x^4 = 0, of Milnor number 3
         fam = DeformationFamily.function_deformation(RING, "t", [y], x**2 * (x - t) ** 2)
         rep = splitting_check(fam)
-        assert rep.verdict == VACUOUS
-        assert rep.base_fiber_mu == 3
-        assert [(sm.singular_count, sm.total_fiber_mu) for sm in rep.samples] == [(2, 2), (2, 2)]
+        assert rep["verdict"] == VACUOUS
+        assert rep["base_fiber_mu"] == 3
+        assert [(sm["count"], sm["total_fiber_mu"]) for sm in rep["samples"]] == [(2, 2), (2, 2)]
 
     def test_smooth_base_fiber_is_vacuous(self):
         # y = x^2 - t*x is smooth at every t: no fiber has a singular
@@ -345,10 +344,25 @@ class TestSplitting:
 
     @pytest.mark.parametrize("case", FUNCTION_CASES + SPACE_CASES, ids=_case_id)
     def test_point_mu_is_the_total_of_a_lone_point(self, case):
-        for sm in splitting_check(case.family()).samples:
-            lone = sm.singular_count == 1
-            assert (sm.point_mu == sm.total_fiber_mu) == lone
-            assert (sm.point is not None) == lone
+        fam = case.family()
+        for sm in splitting_check(fam)["samples"]:
+            lone = sm["count"] == 1
+            assert (sm["point_mu"] == sm["total_fiber_mu"]) == lone
+            assert (sm["point_mu"] is not None) == lone
+            if lone:
+                point = _lone_point(fam, sm["t0"])
+                assert all(f.eval(point) == 0 for f in fam.fiber(sm["t0"]))
+
+
+def _lone_point(fam, t0):
+    """The lone singular point of the fiber at the sample t0, read off its
+    singular-point ideal: the sample report's critical ideal cut by F_t
+    for a function family, the fiber's singular ideal for a space
+    family."""
+    eqs = fam.fiber(t0)
+    if fam.kind == families.FUNCTION:
+        return lone_point(fam.reports[fam.samples.index(t0)].ideal.cut(eqs[-1]))
+    return lone_point(singular_ideal(eqs, fam.x_ring))
 
 
 def _old_path_splitting(fam):
@@ -384,8 +398,10 @@ def _old_path_splitting(fam):
 
 def _new_path_splitting(fam):
     rep = splitting_check(fam)
-    samples = [(sm.t0, sm.singular_count, sm.total_fiber_mu, sm.point) for sm in rep.samples]
-    return rep.verdict, rep.base_fiber_mu, rep.converges_to_origin, samples
+    samples = [(sm["t0"], sm["count"], sm["total_fiber_mu"],
+                _lone_point(fam, sm["t0"]) if sm["count"] == 1 else None)
+               for sm in rep["samples"]]
+    return rep["verdict"], rep["base_fiber_mu"], rep["converges_to_origin"], samples
 
 
 class TestSplittingOldPathOracle:
@@ -444,18 +460,18 @@ class TestFamilyOwnsItsSamples:
             case.ring, "t", list(case.phi), case.F, samples=(2, Fraction(1, 3)))
         assert fam.samples == self.SAMPLES
         assert tuple(r.t0 for r in fam.reports) == self.SAMPLES
-        assert tuple(sm.t0 for sm in splitting_check(fam).samples) == self.SAMPLES
+        assert tuple(sm["t0"] for sm in splitting_check(fam)["samples"]) == self.SAMPLES
         # cond1 compares mu at the origin over these reports
         assert fam.cond1 == case.cond1
-        verdict, details = zero_fiber_forces_origin_check(fam)
-        assert verdict == case.zero_fiber
-        assert tuple(details["samples"]) == self.SAMPLES
+        entry = zero_fiber_forces_origin_check(fam)
+        assert entry["verdict"] == case.zero_fiber
+        assert tuple(entry["details"]["samples"]) == self.SAMPLES
 
     def test_space_family_samples(self):
         case = SPACE_CASES[0]
         fam = DeformationFamily.space_deformation(
             case.ring, "t", list(case.Phi), samples=self.SAMPLES)
-        assert tuple(sm.t0 for sm in splitting_check(fam).samples) == self.SAMPLES
+        assert tuple(sm["t0"] for sm in splitting_check(fam)["samples"]) == self.SAMPLES
 
     @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
     def test_theorem_verdicts_do_not_depend_on_call_order(self, case):
@@ -466,6 +482,112 @@ class TestFamilyOwnsItsSamples:
         fam = case.family()
         assert fam.cond1 == case.cond1
         assert (radical_implies_axis_check(fam), zero_fiber_forces_origin_check(fam)) == first
+
+
+class TestFamilyInputs:
+    """Only the base member of a function family must vanish at the
+    origin, and F must cut X in a positive-dimensional fiber."""
+
+    MOVING_CONSTANT = "ring t, x, y;\nparam t;\nphi = y;\nF = x^2 + {c};\nkind family-analyze;\n"
+
+    def test_sampled_member_need_not_vanish_at_the_origin(self):
+        # x^2 + t0 has its one critical point at the origin on the line
+        # y = 0, where it does not vanish: the sample fibers x^2 = -t0 are
+        # smooth, while the base fiber x^2 = 0 has Milnor number 1
+        problem = parse_problem(self.MOVING_CONSTANT.format(c="t"))
+        with basis.step_budget() as budget:
+            lines, record, code = run_problem(problem)
+        assert (code, budget.spent) == (0, 4)
+        start = lines.index("mu_f_at_0: 1  [local colength of <phi> + J(f, phi)]")
+        assert lines[start + 1:start + 4] == [
+            "sample t=1: mu_origin=1 total=1 off_origin=0 distinct_points=1 "
+            "converges_to_origin=True",
+            "sample t=1/2: mu_origin=1 total=1 off_origin=0 distinct_points=1 "
+            "converges_to_origin=True",
+            "conservation: True  [total at each sample vs mu at t=0]",
+        ]
+        assert "zero_fiber_forces_origin: VACUOUS" in lines
+        assert lines[-1].startswith("splitting: VACUOUS  [base fiber mu 1; t=1: count=0 "
+                                    "total=0; t=1/2: count=0 total=0] ")
+        with pytest.raises(BudgetExhaustedError), basis.step_budget(3):
+            run_problem(problem)
+
+    def test_base_member_must_vanish_at_the_origin(self):
+        problem = parse_problem(self.MOVING_CONSTANT.format(c="1"))
+        with pytest.raises(InvalidInputError, match="function germ must vanish at the origin"):
+            run_problem(problem)
+
+    @pytest.mark.parametrize("kind", ["family-analyze", "greuel-check"])
+    def test_zero_dimensional_base_is_refused(self, kind, tmp_path, capsys):
+        # X = V(x, y) is the origin, so F_t cuts no ICIS out of it
+        probe = "probe t = s, x = s, y = s;\n" if kind == "greuel-check" else ""
+        path = tmp_path / "point.icis"
+        path.write_text(f"ring t, x, y;\nparam t;\nphi = x, y;\nF = t*x + y;\n{probe}"
+                        f"kind {kind};\n")
+        assert main(["run", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[invalid-input]: F cuts a zero-dimensional base")
+
+
+def _case_text(case):
+    """The family-analyze problem text of a suite case."""
+    F = getattr(case, "F", None)
+    phi = case.Phi if F is None else case.phi
+    lines = [f"ring {', '.join(case.ring)};", "param t;",
+             f"phi = {', '.join(format_poly(p) for p in phi)};"]
+    if F is not None:
+        lines.append(f"F = {format_poly(F)};")
+    return "\n".join(lines + ["kind family-analyze;", ""])
+
+
+def _entry_runs():
+    """Each suite case and the two fixtures with probes, as a problem text
+    and a maker of a fresh family."""
+    fixtures = Path(__file__).parent / "fixtures"
+    runs = {case.name: (_case_text(case), case.family) for case in FUNCTION_CASES + SPACE_CASES}
+    for name in ("ex43_23", "greuel_cusp"):
+        text = (fixtures / f"{name}.icis").read_text()
+        runs[name] = (text, lambda text=text: _family(parse_problem(text)))
+    return runs
+
+
+ENTRY_RUNS = _entry_runs()
+
+
+@pytest.mark.parametrize("name", ENTRY_RUNS)
+def test_report_prints_the_entries_the_checks_return(name, tmp_path, capsys):
+    """Each family check returns the record entry that ``--json`` prints:
+    run on a fresh family, its value is the printed one."""
+    text, make = ENTRY_RUNS[name]
+    path = tmp_path / "family.icis"
+    path.write_text(text)
+    assert main(["run", str(path), "--json"]) in (0, 2)
+    printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    problem, fam = parse_problem(text), make()
+    returned = {}
+    if fam.kind == families.FUNCTION:
+        if problem.kind == "family-analyze":
+            returned["conservation"] = conservation_check(fam)
+        returned["radical_implies_axis"] = radical_implies_axis_check(fam)
+        returned["greuel.probes"] = greuel_conditions(
+            fam, [CurveProbe(c) for c in problem.probes])
+        returned["zero_fiber_forces_origin"] = zero_fiber_forces_origin_check(fam)
+    if problem.kind == "family-analyze":
+        returned["splitting"] = splitting_check(fam)
+
+    def entry(key):
+        value = printed
+        for part in key.split("."):
+            value = value[part]
+        return value
+
+    assert {key: entry(key) for key in returned} == _jsonable(returned)
+    # no printed check entry goes unchecked
+    assert {key for key in ("conservation",) + CHECKS if key in printed} == {
+        key for key in returned if "." not in key}
+    assert bool(problem.probes) == bool(returned.get("greuel.probes"))
 
 
 def _inline_fiber(fam, t0):
