@@ -13,7 +13,8 @@ matched whole, and a repeated option keeps its last value.
 A run builds one report record, each value once as a Python object; the
 text report is rendered from it, and ``--json`` appends the record
 itself as one JSON line.  A family check returns its own entry of the
-record (``families``), stored here as returned.
+record (``families``), stored here as returned, and so does a sample
+report, to which ``samples_report`` adds the family certificate.
 
 Exit codes: 0 computed (including VACUOUS verdicts), 2 some verdict of
 the record is INCONCLUSIVE, 3 input error (a usage error, an unreadable
@@ -121,12 +122,9 @@ def run_problem(problem):
 
 
 def _family(problem):
-    phi = problem.bindings["phi"]
-    if "F" in problem.bindings:
-        return DeformationFamily.function_deformation(
-            problem.ring, problem.param, phi, problem.bindings["F"][0], problem.samples
-        )
-    return DeformationFamily.space_deformation(problem.ring, problem.param, phi, problem.samples)
+    (F,) = problem.bindings.get("F", [None])
+    return DeformationFamily(problem.ring, problem.param, problem.bindings["phi"], F,
+                             problem.samples)
 
 
 def _family_analyze(fam, problem, record):
@@ -136,12 +134,8 @@ def _family_analyze(fam, problem, record):
     record["samples"] = list(fam.samples)
     if fam.kind == fam_mod.FUNCTION:
         record["mu_f_at_0"] = fam.mu0
-        record["samples_report"] = [
-            {"t0": r.t0, "mu_origin": r.local_mu_origin, "total_colength": r.total_colength,
-             "off_origin_budget": r.off_origin_budget, "distinct_points": r.distinct_points,
-             "converges_to_origin": fam.certificate}
-            for r in fam.reports
-        ]
+        record["samples_report"] = [{**r, "converges_to_origin": fam.certificate}
+                                    for r in fam.reports]
         record["conservation"] = conservation_check(fam)
         _greuel(fam, problem, record)
     record["splitting"] = splitting_check(fam)
@@ -155,13 +149,13 @@ def _greuel(fam, problem, record):
     # computed in this order, which the stderr step counts pin: cond1 may
     # compute mu0 and cond6 may be computed here first
     record["greuel"] = {
-        "mu_origin_samples": {r.t0: r.local_mu_origin for r in fam.reports},
+        "mu_origin_samples": {r["t0"]: r["mu_origin"] for r in fam.reports},
         "cond1_mu_constant": fam.cond1,
         "mu_origin_base": fam.mu0,
         "cond5_radical": fam.cond5,
         "cond6_variety": fam.cond6,
         "implications_ok": record["radical_implies_axis"]["verdict"] == fam_mod.VERIFIED,
-        "totals": {r.t0: r.total_colength for r in fam.reports},
+        "totals": {r["t0"]: r["total_colength"] for r in fam.reports},
         "probes": probes,
     }
     record["zero_fiber_forces_origin"] = zero_fiber_forces_origin_check(fam)

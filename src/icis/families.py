@@ -1,16 +1,18 @@
-"""Deformation analysis: specialization, critical-locus accounting,
-conservation of number, splitting detection, and the Greuel-type
-condition checks with their implications.
+"""Deformation analysis: critical-locus accounting, conservation of
+number, splitting detection, and the Greuel-type condition checks with
+their implications.
 
-A ``DeformationFamily`` owns its samples and its fiber equations
-``Phi``; every check reads the samples, fibers, sample reports, cond1,
-cond5, cond6 and the convergence certificate off the family;
-``greuel_conditions`` adds the curve-probe evidence.  The relative
-Jacobian minors are the parametric critical ideal's generators after
-phi, and a lone singular point's Milnor number is its fiber total.
+A ``DeformationFamily`` is built from its equations and owns its
+samples and its fiber equations ``Phi``; every check reads the samples,
+fibers, sample reports, cond1, cond5, cond6 and the convergence
+certificate off the family; ``greuel_conditions`` adds the curve-probe
+evidence.  The relative Jacobian minors are the parametric critical
+ideal's generators after phi, and a lone singular point's Milnor number
+is its fiber total.
 
-Each check returns its entry of the report record, plain dicts, lists
-and values that ``cli`` stores as returned.
+Each check returns its entry of the report record, and
+``critical_locus_report`` a sample's: plain dicts, lists and values
+that ``cli`` stores as returned.
 
 Affine colengths stand in for Milnor-ball totals only when the
 convergence certificate holds (every critical point collapses to the
@@ -27,14 +29,14 @@ Finite point sets are counted from colengths and eliminants
 (``ideals.distinct_point_count``), with no radical: a sample report
 counts its member's critical points, its local colength at the origin
 bounding the count, and the splitting check counts a fiber's singular
-points.  A function family's fiber points are the report's critical
-ideal cut by F_t (``IdealPresentation.cut``), one cut per report that
+points.  A function family's fiber points are the member's critical
+ideal cut by F_t (``IdealPresentation.cut``), one cut per sample that
 the zero-fiber hypothesis reads too; a space family's come from the
 fiber's singular ideal.
 
 The radical questions on <phi> + J (cond5, cond6 and the zero-fiber
 hypothesis) go through ``DeformationFamily.in_critical_radical``: the
-points of each sample report's critical ideal are the fiber of
+points of each sample member's critical ideal are the fiber of
 V(<phi> + J) over the sample, and a function that is not nilpotent
 modulo that ideal (``ideals.is_nilpotent``: its cut loses a point) is
 refuted at once.  Rabinowitsch (``ideals.radical_membership``) decides
@@ -46,7 +48,7 @@ V(<phi> + J) over the sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf
@@ -61,7 +63,6 @@ from .germs import (
     translate,
 )
 from .ideals import (
-    IdealPresentation,
     critical_ideal,
     distinct_point_count,
     elimination_ideal,
@@ -84,63 +85,49 @@ CONSISTENT = "CONSISTENT-WITH-THEOREM"
 DEFAULT_SAMPLES = (Fraction(1), Fraction(1, 2))
 
 
-@dataclass
 class DeformationFamily:
-    """F(t, x) deforming a function germ on a fixed ICIS, or Phi(t, x)
-    deforming the ICIS itself; specializing at t = 0 reproduces the base.
+    """F(t, x) deforming a function germ on a fixed ICIS X = V(phi), of
+    kind FUNCTION, or with no F, phi(t, x) deforming the ICIS itself, of
+    kind SPACE.  The family owns its sample parameters and its fiber
+    equations over the (t, x)-ring, ``Phi``: phi with F for a function
+    deformation.  So every check reads the same samples and the same
+    fibers (``fiber``).  ``base`` is X of a function deformation, whose
+    phi must not hold t, and the fiber at t = 0 of a space deformation,
+    its isolation check run once.  The function-family quantities the
+    checks share are computed once, on first use, under the step budget
+    active then: the parametric critical ideal and its minors, the
+    convergence certificate (only when read), mu at t = 0, cond1, cond5,
+    cond6, and the critical-locus report of each sample (``reports``).
+    The radical questions are refuted on the sample fibers and decided
+    by Rabinowitsch otherwise (``in_critical_radical``)."""
 
-    The family owns its sample parameters and its fiber equations over
-    the (t, x)-ring, ``Phi``: phi with F for a function deformation.  So
-    every check reads the same samples and the same fibers (``fiber``).
-    ``base`` is the ICIS X = V(phi) of a function deformation and the
-    fiber at t = 0 of a space deformation, its isolation check run once.
-    The quantities the checks share are computed once, on first use,
-    under the step budget active then: the parametric critical ideal and
-    its minors, the convergence certificate (only when read),
-    mu at t = 0, cond1, cond5, cond6, and the critical-locus report of
-    each sample (``reports``).  The radical questions are refuted on the
-    sample fibers and decided by Rabinowitsch otherwise
-    (``in_critical_radical``)."""
-
-    ring: tuple
-    param: str
-    kind: str
-    base: IcisPresentation = None
-    F: Polynomial = None
-    Phi: tuple = None
-    samples: tuple = DEFAULT_SAMPLES
-    _fibers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.ring = tuple(self.ring)
-        if self.param not in self.ring:
-            raise InvalidInputError(f"parameter {self.param!r} not in ring {self.ring}")
-        self.samples = tuple(map(Fraction, self.samples))
-
-    @property
-    def x_ring(self):
-        return tuple(v for v in self.ring if v != self.param)
-
-    @classmethod
-    def function_deformation(cls, ring, param, phi, F, samples=DEFAULT_SAMPLES):
-        fam = cls(ring, param, FUNCTION, samples=samples)
-        fam.base = IcisPresentation(fam.x_ring, phi)
-        fam.F = F.in_ring(fam.ring)
-        fam.Phi = tuple(p.in_ring(fam.ring) for p in fam.base.phi) + (fam.F,)
+    def __init__(self, ring, param, phi, F=None, samples=DEFAULT_SAMPLES):
+        self.ring, self.param = tuple(ring), param
+        if param not in self.ring:
+            raise InvalidInputError(f"parameter {param!r} not in ring {self.ring}")
+        self.x_ring = tuple(v for v in self.ring if v != param)
+        self.samples = tuple(map(Fraction, samples))
+        self.F, self._fibers = None, {}
+        if F is None:
+            self.Phi = tuple(p.in_ring(self.ring) for p in phi)
+            self.base = IcisPresentation(self.x_ring, self.fiber(0))
+            return
+        if any(param in p.variables_used() for p in phi):
+            raise InvalidInputError(f"phi holds the parameter {param!r}: a function "
+                                    "family deforms F on a fixed ICIS X = V(phi)")
+        self.base = IcisPresentation(self.x_ring, phi)
+        self.F = F.in_ring(self.ring)
+        self.Phi = tuple(p.in_ring(self.ring) for p in self.base.phi) + (self.F,)
         # the base member at t = 0 must be a genuine germ
-        fam.specialize(0)
+        GermFunction(self.fiber(0)[-1], self.base)
         # X cut by F_t is an ICIS only where X has positive dimension
-        if len(fam.Phi) > len(fam.x_ring):
+        if len(self.Phi) > len(self.x_ring):
             raise InvalidInputError("F cuts a zero-dimensional base: its fibers are "
                                     "not complete intersections")
-        return fam
 
-    @classmethod
-    def space_deformation(cls, ring, param, Phi, samples=DEFAULT_SAMPLES):
-        fam = cls(ring, param, SPACE, samples=samples)
-        fam.Phi = tuple(p.in_ring(fam.ring) for p in Phi)
-        fam.base = IcisPresentation(fam.x_ring, fam.fiber(0))
-        return fam
+    @property
+    def kind(self):
+        return SPACE if self.F is None else FUNCTION
 
     def fiber(self, t0):
         """Equations of the fiber at t0, over the x-ring: a tuple, built
@@ -153,11 +140,10 @@ class DeformationFamily:
                                            for p in self.Phi)
         return hit
 
-    def specialize(self, t0):
-        """Exact substitution t -> t0: the member germ of a function
-        deformation, a list of the fiber equations of a space deformation."""
-        eqs = self.fiber(t0)
-        return GermFunction(eqs[-1], self.base) if self.kind == FUNCTION else list(eqs)
+    def _function_only(self, what):
+        """Refuse ``what`` on a space deformation, which has no F."""
+        if self.F is None:
+            raise InvalidInputError(f"{what} is defined for function deformations only")
 
     # -- quantities shared by the checks ------------------------------------
 
@@ -165,8 +151,7 @@ class DeformationFamily:
     def parametric_critical_ideal(self):
         """<phi> + J(f_t, phi) in the (t, x)-ring; its zero set is
         {(t, x) : x is a critical point of f_t}."""
-        if self.kind != FUNCTION:
-            raise ValueError("critical ideal is defined for function deformations")
+        self._function_only("the parametric critical ideal")
         *phi, F = self.Phi
         return critical_ideal(phi, F, self.x_ring)
 
@@ -184,7 +169,8 @@ class DeformationFamily:
     @cached_property
     def mu0(self):
         """Milnor number of the base member f_0 on the base ICIS."""
-        return function_on_icis_milnor(self.specialize(0))
+        self._function_only("mu at t = 0")
+        return function_on_icis_milnor(GermFunction(self.fiber(0)[-1], self.base))
 
     @cached_property
     def reports(self):
@@ -200,19 +186,22 @@ class DeformationFamily:
         with f != 0 on V(<phi> + J).  Every sample report is tried so, on
         the point count it already holds; Rabinowitsch decides what none
         refutes."""
+        self._function_only("the radical of <phi> + J")
         for r in self.reports:
-            if not is_nilpotent(f.subs({self.param: r.t0}, target_ring=self.x_ring), r.ideal):
+            I = self.base.stage(self.fiber(r["t0"]))
+            if not is_nilpotent(f.subs({self.param: r["t0"]}, target_ring=self.x_ring), I):
                 return False
         return radical_membership(f, self.parametric_critical_ideal)
 
     @cached_property
     def cond1(self):
         """mu at the origin is mu0 at every sample."""
-        return all(r.local_mu_origin == self.mu0 for r in self.reports)
+        return all(r["mu_origin"] == self.mu0 for r in self.reports)
 
     @cached_property
     def cond5(self):
         """dF/dt lies in the radical of <phi> + J."""
+        self._function_only("cond5")
         return self.in_critical_radical(self.F.diff(self.param))
 
     @cached_property
@@ -221,7 +210,7 @@ class DeformationFamily:
         report with an off-origin budget has a point p != 0 in its ideal,
         and (t0, p) lies on V(<phi> + J) (``in_critical_radical``), so
         that refutes it with no radical question."""
-        if any(r.off_origin_budget > 0 for r in self.reports):
+        if any(r["off_origin_budget"] > 0 for r in self.reports):
             return False
         return all(
             self.in_critical_radical(Polynomial.variable(self.ring, xv))
@@ -230,19 +219,6 @@ class DeformationFamily:
             g.subs({xv: 0 for xv in self.x_ring}, target_ring=self.ring).is_zero()
             for g in self.parametric_critical_ideal.generators
         )
-
-
-@dataclass
-class CriticalLocusReport:
-    t0: Fraction
-    total_colength: int
-    local_mu_origin: int
-    distinct_points: int
-    ideal: IdealPresentation = field(repr=False, compare=False)
-
-    @property
-    def off_origin_budget(self):
-        return self.total_colength - self.local_mu_origin
 
 
 @dataclass
@@ -289,16 +265,17 @@ def converges_to_origin(parametric_ideal, param, x_vars):
 
 def critical_locus_report(fam, t0):
     """Exact accounting of the critical locus of the member at t0, the
-    fiber's stage in X's memo (no germ: f_t0 need not vanish at 0);
-    ``fam.reports`` keeps one per sample."""
+    fiber's stage in X's memo (no germ: f_t0 need not vanish at 0), which
+    keeps the ideal; ``fam.reports`` keeps one entry per sample."""
+    fam._function_only("a critical-locus report")
     t0 = Fraction(t0)
     I = fam.base.stage(fam.fiber(t0))
     total = I.colength()
     if total == inf:
         raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
     local = I.local_colength()
-    distinct = distinct_point_count(I)
-    return CriticalLocusReport(t0, total, local, distinct, I)
+    return {"t0": t0, "mu_origin": local, "total_colength": total,
+            "off_origin_budget": total - local, "distinct_points": distinct_point_count(I)}
 
 
 def conservation_check(fam):
@@ -308,7 +285,7 @@ def conservation_check(fam):
     mu0, reports = fam.mu0, fam.reports
     if not fam.certificate:
         return None
-    return all(r.total_colength == mu0 for r in reports)
+    return all(r["total_colength"] == mu0 for r in reports)
 
 
 def splitting_check(fam):
@@ -322,7 +299,7 @@ def splitting_check(fam):
     one point carries it.
 
     The kind decides the singular points and the certificate.  A
-    function family's fiber singular ideal is its sample's critical
+    function family's fiber singular ideal is its member's critical
     ideal plus <F_t> (``IdealPresentation.cut``), so the family
     certificate covers its points; only a false one sends the check to
     the fiber singular ideal's own, which a space family always reads.
@@ -337,10 +314,10 @@ def splitting_check(fam):
     conv = (fam.kind == FUNCTION and fam.certificate) or converges_to_origin(
         singular_ideal(fam.Phi, x_ring), fam.param, x_ring)
     samples = []
-    for k, t0 in enumerate(fam.samples):
+    for t0 in fam.samples:
         eqs = fam.fiber(t0)
         if fam.kind == FUNCTION:
-            sing = fam.reports[k].ideal.cut(eqs[-1])
+            sing = fam.base.stage(eqs).cut(eqs[-1])
         else:
             sing = singular_ideal(eqs, x_ring)
             if sing.colength() == inf:
@@ -383,8 +360,7 @@ def greuel_conditions(fam, probes=()):
     """Curve-probe evidence for the valuation inequalities, one entry per
     probe; the conditions themselves are ``fam.cond1``, ``fam.cond5``
     and ``fam.cond6``."""
-    if fam.kind != FUNCTION:
-        raise ValueError("Greuel conditions apply to function deformations")
+    fam._function_only("the Greuel conditions")
     dFdt = fam.F.diff(fam.param)
     entries = []
     for probe in probes:
@@ -417,8 +393,8 @@ def zero_fiber_forces_origin_check(fam):
     for r in fam.reports:
         # the affine total equals the local colength at 0 exactly when
         # every critical point is the origin
-        at_origin = r.off_origin_budget == 0
-        details["samples"][r.t0] = {"count": r.distinct_points, "at_origin": at_origin}
+        at_origin = r["off_origin_budget"] == 0
+        details["samples"][r["t0"]] = {"count": r["distinct_points"], "at_origin": at_origin}
     verdict = (VERIFIED if all(s["at_origin"] for s in details["samples"].values())
                else _refutation(fam, details))
     return {"verdict": verdict, "details": details}

@@ -40,9 +40,7 @@ class FunctionCase:
     ring: tuple = RING
 
     def family(self):
-        return DeformationFamily.function_deformation(
-            self.ring, "t", list(self.phi), self.F
-        )
+        return DeformationFamily(self.ring, "t", list(self.phi), self.F)
 
 
 @dataclass
@@ -56,7 +54,7 @@ class SpaceCase:
     ring: tuple = RING
 
     def family(self):
-        return DeformationFamily.space_deformation(self.ring, "t", list(self.Phi))
+        return DeformationFamily(self.ring, "t", list(self.Phi))
 
 
 def _jump(p, q):

@@ -29,7 +29,7 @@ from icis.families import (
     splitting_check,
     radical_implies_axis_check,
 )
-from icis.germs import IcisPresentation, fiber_milnor_total, icis_milnor, translate
+from icis.germs import GermFunction, IcisPresentation, fiber_milnor_total, icis_milnor, translate
 from icis.ideals import (
     IdealPresentation,
     distinct_point_count,
@@ -66,7 +66,7 @@ class TestGreuelConditions:
         assert fam.cond5 == case.cond5
         assert fam.cond6 == case.cond6
         assert fam.mu0 == case.mu_origin_base
-        assert all(r.total_colength == case.totals for r in fam.reports)
+        assert all(r["total_colength"] == case.totals for r in fam.reports)
 
     @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
     def test_radical_implies_variety_condition(self, case, suite_families):
@@ -102,10 +102,10 @@ class TestCriticalLocus:
         case = next(c for c in FUNCTION_CASES if c.name == "jump-2-3")
         fam = case.family()
         rep = critical_locus_report(fam, 1)
-        assert rep.total_colength == 4
-        assert rep.local_mu_origin == 3
-        assert rep.off_origin_budget == 1
-        assert rep.distinct_points == 2
+        assert rep["total_colength"] == 4
+        assert rep["mu_origin"] == 3
+        assert rep["off_origin_budget"] == 1
+        assert rep["distinct_points"] == 2
         assert fam.certificate
 
     def test_sum_of_local_milnor_numbers(self):
@@ -114,7 +114,7 @@ class TestCriticalLocus:
 
         case = next(c for c in FUNCTION_CASES if c.name == "jump-2-3")
         fam = case.family()
-        germ = fam.specialize(1)
+        germ = GermFunction(fam.fiber(1)[-1], fam.base)
         pt = {"x": Fraction(-8, 27), "y": Fraction(4, 9)}
         origin = {"x": Fraction(0), "y": Fraction(0)}
         assert milnor_at_point(germ, pt) + milnor_at_point(germ, origin) == 4
@@ -122,7 +122,8 @@ class TestCriticalLocus:
     def test_totals_constant_across_samples(self):
         case = next(c for c in FUNCTION_CASES if c.name == "jump-3-5")
         fam = case.family()
-        totals = {critical_locus_report(fam, t0).total_colength for t0 in (1, Fraction(1, 2), 3)}
+        totals = {critical_locus_report(fam, t0)["total_colength"]
+                  for t0 in (1, Fraction(1, 2), 3)}
         assert totals == {12}
 
 
@@ -147,7 +148,7 @@ class TestCriticalRadical:
         # the critical points x = 0, t/2, t on y = 0 move with t: a member
         # of the radical that depends on t is nilpotent on the fiber over
         # its own sample only
-        fam = DeformationFamily.function_deformation(RING, "t", [y], x**2 * (x - t) ** 2)
+        fam = DeformationFamily(RING, "t", [y], x**2 * (x - t) ** 2)
         I = fam.parametric_critical_ideal
         for f, member in ((x * (x - t) * (2 * x - t), True), (fam.F.diff("t"), False),
                           (fam.F, False), (x, False)):
@@ -158,11 +159,12 @@ class TestCriticalRadical:
         # the critical locus x(3x + 2c) = 0 shrinks to the origin; for
         # every other t it holds x = -2c/3 as well, so x is not in the
         # radical, and only Rabinowitsch can say so
-        fam = DeformationFamily.function_deformation(
+        fam = DeformationFamily(
             RING, "t", [y], x**3 + t * (t - 1) * (2 * t - 1) * x**2 + y)
         for r in fam.reports:
-            assert (r.distinct_points, r.off_origin_budget) == (1, 0)
-            assert is_nilpotent(Polynomial.variable(fam.x_ring, "x"), r.ideal)
+            assert (r["distinct_points"], r["off_origin_budget"]) == (1, 0)
+            assert is_nilpotent(Polynomial.variable(fam.x_ring, "x"),
+                                fam.base.stage(fam.fiber(r["t0"])))
 
         calls = []
         monkeypatch.setattr(
@@ -192,14 +194,14 @@ class TestConvergenceCertificate:
     def test_branch_escaping_to_infinity_refused(self):
         # the critical point x = -2/(3t) leaves every ball as t -> 0, yet
         # the (t, x) eliminant x(2 + 3tx) still specializes to a pure power
-        fam = DeformationFamily.function_deformation(RING, "t", [y], x**2 + t * x**3)
+        fam = DeformationFamily(RING, "t", [y], x**2 + t * x**3)
         assert not converges_to_origin(fam.parametric_critical_ideal, "t", ("x", "y"))
         assert conservation_check(fam) is None
 
     def test_conservation_requires_certificate(self):
         # critical points sit at x = +/- 1 for every t: totals are affine
         # only, so the conservation question is refused, not answered
-        fam = DeformationFamily.function_deformation(RING, "t", [y], x**3 - x**2)
+        fam = DeformationFamily(RING, "t", [y], x**3 - x**2)
         assert conservation_check(fam) is None
 
 
@@ -262,12 +264,8 @@ class TestSplitting:
         extra = ("z",) if "z" in phi else ()
         text = f"ring {', '.join(RING + extra)};\nparam t;\nphi = {phi};\n"
         problem = parse_problem(text + (f"F = {F};\n" if F else "") + "kind family-analyze;\n")
-        Phi = problem.bindings["phi"]
-        if F:
-            fam = DeformationFamily.function_deformation(problem.ring, "t", Phi,
-                                                         problem.bindings["F"][0])
-        else:
-            fam = DeformationFamily.space_deformation(problem.ring, "t", Phi)
+        fam = DeformationFamily(problem.ring, "t", problem.bindings["phi"],
+                                *problem.bindings.get("F", []))
         rep = splitting_check(fam)
         assert (rep["verdict"], rep["base_fiber_mu"]) == (verdict, 2)
         for sm in rep["samples"]:
@@ -285,7 +283,7 @@ class TestSplitting:
         fam = case.family()
         rep = splitting_check(fam)
         for sm in rep["samples"]:
-            eqs = fam.specialize(sm["t0"])
+            eqs = fam.fiber(sm["t0"])
             points = [{"x": sm["t0"]}, {"x": -sm["t0"]}]
             assert all(f.eval(pt) == 0 for f in eqs for pt in points)
             oracle = sum(icis_milnor(IcisPresentation(fam.x_ring, translate(eqs, pt)))
@@ -296,7 +294,7 @@ class TestSplitting:
         # the nodes at x = +-sqrt(2)*t0 have no rational coordinates; the
         # C^3 form must give the totals of the plane-curve form
         (case,) = [c for c in SPACE_CASES if c.name == "tacnode-in-space-2"]
-        plane = DeformationFamily.space_deformation(RING, "t", [y**2 - (x**2 - 2 * t**2) ** 2])
+        plane = DeformationFamily(RING, "t", [y**2 - (x**2 - 2 * t**2) ** 2])
         space_totals = [sm["total_fiber_mu"] for sm in splitting_check(case.family())["samples"]]
         plane_totals = [sm["total_fiber_mu"] for sm in splitting_check(plane)["samples"]]
         assert space_totals == plane_totals == [2, 2]
@@ -305,7 +303,7 @@ class TestSplitting:
         # the fiber of x^2*(x - t)^2 on the line y = 0 is a double point
         # at x = 0 and at x = t, each of Milnor number 1; at t = 0 they
         # meet in x^4 = 0, of Milnor number 3
-        fam = DeformationFamily.function_deformation(RING, "t", [y], x**2 * (x - t) ** 2)
+        fam = DeformationFamily(RING, "t", [y], x**2 * (x - t) ** 2)
         rep = splitting_check(fam)
         assert rep["verdict"] == VACUOUS
         assert rep["base_fiber_mu"] == 3
@@ -331,14 +329,14 @@ class TestSplitting:
 
     def test_non_isolated_fiber_names_its_sample(self):
         # the fiber x^2 = 0 at t = 1 is singular along the y-axis
-        fam = DeformationFamily.space_deformation(RING, "t", [x**2 + y**3 - t * y**3])
+        fam = DeformationFamily(RING, "t", [x**2 + y**3 - t * y**3])
         with pytest.raises(NonIsolatedError, match="fiber at t=1 "):
             splitting_check(fam)
 
     def test_non_isolated_base_member_is_refused(self):
         # f_0 = y vanishes on X = {y = 0}: the base fiber is X itself, not
         # an ICIS of two equations, whose chain would retry recombinations
-        fam = DeformationFamily.function_deformation(RING, "t", [y], y + t * x)
+        fam = DeformationFamily(RING, "t", [y], y + t * x)
         with pytest.raises(NonIsolatedError, match="function has non-isolated"):
             splitting_check(fam)
 
@@ -356,12 +354,12 @@ class TestSplitting:
 
 def _lone_point(fam, t0):
     """The lone singular point of the fiber at the sample t0, read off its
-    singular-point ideal: the sample report's critical ideal cut by F_t
-    for a function family, the fiber's singular ideal for a space
-    family."""
+    singular-point ideal: the member's critical ideal, the fiber's stage
+    in X's memo, cut by F_t for a function family, the fiber's singular
+    ideal for a space family."""
     eqs = fam.fiber(t0)
     if fam.kind == families.FUNCTION:
-        return lone_point(fam.reports[fam.samples.index(t0)].ideal.cut(eqs[-1]))
+        return lone_point(fam.base.stage(eqs).cut(eqs[-1]))
     return lone_point(singular_ideal(eqs, fam.x_ring))
 
 
@@ -419,7 +417,7 @@ class TestSplittingOldPathOracle:
     @pytest.mark.parametrize("F", [x**2 * (x - t) ** 2, x * (x - t) ** 2],
                              ids=["two-points", "lone-point-at-t"])
     def test_points_off_the_origin(self, F):
-        self._agree(lambda: DeformationFamily.function_deformation(RING, "t", [y], F))
+        self._agree(lambda: DeformationFamily(RING, "t", [y], F))
 
     def test_false_family_certificate_falls_back(self):
         # the critical point x = 2/3 of x^3 - x^2 stays put as t goes to 0,
@@ -428,8 +426,8 @@ class TestSplittingOldPathOracle:
         problem = parse_problem(text)
 
         def make():
-            return DeformationFamily.function_deformation(
-                problem.ring, problem.param, problem.bindings["phi"], problem.bindings["F"][0])
+            return DeformationFamily(problem.ring, problem.param, problem.bindings["phi"],
+                                     problem.bindings["F"][0])
 
         assert make().certificate is False
         verdict, _, conv, _ = _new_path_splitting(make())
@@ -443,7 +441,7 @@ class TestSplittingOldPathOracle:
                     min_size=1, max_size=2))
     @settings(max_examples=12, deadline=None)
     def test_seeded_jump_families(self, p, d, c, samples):
-        self._agree(lambda: DeformationFamily.function_deformation(
+        self._agree(lambda: DeformationFamily(
             RING, "t", [x**p - y**(p + d)], x + c * t * y, samples=samples))
 
 
@@ -456,10 +454,10 @@ class TestFamilyOwnsItsSamples:
 
     def test_every_check_reads_the_family_samples(self):
         case = next(c for c in FUNCTION_CASES if c.name == "trivial-x-on-cusp")
-        fam = DeformationFamily.function_deformation(
-            case.ring, "t", list(case.phi), case.F, samples=(2, Fraction(1, 3)))
+        fam = DeformationFamily(case.ring, "t", list(case.phi), case.F,
+                                samples=(2, Fraction(1, 3)))
         assert fam.samples == self.SAMPLES
-        assert tuple(r.t0 for r in fam.reports) == self.SAMPLES
+        assert tuple(r["t0"] for r in fam.reports) == self.SAMPLES
         assert tuple(sm["t0"] for sm in splitting_check(fam)["samples"]) == self.SAMPLES
         # cond1 compares mu at the origin over these reports
         assert fam.cond1 == case.cond1
@@ -469,8 +467,7 @@ class TestFamilyOwnsItsSamples:
 
     def test_space_family_samples(self):
         case = SPACE_CASES[0]
-        fam = DeformationFamily.space_deformation(
-            case.ring, "t", list(case.Phi), samples=self.SAMPLES)
+        fam = DeformationFamily(case.ring, "t", list(case.Phi), samples=self.SAMPLES)
         assert tuple(sm["t0"] for sm in splitting_check(fam)["samples"]) == self.SAMPLES
 
     @pytest.mark.parametrize("case", FUNCTION_CASES, ids=_case_id)
@@ -512,6 +509,18 @@ class TestFamilyInputs:
         with pytest.raises(BudgetExhaustedError), basis.step_budget(3):
             run_problem(problem)
 
+    def test_phi_holding_the_parameter_is_refused(self, tmp_path, capsys):
+        # X of a function family is fixed; phi = y - t*x moves with t
+        with pytest.raises(InvalidInputError, match="phi holds the parameter 't'"):
+            DeformationFamily(RING, "t", [y - t * x], x**2)
+        path = tmp_path / "moving_base.icis"
+        path.write_text("ring t, x, y;\nparam t;\nphi = y - t*x;\nF = x^2;\n"
+                        "kind greuel-check;\n")
+        assert main(["run", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[invalid-input]: phi holds the parameter 't'")
+
     def test_base_member_must_vanish_at_the_origin(self):
         problem = parse_problem(self.MOVING_CONSTANT.format(c="1"))
         with pytest.raises(InvalidInputError, match="function germ must vanish at the origin"):
@@ -528,6 +537,37 @@ class TestFamilyInputs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error[invalid-input]: F cuts a zero-dimensional base")
+
+
+class TestSpaceFamilyRefusesFunctionValues:
+    """A space family has no F: each value and check defined for function
+    families refuses it with InvalidInputError before computing."""
+
+    READS = {
+        "parametric_critical_ideal": lambda fam: fam.parametric_critical_ideal,
+        "minors": lambda fam: fam.minors,
+        "certificate": lambda fam: fam.certificate,
+        "mu0": lambda fam: fam.mu0,
+        "reports": lambda fam: fam.reports,
+        "cond1": lambda fam: fam.cond1,
+        "cond5": lambda fam: fam.cond5,
+        "cond6": lambda fam: fam.cond6,
+        "in_critical_radical": lambda fam: fam.in_critical_radical(x),
+        "critical_locus_report": lambda fam: critical_locus_report(fam, 1),
+        "conservation_check": conservation_check,
+        "greuel_conditions": greuel_conditions,
+        "radical_implies_axis_check": radical_implies_axis_check,
+        "zero_fiber_forces_origin_check": zero_fiber_forces_origin_check,
+    }
+
+    @pytest.mark.parametrize("name", READS)
+    def test_refused(self, name):
+        # the fibers y^2 = x^3 - t*x have critical points off the origin
+        fam = DeformationFamily(RING, "t", [y**2 - x**3 + t * x])
+        assert (fam.kind, fam.F) == (families.SPACE, None)
+        with pytest.raises(InvalidInputError, match="function deformations only"), \
+                basis.step_budget(0):
+            self.READS[name](fam)
 
 
 def _case_text(case):
@@ -566,6 +606,8 @@ def test_report_prints_the_entries_the_checks_return(name, tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out.splitlines()[-1])
 
     problem, fam = parse_problem(text), make()
+    # the kind follows from F alone
+    assert fam.kind == (families.FUNCTION if "F" in problem.bindings else families.SPACE)
     returned = {}
     if fam.kind == families.FUNCTION:
         if problem.kind == "family-analyze":
@@ -588,13 +630,26 @@ def test_report_prints_the_entries_the_checks_return(name, tmp_path, capsys):
     assert {key for key in ("conservation",) + CHECKS if key in printed} == {
         key for key in returned if "." not in key}
     assert bool(problem.probes) == bool(returned.get("greuel.probes"))
+    # the sample reports are printed as the family holds them, each with
+    # the family certificate added
+    reported = fam.kind == families.FUNCTION and problem.kind == "family-analyze"
+    assert ("samples_report" in printed) == reported
+    if reported:
+        assert len(printed["samples_report"]) == len(fam.reports)
+        for shown, r in zip(printed["samples_report"], fam.reports):
+            assert shown == _jsonable({**r, "converges_to_origin": fam.certificate})
+    if fam.kind == families.FUNCTION:
+        assert printed["greuel"]["mu_origin_samples"] == _jsonable(
+            {r["t0"]: r["mu_origin"] for r in fam.reports})
+        assert printed["greuel"]["totals"] == _jsonable(
+            {r["t0"]: r["total_colength"] for r in fam.reports})
 
 
 def _inline_fiber(fam, t0):
     """The fiber equations as each check used to build them."""
     if fam.kind == families.FUNCTION:
-        return list(fam.base.phi) + [fam.specialize(t0).f]
-    return fam.specialize(t0)
+        return list(fam.base.phi) + [GermFunction(fam.fiber(t0)[-1], fam.base).f]
+    return list(fam.fiber(t0))
 
 
 @pytest.mark.parametrize("case", FUNCTION_CASES + SPACE_CASES, ids=_case_id)
@@ -628,7 +683,7 @@ class TestFiberCache:
 
     def test_specialized_list_is_a_copy(self):
         fam = SPACE_CASES[0].family()
-        eqs = fam.specialize(1)
+        eqs = list(fam.fiber(1))
         eqs.append(eqs[0])
         assert len(fam.fiber(1)) == len(fam.Phi)
 
@@ -706,11 +761,22 @@ class TestBaseFiberOnce:
         splitting_check(fam)
         assert counted == []
 
-    def test_member_critical_ideal_is_a_base_stage(self):
-        fam = DeformationFamily.function_deformation(RING, "t", [y], x**3 - x**2 + t * x)
-        member = fam.specialize(1)
+    def test_member_critical_ideal_is_a_base_stage(self, monkeypatch):
+        fam = DeformationFamily(RING, "t", [y], x**3 - x**2 + t * x)
+        member = GermFunction(fam.fiber(1)[-1], fam.base)
         assert member.critical_ideal() is fam.base.stage(fam.base.phi + (member.f,))
-        assert fam.specialize(1).critical_ideal() is member.critical_ideal()
+        assert (GermFunction(fam.fiber(1)[-1], fam.base).critical_ideal()
+                is member.critical_ideal())
+        # a sample report keeps no ideal: its member's stage in X's memo
+        # already holds the local colength the report read
+        reports = fam.reports
+
+        def refuse(gens, ring):
+            raise AssertionError("a stage was localized again")
+
+        monkeypatch.setattr(basis, "local_colength", refuse)
+        for r in reports:
+            assert fam.base.stage(fam.fiber(r["t0"])).local_colength() == r["mu_origin"]
 
 
 def _family_runs():
