@@ -43,7 +43,8 @@ spends no step: when the generators' local leading monomials, taken in
 degree or under Arnold's weights, are pairwise coprime, the colength is
 the staircase count of their monomial ideal.  Its truncations resume one
 another's rows (``_TruncationState``), and each one that does not
-stabilize may lend Lazard's method steps.  The docstring of
+stabilize may lend Lazard's method steps: a loan is a ``_Budget`` of its
+own, whose steps are charged to the run's budget.  The docstring of
 ``local_colength`` gives the reasons, the measurements and the proofs.
 
 Every reduction step and row elimination counts against a step budget:
@@ -101,28 +102,6 @@ class _Budget:
     def step(self):
         if self.remaining <= 0:
             raise BudgetExhaustedError()
-        self.remaining -= 1
-        self.spent += 1
-
-
-class _LoanExhausted(Exception):
-    """A loan of steps ran out; the lender's own budget may not have."""
-
-
-class _Loan(_Budget):
-    """Up to ``limit`` steps lent out of ``lender``, which is charged
-    for each of them."""
-
-    __slots__ = ("lender",)
-
-    def __init__(self, limit, lender):
-        super().__init__(limit)
-        self.lender = lender
-
-    def step(self):
-        if self.remaining <= 0:
-            raise _LoanExhausted()
-        self.lender.step()
         self.remaining -= 1
         self.spent += 1
 
@@ -308,9 +287,8 @@ def minimal_polynomial(sb, var):
     The first kept row whose lowest column is a tag has eliminated its
     monomials: its tag entries over the powers' factors are the
     coefficients of the dependency, which comes within dim + 1 powers."""
-    dim = colength(sb)
-    if dim == inf:
-        raise NonIsolatedError("the minimal polynomial needs a zero-dimensional ideal")
+    dim = NonIsolatedError.unless_finite(
+        colength(sb), "the minimal polynomial needs a zero-dimensional ideal")
     budget = _current_budget()
     i = sb.ring.index(var)
     columns, pivots, factors = {}, {}, []
@@ -508,12 +486,9 @@ def _minimal_indices(lms):
 
 
 def staircase(sb):
-    """Minimal generators of the leading-monomial ideal (an antichain)."""
-    return _antichain(sb.leading_monomials)
-
-
-def _antichain(lms):
-    return tuple(lms[i] for i in _minimal_indices(lms))
+    """Minimal generators of the leading-monomial ideal (an antichain):
+    the leading monomials of the reduced basis."""
+    return sb.leading_monomials
 
 
 def _pure_power_bounds(gens, n):
@@ -540,7 +515,7 @@ def _staircase_colength(lms, n):
     """Number of monomials in n variables that no monomial of ``lms``
     divides: 0 when 1 is among them, +inf when some variable has no
     pure power among them."""
-    gens = _antichain(lms)
+    gens = [lms[i] for i in _minimal_indices(lms)]
     if (0,) * n in gens:
         return 0
     bounds = _pure_power_bounds(gens, n)
@@ -601,16 +576,16 @@ def local_colength(gens, ring):
     a start (homogenizing, pairs, S-polynomials: a start that fails on its
     first step took 0.14-0.18 ms, 22-24 eliminations, on the calls that
     price ``LAZARD_STEP_RATIO``) and then some reduction, so none of fewer
-    than 2 * ``LAZARD_STEP_RATIO`` steps is lent: the Jacobian of
-    x^4 + y^5 + z^6 + x^2*y^2*z was lent 10 steps after a truncation of
-    86 eliminations, and each such start ran out, 0.3-0.6 ms thrown away;
-    with this floor that germ took 225 steps and no start, not 235 and
-    one (the weighted certificate below now answers it in no step).  A
-    loan of no steps is lent only after a truncation without
-    eliminations: it settles an ideal whose generators overlap only in an
-    lcm above the first K, such as <x^5*y, x*z^5>, in no step, where the
-    later truncations take 153.  Past ``MONOMIAL_CAP`` columns Lazard's
-    method gets the whole budget.
+    than 2 * ``LAZARD_STEP_RATIO`` steps is lent: a smaller loan runs out
+    and throws its set-up away.  A loan of no steps is lent only after a
+    truncation without eliminations: it settles an ideal whose generators
+    overlap only in an lcm above the first K, such as <x^5*y, x*z^5>, in
+    no step, where the later truncations take 153.  A loan is a
+    ``_Budget`` of its steps, or of the run's remaining steps when fewer,
+    charged to the run on every exit; a loan that runs out is given up,
+    but when the run's budget ran out first, ``BudgetExhaustedError``
+    propagates.  Past ``MONOMIAL_CAP`` columns Lazard's method gets the
+    whole budget.
 
     Before any truncation, the generators' local leading monomials LL_j
     (each the least term in degree, then reversed exponents: the
@@ -681,10 +656,15 @@ def local_colength(gens, ring):
         spent = budget.spent - start
         loan = spent // LAZARD_STEP_RATIO
         if spent == 0 or loan >= 2 * LAZARD_STEP_RATIO:
+            lent = _Budget(min(loan, budget.remaining))
             try:
-                return _lazard_colength(gens, ring, _Loan(loan, budget))
-            except _LoanExhausted:
-                pass
+                return _lazard_colength(gens, ring, lent)
+            except BudgetExhaustedError:
+                if lent.spent < loan:  # the run's own budget ran out
+                    raise
+            finally:
+                budget.remaining -= lent.spent
+                budget.spent += lent.spent
         K += K // 2
     return _lazard_colength(gens, ring, budget)
 

@@ -4,6 +4,8 @@ Every error the CLI can surface carries a machine-readable ``code`` so
 problem files can be regression-tested against specific failure modes.
 """
 
+from math import inf
+
 
 class IcisError(Exception):
     code = "error"
@@ -46,9 +48,18 @@ class BudgetExhaustedError(IcisError):
 
 
 class NonIsolatedError(IcisError):
-    """A colength that should be finite came out infinite."""
+    """A colength that should be finite came out infinite.  Each such
+    refusal is ``unless_finite``; a search that only decides isolation,
+    as ``germs.IcisPresentation``'s, compares with inf itself."""
 
     code = "non-isolated"
+
+    @classmethod
+    def unless_finite(cls, colength, message):
+        """``colength``, or raise with ``message`` when it is infinite."""
+        if colength == inf:
+            raise cls(message)
+        return colength
 
 
 class GenericityError(IcisError):

@@ -51,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf
 
 from .errors import InvalidInputError, NonIsolatedError
 from .germs import (
@@ -270,9 +269,8 @@ def critical_locus_report(fam, t0):
     fam._function_only("a critical-locus report")
     t0 = Fraction(t0)
     I = fam.base.stage(fam.fiber(t0))
-    total = I.colength()
-    if total == inf:
-        raise NonIsolatedError(f"critical ideal at t={t0} is not zero-dimensional")
+    total = NonIsolatedError.unless_finite(
+        I.colength(), f"critical ideal at t={t0} is not zero-dimensional")
     local = I.local_colength()
     return {"t0": t0, "mu_origin": local, "total_colength": total,
             "off_origin_budget": total - local, "distinct_points": distinct_point_count(I)}
@@ -320,8 +318,8 @@ def splitting_check(fam):
             sing = fam.base.stage(eqs).cut(eqs[-1])
         else:
             sing = singular_ideal(eqs, x_ring)
-            if sing.colength() == inf:
-                raise NonIsolatedError(f"fiber at t={t0} has non-isolated singularities")
+            NonIsolatedError.unless_finite(
+                sing.colength(), f"fiber at t={t0} has non-isolated singularities")
         count, total = distinct_point_count(sing), 0
         if count == 1:
             point = lone_point(sing)

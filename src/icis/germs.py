@@ -22,7 +22,7 @@ graph plus the critical minors."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 
@@ -44,7 +44,7 @@ from .ideals import (
 )
 from .poly import (
     Polynomial,
-    _add_shifted,
+    _add_product,
     lowest_degree_form,
     order_of_vanishing,
     squarefree_part,
@@ -53,7 +53,6 @@ from .poly import (
 MAX_RECOMBINATION_RETRIES = 12
 
 
-@dataclass
 class IcisPresentation:
     """Germ (X, 0) in (C^n, 0) cut out by p equations, singular only at
     the origin.
@@ -77,10 +76,6 @@ class IcisPresentation:
     it is infinite.  The stages keep their colengths (``stage``), so
     ``icis_milnor`` reads the chain of phi at no further cost."""
 
-    ring: tuple
-    phi: tuple
-    _stages: dict = field(default_factory=dict, repr=False, compare=False)
-
     def __init__(self, ring, phi):
         self.ring = tuple(ring)
         self.phi = tuple(p.in_ring(self.ring) for p in phi)
@@ -89,6 +84,8 @@ class IcisPresentation:
         if not 1 <= p <= n:
             raise InvalidInputError(f"need 1 <= p <= n, got p={p}, n={n}")
         for f in self.phi:
+            if f.is_zero():
+                raise InvalidInputError("zero equation: V(phi) is not cut out by p equations")
             if f.constant_term() != 0:
                 raise InvalidInputError(f"{f} does not vanish at the origin")
         k = next((k for k in range(1, p + 1)
@@ -148,17 +145,13 @@ def hypersurface_milnor(f):
     if f.constant_term() != 0:
         raise InvalidInputError("germ must vanish at the origin")
     mu = IdealPresentation(f.ring, [f.diff(v) for v in f.ring]).local_colength()
-    if mu == inf:
-        raise NonIsolatedError(f"non-isolated singularity: {f}")
-    return mu
+    return NonIsolatedError.unless_finite(mu, f"non-isolated singularity: {f}")
 
 
 def function_on_icis_milnor(g):
     """dim of O_n / (<phi> + J(f, phi)) in the local ring at 0."""
-    mu = g.critical_ideal().local_colength()
-    if mu == inf:
-        raise NonIsolatedError("function has non-isolated singularity on the ICIS")
-    return mu
+    return NonIsolatedError.unless_finite(g.critical_ideal().local_colength(),
+                                          "function has non-isolated singularity on the ICIS")
 
 
 def milnor_at_point(g, point):
@@ -240,9 +233,8 @@ def _fiber_colength(I, rest):
     V(rest): the value sums the local colengths of I there."""
     powers, prev = list(rest), None
     for _ in range(64):
-        c = I.plus(powers).colength()
-        if c == inf:
-            raise NonIsolatedError("fiber has non-isolated singular points")
+        c = NonIsolatedError.unless_finite(I.plus(powers).colength(),
+                                           "fiber has non-isolated singular points")
         if c == prev:
             return c
         prev = c
@@ -393,12 +385,6 @@ def _characteristic_polynomial(targets, G, a, j, z):
         for t, c in ck.items():
             terms[t[:j] + (m - k,) + t[j + 1:]] = Fraction(c, den)
     return Polynomial(targets, terms)
-
-
-def _add_product(out, a, b):
-    """out += a*b, in place, for term dicts a and b."""
-    for e, c in a.items():
-        _add_shifted(out, b.items(), e, c)
 
 
 def _z_product(a, b):

@@ -34,10 +34,8 @@ eliminant with a repeated factor (Seidenberg's lemma)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import inf
 
 from . import basis as _basis
 from .errors import NonIsolatedError, UnknownVariableError, ZeroInputError
@@ -45,12 +43,7 @@ from .orders import elimination_order, grevlex
 from .poly import Polynomial, fresh_variable, squarefree_part
 
 
-@dataclass
 class IdealPresentation:
-    ring: tuple
-    generators: tuple
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
     def __init__(self, ring, generators):
         self.ring = tuple(ring)
         gens = []
@@ -185,8 +178,6 @@ def elimination_ideal(I, keep):
     grevlex (``basis.eliminate``)."""
     keep = [v for v in I.ring if v in set(keep)]
     eliminate = [v for v in I.ring if v not in set(keep)]
-    if not eliminate:
-        return IdealPresentation(keep, list(I.generators))
     order = elimination_order(I.ring, eliminate)
     return IdealPresentation(tuple(keep), _basis.eliminate(I.generators, order))
 
@@ -284,10 +275,8 @@ def lone_point(I):
 def _points_colength(I):
     """I's grevlex colength; a positive-dimensional I raises
     ``NonIsolatedError``."""
-    c = I.colength()
-    if c == inf:
-        raise NonIsolatedError("point accounting needs a zero-dimensional ideal")
-    return c
+    return NonIsolatedError.unless_finite(
+        I.colength(), "point accounting needs a zero-dimensional ideal")
 
 
 def _has_origin(I):

@@ -19,13 +19,10 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class MonomialOrder:
     """Each subclass names its ``kind`` as a class constant, so it cannot
-    be set per instance, and makes every monomial other than 1 larger
-    than 1."""
+    be set per instance, and defines ``key``, under which every monomial
+    other than 1 is larger than 1."""
 
     ring: tuple[str, ...]
-
-    def key(self, exps):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,14 @@ A polynomial is a map from exponent tuples to nonzero Fractions over a
 fixed ordered variable list (the ring).  All arithmetic is exact; no
 floating point is used anywhere.
 
-Products, substitution and the standard-basis engine in ``basis`` share
-one in-place multiply-accumulate kernel on term dicts, ``_add_shifted``
-(the engine's term dicts hold integers, which it works on unchanged);
-exact division and the univariate Euclidean remainder share one
-single-divisor division, ``_divmod``.
+Term dicts are multiplied in place by two kernels: ``_add_shifted``
+adds a multiple of one term times a term dict, for substitution and the
+standard-basis engine in ``basis`` (whose term dicts hold integers, which
+it works on unchanged), and ``_add_product`` adds the product of two
+term dicts, for ``Polynomial.__mul__``, the problem parser and the
+characteristic polynomials of ``germs``; exact division and the
+univariate Euclidean remainder share one single-divisor division,
+``_divmod``.
 
 ``squarefree_part`` takes one path for every f (Yun 1976): it splits
 off the monomial factor of least exponents, certifies the cofactor h
@@ -147,8 +150,7 @@ class Polynomial:
             return Polynomial(self.ring, {e: k * c for e, k in self.terms.items()})
         self._check_ring(other)
         terms = {}
-        for e, c in self.terms.items():
-            _add_shifted(terms, other.terms.items(), e, c)
+        _add_product(terms, self.terms, other.terms)
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -276,6 +278,12 @@ def _add_shifted(h, tail, shift, q):
             h[e] = v
         else:
             del h[e]
+
+
+def _add_product(out, a, b):
+    """out += a*b, in place, for term dicts a and b."""
+    for e, c in a.items():
+        _add_shifted(out, b.items(), e, c)
 
 
 def _divmod(f, g, budget=None):

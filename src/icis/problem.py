@@ -41,14 +41,15 @@ nonzero.  Example::
 
 Every syntax or binding error carries the line/column of the offending
 token and a machine-readable code.  Expressions are expanded as they are
-parsed, into term dicts on ``int`` coefficients with the kernel of
-``poly._add_shifted``; a ``Fraction`` enters only at a literal with a
-denominator.  Rationals appear at the boundary: each expression becomes
-one ``Polynomial``, with ``Fraction`` coefficients, at its end, and the
-values of ``samples`` and ``direction`` are ``Fraction`` objects.  A
-product or power that would take more than ``MAX_PRODUCT_TERMS`` term
-products is refused at its operator.  A power of one term is written
-down directly, without products.  A number that no report could print,
+parsed, into term dicts on ``int`` coefficients with the kernels of
+``poly`` (``_add_shifted`` for sums, ``_add_product`` for products); a
+``Fraction`` enters only at a literal with a denominator.  Rationals
+appear at the boundary: each expression becomes one ``Polynomial``, with
+``Fraction`` coefficients, at its end, and the values of ``samples`` and
+``direction`` are ``Fraction`` objects.  A product or power that would
+take more than ``MAX_PRODUCT_TERMS`` term products is refused at its
+operator.  A power of one term is written down directly, without
+products.  A number that no report could print,
 one with more digits than the interpreter converts to text, is refused:
 in a one-term power at its ``^``, before the power is computed, and in a
 binding or probe at its first token.
@@ -70,7 +71,7 @@ from .errors import (
     UnboundNameError,
 )
 from .families import DEFAULT_SAMPLES
-from .poly import Polynomial, _add_shifted
+from .poly import Polynomial, _add_product, _add_shifted
 
 # Term products allowed in one product or power step of a parsed
 # expression; (x + y + z)^64 would need 314,721 in its last squaring.
@@ -395,8 +396,7 @@ class _Parser:
             raise ExpansionTooLargeError(
                 f"expansion needs more than {MAX_PRODUCT_TERMS} term products", tok.line, tok.column)
         product = {}
-        for e, c in a.items():
-            _add_shifted(product, b.items(), e, c)
+        _add_product(product, a, b)
         return product
 
     def atom(self, units):

@@ -774,6 +774,10 @@ def lazard_colength(gens, ring):
         return _lazard_colength(gens, ring, budget)
 
 
+# a double surface: ROADMAP's non-reduced germ
+NON_REDUCED = "(x^2 - y^3 + z^5)^2*(x + y^2 + z^3)"
+
+
 def _jacobian(text):
     ring = ("x", "y", "z")
     f = parse_expression(text, ring)
@@ -823,9 +827,50 @@ class TestLazardLoans:
     def test_non_reduced_germ_within_its_budget(self):
         # no truncation stabilizes; loans priced from the truncation that
         # just failed decide it within the CI budget of the non-reduced ICIS
-        gens, ring = _jacobian("(x^2 - y^3 + z^5)^2*(x + y^2 + z^3)")
+        gens, ring = _jacobian(NON_REDUCED)
         with step_budget(37_316):
             assert local_colength(gens, ring) == inf
+
+    @pytest.fixture
+    def loans(self, monkeypatch):
+        """(steps the budget holds, steps spent) of each Lazard start."""
+        loans = []
+        lazard = icis.basis._lazard_colength
+
+        def record(gens, ring, budget):
+            held = budget.remaining
+            try:
+                return lazard(gens, ring, budget)
+            finally:
+                loans.append((held, budget.spent))
+
+        monkeypatch.setattr(icis.basis, "_lazard_colength", record)
+        return loans
+
+    def test_non_reduced_germ_takes_two_loans(self, loans):
+        # a 310-step loan runs out and is given up; a 4,225-step loan
+        # decides the ideal in 652 steps
+        gens, ring = _jacobian(NON_REDUCED)
+        with step_budget() as budget:
+            assert local_colength(gens, ring) == inf
+        assert loans == [(310, 310), (4_225, 652)]
+        assert budget.spent == 37_316
+
+    # the 310-step loan starts after 2,552 steps of truncation.  At 2,700
+    # the run runs out 148 steps into the loan, which must not read as the
+    # loan's own exhaustion; at 2,862 the two end together, the loan is
+    # given up, and the next truncation step runs out
+    @pytest.mark.parametrize("limit, loan_spent, raised_in", [
+        (2_700, 148, "_lazard_colength"),
+        (2_862, 310, "_truncated_colength"),
+    ])
+    def test_run_out_at_a_loan(self, loans, limit, loan_spent, raised_in):
+        gens, ring = _jacobian(NON_REDUCED)
+        with step_budget(limit) as budget, pytest.raises(BudgetExhaustedError) as info:
+            local_colength(gens, ring)
+        assert budget.spent == limit
+        assert [spent for _, spent in loans] == [loan_spent]
+        assert raised_in in [entry.name for entry in info.traceback]
 
 
 class TestLazardColength:

@@ -71,6 +71,17 @@ INVALID_INPUTS = {
     # F on a point: its fibers would need more equations than variables
     "family_point_base.icis": "ring t, x;\nparam t;\nphi = x;\nF = x^2 + t*x;\n"
         "kind family-analyze;\n",
+    # a zero equation: V(0) is the plane and V(x, 0) a line, both smooth;
+    # the space family's base fiber is 0
+    "icis_milnor_zero.icis": "ring x, y;\nphi = 0;\nkind icis-milnor;\n",
+    "icis_milnor_zero_second.icis": "ring x, y;\nphi = x, 0;\nkind icis-milnor;\n",
+    "function_milnor_zero.icis": "ring x, y;\nphi = 0;\nf = x;\nkind function-milnor;\n",
+    "space_family_zero_base.icis": _CUSP_FAMILY + "phi = t*y;\n",
+    "binding_before_ring.icis": "f = x;\nring x;\nkind milnor;\n",
+    "param_not_in_ring.icis": "ring x, y;\nparam t;\nf = x^2 + y^2;\nkind milnor;\n",
+    "icis_more_equations.icis": "ring x;\nphi = x^2, x^3;\nkind icis-milnor;\n",
+    "discriminant_not_principal.icis": "ring x, y;\nphi = x^2, y^2, x*y;\nkind discriminant;\n",
+    "line_zero_delta.icis": "ring u, v;\ndelta = 0;\ndirection 1, 0;\nkind generic-line;\n",
 }
 
 # a double surface: ROADMAP's non-reduced germ
@@ -318,6 +329,18 @@ class TestExitCodes:
             ("icis_milnor_direction.icis", "syntax-error]: line 3, column 1:"),
             ("space_family_probe.icis", "syntax-error]: line 5, column 1:"),
             ("family_point_base.icis", "invalid-input"),
+            *[(f"{name}.icis",
+               "error[invalid-input]: zero equation: V(phi) is not cut out by p equations")
+              for name in ("icis_milnor_zero", "icis_milnor_zero_second",
+                           "function_milnor_zero", "space_family_zero_base")],
+            ("binding_before_ring.icis", "error[syntax-error]: line 1, column 1: "
+             "binding or probe before ring declaration (got 'f')"),
+            ("param_not_in_ring.icis",
+             "error[unbound-name]: line 2, column 7: parameter 't' is not a ring variable"),
+            ("icis_more_equations.icis", "error[invalid-input]: need 1 <= p <= n, got p=2, n=1"),
+            ("discriminant_not_principal.icis",
+             "error[unsupported-input]: discriminant eliminant is not principal"),
+            ("line_zero_delta.icis", "error[zero-input]: multiplicity of 0"),
             ("ex43_23.icis --samples abc", "syntax-error"),
             ("ex43_23.icis --samples 1/0", "syntax-error"),
             ("ex43_23.icis --samples 1,0", "syntax-error"),

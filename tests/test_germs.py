@@ -7,6 +7,7 @@ import sympy
 
 from icis import basis, germs
 from icis.basis import local_colength, step_budget
+from icis.cli import run_problem
 from icis.errors import (
     InvalidInputError,
     NonIsolatedError,
@@ -27,10 +28,16 @@ from icis.germs import (
     multiplicity,
     translate,
 )
-from icis.ideals import elimination_ideal, singular_ideal
+from icis.ideals import (
+    IdealPresentation,
+    distinct_point_count,
+    elimination_ideal,
+    singular_ideal,
+    univariate_eliminant,
+)
 from icis.orders import grevlex
 from icis.poly import Polynomial, lowest_degree_form
-from icis.problem import parse_expression
+from icis.problem import parse_expression, parse_problem
 
 R = ("x", "y")
 x = Polynomial.variable(R, "x")
@@ -113,6 +120,35 @@ class TestHardCases:
         f = w4**4 + x4**5 + y4**6 + z4**7 - 3 * w4 * x4 * y4 * z4 + 2 * x4**2 * y4**2 * z4**2
         with step_budget(1_682):
             assert hypersurface_milnor(f) == 158
+
+
+def _family_analyze(body):
+    return lambda: run_problem(parse_problem(
+        f"ring t, x, y;\nparam t;\n{body}samples 1;\nkind family-analyze;\n"))
+
+
+# every refusal of an infinite colength, with its whole message
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: hypersurface_milnor(x**2), "non-isolated singularity: x^2"),
+    (lambda: function_on_icis_milnor(GermFunction(x3**2, IcisPresentation(R3, [y3]))),
+     "function has non-isolated singularity on the ICIS"),
+    (lambda: fiber_milnor_total([x**2], R), "fiber has non-isolated singular points"),
+    (lambda: univariate_eliminant(IdealPresentation(R, [x]), "x"),
+     "the minimal polynomial needs a zero-dimensional ideal"),
+    (lambda: distinct_point_count(IdealPresentation(R, [x])),
+     "point accounting needs a zero-dimensional ideal"),
+    # the fiber y^2 = 0 at t = 1 is singular along the x-axis
+    (_family_analyze("phi = x^2 + y^2 - t*x^2;\n"),
+     "fiber at t=1 has non-isolated singularities"),
+    # the member at t = 1 is F = 0, whose critical ideal on phi = y is <y>
+    (_family_analyze("phi = y;\nF = (1 - t)*x^2;\n"),
+     "critical ideal at t=1 is not zero-dimensional"),
+])
+def test_non_isolation_refusal_keeps_its_message(refuse, message):
+    with pytest.raises(NonIsolatedError) as info:
+        refuse()
+    assert (type(info.value), info.value.code, str(info.value)) == (
+        NonIsolatedError, "non-isolated", message)
 
 
 class TestFunctionOnIcisMilnor:
