@@ -10,10 +10,12 @@ exponent tuples to ints, with the monomials' order keys cached; the
 multiply-accumulate kernel is ``poly._add_shifted``.  Every
 divisibility test is screened first by short exponent vectors
 (``_mask``, Bachmann-Schoenemann 1998).  Rationals appear only at the
-boundary: the generators of a ``StandardBasis`` are monic Fraction
-polynomials, built from the primitive rows of the inter-reduced basis,
-and ``complete_basis``, ``normal_form`` and ``minimal_polynomial``
-divide by a reduction's scale once per result.  ``normal_form`` reduces
+boundary: the generators of a ``StandardBasis`` are monic polynomials,
+built from the primitive rows of the inter-reduced basis, whose
+coefficients are Fractions only where the leading coefficient does not
+divide them; ``complete_basis``, ``normal_form`` and
+``minimal_polynomial`` divide by a reduction's scale once per result,
+exactly (``poly._div``).  ``normal_form`` reduces
 against a completed basis, and ``minimal_polynomial`` reads the minimal
 polynomial of a variable off the basis of a zero-dimensional ideal by
 single-variable FGLM; both reduce by the rows that the
@@ -69,7 +71,7 @@ from operator import itemgetter, le, mul, sub
 
 from .errors import BudgetExhaustedError, NonIsolatedError
 from .orders import elimination_order
-from .poly import Polynomial, _add_shifted, fresh_variable
+from .poly import Polynomial, _add_shifted, _div, fresh_variable
 
 DEFAULT_BUDGET = 10**6
 # Truncations of local_colength with more columns than this go to
@@ -267,9 +269,9 @@ def normal_form(f, sb):
         return f
     ints = _primitive(f)
     e, c = next(iter(f.terms.items()))
-    k = c / ints[e]  # f = k * ints
+    k = _div(c, ints[e])  # f = k * ints
     rem, scale = _reduce_global(ints, sb.rows, sb.keys, _current_budget())
-    k /= scale
+    k = _div(k, scale)
     return Polynomial(f.ring, {e: k * v for e, v in rem.items()})
 
 
@@ -423,7 +425,7 @@ def _inter_reduce(minimal, keys, budget):
 def _monic_terms(row):
     """The term dict of a reducer row scaled to leading coefficient 1."""
     lm, lc, tail, _ = row
-    return {lm: 1, **{e: Fraction(c, lc) for e, c in tail}}
+    return {lm: 1, **{e: _div(c, lc) for e, c in tail}}
 
 
 def _buchberger(generators, keys, budget):
@@ -755,9 +757,11 @@ def _lazard_colength(gens, ring, budget):
 
 
 def _primitive(g):
-    """Coefficients of g scaled to coprime integers."""
-    den = lcm(*(c.denominator for c in g.terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
+    """Coefficients of g scaled to coprime integers, in a new term dict."""
+    ints = g.terms
+    den = lcm(*(c.denominator for c in ints.values()))
+    if den != 1:
+        ints = {e: c.numerator * (den // c.denominator) for e, c in ints.items()}
     content = gcd(*ints.values())
     return {e: v // content for e, v in ints.items()}
 

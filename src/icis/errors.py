@@ -55,10 +55,11 @@ class NonIsolatedError(IcisError):
     code = "non-isolated"
 
     @classmethod
-    def unless_finite(cls, colength, message):
-        """``colength``, or raise with ``message`` when it is infinite."""
+    def unless_finite(cls, colength, message, *args):
+        """``colength``, or raise with ``message.format(*args)`` when it is
+        infinite; the text is formatted only then."""
         if colength == inf:
-            raise cls(message)
+            raise cls(message.format(*args))
         return colength
 
 

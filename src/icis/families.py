@@ -270,7 +270,7 @@ def critical_locus_report(fam, t0):
     t0 = Fraction(t0)
     I = fam.base.stage(fam.fiber(t0))
     total = NonIsolatedError.unless_finite(
-        I.colength(), f"critical ideal at t={t0} is not zero-dimensional")
+        I.colength(), "critical ideal at t={} is not zero-dimensional", t0)
     local = I.local_colength()
     return {"t0": t0, "mu_origin": local, "total_colength": total,
             "off_origin_budget": total - local, "distinct_points": distinct_point_count(I)}
@@ -319,7 +319,7 @@ def splitting_check(fam):
         else:
             sing = singular_ideal(eqs, x_ring)
             NonIsolatedError.unless_finite(
-                sing.colength(), f"fiber at t={t0} has non-isolated singularities")
+                sing.colength(), "fiber at t={} has non-isolated singularities", t0)
         count, total = distinct_point_count(sing), 0
         if count == 1:
             point = lone_point(sing)

@@ -45,6 +45,7 @@ from .ideals import (
 from .poly import (
     Polynomial,
     _add_product,
+    _div,
     lowest_degree_form,
     order_of_vanishing,
     squarefree_part,
@@ -108,7 +109,7 @@ def translate(polys, point):
     """The polynomials p(x + point), which move ``point`` to the origin;
     coordinates missing from ``point`` are 0."""
     ring = polys[0].ring
-    shift = {v: Polynomial.variable(ring, v) + Fraction(point.get(v, 0)) for v in ring}
+    shift = {v: Polynomial.variable(ring, v) + point.get(v, 0) for v in ring}
     return [p.subs(shift, target_ring=ring) for p in polys]
 
 
@@ -145,7 +146,7 @@ def hypersurface_milnor(f):
     if f.constant_term() != 0:
         raise InvalidInputError("germ must vanish at the origin")
     mu = IdealPresentation(f.ring, [f.diff(v) for v in f.ring]).local_colength()
-    return NonIsolatedError.unless_finite(mu, f"non-isolated singularity: {f}")
+    return NonIsolatedError.unless_finite(mu, "non-isolated singularity: {}", f)
 
 
 def function_on_icis_milnor(g):
@@ -383,7 +384,7 @@ def _characteristic_polynomial(targets, G, a, j, z):
     for k, ck in enumerate(chi):
         den = lam**k
         for t, c in ck.items():
-            terms[t[:j] + (m - k,) + t[j + 1:]] = Fraction(c, den)
+            terms[t[:j] + (m - k,) + t[j + 1:]] = _div(c, den)
     return Polynomial(targets, terms)
 
 

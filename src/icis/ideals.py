@@ -34,7 +34,6 @@ eliminant with a repeated factor (Seidenberg's lemma)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import basis as _basis
@@ -268,7 +267,7 @@ def lone_point(I):
     v - c_v of each eliminant.  It is rational, since its conjugates are
     points too."""
     if _has_origin(I):
-        return {v: Fraction(0) for v in I.ring}
+        return {v: 0 for v in I.ring}
     return {v: -_squarefree_eliminant(I, v)[1].constant_term() for v in I.ring}
 
 

@@ -1,8 +1,13 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a map from exponent tuples to nonzero Fractions over a
-fixed ordered variable list (the ring).  All arithmetic is exact; no
-floating point is used anywhere.
+A polynomial is a map from exponent tuples to nonzero coefficients over
+a fixed ordered variable list (the ring).  A coefficient is an ``int``
+exactly when it is integral, and a ``Fraction`` otherwise, so integral
+inputs, their derivatives, products and substitutions stay on integer
+arithmetic; an integral ``Fraction`` is stored as its numerator, which
+changes no hash or equality.  All arithmetic is exact: every division of
+coefficients goes through ``_div``, and a float is refused as a
+coefficient, since its binary value is rarely the number meant.
 
 Term dicts are multiplied in place by two kernels: ``_add_shifted``
 adds a multiple of one term times a term dict, for substitution and the
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf, prod
+from numbers import Number
 from operator import add, sub
 
 from .errors import RingMismatchError, UnknownVariableError, ZeroInputError
@@ -40,8 +46,8 @@ class Polynomial:
         if terms:
             n = len(self.ring)
             for exps, coeff in terms.items():
-                if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
+                if type(coeff) is not int:
+                    coeff = _coefficient(coeff)
                 if not coeff:
                     continue
                 exps = tuple(exps)
@@ -60,7 +66,7 @@ class Polynomial:
     @classmethod
     def constant(cls, ring, c):
         ring = tuple(ring)
-        return cls(ring, {(0,) * len(ring): Fraction(c)})
+        return cls(ring, {(0,) * len(ring): c})
 
     @classmethod
     def variable(cls, ring, name):
@@ -68,11 +74,11 @@ class Polynomial:
         if name not in ring:
             raise UnknownVariableError(f"{name!r} not in ring {ring}")
         exps = tuple(1 if v == name else 0 for v in ring)
-        return cls(ring, {exps: Fraction(1)})
+        return cls(ring, {exps: 1})
 
     @classmethod
     def monomial(cls, ring, exps, coeff=1):
-        return cls(ring, {tuple(exps): Fraction(coeff)})
+        return cls(ring, {tuple(exps): coeff})
 
     # -- predicates / accessors ---------------------------------------
 
@@ -84,7 +90,7 @@ class Polynomial:
 
     def constant_term(self):
         zero = (0,) * len(self.ring)
-        return self.terms.get(zero, Fraction(0))
+        return self.terms.get(zero, 0)
 
     def total_degree(self):
         if not self.terms:
@@ -110,9 +116,10 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
-            if other == 0:
-                return self.is_zero()
-            return self == Polynomial.constant(self.ring, other)
+            if not isinstance(other, Number):
+                return NotImplemented
+            zero = (0,) * len(self.ring)
+            return self.terms.keys() <= {zero} and self.terms.get(zero, 0) == other
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
@@ -146,7 +153,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = _coefficient(other)
             return Polynomial(self.ring, {e: k * c for e, k in self.terms.items()})
         self._check_ring(other)
         terms = {}
@@ -202,8 +209,9 @@ class Polynomial:
             target_ring = next((v.ring for v in bindings.values() if isinstance(v, Polynomial)),
                                self.ring)
         target_ring = tuple(target_ring)
-        # per variable: its position in the target ring when unbound, else its image
-        slots = []
+        # per variable: its position in the target ring when unbound, else
+        # None and its image, a Polynomial or a scalar coefficient
+        places, images = [], []
         for name in self.ring:
             val = bindings.get(name)
             if isinstance(val, Polynomial):
@@ -212,34 +220,36 @@ class Polynomial:
                         f"image of {name!r} lives in {val.ring}, expected {target_ring}"
                     )
             elif name in bindings:
-                val = Fraction(val)
+                val = _coefficient(val)
             elif name in target_ring:
-                val = target_ring.index(name)
+                places.append(target_ring.index(name))
+                images.append(None)
+                continue
             else:
                 raise UnknownVariableError(f"unbound variable {name!r} missing from target ring")
-            slots.append(val)
+            places.append(None)
+            images.append(val)
         one = (((0,) * len(target_ring), 1),)
         result = {}
         for e, c in self.terms.items():
             place = [0] * len(target_ring)
             image = None
-            for val, k in zip(slots, e):
+            for pos, val, k in zip(places, images, e):
                 if not k:
                     continue
-                if isinstance(val, int):
-                    place[val] = k
-                elif isinstance(val, Fraction):
-                    c *= val**k
-                else:
+                if pos is not None:
+                    place[pos] = k
+                elif isinstance(val, Polynomial):
                     image = val**k if image is None else image * val**k
+                else:
+                    c *= val**k
             if c:  # a zero scalar drops the term
                 _add_shifted(result, one if image is None else image.terms.items(), place, c)
         return Polynomial(target_ring, result)
 
     def eval(self, point):
         """Evaluate at a rational point given as {var: scalar}."""
-        val = self.subs({v: Fraction(point.get(v, 0)) for v in self.ring},
-                        target_ring=self.ring)
+        val = self.subs({v: point.get(v, 0) for v in self.ring}, target_ring=self.ring)
         return val.constant_term()
 
     def in_ring(self, new_ring):
@@ -265,6 +275,25 @@ class Polynomial:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _coefficient(c):
+    """The scalar c as a coefficient: an int when it is integral, else a
+    Fraction.  A float is refused with ``TypeError``."""
+    if isinstance(c, float):
+        raise TypeError(f"a float is not an exact coefficient: {c!r}")
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """The exact quotient a/b of two coefficients: an int when b divides
+    a, else a Fraction (``/`` would give a float on two ints)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def _add_shifted(h, tail, shift, q):
@@ -305,7 +334,7 @@ def _divmod(f, g, budget=None):
         if budget is not None:
             budget.step()
         # lm(r) falls at each step, so every shift is new to q
-        c = q[shift] = r.pop(lm_r) / lc_g
+        c = q[shift] = _div(r.pop(lm_r), lc_g)
         _add_shifted(r, tail, shift, -c)
     return Polynomial(f.ring, q), Polynomial(f.ring, r)
 
@@ -433,7 +462,7 @@ def _monic(f):
     if f.is_zero():
         return f
     lc = f.terms[max(f.terms, key=GrevLex.key)]
-    return f if lc == 1 else f * (1 / lc)
+    return f if lc == 1 else f * _div(1, lc)
 
 
 # The word-size prime of the modular squarefree test (``_squarefree_mod``).

@@ -43,13 +43,13 @@ Every syntax or binding error carries the line/column of the offending
 token and a machine-readable code.  Expressions are expanded as they are
 parsed, into term dicts on ``int`` coefficients with the kernels of
 ``poly`` (``_add_shifted`` for sums, ``_add_product`` for products); a
-``Fraction`` enters only at a literal with a denominator.  Rationals
-appear at the boundary: each expression becomes one ``Polynomial``, with
-``Fraction`` coefficients, at its end, and the values of ``samples`` and
-``direction`` are ``Fraction`` objects.  A product or power that would
-take more than ``MAX_PRODUCT_TERMS`` term products is refused at its
-operator.  A power of one term is written down directly, without
-products.  A number that no report could print,
+``Fraction`` enters only at a literal with a denominator.  Each
+expression becomes one ``Polynomial`` at its end, whose coefficients are
+``int`` where integral and ``Fraction`` elsewhere, and the values of
+``samples`` and ``direction`` are ``Fraction`` objects.  A product or
+power that would take more than ``MAX_PRODUCT_TERMS`` term products is
+refused at its operator.  A power of one term is written down directly,
+without products.  A number that no report could print,
 one with more digits than the interpreter converts to text, is refused:
 in a one-term power at its ``^``, before the power is computed, and in a
 binding or probe at its first token.

@@ -169,7 +169,7 @@ def test_criterion_7_generic_line_criterion(capsys):
     _, lc = delta.leading(grevlex(uv))
     target = 4 * u**3 + 27 * v**2
     _, tc = target.leading(grevlex(uv))
-    assert delta * (1 / lc) == target * (1 / tc)
+    assert delta * Fraction(1, lc) == target * Fraction(1, tc)
 
     assert multiplicity(delta) == 2
     generic_dir = LineDirection((Fraction(0), Fraction(1)))

@@ -372,7 +372,7 @@ class TestDiscriminant:
         target = 4 * u**3 + 27 * v**2
         _, lc = delta.leading(grevlex(uv))
         _, tc = target.leading(grevlex(uv))
-        assert delta * (1 / lc) == target * (1 / tc)
+        assert delta * Fraction(1, lc) == target * Fraction(1, tc)
 
     def test_fold(self):
         delta = discriminant([x**2, y])

@@ -56,11 +56,56 @@ def nonzero_polys(draw, **kw):
     return p
 
 
+def exact_coefficients(f):
+    """Every coefficient of f is an int, or a Fraction that is not one."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in f.terms.values())
+
+
 class TestConstruct:
-    def test_int_coefficient_is_stored_as_fraction(self):
-        f = Polynomial(R, {(1, 0): 3, (0, 1): 0})
-        assert f.terms == {(1, 0): Fraction(3)}
-        assert type(f.terms[(1, 0)]) is Fraction
+    def test_integral_coefficient_is_stored_as_int(self):
+        f = Polynomial(R, {(1, 0): 3, (0, 1): 0, (0, 2): Fraction(6, 3), (2, 0): Fraction(1, 3)})
+        assert f.terms == {(1, 0): 3, (0, 2): 2, (2, 0): Fraction(1, 3)}
+        assert [type(f.terms[e]) for e in [(1, 0), (0, 2), (2, 0)]] == [int, int, Fraction]
+
+    def test_int_and_integral_fraction_are_one_polynomial(self):
+        # the memo keys of the library hash polynomials: the stored type
+        # changes neither equality nor the hash
+        f = Polynomial(R, {(1, 0): 3, (0, 0): -1})
+        g = Polynomial(R, {(1, 0): Fraction(3), (0, 0): Fraction(-2, 2)})
+        assert f == g and hash(f) == hash(g)
+        assert hash(f) == hash((R, frozenset({((1, 0), Fraction(3)), ((0, 0), Fraction(-1))})))
+
+    def test_integral_arithmetic_stays_on_ints(self):
+        f = (3 * x - 2 * y) ** 3 + 5 * x * y
+        for g in [f, f.diff("x"), f * f, f.subs({"y": 7}), f.subs({"y": Fraction(7, 7)}),
+                  f * Fraction(4, 2) - 1, f.subs({"x": x + 2 * y})]:
+            assert all(type(c) is int for c in g.terms.values()), g
+
+    @pytest.mark.parametrize("build", [
+        lambda: Polynomial(R, {(1, 0): 0.5}),
+        lambda: Polynomial.constant(R, 0.1),
+        lambda: Polynomial.monomial(R, (1, 1), 2.0),
+        lambda: x * 0.1, lambda: 0.1 * x,
+        lambda: x + 0.1, lambda: 0.1 + x,
+        lambda: x - 0.1, lambda: 0.1 - x,
+        lambda: x.subs({"y": 0.5}),
+    ])
+    def test_float_is_refused(self, build):
+        # 0.1 would be stored as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            build()
+
+    def test_equality_with_a_number(self):
+        assert Polynomial.zero(R) == 0 and x != 0
+        assert Polynomial.constant(R, 3) == 3 and Polynomial.constant(R, 3) != 3 * x
+        assert Polynomial.constant(R, Fraction(1, 3)) == Fraction(1, 3)
+        assert Polynomial.constant(R, 1) == 1.0 and Polynomial.constant(R, 1) != 0.5
+
+    @pytest.mark.parametrize("other", [None, "x", (1,), object()])
+    def test_equality_with_a_non_number_is_not_implemented(self, other):
+        assert x.__eq__(other) is NotImplemented
+        assert x != other and not x == other
 
     def test_bad_exponent_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -219,7 +264,7 @@ def up_to_scalar(f, g):
     order = grevlex(f.ring)
     _, cf = f.leading(order)
     _, cg = g.leading(order)
-    return f * (1 / cf) == g * (1 / cg)
+    return f * Fraction(1, cf) == g * Fraction(1, cg)
 
 
 class TestSquarefree:
@@ -380,6 +425,57 @@ class TestDivision:
         monkeypatch.setattr(basis, "complete_basis", refuse)
         assert up_to_scalar(gcd((x + y) * (x - y**2), (x + y) * (x**2 + 1)), x + y)
         assert kinds == ["block"]
+
+
+class TestExactDivision:
+    """The divisions of coefficients on integral inputs whose answers have
+    denominators 3 and 7, which a float cannot hold exactly."""
+
+    def test_divmod(self):
+        q, r = poly._divmod(x**2 + 1, 3 * x + 1)
+        assert q == Fraction(1, 3) * x - Fraction(1, 9) and r == Fraction(10, 9)
+        assert exact_coefficients(q) and exact_coefficients(r)
+
+    def test_divexact(self):
+        for f, g, q in [(x**2 - 1, 3 * x - 3, Fraction(1, 3) * x + Fraction(1, 3)),
+                        (x**2 * y - y, 7 * x + 7, Fraction(1, 7) * x * y - Fraction(1, 7) * y),
+                        (21 * x**2 - 21, 7 * x - 7, 3 * x + 3)]:
+            assert divexact(f, g) == q and exact_coefficients(divexact(f, g))
+
+    def test_gcd_univariate(self):
+        g = gcd((3 * x + 1) * (x - 1), (3 * x + 1) * (x + 2))
+        assert g == x + Fraction(1, 3) and exact_coefficients(g)
+        g = poly._gcd_univariate(7 * x**2 - 7, 14 * x + 14)
+        assert g == x + 1 and exact_coefficients(g)
+
+    def test_gcd_multivariate(self):
+        g = gcd((3 * x + y) * (x + 1), (3 * x + y) * (y - 1))
+        assert g == x + Fraction(1, 3) * y and exact_coefficients(g)
+
+    def test_squarefree_part_of_non_monic_input(self):
+        # a square factor takes the gcd path; a squarefree one is made monic
+        f = squarefree_part((3 * x + y) ** 2 * (y + 1))
+        assert f == x * y + x + Fraction(1, 3) * y**2 + Fraction(1, 3) * y
+        assert exact_coefficients(f)
+        f = squarefree_part(7 * x**2 + 3 * y)
+        assert f == x**2 + Fraction(3, 7) * y and exact_coefficients(f)
+
+    def test_normal_form(self):
+        sb = basis.complete_basis([3 * x - 1, 7 * y - 2], grevlex(R))
+        assert all(exact_coefficients(g) for g in sb.generators)
+        assert sb.generators == (y - Fraction(2, 7), x - Fraction(1, 3))
+        nf = basis.normal_form(x * y + x, sb)
+        assert nf == Fraction(3, 7) and exact_coefficients(nf)
+        nf = basis.normal_form(21 * x * y + x, sb)
+        assert nf == Fraction(7, 3) and exact_coefficients(nf)
+        nf = basis.normal_form(21 * x * y, sb)
+        assert nf == 2 and exact_coefficients(nf)
+
+    def test_minimal_polynomial(self):
+        sb = basis.complete_basis([3 * x**2 - 1, 7 * y - 2 * x], grevlex(R))
+        m = basis.minimal_polynomial(sb, "y")
+        assert m == Polynomial(("y",), {(2,): 1, (0,): Fraction(-4, 147)})
+        assert exact_coefficients(m)
 
 
 class TestFormat:

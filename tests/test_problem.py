@@ -190,23 +190,25 @@ class TestExpansionOracle:
 
 
 class TestRationalBoundary:
-    """Expansion runs on ints, but every value the parser hands out is a
-    Fraction, integer-only input included."""
+    """Expansion runs on ints.  Each coefficient the parser hands out is
+    an int when it is integral and a Fraction otherwise, while the values
+    of ``samples`` and ``direction`` are Fractions."""
 
     @staticmethod
     def _all_fractions(values):
         return all(type(v) is Fraction for v in values)
 
     @pytest.mark.parametrize("text", ["x^2 - 3*y^3 + 7", "(x + 2*y)^3 - x*y", "1/2*x + 1/2*x",
-                                      "2*x*(1/2*y)", "-4", "(2*x)^3"])
+                                      "2*x*(1/2*y)", "-4", "(2*x)^3", "6/3*x", "1/3*x + 1/3*x"])
     def test_expression_coefficients(self, text):
-        assert self._all_fractions(parse_expression(text, R).terms.values())
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+                   for c in parse_expression(text, R).terms.values())
 
     def test_problem_file_values(self):
         p = parse_problem("ring t, x, y;\nparam t;\nphi = x^2 - y^3, 2*x*y;\nF = x + 3*t*y;\n"
                           "kind greuel-check;\nsamples 1, -2, 3/2;\nprobe t = -3*s, x = s^3, y = 2*s^2;\n")
         polys = [*p.bindings["phi"], *p.bindings["F"], *p.probes[0].values()]
-        assert self._all_fractions(c for f in polys for c in f.terms.values())
+        assert all(type(c) is int for f in polys for c in f.terms.values())
         assert self._all_fractions(p.samples)
         p = parse_problem("ring x, y;\ndelta = x^2 - y^3;\ndirection 1, -2;\nkind generic-line;\n")
         assert self._all_fractions(p.direction)

@@ -391,7 +391,7 @@ SQUAREFREE = [
 def test_squarefree_part_of_squarefree_input(text):
     f = parse_expression(text, R)
     _assert_squarefree_part(f)
-    assert squarefree_part(f) == f * (1 / f.leading(grevlex(R))[1])
+    assert squarefree_part(f) == f * Fraction(1, f.leading(grevlex(R))[1])
 
 
 def _counting_euclid(monkeypatch):
@@ -432,7 +432,7 @@ def test_certificate_falls_back_where_the_prime_divides(text, monkeypatch):
     ours = squarefree_part(f)
     assert (len(gcds), euclid) == (1, [])
     _assert_monic_equal(ours, sympy.sqf_part(_to_sympy(f)))
-    assert ours == f * (1 / f.leading(grevlex(R))[1])
+    assert ours == f * Fraction(1, f.leading(grevlex(R))[1])
 
 
 def test_certificate_falls_back_where_the_reduction_is_not_squarefree(monkeypatch):
