@@ -493,18 +493,6 @@ def staircase(sb):
     return sb.leading_monomials
 
 
-def _pure_power_bounds(gens, n):
-    """For each variable, the least exponent of its pure powers among
-    the monomials ``gens``; None when some variable has none."""
-    bounds = [inf] * n
-    for m in gens:
-        support = [i for i in range(n) if m[i]]
-        if len(support) == 1:
-            (i,) = support
-            bounds[i] = min(bounds[i], m[i])
-    return None if inf in bounds else bounds
-
-
 def colength(sb):
     """Number of standard monomials (monomials outside the leading
     ideal); the vector-space dimension of the quotient.  +inf when the
@@ -520,10 +508,9 @@ def _staircase_colength(lms, n):
     gens = [lms[i] for i in _minimal_indices(lms)]
     if (0,) * n in gens:
         return 0
-    bounds = _pure_power_bounds(gens, n)
-    if bounds is None:
-        return inf
-    return _count_standard(gens, bounds)
+    # the least exponent of a pure power of each variable
+    bounds = [min((m[i] for m in gens if m[i] == sum(m)), default=inf) for i in range(n)]
+    return inf if inf in bounds else _count_standard(gens, bounds)
 
 
 def _count_standard(gens, bounds):
@@ -572,38 +559,35 @@ def local_colength(gens, ring):
     method decides every ideal.  So after each truncation that does not
     stabilize, Lazard's method may spend that truncation's row
     eliminations over ``LAZARD_STEP_RATIO`` of its own steps, about as
-    long in time, priced from that truncation alone, which costs the
-    hard germs of ``tests/test_germs.py`` fewer steps than a loan priced
-    from all the truncations of the call.  A loan must cover the set-up of
-    a start (homogenizing, pairs, S-polynomials: a start that fails on its
-    first step took 0.14-0.18 ms, 22-24 eliminations, on the calls that
-    price ``LAZARD_STEP_RATIO``) and then some reduction, so none of fewer
-    than 2 * ``LAZARD_STEP_RATIO`` steps is lent: a smaller loan runs out
-    and throws its set-up away.  A loan of no steps is lent only after a
-    truncation without eliminations: it settles an ideal whose generators
-    overlap only in an lcm above the first K, such as <x^5*y, x*z^5>, in
-    no step, where the later truncations take 153.  A loan is a
-    ``_Budget`` of its steps, or of the run's remaining steps when fewer,
-    charged to the run on every exit; a loan that runs out is given up,
-    but when the run's budget ran out first, ``BudgetExhaustedError``
-    propagates.  Past ``MONOMIAL_CAP`` columns Lazard's method gets the
-    whole budget.
+    long in time (a loan priced from all the truncations of the call
+    costs the hard germs of ``tests/test_germs.py`` more steps).  No loan
+    under 2 * ``LAZARD_STEP_RATIO`` steps is lent: it would run out in
+    the set-up of a start (homogenizing, pairs, S-polynomials) and throw
+    it away.  A loan of no steps is lent only after a truncation without
+    eliminations: it settles an ideal whose generators overlap only in an
+    lcm above the first K, such as <x^5*y, x*z^5>, in no step, where the
+    later truncations take 153.  A loan is a ``_Budget`` of its steps, or
+    of the run's remaining steps when fewer, charged to the run on every
+    exit; a loan that runs out is given up, but when the run's budget ran
+    out first, ``BudgetExhaustedError`` propagates.  Past
+    ``MONOMIAL_CAP`` columns Lazard's method gets the whole budget.
 
     Before any truncation, the generators' local leading monomials LL_j
     (each the least term in degree, then reversed exponents: the
     truncation's lowest column) are checked for being pairwise coprime.
-    If they are, the colength is that of the monomial ideal <LL>
-    (``_staircase_colength``), which is what every truncation converges
-    to, and no step is spent.  Proof: a kept row x^a*g_j has lowest
-    column x^a*LL_j.  If x^a*LL_j = x^b*LL_k with j < k, coprimality
-    gives LL_j | x^b, so the Koszul cut already dropped x^b*g_k.  Hence
-    every kept row is a pivot.  A monomial x^c of <LL> is x^a*LL_j for
-    the least j with LL_j | x^c, and no earlier LL_i divides x^a, so that
-    row is kept: the pivots are the monomials of <LL>, and c_k counts the
-    standard monomials of <LL> below degree k, for every K.  So c_k
-    stabilizes at the count of <LL> when it has a pure power of every
-    variable; when one is missing (and 1 is not in <LL>), c_k >= k for
-    all k and I is not m-primary.
+    If they are, the colength is that of the monomial ideal <LL>, which
+    is what every truncation converges to, and no step is spent.  Proof:
+    a kept row x^a*g_j has lowest column x^a*LL_j.  If x^a*LL_j =
+    x^b*LL_k with j < k, coprimality gives LL_j | x^b, so the Koszul cut
+    already dropped x^b*g_k.  Hence every kept row is a pivot.  A
+    monomial x^c of <LL> is x^a*LL_j for the least j with LL_j | x^c, and
+    no earlier LL_i divides x^a, so that row is kept: the pivots are the
+    monomials of <LL>, and c_k counts the standard monomials of <LL>
+    below degree k, for every K.  That count is read in closed form.  It
+    is 0 when 1 is an LL_j.  Else no two LL_j share a variable, so <LL>
+    has a pure power of every variable only when the LL_j are n powers
+    x_i^a_i: then c_k stabilizes at prod a_i.  Otherwise some x_i^k is
+    standard for every k, c_k >= k, and I is not m-primary.
 
     When the degree leads are not coprime, there are exactly n nonzero
     generators, and every variable x_i has a pure power among their
@@ -645,7 +629,8 @@ def local_colength(gens, ring):
     n = len(ring)
     leads = _coprime_local_leads((g.terms for g in gens if not g.is_zero()), n)
     if leads is not None:
-        return _staircase_colength(leads, n)
+        powers = [sum(e) for e in leads if max(e, default=0) == sum(e)]
+        return 0 if 0 in powers else prod(powers) if len(powers) == n else inf
     int_gens = [_primitive(g) for g in gens if not g.is_zero()]
     budget = _current_budget()
     K = max((min(map(sum, g)) for g in int_gens), default=0) + 3
@@ -679,14 +664,10 @@ def _local_key(e):
 
 def _coprime_local_leads(term_dicts, n):
     """Local leading monomials of the term dicts, in n variables, that
-    are pairwise coprime (1 is coprime to every monomial), or None.  The
-    lead is the least term under the ordinary degree (``_local_key``),
-    and else, for exactly n term dicts whose terms hold a pure power of
-    every variable, under Arnold's weights: the key
-    (sum W_i*e_i, sum e_i, reversed e) with W_i = L/(b_i + 1) and L the
-    lcm of the b_i + 1.  b_i is first the least exponent of a pure power
-    x_i^b among all the terms, then that among the terms of the i-th dict
-    alone, when this gives other weights (see ``local_colength``)."""
+    are pairwise coprime (1 is coprime to every monomial), or None: the
+    least terms under the degree (``_local_key``), else, for n dicts,
+    under Arnold's weights for b_i the least exponent of a pure power of
+    x_i among all the terms, then among the i-th dict's (``local_colength``)."""
     term_dicts = list(term_dicts)
     leads = _coprime_leads(term_dicts, _local_key)
     if leads is not None or len(term_dicts) != n:

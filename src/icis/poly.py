@@ -11,12 +11,12 @@ coefficient, since its binary value is rarely the number meant.
 
 Term dicts are multiplied in place by two kernels: ``_add_shifted``
 adds a multiple of one term times a term dict, for substitution and the
-standard-basis engine in ``basis`` (whose term dicts hold integers, which
-it works on unchanged), and ``_add_product`` adds the product of two
-term dicts, for ``Polynomial.__mul__``, the problem parser and the
-characteristic polynomials of ``germs``; exact division and the
-univariate Euclidean remainder share one single-divisor division,
-``_divmod``.
+standard-basis engine in ``basis`` (whose term dicts hold integers), and
+``_add_product`` the product of two term dicts, for ``__mul__``, the
+problem parser and the characteristic polynomials of ``germs``.  What
+they build from valid term dicts is stored unchecked (``_of``); the
+constructor checks the exponents its callers give.  Exact division and
+the univariate remainder share one division, ``_divmod``.
 
 ``squarefree_part`` takes one path for every f (Yun 1976): it splits
 off the monomial factor of least exponents, certifies the cofactor h
@@ -56,6 +56,17 @@ class Polynomial:
                 clean[exps] = coeff
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _of(cls, ring, terms):
+        """The polynomial of a term dict that a kernel built from valid
+        ones, kept unchecked; only its integral Fractions become ints."""
+        p = cls.__new__(cls)
+        p.ring, p.terms, p._hash = ring, terms, None
+        for e, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[e] = c.numerator
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -144,7 +155,7 @@ class Polynomial:
         return Polynomial(self.ring, terms)
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -158,7 +169,7 @@ class Polynomial:
         self._check_ring(other)
         terms = {}
         _add_product(terms, self.terms, other.terms)
-        return Polynomial(self.ring, terms)
+        return Polynomial._of(self.ring, terms)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -191,7 +202,7 @@ class Polynomial:
             new = list(e)
             new[i] -= 1
             terms[tuple(new)] = c * e[i]
-        return Polynomial(self.ring, terms)
+        return Polynomial._of(self.ring, terms)
 
     def subs(self, bindings, target_ring=None):
         """Substitute polynomials (or scalars) for variables.
@@ -245,7 +256,7 @@ class Polynomial:
                     c *= val**k
             if c:  # a zero scalar drops the term
                 _add_shifted(result, one if image is None else image.terms.items(), place, c)
-        return Polynomial(target_ring, result)
+        return Polynomial._of(target_ring, result)
 
     def eval(self, point):
         """Evaluate at a rational point given as {var: scalar}."""

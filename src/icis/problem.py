@@ -39,20 +39,20 @@ nonzero.  Example::
     samples 1, 1/2;
     probe t = -3/2*s, x = s^3, y = s^2;
 
-Every syntax or binding error carries the line/column of the offending
-token and a machine-readable code.  Expressions are expanded as they are
-parsed, into term dicts on ``int`` coefficients with the kernels of
-``poly`` (``_add_shifted`` for sums, ``_add_product`` for products); a
-``Fraction`` enters only at a literal with a denominator.  Each
-expression becomes one ``Polynomial`` at its end, whose coefficients are
-``int`` where integral and ``Fraction`` elsewhere, and the values of
-``samples`` and ``direction`` are ``Fraction`` objects.  A product or
-power that would take more than ``MAX_PRODUCT_TERMS`` term products is
-refused at its operator.  A power of one term is written down directly,
-without products.  A number that no report could print,
-one with more digits than the interpreter converts to text, is refused:
-in a one-term power at its ``^``, before the power is computed, and in a
-binding or probe at its first token.
+A token is a plain tuple (type, value, line, column), and every syntax
+or binding error carries the line and column of the offending token and
+a machine-readable code.  Expressions are expanded as they are parsed,
+into term dicts on ``int`` coefficients (a ``Fraction`` enters only at a
+literal with a denominator).  A product folds its one-term factors, a
+one-term power written down directly, into one coefficient and exponent
+list; only its factors of several terms are multiplied, and the folded
+monomial shifts it once, as it is added to its sum.  A product or power
+of more than ``MAX_PRODUCT_TERMS`` term products is refused at its
+operator.  Each expression becomes one ``Polynomial``, and ``samples``
+and ``direction`` are ``Fraction`` objects.  A number with more digits
+than the interpreter converts to text, which no report could print, is
+refused: in a one-term power at its ``^``, before the power is computed,
+and in a binding or probe at its first token.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .basis import DEFAULT_BUDGET
 from .errors import (
@@ -106,29 +107,11 @@ def reads(kind, word):
     return word in KINDS[kind] or word in OPTIONAL.get(kind, ()) or word in UNIVERSAL
 
 
-def _digit_bound():
+@lru_cache(maxsize=4)
+def _digit_bound(d):
     """10^d for the interpreter's limit of d digits on an int converted
     to text (``sys.get_int_max_str_digits``), or 0 when there is none."""
-    return _power_of_ten(getattr(sys, "get_int_max_str_digits", lambda: 0)())
-
-
-@lru_cache(maxsize=4)
-def _power_of_ten(d):
     return 10**d if d else 0
-
-
-@lru_cache(maxsize=16)
-def _units(ring):
-    """Each variable of ``ring`` and its exponent vector; shared, read only."""
-    return {v: tuple(int(v == w) for w in ring) for v in ring}
-
-
-@dataclass(slots=True)
-class Token:
-    type: str
-    value: str
-    line: int
-    column: int
 
 
 # One token and the blanks before it.  In a str pattern \w is exactly
@@ -136,33 +119,29 @@ class Token:
 # with a letter (str.isalpha()) or "_", which tokenize checks.  Every
 # character is matched: by the last alternative when no token starts with
 # it, and $ takes the blanks at the end.  Digits are ASCII.
-_TOKEN = re.compile(r"([^\S\n]*)(?:([;,=+\-*^()/])|([0-9]+)|(\w+)|(\n)|(#[^\n]*)|(.)|$)",
-                    re.DOTALL)
+_TOKEN = re.compile(r"([^\S\n]*)(?:([;,=+\-*^()/])|([0-9]+|\w+)|(\n)|#[^\n]*|(.)|$)", re.DOTALL)
 
 
 def tokenize(text):
-    """The tokens of ``text``, each with the line and column (counted in
-    characters, from 1) of its first character, ending with EOF."""
+    """The tokens of ``text``, each a tuple (type, value, line, column)
+    with the line and column (counted in characters, from 1) of its first
+    character, ending with EOF.  A symbol is its own type."""
     tokens = []
     line, col = 1, 1
-    for blank, symbol, integer, word, newline, _comment, other in _TOKEN.findall(text):
+    for blank, symbol, word, newline, other in _TOKEN.findall(text):
         col += len(blank)  # and a comment leaves the column where it starts
         if symbol:
-            tokens.append(Token(symbol, symbol, line, col))
+            tokens.append((symbol, symbol, line, col))
             col += 1
-        elif word:
-            if not (word[0].isalpha() or word[0] == "_"):
-                raise ProblemSyntaxError(f"unexpected character {word[0]!r}", line, col)
-            tokens.append(Token("IDENT", word, line, col))
+        # of the word characters, only the ASCII digits sort below "9"
+        elif word and (word[0] <= "9" or word[0].isalpha() or word[0] == "_"):
+            tokens.append(("INT" if word[0] <= "9" else "IDENT", word, line, col))
             col += len(word)
-        elif integer:
-            tokens.append(Token("INT", integer, line, col))
-            col += len(integer)
         elif newline:
             line, col = line + 1, 1
-        elif other:
-            raise ProblemSyntaxError(f"unexpected character {other!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+        elif word or other:
+            raise ProblemSyntaxError(f"unexpected character {(word or other)[0]!r}", line, col)
+    tokens.append(("EOF", "", line, col))
     return tokens
 
 
@@ -180,33 +159,30 @@ class ProblemFile:
 
 
 class _Parser:
-    """One cursor over the tokens of ``text``; one method per grammar rule."""
+    """One cursor over the tokens of ``text``; one method per statement,
+    and ``expr``, ``product`` and ``group`` for expressions."""
 
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.pos = 0
         self.problem = ProblemFile()
         self.seen = {}  # statement word or binding name -> its first token
-        self.bound = _digit_bound()
-
-    def peek(self):
-        return self.tokens[self.pos]
+        self.bound = _digit_bound(getattr(sys, "get_int_max_str_digits", lambda: 0)())
 
     def accept(self, type_):
         """Take the next token if it has this type."""
         tok = self.tokens[self.pos]
-        if tok.type == type_:
+        if tok[0] == type_:
             self.pos += 1
             return tok
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        shown = tok.value or "end of input"
-        raise ProblemSyntaxError(f"{message} (got {shown!r})", tok.line, tok.column)
+        _, value, line, column = tok or self.tokens[self.pos]
+        raise ProblemSyntaxError(f"{message} (got {value or 'end of input'!r})", line, column)
 
     def expect(self, type_, what=None):
         tok = self.tokens[self.pos]
-        if tok.type != type_:
+        if tok[0] != type_:
             self.fail(f"expected {what or repr(type_)}")
         self.pos += 1
         return tok
@@ -214,12 +190,12 @@ class _Parser:
     def integer(self, what=None):
         """The value of an INT token; one longer than the interpreter
         converts (``sys.get_int_max_str_digits``) is a syntax error."""
-        tok = self.expect("INT", what)
+        _, value, line, column = self.expect("INT", what)
         try:
-            return int(tok.value)
+            return int(value)
         except ValueError:
-            raise ProblemSyntaxError(f"integer of {len(tok.value)} digits is too long",
-                                     tok.line, tok.column) from None
+            raise ProblemSyntaxError(f"integer of {len(value)} digits is too long",
+                                     line, column) from None
 
     def comma_list(self, item):
         out = [item()]
@@ -230,14 +206,14 @@ class _Parser:
     # -- statements ------------------------------------------------------
 
     def parse(self):
-        while self.peek().type != "EOF":
+        while self.tokens[self.pos][0] != "EOF":
             self.statement()
         self.validate()
         return self.problem
 
     def statement(self):
         tok = self.expect("IDENT")
-        word = tok.value
+        word = tok[1]
         if word in self.seen and word != "probe":
             self.fail("repeated statement", tok)
         self.seen.setdefault(word, tok)
@@ -245,7 +221,7 @@ class _Parser:
         if word == "ring":
             names = []
             self.comma_list(
-                lambda: names.append(self.distinct_name(names, "ring variable").value))
+                lambda: names.append(self.distinct_name(names, "ring variable")[1]))
             p.ring = tuple(names)
         elif word == "param":
             p.param = self.ring_variable("parameter")
@@ -269,35 +245,32 @@ class _Parser:
     def distinct_name(self, taken, what):
         """An IDENT token whose name is not in ``taken``."""
         tok = self.expect("IDENT")
-        if tok.value in taken:
+        if tok[1] in taken:
             self.fail(f"repeated {what}", tok)
         return tok
 
     def ring_variable(self, what, taken=()):
-        tok = self.distinct_name(taken, what)
-        if tok.value not in self.problem.ring:
-            raise UnboundNameError(f"{what} {tok.value!r} is not a ring variable",
-                                   tok.line, tok.column)
-        return tok.value
+        _, name, line, column = self.distinct_name(taken, what)
+        if name not in self.problem.ring:
+            raise UnboundNameError(f"{what} {name!r} is not a ring variable", line, column)
+        return name
 
     def kind(self):
-        first = self.expect("IDENT")
-        parts = [first.value]
+        _, kind, line, column = self.expect("IDENT")
         while self.accept("-"):
-            parts.append(self.expect("IDENT").value)
-        kind = "-".join(parts)
+            kind += "-" + self.expect("IDENT")[1]
         if kind not in KINDS:
             raise ProblemSyntaxError(f"unknown kind {kind!r}; valid kinds: {', '.join(KINDS)}",
-                                     first.line, first.column)
+                                     line, column)
         return kind
 
     def samples(self):
         """Nonzero rationals: t = 0 is the base member itself."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         samples = tuple(map(Fraction, self.comma_list(self.rational)))
         if 0 in samples:
             raise ProblemSyntaxError("samples must be nonzero: t = 0 is the base member itself",
-                                     tok.line, tok.column)
+                                     tok[2], tok[3])
         return samples
 
     def probe(self):
@@ -336,17 +309,16 @@ class _Parser:
         num = -self.integer() if self.accept("-") else self.integer()
         if not self.accept("/"):
             return num
-        tok = self.peek()
-        den = self.integer("integer denominator")
-        if den == 0:
-            self.fail("zero denominator", tok)
+        if not (den := self.integer("integer denominator")):
+            self.fail("zero denominator", self.tokens[self.pos - 1])
         return Fraction(num, den)
 
     def polynomial(self, ring):
         """An expr as a Polynomial, refused at its first token when it
         has a number that cannot be printed (``printable``)."""
-        tok = self.peek()
-        return Polynomial(ring, self.printable(self.expr(_units(ring)), tok))
+        tok = self.tokens[self.pos]
+        units = {v: i for i, v in enumerate(ring)}
+        return Polynomial._of(ring, self.printable(self.expr(units), tok))
 
     def printable(self, terms, tok):
         """The term dict ``terms``, refused at ``tok`` when the numerator
@@ -362,83 +334,119 @@ class _Parser:
     def too_long(self, tok):
         raise ProblemSyntaxError(
             f"expansion has a number of more than {sys.get_int_max_str_digits()} digits",
-            tok.line, tok.column)
+            tok[2], tok[3])
 
-    # expr, product, atom and factor expand into term dicts {exponents:
-    # int or Fraction} with no zero coefficient, over a ring's ``units``
+    # expr, product and group expand into term dicts {exponents: int or
+    # Fraction} with no zero coefficient, over ``units``, each variable's
+    # index in the ring
 
     def expr(self, units):
-        negate = not self.accept("+") and self.accept("-")
-        result = self.product(units)
-        if negate:
-            result = {e: -c for e, c in result.items()}
-        zero = (0,) * len(units)
-        while tok := self.accept("+") or self.accept("-"):
-            _add_shifted(result, self.product(units).items(), zero, 1 if tok.type == "+" else -1)
-        return result
-
-    def product(self, units):
-        result = self.atom(units)
+        result, sign = {}, self.tokens[self.pos][0]
+        self.pos += sign in ("+", "-")  # a leading sign
         while True:
-            tok = self.peek()
-            if self.accept("*"):
-                result = self.multiply(result, self.atom(units), tok)
-            elif tok.type in ("IDENT", "("):
-                # implicit multiplication: 3x, 2(x+y)
-                result = self.multiply(result, self.factor(units), tok)
-            else:
+            self.product(units, -1 if sign == "-" else 1, result)
+            if (sign := self.tokens[self.pos][0]) not in ("+", "-"):
                 return result
+            self.pos += 1
+
+    def product(self, units, coeff, out):
+        """Add ``coeff`` times the next product to the term dict ``out``,
+        one-term factors folded into ``coeff`` and ``shift``.  A factor
+        after the first is refused at its operator (``*``, or its first
+        token in 3x or 2(x + y)) when the product so far, of ``size``
+        terms, times it takes more than MAX_PRODUCT_TERMS term products."""
+        tokens = self.tokens
+        shift, terms, size, op = [0] * len(units), None, 1, None
+        while True:
+            type_, value, line, column = tokens[self.pos]
+            if type_ == "INT":
+                coeff *= (c := self.rational())
+                count = 1 if c else 0
+            elif type_ == "IDENT":
+                i = units.get(value)
+                if i is None:
+                    raise UnboundNameError(
+                        f"unbound name {value!r}; ring variables are {', '.join(units)}",
+                        line, column)
+                self.pos += 1
+                k, hat = self.exponent()
+                if self.bound and k >= self.bound:
+                    self.too_long(hat)  # the one number of x^k
+                shift[i] += k
+                count = 1
+            else:
+                group = self.group(units)
+                count = len(group)
+                if count == 1:
+                    ((e, c),) = group.items()
+                    coeff *= c
+                    shift = list(map(add, shift, e))
+                elif not count:
+                    coeff = 0
+            if op and size * count > MAX_PRODUCT_TERMS:
+                self.too_many(op)
+            if count > 1 and coeff:
+                terms = group if terms is None else self.multiply(terms, group, op)
+            size = (len(terms) if terms else 1) if coeff else 0
+            op = tokens[self.pos]
+            if op[0] == "*":
+                self.pos += 1
+            elif op[0] not in ("IDENT", "("):  # implicit multiplication: 3x, 2(x + y)
+                break
+        if not coeff:
+            return
+        if terms is not None:
+            _add_shifted(out, terms.items(), shift, coeff)
+        elif c := out.get(e := tuple(shift), 0) + coeff:
+            out[e] = c
+        else:
+            del out[e]
 
     def multiply(self, a, b, tok):
         """a * b, refused at ``tok`` when it would take more than
         MAX_PRODUCT_TERMS term products: expanding is not budgeted."""
         if len(a) * len(b) > MAX_PRODUCT_TERMS:
-            raise ExpansionTooLargeError(
-                f"expansion needs more than {MAX_PRODUCT_TERMS} term products", tok.line, tok.column)
+            self.too_many(tok)
         product = {}
         _add_product(product, a, b)
         return product
 
-    def atom(self, units):
-        if self.peek().type == "INT":
-            c = self.rational()
-            return {(0,) * len(units): c} if c else {}
-        return self.factor(units)
+    def too_many(self, tok):
+        raise ExpansionTooLargeError(
+            f"expansion needs more than {MAX_PRODUCT_TERMS} term products", tok[2], tok[3])
 
-    def factor(self, units):
-        tok = self.peek()
-        if self.accept("IDENT"):
-            unit = units.get(tok.value)
-            if unit is None:
-                raise UnboundNameError(
-                    f"unbound name {tok.value!r}; ring variables are {', '.join(units)}",
-                    tok.line, tok.column)
-            base = {unit: 1}
-        elif self.accept("("):
-            base = self.expr(units)
-            self.expect(")")
-        else:
-            self.fail("expected a polynomial term")
-        tok = self.peek()
-        if not self.accept("^"):
+    def exponent(self):
+        """``['^' INT]``: the exponent and its '^' token, or (1, None)."""
+        hat = self.tokens[self.pos]
+        if hat[0] != "^":
+            return 1, None
+        self.pos += 1
+        return self.integer("integer exponent"), hat
+
+    def group(self, units):
+        """``'(' expr ')' ['^' INT]`` as a term dict."""
+        self.expect("(", "a polynomial term")
+        base = self.expr(units)
+        self.expect(")")
+        k, hat = self.exponent()
+        if hat is None:
             return base
-        k = self.integer("integer exponent")
         if len(base) == 1:
             # one term: (c*x^e)^k = c^k*x^(k*e), no products
             ((e, c),) = base.items()
             n = max(abs(c.numerator), c.denominator)
             if self.bound and k * (n.bit_length() - 1) >= self.bound.bit_length():
                 # n^k >= 2^(k*(bits - 1)) > bound: refused before it is computed
-                self.too_long(tok)
-            return self.printable({tuple([k * x for x in e]): c**k}, tok)
+                self.too_long(hat)
+            return self.printable({tuple([k * x for x in e]): c**k}, hat)
         # square-and-multiply, each product checked
         result = {(0,) * len(units): 1}
         while k:
             if k & 1:
-                result = self.multiply(result, base, tok)
+                result = self.multiply(result, base, hat)
             k >>= 1
             if k:
-                base = self.multiply(base, base, tok)
+                base = self.multiply(base, base, hat)
         return result
 
 

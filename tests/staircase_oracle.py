@@ -7,9 +7,12 @@ from math import inf
 
 def staircase_colength_bruteforce(monomials, ring_size):
     """Count the lattice points under the staircase of a monomial ideal
-    by direct enumeration of the box cut out by its pure powers; +inf
-    when some variable has no pure power."""
+    by direct enumeration of the box cut out by its pure powers; 0 when
+    the monomial 1 is among them, else +inf when some variable has no
+    pure power."""
     gens = [tuple(m) for m in monomials]
+    if not all(any(m) for m in gens):
+        return 0
     bounds = []
     for i in range(ring_size):
         pures = [m[i] for m in gens

@@ -479,10 +479,44 @@ def _coprime_lead_ideals(draw):
     return n, ring, draw(st.permutations(gens)), sum(powers) - n + 1, mu
 
 
+@st.composite
+def _coprime_monomial_gens(draw):
+    """(n, leads, gens): pairwise coprime monomials ``leads`` in 1 to 4
+    variables, and one generator per lead, the lead plus a tail of higher
+    degree, so that it is the generator's local leading monomial.  Each
+    variable belongs to one lead or to none, so a lead may hold several
+    variables and some variable may have no pure power (fewer than n
+    leads); the constant 1 may be a lead as well."""
+    n = draw(st.integers(1, 4))
+    owner = draw(st.one_of(st.permutations(range(n)),
+                           st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)))
+    exps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    leads = [tuple(exps[i] if owner[i] == j else 0 for i in range(n)) for j in range(n)]
+    leads = [m for m in leads if any(m)] + [(0,) * n] * draw(st.integers(0, 1))
+    coefficient = st.integers(-3, 3).filter(bool)
+    terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * n), coefficient), max_size=3)
+    gens = [{**{e: c for e, c in draw(terms) if sum(e) > sum(m)}, m: draw(coefficient)}
+            for m in leads]
+    return n, leads, draw(st.permutations(gens))
+
+
 class TestCoprimeLeadCertificate:
     """``local_colength`` of ideals whose local leading monomials are
     pairwise coprime, read off those monomials, against the dense rank
-    of ``truncation_oracle``."""
+    of ``truncation_oracle`` and the staircase count of
+    ``staircase_oracle``."""
+
+    @given(_coprime_monomial_gens())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_equals_the_staircase_count(self, case):
+        # 0 with the lead 1, the product of the pure-power exponents when
+        # every variable has one, else inf: counted with no step
+        n, leads, gens = case
+        ring = ("w", "x", "y", "z")[:n]
+        with step_budget(0) as budget:
+            assert local_colength([Polynomial(ring, g) for g in gens], ring) == (
+                staircase_colength_bruteforce(leads, n))
+        assert budget.spent == 0
 
     @given(_coprime_lead_ideals())
     @settings(max_examples=60, deadline=None)

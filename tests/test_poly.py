@@ -82,6 +82,24 @@ class TestConstruct:
                   f * Fraction(4, 2) - 1, f.subs({"x": x + 2 * y})]:
             assert all(type(c) is int for c in g.terms.values()), g
 
+    def test_kernel_results_turn_integral_fractions_into_ints(self):
+        # products, derivatives, negations and substitutions keep their
+        # term dicts unchecked (``Polynomial._of``), ints where integral
+        h = Polynomial(R, {(2, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)})
+        three_halves = Polynomial.constant(R, Fraction(3, 2))
+        assert h.diff("x").terms == {(1, 0): 1}
+        assert (h * three_halves).terms == {(2, 0): Fraction(3, 4), (0, 1): 1}
+        assert h.subs({"y": three_halves * y}).terms == {(2, 0): Fraction(1, 2), (0, 1): 1}
+        for g in [h.diff("x"), h * three_halves, -h, h.subs({"y": three_halves * y})]:
+            assert exact_coefficients(g), g
+
+    @given(polys(), polys())
+    @settings(max_examples=50, deadline=None)
+    def test_kernel_results_are_stored_as_the_constructor_stores_them(self, f, g):
+        for h in [f * g, f.diff("x"), -f, f.subs({"y": g}), f.subs({"x": Fraction(2, 3)})]:
+            assert exact_coefficients(h)
+            assert h.terms == Polynomial(R, dict(h.terms)).terms
+
     @pytest.mark.parametrize("build", [
         lambda: Polynomial(R, {(1, 0): 0.5}),
         lambda: Polynomial.constant(R, 0.1),

@@ -1,6 +1,9 @@
+import json
+import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 
 from icis.errors import (
     ExpansionTooLargeError,
+    IcisError,
     MissingParameterError,
     ProblemSyntaxError,
     UnboundNameError,
@@ -17,7 +21,6 @@ from icis.poly import Polynomial, format_poly
 from icis.problem import (
     KINDS,
     MAX_PRODUCT_TERMS,
-    Token,
     parse_expression,
     parse_problem,
     parse_samples,
@@ -56,7 +59,7 @@ def _scan_by_character(text):
             j = i
             while j < len(text) and text[j] in digits:
                 j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
+            tokens.append(("INT", text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -64,17 +67,17 @@ def _scan_by_character(text):
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
+            tokens.append(("IDENT", text[i:j], line, col))
             col += j - i
             i = j
             continue
         if ch in symbols:
-            tokens.append(Token(ch, ch, line, col))
+            tokens.append((ch, ch, line, col))
             col += 1
             i += 1
             continue
         raise ProblemSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(("EOF", "", line, col))
     return tokens
 
 
@@ -107,7 +110,7 @@ class TestTokenizer:
 
     def test_positions(self):
         tokens = tokenize("ring x;  # note\n  f = x2^3;")
-        assert [(t.type, t.value, t.line, t.column) for t in tokens] == [
+        assert tokens == [
             ("IDENT", "ring", 1, 1), ("IDENT", "x", 1, 6), (";", ";", 1, 7),
             ("IDENT", "f", 2, 3), ("=", "=", 2, 5), ("IDENT", "x2", 2, 7),
             ("^", "^", 2, 9), ("INT", "3", 2, 10), (";", ";", 2, 11), ("EOF", "", 2, 12)]
@@ -493,6 +496,18 @@ class TestProblemFiles:
         with pytest.raises(ProblemSyntaxError):
             parse_problem("ring x, y;\nf = (2*x)^14285 + y^2;\nkind milnor;\n")
 
+    @pytest.mark.parametrize("tail", ["*x", " x", "*2", "*(x + y)"])
+    def test_product_with_a_group_past_the_bound(self, tail):
+        # (A)*(B) + z*(A) has 316^2 + 316 terms, more than the bound, so a
+        # product with it is refused at its operator even when the other
+        # factor has one term; alone it is expanded
+        a, b = (" + ".join(f"{v}^{i}" for i in range(316)) for v in "xy")
+        group = f"(({a})*({b}) + z*({a}))"
+        assert len(parse_expression(group, ("x", "y", "z")).terms) == 316**2 + 316
+        with pytest.raises(ExpansionTooLargeError) as exc:
+            parse_problem(f"ring x, y, z;\nf = {group}{tail};\nkind milnor;\n")
+        assert (exc.value.line, exc.value.column) == (2, 5 + len(group) + (tail[0] == " "))
+
     def test_expansion_below_bound(self):
         p = parse_problem("ring x, y;\nf = (x + y)^40;\nkind milnor;\n")
         assert len(p.bindings["f"][0].terms) == 41
@@ -508,3 +523,65 @@ class TestProblemFiles:
     def test_bytes_input(self):
         p = parse_problem(b"ring x, y;\nf = x;\nkind milnor;\n")
         assert p.kind == "milnor"
+
+
+# Parse outcomes of seeded single-edit mutations (an insertion, deletion
+# or replacement of one character) of every fixture and of one text of
+# each germ template of perfbench/corpus.py, as recorded by
+# ``record_mutations``: they pin every error's class, code, message, line
+# and column, and every clean parse's values.
+MUTATIONS = Path(__file__).parent / "parse_mutations.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+_EDIT_CHARACTERS = "xyzwts0129 \n\t#;,=+-*^()/_\u00e9\u00b2"
+
+
+def _parse_outcome(text):
+    """What ``parse_problem`` makes of ``text``: its error's class, code,
+    message, line and column, or the parsed values, each written as
+    text; any other exception propagates."""
+    try:
+        p = parse_problem(text)
+    except IcisError as exc:
+        return ["error", type(exc).__name__, exc.code, str(exc), exc.line, exc.column]
+    return ["ok", list(p.ring), p.param, p.kind,
+            {k: [format_poly(f) for f in fs] for k, fs in p.bindings.items()},
+            [str(s) for s in p.samples], p.direction and [str(d) for d in p.direction],
+            p.seed, p.budget, [{v: format_poly(g) for v, g in pr.items()} for pr in p.probes]]
+
+
+def _mutated(text, op, pos, ch):
+    return text[:pos] + ch + text[pos + (op != "i"):]
+
+
+def record_mutations(bases, counts=None):
+    """Write the outcomes of seeded mutations of the texts ``bases``
+    ({name: text}) to MUTATIONS: ``counts[name]`` edits of each (40 of a
+    fixture and 25 of a germ text by default)."""
+    rows = []
+    for name, text in bases.items():
+        rng = random.Random(name)
+        for _ in range((counts or {}).get(name, 40 if name.startswith("fixture:") else 25)):
+            op = rng.choice("idr")
+            pos = rng.randrange(len(text) + (op == "i"))
+            ch = "" if op == "d" else rng.choice(_EDIT_CHARACTERS)
+            rows.append([name, op, pos, ch, _parse_outcome(_mutated(text, op, pos, ch))])
+    head = json.dumps({k: [t, _parse_outcome(t)] for k, t in bases.items()}, ensure_ascii=False)
+    body = ",\n".join("  " + json.dumps(r, ensure_ascii=False) for r in rows)
+    MUTATIONS.write_text(f'{{"bases": {head},\n "mutations": [\n{body}\n ]}}\n', encoding="utf-8")
+
+
+class TestMutations:
+    data = json.loads(MUTATIONS.read_text(encoding="utf-8"))
+
+    def test_every_fixture_is_a_base(self):
+        fixtures = {f"fixture:{p.stem}": p.read_text() for p in FIXTURES.glob("*.icis")}
+        assert {k: t for k, (t, _) in self.data["bases"].items() if k in fixtures} == fixtures
+
+    @pytest.mark.parametrize("name", sorted(json.loads(MUTATIONS.read_text(encoding="utf-8"))["bases"]))
+    def test_outcomes_do_not_change(self, name):
+        text, outcome = self.data["bases"][name]
+        assert _parse_outcome(text) == outcome
+        edits = [m for m in self.data["mutations"] if m[0] == name]
+        assert edits
+        for _, op, pos, ch, outcome in edits:
+            assert _parse_outcome(_mutated(text, op, pos, ch)) == outcome, (op, pos, ch)
