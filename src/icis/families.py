@@ -19,20 +19,21 @@ convergence certificate holds (every critical point collapses to the
 origin as the parameter goes to zero); otherwise ball-dependent
 verdicts come back inconclusive rather than wrong.  The splitting
 check sums each fiber's Milnor numbers with the Le-Greuel chain of
-``germs``, localized at a lone singular point or on the whole fiber.
-A function family's fibers are X cut by F_t, X = V(phi): their singular
-points are critical points of f_t on X, so the family certificate
-covers them, and their chains run through X's stage memo
-(``icis_milnor``), which holds each member's critical ideal.
+``germs``, localized at a lone singular point or on the whole fiber,
+its stages kept in the memo of ``fam.base`` for both kinds.  A function
+family's fibers are X cut by F_t, X = V(phi): their singular points are
+critical points of f_t on X, so the family certificate covers them, and
+the memo holds each member's critical ideal.
 
 Finite point sets are counted from colengths and eliminants
 (``ideals.distinct_point_count``), with no radical: a sample report
 counts its member's critical points, its local colength at the origin
 bounding the count, and the splitting check counts a fiber's singular
-points.  A function family's fiber points are the member's critical
-ideal cut by F_t (``IdealPresentation.cut``), one cut per sample that
-the zero-fiber hypothesis reads too; a space family's come from the
-fiber's singular ideal.
+points.  A fiber's singular-point ideal is its stage plus its last
+equation (``IdealPresentation.plus``), built once: equal fibers share
+it, the chain on the whole fiber starts from it, and for a function
+family it is the member's critical ideal cut by F_t, which the
+zero-fiber hypothesis reads too.
 
 The radical questions on <phi> + J (cond5, cond6 and the zero-fiber
 hypothesis) go through ``DeformationFamily.in_critical_radical``: the
@@ -296,14 +297,14 @@ def splitting_check(fam):
     ``fiber_milnor_total``.  A sample's ``point_mu`` is its total when
     one point carries it.
 
-    The kind decides the singular points and the certificate.  A
-    function family's fiber singular ideal is its member's critical
-    ideal plus <F_t> (``IdealPresentation.cut``), so the family
-    certificate covers its points; only a false one sends the check to
-    the fiber singular ideal's own, which a space family always reads.
-    The chain of a function family's fiber runs through X's stages and
-    ends in the member's critical ideal, which ``mu0`` and the sample
-    reports already localized."""
+    A fiber's singular points are those of its stage in the memo of
+    ``fam.base`` plus its last equation.  For a function family that is
+    the member's critical ideal plus <F_t>, so the family certificate
+    covers its points; only a false one sends the check to the fiber
+    singular ideal's own, which a space family always reads.  The chain
+    of a function family's fiber runs through X's stages and ends in the
+    member's critical ideal, which ``mu0`` and the sample reports already
+    localized."""
     x_ring = fam.x_ring
     if fam.kind == FUNCTION:
         # f_0 is isolated on X, so the base fiber is an ICIS
@@ -314,12 +315,9 @@ def splitting_check(fam):
     samples = []
     for t0 in fam.samples:
         eqs = fam.fiber(t0)
-        if fam.kind == FUNCTION:
-            sing = fam.base.stage(eqs).cut(eqs[-1])
-        else:
-            sing = singular_ideal(eqs, x_ring)
-            NonIsolatedError.unless_finite(
-                sing.colength(), "fiber at t={} has non-isolated singularities", t0)
+        sing = fam.base.stage(eqs).plus(eqs[-1:])
+        NonIsolatedError.unless_finite(
+            sing.colength(), "fiber at t={} has non-isolated singularities", t0)
         count, total = distinct_point_count(sing), 0
         if count == 1:
             point = lone_point(sing)
@@ -327,7 +325,7 @@ def splitting_check(fam):
             # sing is zero-dimensional, so the point is isolated
             total = icis_milnor(fam.base, eqs=moved)
         elif count > 1:
-            total = fiber_milnor_total(eqs, x_ring)
+            total = fiber_milnor_total(fam.base, eqs)
         samples.append({"t0": t0, "count": count, "total_fiber_mu": total,
                         "point_mu": total if count == 1 else None})
 

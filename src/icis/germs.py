@@ -4,12 +4,13 @@ and of functions on them; discriminants, multiplicity and the
 generic-line test.  The Le-Greuel chain is localized at the origin
 (``icis_milnor``: local colengths) or on the fiber V(phi), summing its
 singular points (``fiber_milnor_total``: global colengths with rising
-powers of the equations adjoined).  An ICIS keeps its chain stages, each
-an ``IdealPresentation`` caching its local colength: its isolation check
-fills them and ``icis_milnor`` reads them.  The critical ideal of a
-function germ f on X is the chain's next stage, of (phi, f), kept in the
-same memo, so members with equal equations share one ideal.  A
-hypersurface's Jacobian ideal is localized through an
+powers of the equations adjoined); a stage either leaves infinite fails
+the attempt, which is retried on a recombination.  An ICIS keeps its
+chain stages, each an ``IdealPresentation`` caching its colengths: its
+isolation check fills them, and both localizations read them.  The
+critical ideal of a function germ f on X is the chain's next stage, of
+(phi, f), kept in the same memo, so members with equal equations share
+one ideal.  A hypersurface's Jacobian ideal is localized through an
 ``IdealPresentation`` as well, the one path to ``basis.local_colength``.
 
 A map is an unfolding when ``basis._substitute_linear`` leaves its graph
@@ -195,11 +196,12 @@ def icis_milnor(X, seed=0, eqs=None):
     return _chain_milnor(list(eqs), lambda I, _: I.local_colength(), X.stage, seed)
 
 
-def fiber_milnor_total(phi, ring):
-    """Sum of the Milnor numbers of V(phi) at its singular points, which
-    must be isolated, over the closure: the chain localized on V(phi)."""
-    return _chain_milnor(list(phi), _fiber_colength,
-                         lambda eqs: critical_ideal(eqs[:-1], eqs[-1], ring))
+def fiber_milnor_total(X, eqs):
+    """Sum of the Milnor numbers of V(eqs) at its singular points, which
+    must be isolated, over the closure: the chain localized on V(eqs), its
+    stages kept in X's memo as ``icis_milnor`` keeps them; the last stage's
+    first rising power is the singular-point ideal X.stage(eqs).plus(eqs[-1:])."""
+    return _chain_milnor(list(eqs), _fiber_colength, X.stage)
 
 
 def _chain_milnor(phi, colength, stage, seed=0):
@@ -210,28 +212,26 @@ def _chain_milnor(phi, colength, stage, seed=0):
     recombinations of the equations (the chain holds for a generic choice);
     one equation has no recombination but itself, so it is not retried."""
     rng = random.Random(seed)
-    last_failure = None
     retries = MAX_RECOMBINATION_RETRIES if len(phi) > 1 else 0
     for attempt in range(retries + 1):
         eqs = phi if attempt == 0 else _recombine(phi, rng)
-        try:
-            mu = 0
-            for k in range(1, len(eqs) + 1):
-                c = colength(stage(eqs[:k]), eqs[k - 1:])
-                if c == inf:
-                    raise GenericityError(f"infinite colength at chain stage {k}")
-                mu = c - mu
+        mu = 0
+        for k in range(1, len(eqs) + 1):
+            c = colength(stage(eqs[:k]), eqs[k - 1:])
+            if c == inf:
+                break
+            mu = c - mu
+        else:
             return mu
-        except GenericityError as exc:
-            last_failure = exc
-    raise GenericityError(f"no recombination gave finite chain colengths: {last_failure}")
+    raise GenericityError("no recombination gave finite chain colengths: "
+                          f"infinite colength at chain stage {k}")
 
 
 def _fiber_colength(I, rest):
     """Grevlex colength of I + <r^N for r in rest> at the first N <= 64
-    where it equals its value at N + 1.  Points off V(rest) drop out, and
-    by Nakayama the equal values put each r^N in I at every point of
-    V(rest): the value sums the local colengths of I there."""
+    where it equals its value at N + 1, else inf.  Points off V(rest) drop
+    out, and by Nakayama the equal values put each r^N in I at every point
+    of V(rest): the value sums the local colengths of I there."""
     powers, prev = list(rest), None
     for _ in range(64):
         c = NonIsolatedError.unless_finite(I.plus(powers).colength(),
@@ -240,7 +240,7 @@ def _fiber_colength(I, rest):
             return c
         prev = c
         powers = [q * r for q, r in zip(powers, rest)]
-    raise GenericityError("fiber colength did not stabilize")
+    return inf
 
 
 def _target_ring(p):

@@ -3,8 +3,8 @@ and radical membership.
 
 An ``IdealPresentation`` is the one memo of its ideal: its reduced
 grevlex basis, its local colength at the origin, its eliminants, its
-point count, its cuts and its radical, each computed once.  A Milnor
-chain stage is such an ideal.
+point count, its radical and its sums I + <extra> (``plus``, the one way
+to extend it), each computed once.  A Milnor chain stage is such an ideal.
 
 Critical and singular ideals have one builder, ``critical_ideal``; a
 singular ideal is the critical ideal of its last equation, plus it, and
@@ -26,11 +26,11 @@ colength, the product of those numbers and, when the origin is a point
 whose local colength is known, the colength less the origin's share plus
 one; the eliminants are taken until the bounds meet.  f vanishes on V(I)
 when cutting by f keeps every point (``is_nilpotent``, on the cached
-cut I + <f>, ``IdealPresentation.cut``), and a lone point is the origin
-or the roots of the linear squarefree eliminants (``lone_point``).  Only
-bounds that never meet complete the radical
-(``IdealPresentation.radical``): I plus the squarefree part of each
-eliminant with a repeated factor (Seidenberg's lemma)."""
+cut I + <f>), and a lone point is the origin or the roots of the linear
+squarefree eliminants (``lone_point``).  Only bounds that never meet
+complete the radical (``IdealPresentation.radical``): I plus the
+squarefree part of each eliminant with a repeated factor (Seidenberg's
+lemma)."""
 
 from __future__ import annotations
 
@@ -80,8 +80,8 @@ class IdealPresentation:
         (Cox-Little-O'Shea, *Using Algebraic Geometry*, ch. 2 sec. 2).
         Only parts of lower degree than their eliminant are adjoined; with
         none, I is its own radical, as is the unit ideal.  The parts are
-        adjoined to I's reduced grevlex basis rather than to I's
-        generators: the same ideal, so the same reduced basis."""
+        adjoined by ``plus`` to I's reduced grevlex basis, which the
+        eliminants completed."""
         hit = self._cache.get("radical")
         if hit is None:
             hit = self
@@ -92,24 +92,20 @@ class IdealPresentation:
                     if r.total_degree() < e.total_degree():
                         shrunk.append(r.in_ring(self.ring))
                 if shrunk:
-                    reduced = self.basis().generators
-                    hit = IdealPresentation(self.ring, reduced + tuple(shrunk))
+                    hit = self.plus(shrunk)
             self._cache["radical"] = hit
         return hit
 
-    def cut(self, f):
-        """I + <f>, built once per f: its points are those of V(I) where f
-        vanishes.  It is presented by I's reduced grevlex basis plus f, so
-        its completion does not redo I's."""
-        key = ("cut", f)
+    def plus(self, extra):
+        """I + <extra>, built once per tuple of polynomials: from I's reduced
+        grevlex basis when I has completed one, so its completion does not
+        redo I's, and from I's generators otherwise."""
+        key = ("plus", tuple(extra))
         hit = self._cache.get(key)
         if hit is None:
-            reduced = self.basis().generators
-            hit = self._cache[key] = IdealPresentation(self.ring, reduced + (f,))
+            done = self._cache.get("grevlex", self)
+            hit = self._cache[key] = IdealPresentation(self.ring, done.generators + key[1])
         return hit
-
-    def plus(self, extra):
-        return IdealPresentation(self.ring, list(self.generators) + list(extra))
 
 
 def jacobian_matrix(maps, variables):
@@ -168,7 +164,7 @@ def singular_ideal(eqs, variables):
     """<eqs> plus the maximal minors of their Jacobian in ``variables``:
     the singular points of V(eqs)."""
     *phi, f = eqs
-    return critical_ideal(phi, f, variables).plus([f])
+    return critical_ideal(phi, f, variables).plus((f,))
 
 
 def elimination_ideal(I, keep):
@@ -212,7 +208,7 @@ def is_nilpotent(f, I):
     used = f.variables_used()
     if len(f.terms) == 1 and len(used) == 1:
         return len(_squarefree_eliminant(I, used.pop())[0].terms) == 1
-    return distinct_point_count(I.cut(f)) == distinct_point_count(I)
+    return distinct_point_count(I.plus((f,))) == distinct_point_count(I)
 
 
 def univariate_eliminant(I, var):

@@ -354,23 +354,24 @@ class TestSplitting:
 
 def _lone_point(fam, t0):
     """The lone singular point of the fiber at the sample t0, read off its
-    singular-point ideal: the member's critical ideal, the fiber's stage
-    in X's memo, cut by F_t for a function family, the fiber's singular
-    ideal for a space family."""
+    singular-point ideal: the fiber's stage in the memo of ``fam.base``
+    plus its last equation, for either kind (for a function family, the
+    member's critical ideal cut by F_t)."""
     eqs = fam.fiber(t0)
-    if fam.kind == families.FUNCTION:
-        return lone_point(fam.base.stage(eqs).cut(eqs[-1]))
-    return lone_point(singular_ideal(eqs, fam.x_ring))
+    return lone_point(fam.base.stage(eqs).plus(eqs[-1:]))
 
 
 def _old_path_splitting(fam):
     """The function-family splitting check computed without the family's
     values: the fiber-singular ideal's own certificate, each fiber's
     singular ideal and its radical from its eliminants, and the Milnor
-    chain of the base fiber and of each translated lone point.  Returns
-    (verdict, base total, certificate, [(t0, count, total, point)])."""
+    chain of the base fiber and of each translated lone point.  The
+    fiber chains run in the memo of a fresh ICIS, the base fiber, which
+    shares nothing with the family.  Returns (verdict, base total,
+    certificate, [(t0, count, total, point)])."""
     x_ring = fam.x_ring
-    base_mu = icis_milnor(IcisPresentation(x_ring, fam.fiber(0)))
+    X = IcisPresentation(x_ring, fam.fiber(0))
+    base_mu = icis_milnor(X)
     conv = converges_to_origin(singular_ideal(fam.Phi, x_ring), fam.param, x_ring)
     samples = []
     for t0 in fam.samples:
@@ -383,7 +384,7 @@ def _old_path_splitting(fam):
         elif count == 1:
             total = icis_milnor(IcisPresentation(x_ring, translate(eqs, point)))
         else:
-            total = fiber_milnor_total(eqs, x_ring)
+            total = fiber_milnor_total(X, eqs)
         samples.append((t0, count, total, point))
     if not conv:
         verdict = INCONCLUSIVE
@@ -443,6 +444,54 @@ class TestSplittingOldPathOracle:
     def test_seeded_jump_families(self, p, d, c, samples):
         self._agree(lambda: DeformationFamily(
             RING, "t", [x**p - y**(p + d)], x + c * t * y, samples=samples))
+
+
+class TestEqualFibersBuiltOnce:
+    """A fiber's singular-point ideal is its stage in the memo of
+    ``fam.base`` plus its last equation, built once: equal fibers share
+    it, and the chain on a fiber with two or more singular points starts
+    from it.  The fibers at t = 2 and t = -2 are equal: the cusp does not
+    hold t, and the tacnode holds t^2 only."""
+
+    @pytest.mark.parametrize("phi, completions", [
+        (x**2 - y**3, 1),
+        (y**2 - (x**2 - t**2) ** 2, 2),
+    ], ids=["t-free-cusp", "tacnode"])
+    def test_no_basis_is_completed_twice(self, phi, completions, monkeypatch):
+        # the cusp's one completion is its singular-point ideal; the
+        # tacnode's second is the chain's next rising power, its stage
+        # plus the square of its equation
+        calls = []
+        original = basis.complete_basis
+
+        def counting(gens, order, *args, **kwargs):
+            calls.append((tuple(gens), order))
+            return original(gens, order, *args, **kwargs)
+
+        monkeypatch.setattr(basis, "complete_basis", counting)
+        splitting_check(DeformationFamily(RING, "t", [phi], samples=(2, -2)))
+        assert len(calls) == len(set(calls)) == completions
+
+    def test_two_point_chain_reads_the_counted_ideal(self, monkeypatch):
+        fam = DeformationFamily(RING, "t", [y**2 - (x**2 - t**2) ** 2], samples=(2, -2))
+        sums = []
+        original = IdealPresentation.plus
+
+        def recording(self, extra):
+            hit = original(self, extra)
+            sums.append((self, tuple(extra), hit))
+            return hit
+
+        monkeypatch.setattr(IdealPresentation, "plus", recording)
+        rep = splitting_check(fam)
+        assert [sm["count"] for sm in rep["samples"]] == [2, 2]
+        eqs = fam.fiber(2)
+        stage = fam.base.stage(eqs)
+        # at each sample the loop counts the ideal, and the chain's first
+        # rising power is the same object
+        sing = [hit for I, extra, hit in sums if I is stage and extra == eqs[-1:]]
+        assert len(sing) == 4
+        assert all(hit is sing[0] for hit in sing)
 
 
 class TestFamilyOwnsItsSamples:

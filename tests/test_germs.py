@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 import sympy
 
 from icis import basis, germs
 from icis.basis import local_colength, step_budget
-from icis.cli import run_problem
+from icis.cli import main, run_problem
 from icis.errors import (
+    GenericityError,
     InvalidInputError,
     NonIsolatedError,
     UnsupportedInputError,
@@ -132,7 +134,8 @@ def _family_analyze(body):
     (lambda: hypersurface_milnor(x**2), "non-isolated singularity: x^2"),
     (lambda: function_on_icis_milnor(GermFunction(x3**2, IcisPresentation(R3, [y3]))),
      "function has non-isolated singularity on the ICIS"),
-    (lambda: fiber_milnor_total([x**2], R), "fiber has non-isolated singular points"),
+    (lambda: fiber_milnor_total(IcisPresentation(R, [y]), [x**2]),
+     "fiber has non-isolated singular points"),
     (lambda: univariate_eliminant(IdealPresentation(R, [x]), "x"),
      "the minimal polynomial needs a zero-dimensional ideal"),
     (lambda: distinct_point_count(IdealPresentation(R, [x])),
@@ -338,7 +341,45 @@ class TestFiberMilnorTotal:
         phi = [z3**2 - z3, g + z3 * (x3**2 - y3**3 - g)]
         oracle = sum(icis_milnor(IcisPresentation(R3, translate(phi, {"z": c})))
                      for c in (0, 1))
-        assert fiber_milnor_total(phi, R3) == oracle == 14
+        assert fiber_milnor_total(IcisPresentation(R3, phi), phi) == oracle == 14
+
+    def test_stage_whose_powers_never_stabilize(self, monkeypatch):
+        # the node y^2 = x^2 in the plane z = 0: stage 1, the Jacobian
+        # <-2x, 2y> of y^2 - x^2, vanishes along the z-axis, so stage 1
+        # plus the N-th powers of the equations has colength N for every
+        # N; after 64 powers the stage is infinite, and a recombination
+        # y^2 - x^2 + c*z makes stage 1 the unit ideal
+        eqs = (y3**2 - x3**2, z3)
+        X = IcisPresentation(R3, eqs)
+        recombined = []
+        original = germs._recombine
+        monkeypatch.setattr(germs, "_recombine",
+                            lambda phi, rng: recombined.append(phi) or original(phi, rng))
+        with step_budget(2_090):
+            assert fiber_milnor_total(X, eqs) == 1
+        assert recombined == [list(eqs)]
+
+
+class TestGenericityRefusal:
+    """A chain that no attempt finishes raises ``GenericityError`` once.
+    With no retries, phi = x^2, y^2 fails at its stage 1, <2x>, which is
+    infinite at the origin."""
+
+    def test_icis_milnor(self, monkeypatch):
+        monkeypatch.setattr(germs, "MAX_RECOMBINATION_RETRIES", 0)
+        X = IcisPresentation(R, (x**2, y**2))
+        with pytest.raises(GenericityError) as info:
+            icis_milnor(X)
+        assert str(info.value) == ("no recombination gave finite chain colengths: "
+                                   "infinite colength at chain stage 1")
+
+    def test_cli_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(germs, "MAX_RECOMBINATION_RETRIES", 0)
+        fixture = Path(__file__).parent / "fixtures" / "icis_milnor_pair.icis"
+        assert main(["run", str(fixture)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[genericity-failure]: no recombination gave finite")
 
 
 class TestMilnorAtPoint:

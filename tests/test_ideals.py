@@ -243,8 +243,8 @@ class TestRadical:
         I = IdealPresentation(R, (x**2 * (x - 1) ** 3, y**2))
         expected = I.radical().plus([f]).radical().colength()
         monkeypatch.setattr(IdealPresentation, "radical", _refuse)
-        cut = I.cut(f)
-        assert I.cut(f) is cut
+        cut = I.plus((f,))
+        assert I.plus([f]) is cut
         assert distinct_point_count(cut) == count == expected
         assert distinct_point_count(I) == 2
         assert is_nilpotent(f, I) == (count == 2)
@@ -589,3 +589,14 @@ class TestIdealPresentation:
         J = I.plus((y,))
         assert J.generators == (x, y)
         assert J.colength() == 1
+
+    def test_plus_is_built_once_on_the_completed_basis(self):
+        # I's generators are extended until I completes its reduced basis,
+        # and that basis after; a sum already built is kept
+        I = IdealPresentation(R, (x + y, x - y))
+        before = I.plus((x**2,))
+        assert before.generators == (x + y, x - y, x**2)
+        assert I.plus([x**2]) is before
+        reduced = I.basis().generators
+        assert I.plus((y**2,)).generators == reduced + (y**2,)
+        assert I.plus((x**2,)) is before
